@@ -964,6 +964,10 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
+    if args.max_sources < 1:
+        print(f"{parser.prog}: error: --max-sources must be >= 1, "
+              f"got {args.max_sources}", file=sys.stderr)
+        return 2
 
     registry = None
     if args.metrics:

@@ -264,6 +264,32 @@ def recv_response(
     return CostVector(incoming_bytes=bytes_total, processing_units=processing)
 
 
+def response_costs(num_messages, num_addresses, num_results, connections, send: bool):
+    """(bytes, processing units) of Response traffic, elementwise.
+
+    The array form of :func:`send_response` (``send``) and
+    :func:`recv_response`: the engines charge whole per-node vectors of
+    Response messages, addresses and result records at once.
+    """
+    if send:
+        base, per_address, per_result = (
+            SEND_RESPONSE_BASE, SEND_RESPONSE_PER_ADDRESS, SEND_RESPONSE_PER_RESULT)
+    else:
+        base, per_address, per_result = (
+            RECV_RESPONSE_BASE, RECV_RESPONSE_PER_ADDRESS, RECV_RESPONSE_PER_RESULT)
+    nbytes = (
+        constants.RESPONSE_MESSAGE_BASE * num_messages
+        + constants.RESPONSE_ADDRESS_SIZE * num_addresses
+        + constants.RESULT_RECORD_SIZE * num_results
+    )
+    units = (
+        (base + MULTIPLEX_PER_CONNECTION * connections) * num_messages
+        + per_address * num_addresses
+        + per_result * num_results
+    )
+    return nbytes, units
+
+
 def send_join(connections: float, num_files: float, num_messages: float = 1.0) -> CostVector:
     """Cost of sending a Join carrying metadata for ``num_files`` files.
 

@@ -48,7 +48,8 @@ from ..topology.builder import NetworkInstance
 from ..topology.strong import CompleteGraph
 from ..units import bytes_per_second_to_bps, units_per_second_to_hz
 from . import costs
-from .routing import propagate_query
+from .routing import DEFAULT_BLOCK, flood_block, fold_to_sources
+from .routing import propagate_query  # noqa: F401 - wrapped here by the per-layer tracer
 
 #: Query message size with the default 12-byte query string (94 bytes).
 _QUERY_BYTES = constants.QUERY_MESSAGE_BASE + constants.QUERY_STRING_LENGTH
@@ -280,6 +281,8 @@ def evaluate_instance(
         raise ValueError(
             f"unknown response_mode {response_mode!r}; one of {RESPONSE_MODES}"
         )
+    if max_sources is not None and max_sources < 1:
+        raise ValueError("max_sources must be >= 1")
     model = model or default_query_model()
     att = NULL_ATTRIBUTION if attribution is None else attribution
     att.bind(instance)
@@ -289,9 +292,6 @@ def evaluate_instance(
     acc = _Accumulator(instance.num_clusters, instance.total_clients)
 
     n = instance.num_clusters
-    config = instance.config
-    if max_sources is not None and max_sources < 1:
-        raise ValueError("max_sources must be >= 1")
     if max_sources is None or max_sources >= n:
         sources = np.arange(n, dtype=np.int64)
         scale = 1.0
@@ -381,6 +381,25 @@ def _response_triple(exp: ClusterExpectations) -> tuple[np.ndarray, np.ndarray, 
     return exp.prob_respond, exp.expected_collections, exp.expected_results
 
 
+def _response_flows(
+    w: np.ndarray, resp: np.ndarray, sent: np.ndarray, arrived: np.ndarray,
+    sources: np.ndarray,
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Rate-weighted Response traffic of a block of sources, per node.
+
+    ``resp`` (b, n, 3) is what each node originates, ``sent`` (b, n, 3)
+    what it ships toward the source (zero at the source itself) and
+    ``arrived`` (b, 3) what reaches each source.  Returns (n, 3) arrays
+    of (messages, addresses, results): sent, received, and the part of
+    received that is arrivals at a source.
+    """
+    at_source = np.zeros(resp.shape[1:])
+    np.add.at(at_source, sources, w[:, np.newaxis] * arrived)
+    out = np.einsum("b,bnc->nc", w, sent)
+    inc = np.einsum("b,bnc->nc", w, sent - resp) + at_source
+    return out, inc, at_source
+
+
 def _accumulate_queries_bfs(
     instance: NetworkInstance,
     exp: ClusterExpectations,
@@ -391,134 +410,122 @@ def _accumulate_queries_bfs(
     response_mode: str = "reverse-path",
     att: NullAttribution = NULL_ATTRIBUTION,
 ) -> None:
-    """Flooding query accounting over an explicit overlay, per source."""
+    """Flooding query accounting over an explicit overlay.
+
+    Sources go through the shared flood kernel ``DEFAULT_BLOCK`` at a
+    time; every charge is a rate-weighted sum over the block's rows.
+    """
     graph = instance.graph
     ttl = instance.config.ttl
     m_sp = instance.superpeer_connections.astype(float)
     users, q_rates, _ = _cluster_rates(instance)
-    msgs_o, addr_o, res_o = _response_triple(exp)
+    origin = np.stack(_response_triple(exp), axis=1)  # (n, 3) msgs/addr/res
+    direct = response_mode == "direct"
 
-    send_q_proc = _SEND_Q_UNITS + _MUX * m_sp
-    recv_q_proc = _RECV_Q_UNITS + _MUX * m_sp
+    units = {
+        "send": _SEND_Q_UNITS + _MUX * m_sp,
+        "recv": _RECV_Q_UNITS + _MUX * m_sp,
+        "probe": costs.PROCESS_QUERY_BASE + costs.PROCESS_QUERY_PER_RESULT * origin[:, 2],
+        "handshake": _HANDSHAKE_SEND_UNITS + _HANDSHAKE_RECV_UNITS + 2.0 * _MUX * m_sp,
+    }
 
-    for s in sources.tolist():
-        w = q_rates[s] * scale
-        prop = propagate_query(graph, s, ttl)
-        reached = prop.reached
+    for start in range(0, sources.size, DEFAULT_BLOCK):
+        src = sources[start:start + DEFAULT_BLOCK]
+        rows = np.arange(src.size)
+        fb = flood_block(graph, src, ttl)
+        reached = fb.reached
+        w = q_rates[src] * scale
 
-        # Query transmission and receipt costs.
-        tx_bytes = w * prop.transmissions * _QUERY_BYTES
-        tx_proc = w * prop.transmissions * send_q_proc
-        rx_bytes = w * prop.receipts * _QUERY_BYTES
-        rx_proc = w * prop.receipts * recv_q_proc
-        acc.q_out += tx_bytes
-        acc.q_proc += tx_proc
-        acc.q_in += rx_bytes
-        acc.q_proc += rx_proc
-
-        # Index probe at every node that processes the query (source included).
-        probe = w * (
-            costs.PROCESS_QUERY_BASE
-            + costs.PROCESS_QUERY_PER_RESULT * res_o[reached]
-        )
-        acc.q_proc[reached] += probe
-
-        if att.enabled:
-            att.add_q_by_depth("query", "out_bw", prop.depth, tx_bytes)
-            att.add_q_by_depth("query", "proc", prop.depth, tx_proc)
-            att.add_q_by_depth("query", "in_bw", prop.depth, rx_bytes)
-            att.add_q_by_depth("query", "proc", prop.depth, rx_proc)
-            att.add_q_at("query", "proc", reached, prop.depth, probe)
+        # Query transmission and receipt costs, and the index probe at
+        # every node that processes the query (source included).
+        tw = w @ fb.transmissions
+        rw = w @ fb.receipts
+        acc.q_out += tw * _QUERY_BYTES
+        acc.q_proc += tw * units["send"]
+        acc.q_in += rw * _QUERY_BYTES
+        acc.q_proc += rw * units["recv"]
+        acc.q_proc += (w @ reached) * units["probe"]
 
         # Response origination weights: every reached cluster except the
         # source responds over the overlay.
-        msgs_w = np.where(reached, msgs_o, 0.0)
-        addr_w = np.where(reached, addr_o, 0.0)
-        res_w = np.where(reached, res_o, 0.0)
-        msgs_w[s] = addr_w[s] = res_w[s] = 0.0
-
-        if response_mode == "direct":
+        resp = np.where(reached[:, :, np.newaxis], origin, 0.0)
+        resp[rows, src] = 0.0
+        if direct:
             # Section 3.1 alternative: every responder ships its Response
             # straight to the source over a temporary connection — no
             # forwarding, but a handshake pair per response and a
             # connection-request storm at the source.
-            fw_m = msgs_w.copy()
-            fw_a = addr_w.copy()
-            fw_r = res_w.copy()
-            fw_m[s] = msgs_w.sum()
-            fw_a[s] = addr_w.sum()
-            fw_r[s] = res_w.sum()
-            hs_bytes = w * _HANDSHAKE_BYTES * fw_m
-            hs_proc = w * fw_m * (
-                _HANDSHAKE_SEND_UNITS + _HANDSHAKE_RECV_UNITS + 2.0 * _MUX * m_sp
-            )
-            acc.q_out += hs_bytes
-            acc.q_in += hs_bytes
-            acc.q_proc += hs_proc
-            if att.enabled:
-                att.add_q_by_depth("response", "out_bw", prop.depth, hs_bytes)
-                att.add_q_by_depth("response", "in_bw", prop.depth, hs_bytes)
-                att.add_q_by_depth("response", "proc", prop.depth, hs_proc)
-                att.add_edges(prop, w, None, None, None)  # flood edges only
+            sent = resp
+            arrived = resp.sum(axis=1)
         else:
-            fw_m = prop.accumulate_to_source(msgs_w)
-            fw_a = prop.accumulate_to_source(addr_w)
-            fw_r = prop.accumulate_to_source(res_w)
-
-        senders = reached.copy()
-        senders[s] = False
-        resp_out = w * (
-            constants.RESPONSE_MESSAGE_BASE * fw_m[senders]
-            + constants.RESPONSE_ADDRESS_SIZE * fw_a[senders]
-            + constants.RESULT_RECORD_SIZE * fw_r[senders]
-        )
-        resp_out_proc = w * (
-            (costs.SEND_RESPONSE_BASE + _MUX * m_sp[senders]) * fw_m[senders]
-            + costs.SEND_RESPONSE_PER_ADDRESS * fw_a[senders]
-            + costs.SEND_RESPONSE_PER_RESULT * fw_r[senders]
-        )
-        acc.q_out[senders] += resp_out
-        acc.q_proc[senders] += resp_out_proc
-
-        inc_m = fw_m - msgs_w
-        inc_a = fw_a - addr_w
-        inc_r = fw_r - res_w
-        resp_in = w * (
-            constants.RESPONSE_MESSAGE_BASE * inc_m[reached]
-            + constants.RESPONSE_ADDRESS_SIZE * inc_a[reached]
-            + constants.RESULT_RECORD_SIZE * inc_r[reached]
-        )
-        resp_in_proc = w * (
-            (costs.RECV_RESPONSE_BASE + _MUX * m_sp[reached]) * inc_m[reached]
-            + costs.RECV_RESPONSE_PER_ADDRESS * inc_a[reached]
-            + costs.RECV_RESPONSE_PER_RESULT * inc_r[reached]
-        )
-        acc.q_in[reached] += resp_in
-        acc.q_proc[reached] += resp_in_proc
+            sent = fold_to_sources(fb.depth, fb.pred, resp)
+            arrived = sent[rows, src]
+            sent[rows, src] = 0.0
+        out, inc, at_source = _response_flows(w, resp, sent, arrived, src)
+        if direct:
+            handshakes = out[:, 0] + at_source[:, 0]
+            acc.q_out += handshakes * _HANDSHAKE_BYTES
+            acc.q_in += handshakes * _HANDSHAKE_BYTES
+            acc.q_proc += handshakes * units["handshake"]
+        out_bytes, out_units = costs.response_costs(*out.T, m_sp, send=True)
+        in_bytes, in_units = costs.response_costs(*inc.T, m_sp, send=False)
+        acc.q_out += out_bytes
+        acc.q_proc += out_units
+        acc.q_in += in_bytes
+        acc.q_proc += in_units
 
         if att.enabled:
-            att.add_q_at("response", "out_bw", senders, prop.depth, resp_out)
-            att.add_q_at("response", "proc", senders, prop.depth, resp_out_proc)
-            att.add_q_at("response", "in_bw", reached, prop.depth, resp_in)
-            att.add_q_at("response", "proc", reached, prop.depth, resp_in_proc)
-            if response_mode != "direct":
-                att.add_edges(prop, w, fw_m, fw_a, fw_r)
+            _attribute_block(att, fb, w, resp, sent, arrived, units, m_sp, direct)
 
         # Per-source outcomes.
-        arrived_m, arrived_a, arrived_r = fw_m[s], fw_a[s], fw_r[s]
-        per_source.results[s] = arrived_r + res_o[s]
-        total_msgs = msgs_w.sum()
-        if total_msgs <= 0:
-            per_source.epl[s] = 0.0
-        elif response_mode == "direct":
-            per_source.epl[s] = 1.0  # every response travels one direct hop
+        total_msgs = resp[:, :, 0].sum(axis=1)
+        if direct:
+            # Every response travels one direct hop.
+            per_source.epl[src] = (total_msgs > 0).astype(float)
         else:
-            per_source.epl[s] = float((prop.depth * msgs_w)[reached].sum() / total_msgs)
-        per_source.reach_clusters[s] = prop.reach
-        per_source.reach_peers[s] = float(users[reached].sum())
-        per_source.to_client_msgs[s] = arrived_m + msgs_o[s]
-        per_source.to_client_addr[s] = arrived_a + addr_o[s]
-        per_source.to_client_results[s] = arrived_r + res_o[s]
+            per_source.epl[src] = np.divide(
+                (fb.depth * resp[:, :, 0]).sum(axis=1), total_msgs,
+                out=np.zeros(src.size), where=total_msgs > 0,
+            )
+        per_source.reach_clusters[src] = fb.reach()
+        per_source.reach_peers[src] = reached @ users
+        to_client = arrived + origin[src]
+        per_source.results[src] = to_client[:, 2]
+        per_source.to_client_msgs[src] = to_client[:, 0]
+        per_source.to_client_addr[src] = to_client[:, 1]
+        per_source.to_client_results[src] = to_client[:, 2]
+
+
+def _attribute_block(att, fb, w, resp, sent, arrived, units, m_sp, direct) -> None:
+    """Feed one block's query and Response charges to the attribution
+    hooks, row by row, each tagged with its BFS hop."""
+    for i in range(fb.sources.size):
+        prop = fb.row(i)
+        depth, rate = prop.depth, w[i]
+        one = slice(i, i + 1)
+        att.add_q_by_depth("query", "out_bw", depth, rate * prop.transmissions * _QUERY_BYTES)
+        att.add_q_by_depth("query", "proc", depth, rate * prop.transmissions * units["send"])
+        att.add_q_by_depth("query", "in_bw", depth, rate * prop.receipts * _QUERY_BYTES)
+        att.add_q_by_depth("query", "proc", depth, rate * prop.receipts * units["recv"])
+        att.add_q_by_depth("query", "proc", depth, rate * prop.reached * units["probe"])
+        out, inc, at_source = _response_flows(
+            w[one], resp[one], sent[one], arrived[one], fb.sources[one]
+        )
+        if direct:
+            handshakes = out[:, 0] + at_source[:, 0]
+            att.add_q_by_depth("response", "out_bw", depth, handshakes * _HANDSHAKE_BYTES)
+            att.add_q_by_depth("response", "in_bw", depth, handshakes * _HANDSHAKE_BYTES)
+            att.add_q_by_depth("response", "proc", depth, handshakes * units["handshake"])
+        out_bytes, out_units = costs.response_costs(*out.T, m_sp, send=True)
+        in_bytes, in_units = costs.response_costs(*inc.T, m_sp, send=False)
+        att.add_q_by_depth("response", "out_bw", depth, out_bytes)
+        att.add_q_by_depth("response", "proc", depth, out_units)
+        att.add_q_by_depth("response", "in_bw", depth, in_bytes)
+        att.add_q_by_depth("response", "proc", depth, in_units)
+        if direct:
+            att.add_edges(prop, rate, None, None, None)  # flood edges only
+        else:
+            att.add_edges(prop, rate, *sent[i].T)
 
 
 def _accumulate_queries_strong(
@@ -592,31 +599,17 @@ def _accumulate_queries_strong(
 
     # --- responses ---------------------------------------------------------------
     # As responder (for every foreign query): send own response directly.
-    resp_out = others_q * (
-        constants.RESPONSE_MESSAGE_BASE * msgs_o
-        + constants.RESPONSE_ADDRESS_SIZE * addr_o
-        + constants.RESULT_RECORD_SIZE * res_o
-    )
-    resp_out_proc = others_q * (
-        (costs.SEND_RESPONSE_BASE + _MUX * m_sp) * msgs_o
-        + costs.SEND_RESPONSE_PER_ADDRESS * addr_o
-        + costs.SEND_RESPONSE_PER_RESULT * res_o
-    )
+    out_bytes, out_units = costs.response_costs(msgs_o, addr_o, res_o, m_sp, send=True)
+    resp_out = others_q * out_bytes
+    resp_out_proc = others_q * out_units
     acc.q_out += resp_out
     acc.q_proc += resp_out_proc
     # As source: receive every other cluster's response.
     tot_m, tot_a, tot_r = msgs_o.sum(), addr_o.sum(), res_o.sum()
     arr_m, arr_a, arr_r = tot_m - msgs_o, tot_a - addr_o, tot_r - res_o
-    resp_in = q_rates * (
-        constants.RESPONSE_MESSAGE_BASE * arr_m
-        + constants.RESPONSE_ADDRESS_SIZE * arr_a
-        + constants.RESULT_RECORD_SIZE * arr_r
-    )
-    resp_in_proc = q_rates * (
-        (costs.RECV_RESPONSE_BASE + _MUX * m_sp) * arr_m
-        + costs.RECV_RESPONSE_PER_ADDRESS * arr_a
-        + costs.RECV_RESPONSE_PER_RESULT * arr_r
-    )
+    in_bytes, in_units = costs.response_costs(arr_m, arr_a, arr_r, m_sp, send=False)
+    resp_in = q_rates * in_bytes
+    resp_in_proc = q_rates * in_units
     acc.q_in += resp_in
     acc.q_proc += resp_in_proc
     if att.enabled:
@@ -719,17 +712,9 @@ def _accumulate_client_query_costs(
     cq_in_proc = cq_rate * (_RECV_Q_UNITS + _MUX * m_sp)
     acc.q_in += cq_in
     acc.q_proc += cq_in_proc
-    resp_bytes = (
-        constants.RESPONSE_MESSAGE_BASE * msgs
-        + constants.RESPONSE_ADDRESS_SIZE * addr
-        + constants.RESULT_RECORD_SIZE * res
-    )
+    resp_bytes, sp_units = costs.response_costs(msgs, addr, res, m_sp, send=True)
     sp_resp_out = cq_rate * resp_bytes
-    sp_resp_proc = cq_rate * (
-        (costs.SEND_RESPONSE_BASE + _MUX * m_sp) * msgs
-        + costs.SEND_RESPONSE_PER_ADDRESS * addr
-        + costs.SEND_RESPONSE_PER_RESULT * res
-    )
+    sp_resp_proc = cq_rate * sp_units
     acc.q_out += sp_resp_out
     acc.q_proc += sp_resp_proc
     if att.enabled:
@@ -745,11 +730,9 @@ def _accumulate_client_query_costs(
         cl_q_out = q * _QUERY_BYTES
         cl_q_proc = q * (_SEND_Q_UNITS + _MUX * m_cl)
         cl_resp_in = q * resp_bytes[cluster_of_client]
-        cl_resp_proc = q * (
-            (costs.RECV_RESPONSE_BASE + _MUX * m_cl) * msgs[cluster_of_client]
-            + costs.RECV_RESPONSE_PER_ADDRESS * addr[cluster_of_client]
-            + costs.RECV_RESPONSE_PER_RESULT * res[cluster_of_client]
-        )
+        cl_resp_proc = q * costs.response_costs(
+            msgs, addr, res, m_cl, send=False
+        )[1][cluster_of_client]
         acc.c_out += cl_q_out
         acc.c_proc += cl_q_proc
         acc.c_in += cl_resp_in

@@ -17,7 +17,14 @@ Flooding semantics (baseline Gnutella search, Section 3.1):
 :class:`QueryPropagation` captures one traversal — depths, predecessors,
 per-node query transmissions and receipts — and provides the reverse-path
 accumulator used to charge Response forwarding costs on every node along
-each responder's path back to the source.
+each responder's path back to the source.  :func:`propagate_query` is the
+scalar oracle (and the event engine's per-query path, with dead relays).
+
+:func:`flood_block` runs a block of sources at once and is the flood
+kernel of both engines: the mean-value analysis (``core.load``) and the
+fault-free array simulator (``sim.fastcore``).  Row ``i`` of its
+:class:`FloodBlock` is bit-identical to ``propagate_query(sources[i])``;
+:func:`fold_to_sources` is the matching batched reverse-path accumulator.
 """
 
 from __future__ import annotations
@@ -28,6 +35,11 @@ import numpy as np
 
 from ..topology.graph import OverlayGraph
 from ..topology.strong import CompleteGraph
+
+#: Sources per :func:`flood_block` call in both engines: large enough to
+#: amortize numpy call overhead, small enough that the (block, nodes, 3)
+#: response buffers stay cache- and memory-friendly at 50k-node scale.
+DEFAULT_BLOCK = 64
 
 
 @dataclass(frozen=True)
@@ -99,24 +111,161 @@ class QueryPropagation:
         return self.depth[self.reached]
 
 
-def _neighbors_of_frontier(
-    graph: OverlayGraph, frontier: np.ndarray
+@dataclass(frozen=True)
+class FloodBlock:
+    """A block of BFS floods over one overlay, one row per source.
+
+    Row ``i`` is exactly ``propagate_query(graph, sources[i], ttl)``:
+    same depths, same first-sender predecessors (the minimum-id frontier
+    neighbor — frontiers are ascending, so "first writer" is "lowest
+    sender"), same per-node transmissions and receipts.
+    """
+
+    sources: np.ndarray        # (b,)
+    ttl: int
+    depth: np.ndarray          # (b, n) BFS depth; -1 if not reached
+    pred: np.ndarray           # (b, n) first-sender predecessor; -1 at source/unreached
+    transmissions: np.ndarray  # (b, n) query messages sent by each node
+    receipts: np.ndarray       # (b, n) query messages received by each node
+
+    @property
+    def reached(self) -> np.ndarray:
+        return self.depth >= 0
+
+    def reach(self) -> np.ndarray:
+        """Clusters reached per source (the paper's *reach*), (b,)."""
+        return np.count_nonzero(self.reached, axis=1)
+
+    def row(self, i: int) -> QueryPropagation:
+        """Row ``i`` as the scalar kernel's :class:`QueryPropagation`."""
+        return QueryPropagation(
+            source=int(self.sources[i]), ttl=self.ttl,
+            depth=self.depth[i], pred=self.pred[i],
+            transmissions=self.transmissions[i], receipts=self.receipts[i],
+        )
+
+
+def _out_edges(
+    graph: OverlayGraph, nodes: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray]:
-    """(senders, targets) arrays for all out-edges of ``frontier`` nodes."""
-    starts = graph.indptr[frontier]
-    ends = graph.indptr[frontier + 1]
-    counts = ends - starts
-    total = int(counts.sum())
-    if total == 0:
-        empty = np.array([], dtype=np.int64)
-        return empty, empty
+    """(counts, heads): each node's out-degree and the heads of all its
+    out-edges, node by node in CSR order."""
+    starts = graph.indptr[nodes]
+    counts = graph.indptr[nodes + 1] - starts
+    ends = np.cumsum(counts)
+    total = int(ends[-1]) if ends.size else 0
     # Gather CSR slices without a Python loop: offsets[j] walks each
-    # frontier node's adjacency range consecutively.
-    repeats = np.repeat(starts - np.concatenate(([0], np.cumsum(counts)[:-1])), counts)
-    offsets = np.arange(total, dtype=np.int64) + repeats
-    targets = graph.indices[offsets]
-    senders = np.repeat(frontier, counts)
-    return senders, targets
+    # node's adjacency range consecutively.
+    offsets = np.arange(total, dtype=np.int64) + np.repeat(starts - (ends - counts), counts)
+    return counts, graph.indices[offsets]
+
+
+def flood_block(graph, sources, ttl: int) -> FloodBlock:
+    """Batched BFS floods from ``sources``, equivalent to per-source
+    :func:`propagate_query`.
+
+    Frontier-sparse: the block's frontier is a sorted array of flat keys
+    ``row * n + node``, and each hop gathers from the CSR only the
+    out-edges of those ``(row, node)`` pairs.  Every gathered edge not
+    pointing back to its sender's predecessor is one receipt at its head.
+    Heads not yet reached in their row join the next depth, and their
+    predecessor is the minimum-id sender among the edges reaching them —
+    the scalar kernel's first writer, since its frontiers are ascending.
+    """
+    if isinstance(graph, CompleteGraph):
+        graph = graph.materialize()
+    n = graph.num_nodes
+    if ttl < 1:
+        raise ValueError("ttl must be >= 1")
+    sources = np.asarray(sources, dtype=np.int64)
+    if sources.size and (sources.min() < 0 or sources.max() >= n):
+        raise IndexError(f"sources out of range [0, {n})")
+    b = sources.size
+    rows = np.arange(b, dtype=np.int64)
+
+    depth = np.full(b * n, -1, dtype=np.int64)
+    pred = np.full(b * n, -1, dtype=np.int64)
+    receipts = np.zeros(b * n)
+    frontier = rows * n + sources  # ascending: one key per row
+    depth[frontier] = 0
+    for d in range(ttl):
+        nodes = frontier % n
+        counts, heads = _out_edges(graph, nodes)
+        if heads.size == 0:
+            break
+        keys = np.repeat(frontier - nodes, counts) + heads
+        # Every frontier node forwards (d < ttl) to all but its sender.
+        live = heads != np.repeat(pred[frontier], counts)
+        np.add.at(receipts, keys[live], 1.0)
+        fresh = depth[keys] == -1
+        keys, senders = keys[fresh], np.repeat(nodes, counts)[fresh]
+        if keys.size == 0:
+            break
+        depth[keys] = d + 1
+        pred[keys] = n  # above every node id, so the minimum is a sender
+        np.minimum.at(pred, keys, senders)
+        frontier = np.flatnonzero(depth == d + 1)
+    depth = depth.reshape(b, n)
+    pred = pred.reshape(b, n)
+
+    degrees = graph.degrees.astype(np.float64)
+    forwarder = (depth >= 0) & (depth < ttl)
+    transmissions = np.where(forwarder, degrees[np.newaxis, :] - 1.0, 0.0)
+    transmissions[rows, sources] = degrees[sources]
+    return FloodBlock(
+        sources=sources, ttl=int(ttl), depth=depth, pred=pred,
+        transmissions=transmissions, receipts=receipts.reshape(b, n),
+    )
+
+
+def _complete_block(n: int, sources, ttl: int) -> FloodBlock:
+    """Closed-form :class:`FloodBlock` on K_n (mirrors
+    :func:`complete_graph_propagation`)."""
+    sources = np.asarray(sources, dtype=np.int64)
+    b = sources.size
+    rows = np.arange(b)
+    depth = np.ones((b, n), dtype=np.int64)
+    depth[rows, sources] = 0
+    pred = np.broadcast_to(sources[:, np.newaxis], (b, n)).copy()
+    pred[rows, sources] = -1
+    transmissions = np.zeros((b, n))
+    receipts = np.zeros((b, n))
+    if n > 1:
+        transmissions[rows, sources] = n - 1.0
+        receipts[:] = 1.0
+        receipts[rows, sources] = 0.0
+        if ttl >= 2 and n > 2:
+            transmissions[:] = n - 2.0
+            transmissions[rows, sources] = n - 1.0
+            receipts[:] = n - 1.0
+            receipts[rows, sources] = 0.0
+    return FloodBlock(
+        sources=sources, ttl=int(ttl), depth=depth, pred=pred,
+        transmissions=transmissions, receipts=receipts,
+    )
+
+
+def fold_to_sources(depth: np.ndarray, pred: np.ndarray,
+                    weights: np.ndarray) -> np.ndarray:
+    """Batched :meth:`QueryPropagation.accumulate_to_source`.
+
+    ``depth`` and ``pred`` are a :class:`FloodBlock`'s ``(b, n)`` arrays;
+    ``weights`` is ``(b, n, c)`` — ``c`` response channels per node, zero
+    at unreached nodes.  Returns the ``(b, n, c)`` predecessor-subtree
+    sums: levels fold bottom-up, each row into its own predecessors, in
+    the scalar accumulator's order (row by row it is bit-identical).
+    """
+    b, n = depth.shape
+    # Channel-major, so each channel folds with the 1-D ``add.at`` path.
+    forwarded = np.ascontiguousarray(weights.reshape(b * n, weights.shape[-1]).T)
+    flat_pred = (pred + np.arange(b)[:, np.newaxis] * n).reshape(-1)
+    flat_depth = depth.reshape(-1)
+    for d in range(int(depth.max(initial=0)), 0, -1):
+        level = np.flatnonzero(flat_depth == d)
+        parents = flat_pred[level]
+        for channel in forwarded:
+            np.add.at(channel, parents, channel[level])
+    return forwarded.T.reshape(weights.shape)
 
 
 def propagate_query(
@@ -158,7 +307,8 @@ def propagate_query(
     depth[source] = 0
     frontier = np.array([source], dtype=np.int64)
     for d in range(ttl):
-        senders, targets = _neighbors_of_frontier(graph, frontier)
+        counts, targets = _out_edges(graph, frontier)
+        senders = np.repeat(frontier, counts)
         fresh = depth[targets] == -1
         if blocked is not None and targets.size:
             fresh &= ~blocked[targets]

@@ -72,9 +72,6 @@ class NullAttribution:
     def add_q_by_depth(self, action, resource, depth, amounts):
         pass
 
-    def add_q_at(self, action, resource, mask, depth, amounts):
-        pass
-
     def add_edges(self, prop, rate, fw_m, fw_a, fw_r):
         pass
 
@@ -172,15 +169,6 @@ class LoadAttribution:
         for h in np.unique(hops):
             sel = hops == h
             self._tbl(self._q, self.n, action, resource, int(h))[sel] += amounts[sel]
-
-    def add_q_at(self, action: str, resource: str, mask: np.ndarray,
-                 depth: np.ndarray, amounts: np.ndarray) -> None:
-        """Masked cluster contribution: ``amounts`` aligns with ``mask``'s Trues."""
-        idx = np.nonzero(mask)[0]
-        hops = np.maximum(depth[idx], 0)
-        for h in np.unique(hops):
-            sel = hops == h
-            self._tbl(self._q, self.n, action, resource, int(h))[idx[sel]] += amounts[sel]
 
     def add_edges(self, prop, rate: float, fw_m: np.ndarray, fw_a: np.ndarray,
                   fw_r: np.ndarray) -> None:

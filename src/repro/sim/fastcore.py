@@ -8,20 +8,25 @@ the same measured loads with structure-of-arrays kernels:
 * **Shared schedule** — both engines replay one pre-generated
   :class:`~repro.sim.schedule.WorkloadSchedule`, so query / join /
   update counts are bit-equal across engines by construction.
-* **Batched floods** — :func:`flood_block` runs blocks of BFS floods as
+* **Batched floods** — the flood kernel lives in :mod:`repro.core.routing`
+  and is shared with the mean-value analysis (``core.load``):
+  :func:`~repro.core.routing.flood_block` runs blocks of BFS floods as
   ``(block, nodes)`` numpy arrays over the CSR overlay, bit-identical to
-  :func:`repro.core.routing.propagate_query` per source (the
-  property-test contract in ``tests/test_fastcore.py``).  Since the
-  fault-free flood depends only on the source, per-source results are
-  weighted by that source's query count instead of being recomputed per
-  query — flood transmissions, receipts and reach are then *exactly* the
-  event engine's totals (integer-valued sums, exact under reordering).
+  :func:`~repro.core.routing.propagate_query` per source (the
+  property-test contract in ``tests/test_fastcore.py``; this module
+  re-exports it).  Since the fault-free flood depends only on the
+  source, per-source results are weighted by that source's query count
+  instead of being recomputed per query — flood transmissions, receipts
+  and reach are then *exactly* the event engine's totals
+  (integer-valued sums, exact under reordering).
 * **Mean-field responses** — per-query response weights are replaced by
   their conditional expectations given the query-class mix and
   per-window cluster index sizes (the paper's Eq. 5/6 expectations,
   ``querymodel.distributions``), accumulated up each source's reverse
-  path in one batched pass.  Per-node response loads therefore agree in
-  expectation and concentrate over thousands of queries; the
+  path in one batched pass of the shared
+  :func:`~repro.core.routing.fold_to_sources`.  Per-node response loads
+  therefore agree in expectation and concentrate over thousands of
+  queries; the
   differential harness (``tests/test_differential.py``) pre-registers
   the tolerances.
 * **Sampled deliveries** — what each querying client actually receives
@@ -56,7 +61,6 @@ of it is observation-only (``tests/test_journal.py`` neutrality).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from time import perf_counter
 
 import numpy as np
@@ -64,6 +68,13 @@ import numpy as np
 from .. import constants
 from ..core import costs
 from ..core.load import _HANDSHAKE_BYTES, _HANDSHAKE_RECV_UNITS, _HANDSHAKE_SEND_UNITS
+from ..core.routing import (
+    DEFAULT_BLOCK,
+    FloodBlock,
+    _complete_block,
+    flood_block,
+    fold_to_sources,
+)
 from ..obs.metrics import get_registry
 from ..querymodel.distributions import QueryModel, default_query_model
 from ..stats.rng import derive_rng
@@ -80,134 +91,6 @@ __all__ = ["FloodBlock", "flood_block", "simulate_instance_array"]
 #: rates), so piecewise-constant snapshots capture the drift the
 #: event engine's per-query index reads see.
 DEFAULT_WINDOWS = 8
-
-#: Sources per batched BFS block: large enough to amortize numpy call
-#: overhead, small enough that the (block, nodes, 3) response buffers
-#: stay cache- and memory-friendly at 50k-node scale.
-DEFAULT_BLOCK = 64
-
-
-@dataclass(frozen=True)
-class FloodBlock:
-    """A block of BFS floods over one overlay, one row per source.
-
-    Row ``i`` is exactly ``propagate_query(graph, sources[i], ttl)``:
-    same depths, same first-sender predecessors (the minimum-id frontier
-    neighbor — frontiers are ascending, so "first writer" is "lowest
-    sender"), same per-node transmissions and receipts.
-    """
-
-    sources: np.ndarray        # (b,)
-    ttl: int
-    depth: np.ndarray          # (b, n) BFS depth; -1 if not reached
-    pred: np.ndarray           # (b, n) first-sender predecessor; -1 at source/unreached
-    transmissions: np.ndarray  # (b, n) query messages sent by each node
-    receipts: np.ndarray       # (b, n) query messages received by each node
-
-    @property
-    def reached(self) -> np.ndarray:
-        return self.depth >= 0
-
-    def reach(self) -> np.ndarray:
-        """Clusters reached per source (the paper's *reach*), (b,)."""
-        return np.count_nonzero(self.reached, axis=1)
-
-
-def flood_block(graph, sources, ttl: int) -> FloodBlock:
-    """Batched BFS floods from ``sources``, equivalent to per-source
-    :func:`~repro.core.routing.propagate_query`.
-
-    Per step the whole block advances at once over the directed edge
-    arrays: a ``(block, edges)`` activity mask selects edges whose tail
-    is on that row's frontier and whose head is unreached, and a
-    head-segmented ``minimum.reduceat`` picks each new node's
-    predecessor (the lowest-id frontier neighbor, matching the scalar
-    kernel's first-writer-wins on ascending frontiers).  Transmissions
-    and receipts then follow from depths and predecessors in closed form,
-    exactly as the scalar kernel computes them.
-    """
-    if isinstance(graph, CompleteGraph):
-        graph = graph.materialize()
-    n = graph.num_nodes
-    if ttl < 1:
-        raise ValueError("ttl must be >= 1")
-    sources = np.asarray(sources, dtype=np.int64)
-    if sources.size and (sources.min() < 0 or sources.max() >= n):
-        raise IndexError(f"sources out of range [0, {n})")
-    b = sources.size
-    rows = np.arange(b)
-
-    tails, heads = graph.directed_edge_arrays()
-    head_order = np.argsort(heads, kind="stable")
-    heads_sorted = heads[head_order]
-    tails_sorted = tails[head_order]
-    uniq_heads, seg_starts = np.unique(heads_sorted, return_index=True)
-
-    depth = np.full((b, n), -1, dtype=np.int64)
-    pred = np.full((b, n), -1, dtype=np.int64)
-    depth[rows, sources] = 0
-    frontier = np.zeros((b, n), dtype=bool)
-    frontier[rows, sources] = True
-    for d in range(ttl):
-        active = frontier[:, tails_sorted] & (depth[:, heads_sorted] == -1)
-        if not active.any():
-            break
-        # Min tail per (row, head) segment; n is the "no sender" sentinel.
-        cand = np.where(active, tails_sorted[np.newaxis, :], n)
-        best = np.minimum.reduceat(cand, seg_starts, axis=1)
-        new_rows, new_cols = np.nonzero(best < n)
-        if new_rows.size == 0:
-            break
-        nodes = uniq_heads[new_cols]
-        depth[new_rows, nodes] = d + 1
-        pred[new_rows, nodes] = best[new_rows, new_cols]
-        frontier = np.zeros((b, n), dtype=bool)
-        frontier[new_rows, nodes] = True
-
-    degrees = graph.degrees.astype(np.float64)
-    reached = depth >= 0
-    forwarder = reached & (depth < ttl)
-    transmissions = np.where(forwarder, degrees[np.newaxis, :] - 1.0, 0.0)
-    transmissions[rows, sources] = np.where(
-        forwarder[rows, sources], degrees[sources], 0.0
-    )
-    live = forwarder[:, tails_sorted] & (pred[:, tails_sorted] != heads_sorted[np.newaxis, :])
-    receipts = np.zeros((b, n))
-    if uniq_heads.size:
-        receipts[:, uniq_heads] = np.add.reduceat(
-            live.astype(np.float64), seg_starts, axis=1
-        )
-    return FloodBlock(
-        sources=sources, ttl=int(ttl), depth=depth, pred=pred,
-        transmissions=transmissions, receipts=receipts,
-    )
-
-
-def _complete_block(n: int, sources: np.ndarray, ttl: int) -> FloodBlock:
-    """Closed-form :class:`FloodBlock` on K_n (mirrors
-    :func:`~repro.core.routing.complete_graph_propagation`)."""
-    sources = np.asarray(sources, dtype=np.int64)
-    b = sources.size
-    rows = np.arange(b)
-    depth = np.ones((b, n), dtype=np.int64)
-    depth[rows, sources] = 0
-    pred = np.broadcast_to(sources[:, np.newaxis], (b, n)).copy()
-    pred[rows, sources] = -1
-    transmissions = np.zeros((b, n))
-    receipts = np.zeros((b, n))
-    if n > 1:
-        transmissions[rows, sources] = n - 1.0
-        receipts[:] = 1.0
-        receipts[rows, sources] = 0.0
-        if ttl >= 2 and n > 2:
-            transmissions[:] = n - 2.0
-            transmissions[rows, sources] = n - 1.0
-            receipts[:] = n - 1.0
-            receipts[rows, sources] = 0.0
-    return FloodBlock(
-        sources=sources, ttl=int(ttl), depth=depth, pred=pred,
-        transmissions=transmissions, receipts=receipts,
-    )
 
 
 def _prop_block(graph, sources: np.ndarray, ttl: int) -> FloodBlock:
@@ -526,11 +409,6 @@ def _simulate_fault_free_array(
         )
 
     # --- per-source flood + reverse-path response pass ----------------------
-    RESP = np.array([
-        float(constants.RESPONSE_MESSAGE_BASE),
-        float(constants.RESPONSE_ADDRESS_SIZE),
-        float(constants.RESULT_RECORD_SIZE),
-    ])
     m_s = np.bincount(schedule.q_cluster, minlength=n).astype(float) if Q \
         else np.zeros(n)
     q_sources = np.nonzero(m_s)[0]
@@ -586,31 +464,18 @@ def _simulate_fault_free_array(
         Wb = (mb / M)[:, np.newaxis, np.newaxis] * W3[np.newaxis, :, :]
         Wb[~reached] = 0.0
         Wb[rows, src] = 0.0
-        fw = Wb.reshape(b * n, 3).copy()
-        flat_pred = (fb.pred + rows[:, np.newaxis] * n).reshape(-1)
-        flat_depth = fb.depth.reshape(-1)
-        for d in range(int(fb.depth.max(initial=0)), 0, -1):
-            idx = np.nonzero(flat_depth == d)[0]
-            if idx.size:
-                np.add.at(fw, flat_pred[idx], fw[idx])
-        fw3 = fw.reshape(b, n, 3)
+        fw3 = fold_to_sources(fb.depth, fb.pred, Wb)
         fw_sum = fw3.sum(axis=0)
         inc = fw_sum - Wb.sum(axis=0)
         sender_sum = fw_sum.copy()
         np.subtract.at(sender_sum, src, fw3[rows, src])
 
-        sp_out += sender_sum @ RESP / k
-        sp_proc += (
-            (costs.SEND_RESPONSE_BASE + _MUX * m_sp) * sender_sum[:, 0]
-            + costs.SEND_RESPONSE_PER_ADDRESS * sender_sum[:, 1]
-            + costs.SEND_RESPONSE_PER_RESULT * sender_sum[:, 2]
-        ) / k
-        sp_in += inc @ RESP / k
-        sp_proc += (
-            (costs.RECV_RESPONSE_BASE + _MUX * m_sp) * inc[:, 0]
-            + costs.RECV_RESPONSE_PER_ADDRESS * inc[:, 1]
-            + costs.RECV_RESPONSE_PER_RESULT * inc[:, 2]
-        ) / k
+        out_bytes, out_units = costs.response_costs(*sender_sum.T, m_sp, send=True)
+        in_bytes, in_units = costs.response_costs(*inc.T, m_sp, send=False)
+        sp_out += out_bytes / k
+        sp_proc += out_units / k
+        sp_in += in_bytes / k
+        sp_proc += in_units / k
         resp_msgs += float(sender_sum[:, 0].sum())
     phase_started = _mark_phase(registry, manifest, "sim.array.flood",
                                 phase_started)
@@ -656,19 +521,12 @@ def _simulate_fault_free_array(
         ds = q_src[deliver]
         dc = ptr[ds] + schedule.q_pick[deliver]
         dm, da, dr = to_m[deliver], to_a[deliver], to_r[deliver]
-        bytes_to_client = RESP[0] * dm + RESP[1] * da + RESP[2] * dr
+        bytes_to_client, send_units = costs.response_costs(dm, da, dr, m_sp[ds], send=True)
+        _, recv_units = costs.response_costs(dm, da, dr, m_cl, send=False)
         np.add.at(sp_out, ds, bytes_to_client / k)
-        np.add.at(sp_proc, ds, (
-            (costs.SEND_RESPONSE_BASE + _MUX * m_sp[ds]) * dm
-            + costs.SEND_RESPONSE_PER_ADDRESS * da
-            + costs.SEND_RESPONSE_PER_RESULT * dr
-        ) / k)
+        np.add.at(sp_proc, ds, send_units / k)
         np.add.at(cl_in, dc, bytes_to_client)
-        np.add.at(cl_proc, dc, (
-            (costs.RECV_RESPONSE_BASE + _MUX * m_cl) * dm
-            + costs.RECV_RESPONSE_PER_ADDRESS * da
-            + costs.RECV_RESPONSE_PER_RESULT * dr
-        ))
+        np.add.at(cl_proc, dc, recv_units)
         for v in to_r:
             m_results.observe(float(v))
 

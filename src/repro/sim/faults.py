@@ -40,7 +40,7 @@ from dataclasses import dataclass, field, fields, replace
 
 import numpy as np
 
-from ..core.routing import QueryPropagation, _neighbors_of_frontier
+from ..core.routing import QueryPropagation, _out_edges
 from ..obs.metrics import get_registry
 from ..obs.trace import NULL_TRACER
 from ..topology.strong import CompleteGraph
@@ -700,7 +700,8 @@ def sampled_propagation(
         depth[source] = 0
         frontier = np.array([source], dtype=np.int64)
         for d in range(ttl):
-            senders, targets = _neighbors_of_frontier(graph, frontier)
+            counts, targets = _out_edges(graph, frontier)
+            senders = np.repeat(frontier, counts)
             if targets.size == 0:
                 break
             # Forwarders skip the hop back to their predecessor.

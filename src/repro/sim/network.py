@@ -290,27 +290,15 @@ def _run_query(state: _State, source_cluster: int, client_index: int | None,
 
     senders = reached.copy()
     senders[s] = False
-    st.sp_out[senders] += (
-        constants.RESPONSE_MESSAGE_BASE * fw_m[senders]
-        + constants.RESPONSE_ADDRESS_SIZE * fw_a[senders]
-        + constants.RESULT_RECORD_SIZE * fw_r[senders]
-    ) / st.k
-    st.sp_proc[senders] += (
-        (costs.SEND_RESPONSE_BASE + _MUX * st.m_sp[senders]) * fw_m[senders]
-        + costs.SEND_RESPONSE_PER_ADDRESS * fw_a[senders]
-        + costs.SEND_RESPONSE_PER_RESULT * fw_r[senders]
-    ) / st.k
+    out_bytes, out_units = costs.response_costs(
+        fw_m[senders], fw_a[senders], fw_r[senders], st.m_sp[senders], send=True)
+    st.sp_out[senders] += out_bytes / st.k
+    st.sp_proc[senders] += out_units / st.k
     inc_m, inc_a, inc_r = fw_m - msgs_w, fw_a - addr_w, fw_r - res_w
-    st.sp_in[reached] += (
-        constants.RESPONSE_MESSAGE_BASE * inc_m[reached]
-        + constants.RESPONSE_ADDRESS_SIZE * inc_a[reached]
-        + constants.RESULT_RECORD_SIZE * inc_r[reached]
-    ) / st.k
-    st.sp_proc[reached] += (
-        (costs.RECV_RESPONSE_BASE + _MUX * st.m_sp[reached]) * inc_m[reached]
-        + costs.RECV_RESPONSE_PER_ADDRESS * inc_a[reached]
-        + costs.RECV_RESPONSE_PER_RESULT * inc_r[reached]
-    ) / st.k
+    in_bytes, in_units = costs.response_costs(
+        inc_m[reached], inc_a[reached], inc_r[reached], st.m_sp[reached], send=False)
+    st.sp_in[reached] += in_bytes / st.k
+    st.sp_proc[reached] += in_units / st.k
 
     # Deliver everything (remote + own-index results) to the querying client.
     own_msg = 1.0 if n_results[s] > 0 else 0.0
@@ -332,23 +320,13 @@ def _run_query(state: _State, source_cluster: int, client_index: int | None,
             attempts=1, waited=0.0,
         )
     if client_index is not None and to_m > 0:
-        bytes_to_client = (
-            constants.RESPONSE_MESSAGE_BASE * to_m
-            + constants.RESPONSE_ADDRESS_SIZE * to_a
-            + constants.RESULT_RECORD_SIZE * to_r
-        )
+        bytes_to_client, send_units = costs.response_costs(
+            to_m, to_a, to_r, st.m_sp[s], send=True)
         st.sp_out[s] += bytes_to_client / st.k
-        st.sp_proc[s] += (
-            (costs.SEND_RESPONSE_BASE + _MUX * st.m_sp[s]) * to_m
-            + costs.SEND_RESPONSE_PER_ADDRESS * to_a
-            + costs.SEND_RESPONSE_PER_RESULT * to_r
-        ) / st.k
+        st.sp_proc[s] += send_units / st.k
         st.cl_in[client_index] += bytes_to_client
-        st.cl_proc[client_index] += (
-            (costs.RECV_RESPONSE_BASE + _MUX * st.m_cl) * to_m
-            + costs.RECV_RESPONSE_PER_ADDRESS * to_a
-            + costs.RECV_RESPONSE_PER_RESULT * to_r
-        )
+        st.cl_proc[client_index] += costs.response_costs(
+            to_m, to_a, to_r, st.m_cl, send=False)[1]
 
 
 def _run_query_faulty(state: _State, rt: FaultRuntime, source_cluster: int,
@@ -544,26 +522,14 @@ def _flood_attempt_faulty(state: _State, rt: FaultRuntime, s: int,
 
     senders = reached.copy()
     senders[s] = False
-    st.sp_out[senders] += (
-        constants.RESPONSE_MESSAGE_BASE * sent_m[senders]
-        + constants.RESPONSE_ADDRESS_SIZE * sent_a[senders]
-        + constants.RESULT_RECORD_SIZE * sent_r[senders]
-    ) / kv[senders]
-    st.sp_proc[senders] += (
-        (costs.SEND_RESPONSE_BASE + _MUX * st.m_sp[senders]) * sent_m[senders]
-        + costs.SEND_RESPONSE_PER_ADDRESS * sent_a[senders]
-        + costs.SEND_RESPONSE_PER_RESULT * sent_r[senders]
-    ) / kv[senders]
-    st.sp_in[reached] += (
-        constants.RESPONSE_MESSAGE_BASE * recv_m[reached]
-        + constants.RESPONSE_ADDRESS_SIZE * recv_a[reached]
-        + constants.RESULT_RECORD_SIZE * recv_r[reached]
-    ) / kv[reached]
-    st.sp_proc[reached] += (
-        (costs.RECV_RESPONSE_BASE + _MUX * st.m_sp[reached]) * recv_m[reached]
-        + costs.RECV_RESPONSE_PER_ADDRESS * recv_a[reached]
-        + costs.RECV_RESPONSE_PER_RESULT * recv_r[reached]
-    ) / kv[reached]
+    out_bytes, out_units = costs.response_costs(
+        sent_m[senders], sent_a[senders], sent_r[senders], st.m_sp[senders], send=True)
+    st.sp_out[senders] += out_bytes / kv[senders]
+    st.sp_proc[senders] += out_units / kv[senders]
+    in_bytes, in_units = costs.response_costs(
+        recv_m[reached], recv_a[reached], recv_r[reached], st.m_sp[reached], send=False)
+    st.sp_in[reached] += in_bytes / kv[reached]
+    st.sp_proc[reached] += in_units / kv[reached]
     lost_responses = float(sent_m[senders].sum() - recv_m.sum())
     met.response_messages_lost += lost_responses
     st.m_response_messages.add(float(sent_m[senders].sum()))
@@ -580,23 +546,13 @@ def _flood_attempt_faulty(state: _State, rt: FaultRuntime, s: int,
     to_r = recv_r[s] + (n_results[s] if own_msg else 0)
     delivered = float(recv_r[s] + n_results[s])
     if client_index is not None and to_m > 0:
-        bytes_to_client = (
-            constants.RESPONSE_MESSAGE_BASE * to_m
-            + constants.RESPONSE_ADDRESS_SIZE * to_a
-            + constants.RESULT_RECORD_SIZE * to_r
-        )
+        bytes_to_client, send_units = costs.response_costs(
+            to_m, to_a, to_r, st.m_sp[s], send=True)
         st.sp_out[s] += bytes_to_client / kv[s]
-        st.sp_proc[s] += (
-            (costs.SEND_RESPONSE_BASE + _MUX * st.m_sp[s]) * to_m
-            + costs.SEND_RESPONSE_PER_ADDRESS * to_a
-            + costs.SEND_RESPONSE_PER_RESULT * to_r
-        ) / kv[s]
+        st.sp_proc[s] += send_units / kv[s]
         st.cl_in[client_index] += bytes_to_client
-        st.cl_proc[client_index] += (
-            (costs.RECV_RESPONSE_BASE + _MUX * st.m_cl) * to_m
-            + costs.RECV_RESPONSE_PER_ADDRESS * to_a
-            + costs.RECV_RESPONSE_PER_RESULT * to_r
-        )
+        st.cl_proc[client_index] += costs.response_costs(
+            to_m, to_a, to_r, st.m_cl, send=False)[1]
     # Membership digests ride the flood tree and the surviving response
     # edges (decentralized failure detection; free while nothing is
     # rumored, charged per digest once a suspicion episode opens).

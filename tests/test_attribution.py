@@ -4,8 +4,9 @@ Two contracts matter:
 
 * **Conservation** — the attributed cells re-sum to the load engine's
   per-node vectors and Eq. 4 aggregate within 1e-9 relative tolerance,
-  on all four golden configurations, in exact *and* sampled modes (the
-  ``verify()`` invariant the profiler itself enforces).
+  on all four golden configurations, in exact *and* sampled modes, under
+  both response modes (the ``verify()`` invariant the profiler itself
+  enforces).
 * **Neutrality** — attaching an attribution accumulator never changes a
   single number ``evaluate_instance`` produces: the engine only copies
   values it was already adding.
@@ -51,6 +52,8 @@ GOLDEN_CONFIGS = {
 MODES = {
     "exact": {},
     "sampled": {"max_sources": 40, "rng": 7},
+    "direct_exact": {"response_mode": "direct"},
+    "direct_sampled": {"response_mode": "direct", "max_sources": 40, "rng": 7},
 }
 
 

@@ -271,6 +271,17 @@ def test_parser_requires_command():
         build_parser().parse_args([])
 
 
+@pytest.mark.parametrize("value", ["0", "-3"])
+def test_nonpositive_max_sources_is_one_line_usage_error(capsys, value):
+    code = main(["--max-sources", value, "analyze", "--graph-size", "200"])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    lines = captured.err.strip().splitlines()
+    assert len(lines) == 1
+    assert "--max-sources" in lines[0] and value in lines[0]
+
+
 class TestResilienceRecover:
     def test_recover_flag_prints_recovery_rows(self, capsys):
         code, out = run_cli(

@@ -1,12 +1,15 @@
-"""Property tests for the array engine's batched flood kernel.
+"""Property tests for the batched flood kernel both engines share.
 
-``repro.sim.fastcore.flood_block`` claims to be *bit-identical*, per
-source, to the scalar oracle ``repro.core.routing.propagate_query``.
-These tests pin that claim and the kernel's structural invariants on
-hypothesis-generated graphs:
+``repro.core.routing.flood_block`` (re-exported by ``repro.sim.fastcore``)
+claims to be *bit-identical*, per source, to the scalar oracle
+``repro.core.routing.propagate_query``.  These tests pin that claim and
+the kernel's structural invariants on hypothesis-generated graphs:
 
 * **bit-identity** — every field (depth, pred, transmissions, receipts)
-  equals the scalar kernel's, for every source;
+  equals the scalar kernel's, for every source, and for any block of
+  sources: shuffled, duplicated, empty, or isolated;
+* **batched reverse-path fold** — ``fold_to_sources`` equals
+  ``QueryPropagation.accumulate_to_source`` row by row, bit for bit;
 * **message conservation per hop** — the transmissions sent by depth-d
   forwarders equal the receipts their edges deliver, recomputed
   independently from the raw edge arrays;
@@ -22,20 +25,45 @@ from __future__ import annotations
 import numpy as np
 from hypothesis import given, settings, strategies as st
 
-from repro.core.routing import complete_graph_propagation, propagate_query
+from repro.core.routing import (
+    complete_graph_propagation,
+    fold_to_sources,
+    propagate_query,
+)
 from repro.sim.fastcore import _complete_block, flood_block
 from repro.topology.graph import OverlayGraph
 
 
 @st.composite
-def _graphs(draw):
+def _graphs(draw, isolated: int = 0):
     """Small random simple graphs, connected or not (the kernel must not
-    assume connectivity)."""
+    assume connectivity), plus ``isolated`` trailing degree-0 nodes."""
     n = draw(st.integers(min_value=2, max_value=24))
     possible = [(i, j) for i in range(n) for j in range(i + 1, n)]
     edges = draw(st.lists(st.sampled_from(possible), unique=True,
                           max_size=min(len(possible), 60)))
-    return OverlayGraph.from_edges(n, edges)
+    return OverlayGraph.from_edges(n + isolated, edges)
+
+
+@st.composite
+def _source_blocks(draw):
+    """A graph with one guaranteed degree-0 node and an arbitrary block
+    of sources over it: any order, repeats allowed, possibly empty."""
+    graph = draw(_graphs(isolated=1))
+    sources = draw(st.lists(
+        st.integers(min_value=0, max_value=graph.num_nodes - 1), max_size=40,
+    ))
+    return graph, np.array(sources, dtype=np.int64)
+
+
+def _assert_rows_match_scalar(fb, graph, sources, ttl):
+    assert fb.depth.shape == (sources.size, graph.num_nodes)
+    for i, s in enumerate(sources):
+        prop = propagate_query(graph, int(s), ttl)
+        assert np.array_equal(fb.depth[i], prop.depth)
+        assert np.array_equal(fb.pred[i], prop.pred)
+        assert np.array_equal(fb.transmissions[i], prop.transmissions)
+        assert np.array_equal(fb.receipts[i], prop.receipts)
 
 
 _TTLS = st.integers(min_value=1, max_value=5)
@@ -46,13 +74,35 @@ _TTLS = st.integers(min_value=1, max_value=5)
 def test_bit_identity_vs_scalar_kernel(graph, ttl):
     """flood_block row i == propagate_query(sources[i]) on every field."""
     sources = np.arange(graph.num_nodes)
+    _assert_rows_match_scalar(flood_block(graph, sources, ttl), graph, sources, ttl)
+
+
+@settings(max_examples=60, deadline=None)
+@given(block=_source_blocks(), ttl=_TTLS)
+def test_bit_identity_on_arbitrary_source_blocks(block, ttl):
+    """Row order, repeated sources, an empty block and degree-0 sources
+    never change a row: the kernel's minimum-sender rule depends only on
+    each row's own frontier."""
+    graph, sources = block
+    for batch in (sources, sources[::-1], np.append(sources, graph.num_nodes - 1)):
+        _assert_rows_match_scalar(flood_block(graph, batch, ttl), graph, batch, ttl)
+
+
+@settings(max_examples=60, deadline=None)
+@given(block=_source_blocks(), ttl=_TTLS, seed=st.integers(0, 2**32 - 1))
+def test_batched_fold_matches_scalar_accumulator(block, ttl, seed):
+    """fold_to_sources row i, channel c == accumulate_to_source."""
+    graph, sources = block
     fb = flood_block(graph, sources, ttl)
-    for i, s in enumerate(sources):
-        prop = propagate_query(graph, int(s), ttl)
-        assert np.array_equal(fb.depth[i], prop.depth)
-        assert np.array_equal(fb.pred[i], prop.pred)
-        assert np.array_equal(fb.transmissions[i], prop.transmissions)
-        assert np.array_equal(fb.receipts[i], prop.receipts)
+    rng = np.random.default_rng(seed)
+    weights = rng.random(fb.depth.shape + (3,)) * fb.reached[:, :, np.newaxis]
+    folded = fold_to_sources(fb.depth, fb.pred, weights)
+    assert folded.shape == weights.shape
+    for i in range(sources.size):
+        prop = fb.row(i)
+        for c in range(3):
+            assert np.array_equal(folded[i, :, c],
+                                  prop.accumulate_to_source(weights[i, :, c]))
 
 
 @settings(max_examples=60, deadline=None)

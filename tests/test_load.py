@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from repro.config import Configuration, GraphType
+from repro.core import load
 from repro.core.load import LoadVector, evaluate_instance
 from repro.topology.builder import build_instance
 
@@ -170,6 +171,35 @@ class TestSampling:
         instance = build_instance(Configuration(graph_size=100, cluster_size=10), seed=0)
         with pytest.raises(ValueError):
             evaluate_instance(instance, max_sources=0)
+
+
+class TestSourceBlocks:
+    """The flood kernel's block size is a throughput knob, never a result."""
+
+    FIELDS = (
+        "superpeer_incoming_bps", "superpeer_outgoing_bps", "superpeer_processing_hz",
+        "client_incoming_bps", "client_outgoing_bps", "client_processing_hz",
+        "results_per_query", "epl_per_query", "reach_clusters", "reach_peers",
+    )
+
+    @pytest.mark.parametrize("block", [1, 7])
+    @pytest.mark.parametrize("kwargs", [
+        {},
+        {"max_sources": 25, "rng": 3},
+        {"response_mode": "direct"},
+        {"response_mode": "direct", "max_sources": 25, "rng": 3},
+    ], ids=["exact", "sampled", "direct", "direct-sampled"])
+    def test_block_size_leaves_outputs_unchanged(self, monkeypatch, block, kwargs):
+        config = Configuration(graph_size=400, cluster_size=10, ttl=4, avg_outdegree=4.0)
+        instance = build_instance(config, seed=4)
+        default = evaluate_instance(instance, **kwargs)
+        monkeypatch.setattr(load, "DEFAULT_BLOCK", block)
+        blocked = evaluate_instance(instance, **kwargs)
+        for field in self.FIELDS:
+            np.testing.assert_allclose(
+                getattr(blocked, field), getattr(default, field), rtol=1e-12,
+                err_msg=field,
+            )
 
 
 class TestRedundancySplitting:
