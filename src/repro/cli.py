@@ -449,37 +449,43 @@ def cmd_resilience(args: argparse.Namespace) -> int:
     from .topology.builder import build_instance
 
     config = _config_from_args(args)
-    instance = build_instance(config, seed=args.seed)
-    plan = FaultPlan(
-        message_loss=args.loss,
-        crash=CrashSpec(mean_recovery=args.recovery) if args.recovery > 0 else None,
-        slow=(
-            SlowSpec(fraction=args.slow_fraction, factor=args.slow_factor)
-            if args.slow_fraction > 0 else None
-        ),
-        retry=(
-            RetryPolicy(timeout=args.timeout, max_retries=args.max_retries)
-            if args.max_retries > 0 else None
-        ),
-    )
-    policy = None
-    if args.recover:
-        from .sim.monitor import DetectorSpec
-        from .sim.recovery import RecoveryPolicy
-
-        policy = RecoveryPolicy(
-            detector=DetectorSpec(
-                heartbeat_interval=args.heartbeat,
-                timeout_beats=args.timeout_beats,
-                false_positive_rate=args.false_positive_rate,
-                mode=args.detector,
+    try:
+        plan = FaultPlan(
+            message_loss=args.loss,
+            crash=CrashSpec(mean_recovery=args.recovery) if args.recovery > 0 else None,
+            slow=(
+                SlowSpec(fraction=args.slow_fraction, factor=args.slow_factor)
+                if args.slow_fraction > 0 else None
             ),
-            promote=not args.no_promote,
-            rehome=not args.no_rehome,
-            heal_partitions=not args.no_heal,
-            promotion_time=args.promotion_time,
-            rehome_time=args.rehome_time,
+            retry=(
+                RetryPolicy(timeout=args.timeout, max_retries=args.max_retries)
+                if args.max_retries > 0 else None
+            ),
         )
+        policy = None
+        if args.recover:
+            from .sim.monitor import DetectorSpec
+            from .sim.recovery import RecoveryPolicy
+
+            policy = RecoveryPolicy(
+                detector=DetectorSpec(
+                    heartbeat_interval=args.heartbeat,
+                    timeout_beats=args.timeout_beats,
+                    false_positive_rate=args.false_positive_rate,
+                    mode=args.detector,
+                ),
+                promote=not args.no_promote,
+                rehome=not args.no_rehome,
+                heal_partitions=not args.no_heal,
+                promotion_time=args.promotion_time,
+                rehome_time=args.rehome_time,
+            )
+    except ValueError as exc:
+        # Out-of-range fault or recovery numbers: one usage line, like a
+        # bad --max-sources, not a validator traceback.
+        print(f"repro: error: {exc}", file=sys.stderr)
+        return 2
+    instance = build_instance(config, seed=args.seed)
     print(instance.describe())
     print(f"fault plan: {plan.describe()}")
     if policy is not None:

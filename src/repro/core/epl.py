@@ -25,8 +25,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ..stats.rng import derive_rng
-from ..topology.strong import CompleteGraph
-from .routing import propagate_query
+from .routing import DEFAULT_BLOCK, flood_block
 
 #: Depth bound standing in for "no TTL" when exploring the full graph.
 _FULL_DEPTH = 64
@@ -38,6 +37,13 @@ def _sample_sources(graph, num_sources: int | None, rng) -> np.ndarray:
         return np.arange(n, dtype=np.int64)
     rng = derive_rng(rng, "epl-sources")
     return np.sort(rng.choice(n, size=num_sources, replace=False))
+
+
+def _floods(graph, ttl: int, num_sources: int | None, rng):
+    """Floods from the sampled sources, ``DEFAULT_BLOCK`` per kernel call."""
+    sources = _sample_sources(graph, num_sources, rng)
+    for start in range(0, sources.size, DEFAULT_BLOCK):
+        yield flood_block(graph, sources[start:start + DEFAULT_BLOCK], ttl)
 
 
 def measure_epl(
@@ -55,23 +61,17 @@ def measure_epl(
     """
     if reach < 2:
         raise ValueError("reach must cover at least the source and one responder")
-    if isinstance(graph, CompleteGraph):
-        # Everyone is one hop away.
-        return 1.0
     if reach > graph.num_nodes:
         raise ValueError(
             f"desired reach {reach} exceeds the {graph.num_nodes}-node overlay"
         )
     epls = []
-    for source in _sample_sources(graph, num_sources, rng):
-        prop = propagate_query(graph, int(source), _FULL_DEPTH)
-        depths = np.sort(prop.depth[prop.reached])
-        if depths.size < reach:
-            continue  # source sits in a component smaller than the reach
-        nearest = depths[:reach]
-        responders = nearest[nearest > 0]
-        if responders.size:
-            epls.append(float(responders.mean()))
+    for fb in _floods(graph, _FULL_DEPTH, num_sources, rng):
+        # Unreached nodes sort last; the source (the only depth 0) first.
+        depths = np.sort(np.where(fb.reached, fb.depth, _FULL_DEPTH + 1), axis=1)
+        # Sources in a component smaller than the reach are skipped.
+        covered = fb.reach() >= reach
+        epls.extend(depths[covered, 1:reach].mean(axis=1).tolist())
     if not epls:
         raise ValueError("no source could cover the desired reach")
     return float(np.mean(epls))
@@ -84,13 +84,8 @@ def measure_reach(
     rng=None,
 ) -> float:
     """Mean number of super-peers processing a query at the given TTL."""
-    if isinstance(graph, CompleteGraph):
-        return float(graph.num_nodes)
-    reaches = [
-        propagate_query(graph, int(s), ttl).reach
-        for s in _sample_sources(graph, num_sources, rng)
-    ]
-    return float(np.mean(reaches))
+    reaches = [fb.reach() for fb in _floods(graph, ttl, num_sources, rng)]
+    return float(np.mean(np.concatenate(reaches)))
 
 
 def epl_approximation(avg_outdegree: float, reach: float) -> float:
@@ -161,8 +156,6 @@ def minimum_full_reach_ttl(
     will be redundant" — local rule III tells super-peers to monitor for
     this and shrink their TTL.
     """
-    if isinstance(graph, CompleteGraph):
-        return 1
     full = float(graph.num_nodes)
     for ttl in range(1, max_ttl + 1):
         if measure_reach(graph, ttl, num_sources, rng) >= full:

@@ -14,17 +14,17 @@ Flooding semantics (baseline Gnutella search, Section 3.1):
   all neighbours except the sender, provided d < TTL;
 * duplicate receipts are received (incurring receive cost) and dropped.
 
-:class:`QueryPropagation` captures one traversal — depths, predecessors,
-per-node query transmissions and receipts — and provides the reverse-path
-accumulator used to charge Response forwarding costs on every node along
-each responder's path back to the source.  :func:`propagate_query` is the
-scalar oracle (and the event engine's per-query path, with dead relays).
+:func:`flood_block` is the one flood kernel: it runs a block of sources at
+once, and every caller — the mean-value analysis (``core.load``), both
+simulators, the fault layer's lossy floods (through its ``deliver`` hook),
+EPL measurement and the search protocols — goes through it.
+:func:`fold_to_sources` is the one reverse-path accumulator, charging
+Response forwarding costs on every node along each responder's path back
+to the source (optionally severed per hop).
 
-:func:`flood_block` runs a block of sources at once and is the flood
-kernel of both engines: the mean-value analysis (``core.load``) and the
-fault-free array simulator (``sim.fastcore``).  Row ``i`` of its
-:class:`FloodBlock` is bit-identical to ``propagate_query(sources[i])``;
-:func:`fold_to_sources` is the matching batched reverse-path accumulator.
+:class:`QueryPropagation` is one row of a :class:`FloodBlock`;
+:func:`propagate_query` is the one-source call (with optional dead
+relays) the event engine makes per query.
 """
 
 from __future__ import annotations
@@ -52,6 +52,14 @@ class QueryPropagation:
     pred: np.ndarray           # (n,) BFS predecessor (first sender); -1 at source/unreached
     transmissions: np.ndarray  # (n,) query messages sent by each node
     receipts: np.ndarray       # (n,) query messages received by each node
+
+    @classmethod
+    def empty(cls, n: int, source: int, ttl: int) -> "QueryPropagation":
+        """The flood of a dead source: nothing is reached, nothing is sent."""
+        unreached = np.full(n, -1, dtype=np.int64)
+        return cls(source=source, ttl=ttl, depth=unreached,
+                   pred=unreached.copy(), transmissions=np.zeros(n),
+                   receipts=np.zeros(n))
 
     # --- reach ----------------------------------------------------------------
 
@@ -97,14 +105,10 @@ class QueryPropagation:
             raise ValueError("weights must have one entry per node")
         if np.any(weights[~self.reached] != 0.0):
             raise ValueError("unreached nodes cannot carry response weight")
-        forwarded = weights.astype(float).copy()
-        # Fold levels bottom-up: children at depth d add into their
-        # predecessor at depth d-1.  np.add.at handles shared predecessors.
-        for d in range(self.max_depth, 0, -1):
-            level = np.nonzero(self.depth == d)[0]
-            if level.size:
-                np.add.at(forwarded, self.pred[level], forwarded[level])
-        return forwarded
+        return fold_to_sources(
+            self.depth[np.newaxis], self.pred[np.newaxis],
+            weights[np.newaxis, :, np.newaxis],
+        )[0, :, 0]
 
     def response_path_lengths(self) -> np.ndarray:
         """Hop count of each reached node's response path (its BFS depth)."""
@@ -115,10 +119,10 @@ class QueryPropagation:
 class FloodBlock:
     """A block of BFS floods over one overlay, one row per source.
 
-    Row ``i`` is exactly ``propagate_query(graph, sources[i], ttl)``:
-    same depths, same first-sender predecessors (the minimum-id frontier
-    neighbor — frontiers are ascending, so "first writer" is "lowest
-    sender"), same per-node transmissions and receipts.
+    Each row is independent of the others: the flood from ``sources[i]``
+    with first-sender predecessors (the minimum-id frontier neighbor —
+    frontiers are ascending, so "first writer" is "lowest sender") and
+    per-node transmissions and receipts.
     """
 
     sources: np.ndarray        # (b,)
@@ -137,7 +141,7 @@ class FloodBlock:
         return np.count_nonzero(self.reached, axis=1)
 
     def row(self, i: int) -> QueryPropagation:
-        """Row ``i`` as the scalar kernel's :class:`QueryPropagation`."""
+        """Row ``i`` as a one-source :class:`QueryPropagation` (views)."""
         return QueryPropagation(
             source=int(self.sources[i]), ttl=self.ttl,
             depth=self.depth[i], pred=self.pred[i],
@@ -152,17 +156,18 @@ def _out_edges(
     out-edges, node by node in CSR order."""
     starts = graph.indptr[nodes]
     counts = graph.indptr[nodes + 1] - starts
-    ends = np.cumsum(counts)
+    ends = counts.cumsum()
     total = int(ends[-1]) if ends.size else 0
     # Gather CSR slices without a Python loop: offsets[j] walks each
-    # node's adjacency range consecutively.
-    offsets = np.arange(total, dtype=np.int64) + np.repeat(starts - (ends - counts), counts)
+    # node's adjacency range consecutively.  (Array methods rather than
+    # np.* wrappers throughout the kernel: one-row floods on small
+    # overlays are dominated by per-call overhead.)
+    offsets = np.arange(total, dtype=np.int64) + (starts - (ends - counts)).repeat(counts)
     return counts, graph.indices[offsets]
 
 
-def flood_block(graph, sources, ttl: int) -> FloodBlock:
-    """Batched BFS floods from ``sources``, equivalent to per-source
-    :func:`propagate_query`.
+def flood_block(graph, sources, ttl: int, deliver=None) -> FloodBlock:
+    """Batched BFS floods from ``sources``, one :class:`FloodBlock` row each.
 
     Frontier-sparse: the block's frontier is a sorted array of flat keys
     ``row * n + node``, and each hop gathers from the CSR only the
@@ -170,21 +175,32 @@ def flood_block(graph, sources, ttl: int) -> FloodBlock:
     pointing back to its sender's predecessor is one receipt at its head.
     Heads not yet reached in their row join the next depth, and their
     predecessor is the minimum-id sender among the edges reaching them —
-    the scalar kernel's first writer, since its frontiers are ascending.
+    the first writer, since frontiers are ascending.
+
+    ``deliver(senders, heads) -> bool mask``, when given, is called once
+    per hop on that hop's non-back edges (frontier-ascending, CSR order)
+    and decides which of them arrive: receipts and new frontier nodes
+    count only delivered edges, while every forwarder still pays its
+    ``deg - 1`` transmissions (``deg`` at the source; exact because the
+    overlay is simple, so one out-edge leads back to the predecessor).
+    It models dead relays and per-hop loss.  Without it, K_n takes the
+    closed form.
     """
-    if isinstance(graph, CompleteGraph):
-        graph = graph.materialize()
     n = graph.num_nodes
     if ttl < 1:
         raise ValueError("ttl must be >= 1")
     sources = np.asarray(sources, dtype=np.int64)
     if sources.size and (sources.min() < 0 or sources.max() >= n):
         raise IndexError(f"sources out of range [0, {n})")
+    if isinstance(graph, CompleteGraph):
+        if deliver is None:
+            return _complete_block(n, sources, ttl)
+        graph = graph.materialize()
     b = sources.size
     rows = np.arange(b, dtype=np.int64)
 
     depth = np.full(b * n, -1, dtype=np.int64)
-    pred = np.full(b * n, -1, dtype=np.int64)
+    pred = depth.copy()
     receipts = np.zeros(b * n)
     frontier = rows * n + sources  # ascending: one key per row
     depth[frontier] = 0
@@ -193,22 +209,26 @@ def flood_block(graph, sources, ttl: int) -> FloodBlock:
         counts, heads = _out_edges(graph, nodes)
         if heads.size == 0:
             break
-        keys = np.repeat(frontier - nodes, counts) + heads
+        keys = (frontier - nodes).repeat(counts) + heads
+        senders = nodes.repeat(counts)
         # Every frontier node forwards (d < ttl) to all but its sender.
-        live = heads != np.repeat(pred[frontier], counts)
-        np.add.at(receipts, keys[live], 1.0)
+        live = heads != pred[frontier].repeat(counts)
+        if deliver is not None:
+            live[live] = deliver(senders[live], heads[live])
+        keys, senders = keys[live], senders[live]
+        np.add.at(receipts, keys, 1.0)
         fresh = depth[keys] == -1
-        keys, senders = keys[fresh], np.repeat(nodes, counts)[fresh]
+        keys, senders = keys[fresh], senders[fresh]
         if keys.size == 0:
             break
         depth[keys] = d + 1
         pred[keys] = n  # above every node id, so the minimum is a sender
         np.minimum.at(pred, keys, senders)
-        frontier = np.flatnonzero(depth == d + 1)
+        frontier = (depth == d + 1).nonzero()[0]
     depth = depth.reshape(b, n)
     pred = pred.reshape(b, n)
 
-    degrees = graph.degrees.astype(np.float64)
+    degrees = (graph.indptr[1:] - graph.indptr[:-1]).astype(np.float64)
     forwarder = (depth >= 0) & (depth < ttl)
     transmissions = np.where(forwarder, degrees[np.newaxis, :] - 1.0, 0.0)
     transmissions[rows, sources] = degrees[sources]
@@ -219,9 +239,14 @@ def flood_block(graph, sources, ttl: int) -> FloodBlock:
 
 
 def _complete_block(n: int, sources, ttl: int) -> FloodBlock:
-    """Closed-form :class:`FloodBlock` on K_n (mirrors
-    :func:`complete_graph_propagation`)."""
-    sources = np.asarray(sources, dtype=np.int64)
+    """Closed-form :class:`FloodBlock` on K_n (no adjacency needed).
+
+    With TTL = 1 the source sends n-1 queries and every other node
+    receives exactly one.  With TTL >= 2, every non-source node also
+    forwards to its n-2 non-predecessor neighbours, so each receives
+    1 + (n-2) copies (all duplicates dropped) and the source receives no
+    more (every node's predecessor is the source itself).
+    """
     b = sources.size
     rows = np.arange(b)
     depth = np.ones((b, n), dtype=np.int64)
@@ -246,22 +271,31 @@ def _complete_block(n: int, sources, ttl: int) -> FloodBlock:
 
 
 def fold_to_sources(depth: np.ndarray, pred: np.ndarray,
-                    weights: np.ndarray) -> np.ndarray:
+                    weights: np.ndarray,
+                    edge_pass: np.ndarray | None = None) -> np.ndarray:
     """Batched :meth:`QueryPropagation.accumulate_to_source`.
 
     ``depth`` and ``pred`` are a :class:`FloodBlock`'s ``(b, n)`` arrays;
     ``weights`` is ``(b, n, c)`` — ``c`` response channels per node, zero
     at unreached nodes.  Returns the ``(b, n, c)`` predecessor-subtree
-    sums: levels fold bottom-up, each row into its own predecessors, in
-    the scalar accumulator's order (row by row it is bit-identical).
+    sums: levels fold bottom-up, each row into its own predecessors, one
+    ``add.at`` per level and channel.
+
+    ``edge_pass`` (optional ``(b, n)`` bool) severs the hop from each
+    False node to its predecessor: the node still *sends* its subtree sum
+    (it is in the result) but nothing of it arrives above.  What a node
+    receives from its children is then its result minus its own weight.
     """
     b, n = depth.shape
-    # Channel-major, so each channel folds with the 1-D ``add.at`` path.
-    forwarded = np.ascontiguousarray(weights.reshape(b * n, weights.shape[-1]).T)
+    # A channel-major copy, so each channel folds with the 1-D ``add.at``
+    # path and the caller's weights are never written.
+    forwarded = weights.reshape(b * n, weights.shape[-1]).T.copy()
     flat_pred = (pred + np.arange(b)[:, np.newaxis] * n).reshape(-1)
     flat_depth = depth.reshape(-1)
+    if edge_pass is not None:
+        flat_depth = np.where(edge_pass.reshape(-1), flat_depth, -1)
     for d in range(int(depth.max(initial=0)), 0, -1):
-        level = np.flatnonzero(flat_depth == d)
+        level = (flat_depth == d).nonzero()[0]
         parents = flat_pred[level]
         for channel in forwarded:
             np.add.at(channel, parents, channel[level])
@@ -271,11 +305,8 @@ def fold_to_sources(depth: np.ndarray, pred: np.ndarray,
 def propagate_query(
     graph, source: int, ttl: int, blocked: np.ndarray | None = None
 ) -> QueryPropagation:
-    """Breadth-first flood of a query from ``source`` with the given TTL.
-
-    Works on :class:`OverlayGraph` and on small :class:`CompleteGraph`
-    instances (which it materializes); the load engine uses closed forms
-    for large complete graphs instead of calling this.
+    """Breadth-first flood of a query from ``source``: a one-row
+    :func:`flood_block`.
 
     ``blocked`` (optional boolean mask, one entry per node) marks dead
     relays: a blocked node never receives, processes, or forwards the
@@ -284,108 +315,17 @@ def propagate_query(
     down) but are never received.  A blocked source yields an empty
     propagation (nothing is reached, nothing is sent).
     """
-    if isinstance(graph, CompleteGraph):
-        graph = graph.materialize()
     n = graph.num_nodes
     if not 0 <= source < n:
         raise IndexError(f"source {source} out of range [0, {n})")
-    if ttl < 1:
-        raise ValueError("ttl must be >= 1")
+    deliver = None
     if blocked is not None:
         blocked = np.asarray(blocked, dtype=bool)
         if blocked.shape != (n,):
             raise ValueError("blocked must have one entry per node")
+        if blocked[source]:
+            return QueryPropagation.empty(n, source, ttl)
 
-    depth = np.full(n, -1, dtype=np.int64)
-    pred = np.full(n, -1, dtype=np.int64)
-    if blocked is not None and blocked[source]:
-        empty = np.zeros(n, dtype=np.float64)
-        return QueryPropagation(
-            source=source, ttl=ttl, depth=depth, pred=pred,
-            transmissions=empty, receipts=empty.copy(),
-        )
-    depth[source] = 0
-    frontier = np.array([source], dtype=np.int64)
-    for d in range(ttl):
-        counts, targets = _out_edges(graph, frontier)
-        senders = np.repeat(frontier, counts)
-        fresh = depth[targets] == -1
-        if blocked is not None and targets.size:
-            fresh &= ~blocked[targets]
-        targets = targets[fresh]
-        senders = senders[fresh]
-        if targets.size == 0:
-            break
-        # First writer wins: the predecessor is the first sender to deliver
-        # the query, matching the BFS predecessor-graph approximation.
-        unique_targets, first_index = np.unique(targets, return_index=True)
-        depth[unique_targets] = d + 1
-        pred[unique_targets] = senders[first_index]
-        frontier = unique_targets
-
-    degrees = graph.degrees
-    reached = depth >= 0
-    # Forwarders re-send to every neighbour except the first sender; the
-    # source has no sender and fans out to all its neighbours.
-    forwarder = reached & (depth < ttl)
-    transmissions = np.zeros(n, dtype=np.float64)
-    transmissions[forwarder] = degrees[forwarder] - 1
-    if forwarder[source]:
-        transmissions[source] = degrees[source]
-
-    # Receipts: every directed edge (v -> u) with v a forwarder delivers a
-    # copy to u, except the edge back to v's own predecessor.
-    tails, heads = graph.directed_edge_arrays()
-    live = forwarder[tails] & (pred[tails] != heads)
-    if blocked is not None:
-        live &= ~blocked[heads]
-    receipts = np.bincount(heads[live], minlength=n).astype(np.float64)
-
-    return QueryPropagation(
-        source=source,
-        ttl=ttl,
-        depth=depth,
-        pred=pred,
-        transmissions=transmissions,
-        receipts=receipts,
-    )
-
-
-def complete_graph_propagation(num_nodes: int, source: int, ttl: int) -> QueryPropagation:
-    """Closed-form propagation on K_n (any size, no adjacency needed).
-
-    With TTL = 1 the source sends n-1 queries and every other node receives
-    exactly one.  With TTL >= 2, every non-source node additionally
-    forwards to its n-2 non-predecessor neighbours, so each non-source node
-    receives 1 + (n-2) copies (all duplicates dropped) and the source
-    receives 0 extra (every node's predecessor is the source itself, and
-    flooding skips the predecessor).
-    """
-    if not 0 <= source < num_nodes:
-        raise IndexError(f"source {source} out of range [0, {num_nodes})")
-    if ttl < 1:
-        raise ValueError("ttl must be >= 1")
-    n = num_nodes
-    depth = np.ones(n, dtype=np.int64)
-    depth[source] = 0
-    pred = np.full(n, source, dtype=np.int64)
-    pred[source] = -1
-    transmissions = np.zeros(n, dtype=np.float64)
-    receipts = np.zeros(n, dtype=np.float64)
-    if n > 1:
-        transmissions[source] = n - 1
-        receipts[:] = 1.0
-        receipts[source] = 0.0
-        if ttl >= 2 and n > 2:
-            # Depth-1 nodes forward to everyone but the source.
-            non_source = np.arange(n) != source
-            transmissions[non_source] = n - 2
-            receipts[non_source] += n - 2
-    return QueryPropagation(
-        source=source,
-        ttl=ttl,
-        depth=depth,
-        pred=pred,
-        transmissions=transmissions,
-        receipts=receipts,
-    )
+        def deliver(senders, heads):
+            return ~blocked[heads]
+    return flood_block(graph, [source], ttl, deliver).row(0)

@@ -15,9 +15,7 @@ case stopping at a cheap small ring.
 
 from __future__ import annotations
 
-from ..core.routing import complete_graph_propagation, propagate_query
 from ..obs.metrics import get_registry
-from ..topology.strong import CompleteGraph
 from .base import QUERY_BYTES, QueryCost, SearchProtocol
 from .flooding import FloodingSearch
 
@@ -48,12 +46,6 @@ class ExpandingRingSearch(SearchProtocol):
         # that comes back short of the target escalates to the next TTL,
         # so faults surface as extra query traffic, not just lost reach.
         self.dead_clusters = dead_clusters
-
-    def _propagate(self, source: int, ttl: int):
-        graph = self.instance.graph
-        if isinstance(graph, CompleteGraph):
-            return complete_graph_propagation(graph.num_nodes, source, ttl)
-        return propagate_query(graph, source, ttl)
 
     def query_cost(self, source: int) -> QueryCost:
         metrics = get_registry()

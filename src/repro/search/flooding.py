@@ -15,9 +15,8 @@ from __future__ import annotations
 
 import numpy as np
 
-from ..core.routing import complete_graph_propagation, propagate_query
+from ..core.routing import propagate_query
 from ..obs.metrics import get_registry
-from ..topology.strong import CompleteGraph
 from .base import QUERY_BYTES, QueryCost, SearchProtocol
 
 
@@ -39,10 +38,7 @@ class FloodingSearch(SearchProtocol):
         self.dead_clusters = dead_clusters
 
     def _propagate(self, source: int):
-        graph = self.instance.graph
-        if self.dead_clusters is None and isinstance(graph, CompleteGraph):
-            return complete_graph_propagation(graph.num_nodes, source, self.ttl)
-        return propagate_query(graph, source, self.ttl,
+        return propagate_query(self.instance.graph, source, self.ttl,
                                blocked=self.dead_clusters)
 
     def hop_profile(self, source: int) -> list[float]:

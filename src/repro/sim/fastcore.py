@@ -9,12 +9,13 @@ the same measured loads with structure-of-arrays kernels:
   :class:`~repro.sim.schedule.WorkloadSchedule`, so query / join /
   update counts are bit-equal across engines by construction.
 * **Batched floods** — the flood kernel lives in :mod:`repro.core.routing`
-  and is shared with the mean-value analysis (``core.load``):
-  :func:`~repro.core.routing.flood_block` runs blocks of BFS floods as
-  ``(block, nodes)`` numpy arrays over the CSR overlay, bit-identical to
-  :func:`~repro.core.routing.propagate_query` per source (the
-  property-test contract in ``tests/test_fastcore.py``; this module
-  re-exports it).  Since the fault-free flood depends only on the
+  and is shared with the mean-value analysis (``core.load``) and the
+  event engine: :func:`~repro.core.routing.flood_block` runs blocks of
+  BFS floods as ``(block, nodes)`` numpy arrays over the CSR overlay,
+  bit-identical per source to the event engine's one-row
+  :func:`~repro.core.routing.propagate_query` (``tests/test_fastcore.py``
+  pins both against a scalar reference BFS; this module re-exports
+  the kernel).  Since the fault-free flood depends only on the
   source, per-source results are weighted by that source's query count
   instead of being recomputed per query — flood transmissions, receipts
   and reach are then *exactly* the event engine's totals
@@ -68,18 +69,11 @@ import numpy as np
 from .. import constants
 from ..core import costs
 from ..core.load import _HANDSHAKE_BYTES, _HANDSHAKE_RECV_UNITS, _HANDSHAKE_SEND_UNITS
-from ..core.routing import (
-    DEFAULT_BLOCK,
-    FloodBlock,
-    _complete_block,
-    flood_block,
-    fold_to_sources,
-)
+from ..core.routing import DEFAULT_BLOCK, FloodBlock, flood_block, fold_to_sources
 from ..obs.metrics import get_registry
 from ..querymodel.distributions import QueryModel, default_query_model
 from ..stats.rng import derive_rng
 from ..topology.builder import NetworkInstance
-from ..topology.strong import CompleteGraph
 from ..units import bytes_per_second_to_bps, units_per_second_to_hz
 from .faults import FaultOutcome, FaultPlan
 from .schedule import WorkloadSchedule, generate_workload
@@ -91,12 +85,6 @@ __all__ = ["FloodBlock", "flood_block", "simulate_instance_array"]
 #: rates), so piecewise-constant snapshots capture the drift the
 #: event engine's per-query index reads see.
 DEFAULT_WINDOWS = 8
-
-
-def _prop_block(graph, sources: np.ndarray, ttl: int) -> FloodBlock:
-    if isinstance(graph, CompleteGraph):
-        return _complete_block(graph.num_nodes, sources, ttl)
-    return flood_block(graph, sources, ttl)
 
 
 def _miss_power_table(log_miss: np.ndarray, collections: np.ndarray) -> np.ndarray:
@@ -425,7 +413,7 @@ def _simulate_fault_free_array(
     hop_messages = np.zeros(ttl + 1)
     for start in range(0, q_sources.size, max(1, block)):
         src = q_sources[start:start + max(1, block)]
-        fb = _prop_block(graph, src, ttl)
+        fb = flood_block(graph, src, ttl)
         b = src.size
         rows = np.arange(b)
         mb = m_s[src]

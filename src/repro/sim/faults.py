@@ -40,10 +40,9 @@ from dataclasses import dataclass, field, fields, replace
 
 import numpy as np
 
-from ..core.routing import QueryPropagation, _out_edges
+from ..core.routing import QueryPropagation, flood_block, fold_to_sources
 from ..obs.metrics import get_registry
 from ..obs.trace import NULL_TRACER
-from ..topology.strong import CompleteGraph
 
 
 @dataclass(frozen=True)
@@ -672,72 +671,36 @@ def sampled_propagation(
 ) -> tuple[QueryPropagation, FloodStats]:
     """BFS flood with per-hop delivery sampling under a fault runtime.
 
-    Differs from :func:`repro.core.routing.propagate_query` in that each
-    overlay message is individually subjected to the fault plan: dark
-    clusters receive nothing (and never forward — floods truncate around
-    them), partitioned hops are severed, and random loss / slow-node
-    deadline misses drop messages with their configured probabilities.
-    Senders pay for every attempted transmission; receipts count only
-    deliveries.  All randomness comes from the runtime's fault stream.
+    A one-row :func:`~repro.core.routing.flood_block` whose ``deliver``
+    hook subjects each overlay message to the fault plan: dark clusters
+    receive nothing (and never forward — floods truncate around them),
+    partitioned hops are severed, and random loss / slow-node deadline
+    misses drop messages with their configured probabilities (one
+    uniform per message, drawn hop by hop from the runtime's fault
+    stream).  Senders pay for every attempted transmission; receipts
+    count only deliveries.
     """
-    if isinstance(graph, CompleteGraph):
-        graph = graph.materialize()
-    n = graph.num_nodes
-    if ttl < 1:
-        raise ValueError("ttl must be >= 1")
     alive = runtime.alive_mask()
-    rng = runtime.rng
+    if not alive[source]:
+        prop = QueryPropagation.empty(graph.num_nodes, source, ttl)
+        return prop, FloodStats(attempted=0, delivered=0)
     loss = runtime.plan.message_loss
-    slow = runtime.slow_drop
+    sampled = loss > 0.0 or runtime._has_slow
 
-    depth = np.full(n, -1, dtype=np.int64)
-    pred = np.full(n, -1, dtype=np.int64)
-    transmissions = np.zeros(n, dtype=np.float64)
-    receipts = np.zeros(n, dtype=np.float64)
-    attempted = delivered = 0
+    def deliver(senders, heads):
+        ok = alive[heads]
+        cut = runtime.edge_cut(senders, heads, now)
+        if cut is not None:
+            ok &= ~cut
+        if sampled:
+            p_deliver = (1.0 - loss) * (1.0 - runtime.slow_drop[senders])
+            ok &= runtime.rng.random(senders.size) < p_deliver
+        return ok
 
-    if alive[source]:
-        depth[source] = 0
-        frontier = np.array([source], dtype=np.int64)
-        for d in range(ttl):
-            counts, targets = _out_edges(graph, frontier)
-            senders = np.repeat(frontier, counts)
-            if targets.size == 0:
-                break
-            # Forwarders skip the hop back to their predecessor.
-            keep = pred[senders] != targets
-            senders, targets = senders[keep], targets[keep]
-            m = senders.size
-            if m == 0:
-                break
-            np.add.at(transmissions, senders, 1.0)
-            attempted += m
-            ok = alive[targets]
-            cut = runtime.edge_cut(senders, targets, now)
-            if cut is not None:
-                ok &= ~cut
-            p_deliver = (1.0 - loss) * (1.0 - slow[senders])
-            if loss > 0.0 or runtime._has_slow:
-                ok &= rng.random(m) < p_deliver
-            delivered += int(np.count_nonzero(ok))
-            hit_targets = targets[ok]
-            hit_senders = senders[ok]
-            np.add.at(receipts, hit_targets, 1.0)
-            fresh = depth[hit_targets] == -1
-            hit_targets = hit_targets[fresh]
-            hit_senders = hit_senders[fresh]
-            if hit_targets.size == 0:
-                break
-            unique_targets, first_index = np.unique(hit_targets, return_index=True)
-            depth[unique_targets] = d + 1
-            pred[unique_targets] = hit_senders[first_index]
-            frontier = unique_targets
-
-    prop = QueryPropagation(
-        source=source, ttl=ttl, depth=depth, pred=pred,
-        transmissions=transmissions, receipts=receipts,
-    )
-    return prop, FloodStats(attempted=attempted, delivered=delivered)
+    prop = flood_block(graph, [source], ttl, deliver).row(0)
+    stats = FloodStats(attempted=int(prop.transmissions.sum()),
+                       delivered=int(prop.receipts.sum()))
+    return prop, stats
 
 
 def sample_response_edges(prop: QueryPropagation, runtime: FaultRuntime,
@@ -774,28 +737,19 @@ def lossy_accumulate(
     prop: QueryPropagation,
     edge_pass: np.ndarray,
     channels: list[np.ndarray],
-) -> tuple[list[np.ndarray], list[np.ndarray]]:
+) -> tuple[np.ndarray, np.ndarray]:
     """Fold response weights toward the source across surviving hops.
 
     For each channel (messages / addresses / result records) returns
-    ``(sent, received)`` arrays where ``sent[v]`` is what ``v`` transmits
+    ``(sent, received)`` rows where ``sent[v]`` is what ``v`` transmits
     toward its predecessor (charged to ``v`` whether or not the hop
     delivers) and ``received[v]`` is what actually arrives at ``v`` from
     its subtree children.  ``received[source]`` is the query's delivered
-    response volume.
+    response volume.  The fold is :func:`~repro.core.routing.fold_to_sources`
+    with ``edge_pass``; ``received = sent - weights`` is exact for the
+    integer-valued weights the simulator passes.
     """
-    n = prop.depth.size
-    sent = [np.asarray(w, dtype=float).copy() for w in channels]
-    received = [np.zeros(n) for _ in channels]
-    for d in range(prop.max_depth, 0, -1):
-        level = np.nonzero(prop.depth == d)[0]
-        if level.size == 0:
-            continue
-        passing = level[edge_pass[level]]
-        if passing.size == 0:
-            continue
-        preds = prop.pred[passing]
-        for s_arr, r_arr in zip(sent, received):
-            np.add.at(r_arr, preds, s_arr[passing])
-            np.add.at(s_arr, preds, s_arr[passing])
-    return sent, received
+    weights = np.array(channels, dtype=float)
+    sent = fold_to_sources(prop.depth[np.newaxis], prop.pred[np.newaxis],
+                           weights.T[np.newaxis], edge_pass[np.newaxis])[0].T
+    return sent, sent - weights

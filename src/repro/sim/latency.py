@@ -25,7 +25,6 @@ from ..core.routing import propagate_query
 from ..querymodel.expectation import cluster_expectations
 from ..stats.rng import derive_rng
 from ..topology.builder import NetworkInstance
-from ..topology.strong import CompleteGraph
 
 #: Default per-hop one-way latency model: lognormal with ~80 ms median
 #: and a heavy tail, the classic wide-area overlay-hop shape.
@@ -128,8 +127,6 @@ def measure_response_times(
     latency = latency or LatencyModel()
     rng = derive_rng(rng, "latency")
     graph = instance.graph
-    if isinstance(graph, CompleteGraph):
-        graph = graph.materialize()
     exp = cluster_expectations(instance, model)
     ttl = instance.config.ttl
 

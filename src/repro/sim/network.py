@@ -40,12 +40,11 @@ from ..core import costs
 from ..core.load import LoadReport, _HANDSHAKE_BYTES, _HANDSHAKE_RECV_UNITS, _HANDSHAKE_SEND_UNITS
 from ..obs.metrics import get_registry
 from ..obs.trace import NULL_TRACER, Tracer
-from ..core.routing import complete_graph_propagation, propagate_query
+from ..core.routing import fold_to_sources, propagate_query
 from ..querymodel.distributions import QueryModel, default_query_model
 from ..querymodel.files import default_file_distribution
 from ..stats.rng import derive_rng
 from ..topology.builder import NetworkInstance
-from ..topology.strong import CompleteGraph
 from ..units import bytes_per_second_to_bps, units_per_second_to_hz
 from .engine import Simulator
 from .faults import (
@@ -212,13 +211,6 @@ class _State:
         return p
 
 
-def _propagate(state: _State, source: int, ttl: int):
-    graph = state.instance.graph
-    if isinstance(graph, CompleteGraph):
-        return complete_graph_propagation(graph.num_nodes, source, ttl)
-    return propagate_query(graph, source, ttl)
-
-
 def _fanout_per_hop(prop) -> list[float]:
     """Messages crossing each hop: transmissions summed by sender depth."""
     mask = prop.depth >= 0
@@ -248,7 +240,7 @@ def _run_query(state: _State, source_cluster: int, client_index: int | None,
         st.sp_in[s] += _QUERY_BYTES / st.k
         st.sp_proc[s] += (_RECV_Q + _MUX * st.m_sp[s]) / st.k
 
-    prop = _propagate(st, s, ttl)
+    prop = propagate_query(st.instance.graph, s, ttl)
     reached = prop.reached
     st.total_reach += prop.reach
 
@@ -284,9 +276,9 @@ def _run_query(state: _State, source_cluster: int, client_index: int | None,
     msgs_w[s] = 0.0
     addr_w = np.where(msgs_w > 0, k_addr, 0).astype(float)
     res_w = np.where(msgs_w > 0, n_results, 0).astype(float)
-    fw_m = prop.accumulate_to_source(msgs_w)
-    fw_a = prop.accumulate_to_source(addr_w)
-    fw_r = prop.accumulate_to_source(res_w)
+    weights = np.array([msgs_w, addr_w, res_w]).T[np.newaxis]
+    fw_m, fw_a, fw_r = fold_to_sources(
+        prop.depth[np.newaxis], prop.pred[np.newaxis], weights)[0].T
 
     senders = reached.copy()
     senders[s] = False

@@ -158,9 +158,10 @@ class OverlayGraph:
         """Connected components of the node-induced subgraph on ``mask``.
 
         Nodes outside ``mask`` are ignored entirely (as are edges into
-        them).  Returned largest-first, matching
-        :meth:`connected_components`; used by partition healing to find
-        the fragments each side of a cut shatters into.
+        them).  Returned largest-first (a stable sort, so equal sizes keep
+        their lowest-member order); with an all-True mask these are
+        :meth:`connected_components`, and partition healing uses it to
+        find the fragments each side of a cut shatters into.
         """
         mask = np.asarray(mask, dtype=bool)
         if mask.shape != (self.num_nodes,):
@@ -213,25 +214,7 @@ class OverlayGraph:
 
     def connected_components(self) -> list[np.ndarray]:
         """Connected components as arrays of node ids (largest first)."""
-        label = np.full(self.num_nodes, -1, dtype=np.int64)
-        components: list[np.ndarray] = []
-        for start in range(self.num_nodes):
-            if label[start] != -1:
-                continue
-            comp_id = len(components)
-            frontier = np.array([start], dtype=np.int64)
-            label[start] = comp_id
-            members = [frontier]
-            while frontier.size:
-                spans = [self.neighbors(int(v)) for v in frontier]
-                candidates = np.unique(np.concatenate(spans)) if spans else np.array([], dtype=np.int64)
-                frontier = candidates[label[candidates] == -1]
-                label[frontier] = comp_id
-                if frontier.size:
-                    members.append(frontier)
-            components.append(np.concatenate(members))
-        components.sort(key=len, reverse=True)
-        return components
+        return self.subgraph_components(np.ones(self.num_nodes, dtype=bool))
 
     def is_connected(self) -> bool:
         if self.num_nodes <= 1:

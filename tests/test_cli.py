@@ -282,6 +282,22 @@ def test_nonpositive_max_sources_is_one_line_usage_error(capsys, value):
     assert "--max-sources" in lines[0] and value in lines[0]
 
 
+@pytest.mark.parametrize("flags, field", [
+    (["--loss", "1.0"], "message_loss"),
+    (["--loss", "-0.1"], "message_loss"),
+    (["--slow-fraction", "1.5"], "fraction"),
+    (["--max-retries", "1", "--timeout", "0"], "timeout"),
+])
+def test_out_of_range_fault_flags_are_one_line_usage_errors(capsys, flags, field):
+    code = main(["resilience", "--graph-size", "200", *flags])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    lines = captured.err.strip().splitlines()
+    assert len(lines) == 1
+    assert lines[0].startswith("repro: error:") and field in lines[0]
+
+
 class TestResilienceRecover:
     def test_recover_flag_prints_recovery_rows(self, capsys):
         code, out = run_cli(

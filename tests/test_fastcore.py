@@ -1,15 +1,19 @@
-"""Property tests for the batched flood kernel both engines share.
+"""Property tests for the one flood kernel every caller shares.
 
 ``repro.core.routing.flood_block`` (re-exported by ``repro.sim.fastcore``)
-claims to be *bit-identical*, per source, to the scalar oracle
-``repro.core.routing.propagate_query``.  These tests pin that claim and
-the kernel's structural invariants on hypothesis-generated graphs:
+claims to be *bit-identical*, per source, to the scalar reference BFS in
+``tests/_oracle.py``.  These tests pin that claim and the kernel's
+structural invariants on hypothesis-generated graphs:
 
 * **bit-identity** — every field (depth, pred, transmissions, receipts)
-  equals the scalar kernel's, for every source, and for any block of
-  sources: shuffled, duplicated, empty, or isolated;
-* **batched reverse-path fold** — ``fold_to_sources`` equals
-  ``QueryPropagation.accumulate_to_source`` row by row, bit for bit;
+  equals the scalar BFS's, for every source, and for any block of
+  sources: shuffled, duplicated, empty, or isolated; with dead relays
+  (``propagate_query(blocked=)``, the kernel's ``deliver`` hook) too;
+* **K_n dispatch** — the closed form the kernel takes on a
+  ``CompleteGraph`` equals the BFS over the materialized graph;
+* **batched reverse-path fold** — ``fold_to_sources`` equals the scalar
+  level-by-level fold row by row, bit for bit, with and without severed
+  hops;
 * **message conservation per hop** — the transmissions sent by depth-d
   forwarders equal the receipts their edges deliver, recomputed
   independently from the raw edge arrays;
@@ -25,13 +29,12 @@ from __future__ import annotations
 import numpy as np
 from hypothesis import given, settings, strategies as st
 
-from repro.core.routing import (
-    complete_graph_propagation,
-    fold_to_sources,
-    propagate_query,
-)
-from repro.sim.fastcore import _complete_block, flood_block
+from repro.core.routing import fold_to_sources, propagate_query
+from repro.sim.fastcore import flood_block
 from repro.topology.graph import OverlayGraph
+from repro.topology.strong import CompleteGraph
+
+from _oracle import scalar_flood, scalar_fold
 
 
 @st.composite
@@ -59,11 +62,14 @@ def _source_blocks(draw):
 def _assert_rows_match_scalar(fb, graph, sources, ttl):
     assert fb.depth.shape == (sources.size, graph.num_nodes)
     for i, s in enumerate(sources):
-        prop = propagate_query(graph, int(s), ttl)
-        assert np.array_equal(fb.depth[i], prop.depth)
-        assert np.array_equal(fb.pred[i], prop.pred)
-        assert np.array_equal(fb.transmissions[i], prop.transmissions)
-        assert np.array_equal(fb.receipts[i], prop.receipts)
+        _assert_same_flood(fb.row(i), scalar_flood(graph, int(s), ttl))
+
+
+def _assert_same_flood(prop, expected):
+    assert np.array_equal(prop.depth, expected.depth)
+    assert np.array_equal(prop.pred, expected.pred)
+    assert np.array_equal(prop.transmissions, expected.transmissions)
+    assert np.array_equal(prop.receipts, expected.receipts)
 
 
 _TTLS = st.integers(min_value=1, max_value=5)
@@ -72,7 +78,7 @@ _TTLS = st.integers(min_value=1, max_value=5)
 @settings(max_examples=60, deadline=None)
 @given(graph=_graphs(), ttl=_TTLS)
 def test_bit_identity_vs_scalar_kernel(graph, ttl):
-    """flood_block row i == propagate_query(sources[i]) on every field."""
+    """flood_block row i == the scalar BFS from sources[i] on every field."""
     sources = np.arange(graph.num_nodes)
     _assert_rows_match_scalar(flood_block(graph, sources, ttl), graph, sources, ttl)
 
@@ -89,9 +95,24 @@ def test_bit_identity_on_arbitrary_source_blocks(block, ttl):
 
 
 @settings(max_examples=60, deadline=None)
+@given(graph=_graphs(isolated=1), ttl=_TTLS, seed=st.integers(0, 2**32 - 1))
+def test_blocked_rows_match_scalar_kernel(graph, ttl, seed):
+    """propagate_query(blocked=) — a one-row kernel call with
+    ``deliver = ~blocked[heads]`` — equals the scalar BFS around the same
+    dead relays, from every source; a dead source floods nothing."""
+    blocked = np.random.default_rng(seed).random(graph.num_nodes) < 0.3
+    for s in range(graph.num_nodes):
+        prop = propagate_query(graph, s, ttl, blocked=blocked)
+        _assert_same_flood(prop, scalar_flood(graph, s, ttl, blocked=blocked))
+        if blocked[s]:
+            assert prop.reach == 0 and prop.transmissions.sum() == 0
+
+
+@settings(max_examples=60, deadline=None)
 @given(block=_source_blocks(), ttl=_TTLS, seed=st.integers(0, 2**32 - 1))
 def test_batched_fold_matches_scalar_accumulator(block, ttl, seed):
-    """fold_to_sources row i, channel c == accumulate_to_source."""
+    """fold_to_sources row i, channel c == the scalar fold, and
+    accumulate_to_source (its one-channel wrapper) agrees."""
     graph, sources = block
     fb = flood_block(graph, sources, ttl)
     rng = np.random.default_rng(seed)
@@ -101,8 +122,28 @@ def test_batched_fold_matches_scalar_accumulator(block, ttl, seed):
     for i in range(sources.size):
         prop = fb.row(i)
         for c in range(3):
-            assert np.array_equal(folded[i, :, c],
-                                  prop.accumulate_to_source(weights[i, :, c]))
+            sent, _ = scalar_fold(prop, weights[i, :, c])
+            assert np.array_equal(folded[i, :, c], sent)
+            assert np.array_equal(prop.accumulate_to_source(weights[i, :, c]),
+                                  sent)
+
+
+@settings(max_examples=60, deadline=None)
+@given(block=_source_blocks(), ttl=_TTLS, seed=st.integers(0, 2**32 - 1))
+def test_masked_fold_matches_scalar_lossy_fold(block, ttl, seed):
+    """With ``edge_pass``, severed hops keep their subtree sum at the
+    sender; ``received = sent - weights`` is exact for integer weights."""
+    graph, sources = block
+    fb = flood_block(graph, sources, ttl)
+    rng = np.random.default_rng(seed)
+    weights = rng.integers(0, 5, fb.depth.shape + (3,)) * fb.reached[:, :, np.newaxis]
+    edge_pass = rng.random(fb.depth.shape) < 0.7
+    folded = fold_to_sources(fb.depth, fb.pred, weights.astype(float), edge_pass)
+    for i in range(sources.size):
+        for c in range(3):
+            sent, received = scalar_fold(fb.row(i), weights[i, :, c], edge_pass[i])
+            assert np.array_equal(folded[i, :, c], sent)
+            assert np.array_equal(folded[i, :, c] - weights[i, :, c], received)
 
 
 @settings(max_examples=60, deadline=None)
@@ -171,15 +212,12 @@ def test_frontier_bounded_by_reachable_set(graph, ttl):
         assert frontier_sizes[0] == 1
 
 
-@settings(max_examples=30, deadline=None)
-@given(n=st.integers(min_value=2, max_value=40), ttl=_TTLS)
-def test_complete_block_matches_closed_form(n, ttl):
-    """The K_n fast path mirrors complete_graph_propagation exactly."""
-    sources = np.arange(n)
-    fb = _complete_block(n, sources, ttl)
-    for i, s in enumerate(sources):
-        prop = complete_graph_propagation(n, int(s), ttl)
-        assert np.array_equal(fb.depth[i], prop.depth)
-        assert np.array_equal(fb.pred[i], prop.pred)
-        assert np.array_equal(fb.transmissions[i], prop.transmissions)
-        assert np.array_equal(fb.receipts[i], prop.receipts)
+def test_complete_block_matches_closed_form():
+    """The kernel's K_n closed form equals the BFS over the materialized
+    K_n, every field, from every source."""
+    for n in (1, 2, 3, 5):
+        sources = np.arange(n)
+        complete = CompleteGraph(num_nodes=n)
+        for ttl in (1, 2, 3):
+            _assert_rows_match_scalar(flood_block(complete, sources, ttl),
+                                      complete, sources, ttl)

@@ -20,6 +20,8 @@ from repro.sim.faults import (
 )
 from repro.topology.builder import build_instance
 
+from _oracle import scalar_fold, scalar_sampled_flood
+
 
 @pytest.fixture(scope="module")
 def instance():
@@ -252,6 +254,22 @@ class TestResponsePath:
         assert received[0][0] < folded[0]
         assert sent[0][child] >= 1.0
 
+    def test_lossy_accumulate_is_the_scalar_lossy_fold(self, instance):
+        # The masked fold, with received = sent - weights, against the
+        # level-by-level fold that keeps a separate received accumulator.
+        rt = make_runtime(instance, FaultPlan(message_loss=0.3), seed=5)
+        prop, _ = sampled_propagation(instance.graph, 0, 7, rt, 0.0)
+        edge_pass = sample_response_edges(prop, rt, 0.0)
+        assert not edge_pass[prop.reached].all()
+        rng = np.random.default_rng(1)
+        channels = [np.where(prop.reached, rng.integers(0, 9, prop.depth.size), 0)
+                    .astype(float) for _ in range(3)]
+        sent, received = lossy_accumulate(prop, edge_pass, channels)
+        for c, weights in enumerate(channels):
+            sent_ref, received_ref = scalar_fold(prop, weights, edge_pass)
+            assert np.array_equal(sent[c], sent_ref)
+            assert np.array_equal(received[c], received_ref)
+
     def test_full_loss_delivers_nothing_remote(self, instance):
         rt = make_runtime(instance, FaultPlan(message_loss=0.99), seed=11)
         prop, _ = sampled_propagation(instance.graph, 0, 7, rt, 0.0)
@@ -472,6 +490,42 @@ class TestSampledPropagationProperties:
             _, stats = sampled_propagation(small_instance.graph, 0, 1, rt, 0.0)
             delivered.append(stats.delivered)
         assert delivered[1] <= delivered[0]
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        loss=st.sampled_from([0.0, 0.05, 0.3, 0.8]),
+        slow=st.sampled_from([0.0, 0.4]),
+        cut=st.booleans(),
+        dead=st.lists(st.integers(min_value=0, max_value=14), max_size=4),
+        source=st.integers(min_value=0, max_value=14),
+        ttl=st.integers(min_value=1, max_value=7),
+        seed=st.integers(min_value=0, max_value=2**31 - 1),
+    )
+    def test_bit_identical_to_scalar_sampled_flood(
+        self, small_instance, loss, slow, cut, dead, source, ttl, seed
+    ):
+        # The kernel's deliver hook must draw exactly the scalar flood's
+        # uniforms, in its order: same flood, same stats, and the fault
+        # stream left in the same state for whatever draws next.
+        plan = FaultPlan(
+            message_loss=loss,
+            slow=SlowSpec(fraction=slow, factor=3.0) if slow else None,
+            partitions=(PartitionWindow(0.0, 10.0, (0, 1, 2, 3, 4)),) if cut else (),
+        )
+        outcomes = []
+        for flood in (sampled_propagation, scalar_sampled_flood):
+            rt = make_runtime(small_instance, plan, seed=seed)
+            rt.up[dead] = False
+            rt.live[dead] = 0
+            result = flood(small_instance.graph, source, ttl, rt, 1.0)
+            outcomes.append((result, rt.rng.random()))
+        ((prop, stats), after), ((ref, attempted, delivered), ref_after) = outcomes
+        assert np.array_equal(prop.depth, ref.depth)
+        assert np.array_equal(prop.pred, ref.pred)
+        assert np.array_equal(prop.transmissions, ref.transmissions)
+        assert np.array_equal(prop.receipts, ref.receipts)
+        assert (stats.attempted, stats.delivered) == (attempted, delivered)
+        assert after == ref_after
 
     @settings(max_examples=25, deadline=None)
     @given(

@@ -3,10 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.core.routing import (
-    complete_graph_propagation,
-    propagate_query,
-)
+from repro.core.routing import propagate_query
 from repro.topology.graph import OverlayGraph
 from repro.topology.strong import strongly_connected_graph
 
@@ -145,27 +142,34 @@ class TestAccumulateToSource:
 
 
 class TestCompleteGraphClosedForm:
+    """``propagate_query`` on a CompleteGraph takes the kernel's K_n
+    closed form; it must equal the BFS over the materialized graph."""
+
     def test_matches_explicit_bfs_ttl1(self):
         n = 9
         explicit = propagate_query(strongly_connected_graph(n).materialize(), 2, ttl=1)
-        closed = complete_graph_propagation(n, 2, ttl=1)
+        closed = propagate_query(strongly_connected_graph(n), 2, ttl=1)
         np.testing.assert_array_equal(explicit.depth, closed.depth)
+        np.testing.assert_array_equal(explicit.pred, closed.pred)
         np.testing.assert_array_equal(explicit.transmissions, closed.transmissions)
         np.testing.assert_array_equal(explicit.receipts, closed.receipts)
 
     def test_matches_explicit_bfs_ttl2(self):
         n = 7
         explicit = propagate_query(strongly_connected_graph(n).materialize(), 0, ttl=2)
-        closed = complete_graph_propagation(n, 0, ttl=2)
+        closed = propagate_query(strongly_connected_graph(n), 0, ttl=2)
         np.testing.assert_array_equal(explicit.depth, closed.depth)
+        np.testing.assert_array_equal(explicit.pred, closed.pred)
         np.testing.assert_array_equal(explicit.transmissions, closed.transmissions)
         np.testing.assert_array_equal(explicit.receipts, closed.receipts)
 
     def test_wrapper_dispatches_complete(self):
-        prop = propagate_query(strongly_connected_graph(5), 1, ttl=1)
-        assert prop.reach == 5
+        # Far above the materialization limit: only the closed form can run.
+        prop = propagate_query(strongly_connected_graph(10_000), 1, ttl=1)
+        assert prop.reach == 10_000
+        assert prop.transmissions[1] == 9_999
 
     def test_single_node(self):
-        prop = complete_graph_propagation(1, 0, ttl=1)
+        prop = propagate_query(strongly_connected_graph(1), 0, ttl=1)
         assert prop.reach == 1
         assert prop.transmissions.sum() == 0
