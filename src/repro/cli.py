@@ -974,6 +974,15 @@ def main(argv: list[str] | None = None) -> int:
         print(f"{parser.prog}: error: --max-sources must be >= 1, "
               f"got {args.max_sources}", file=sys.stderr)
         return 2
+    if args.trials < 1:
+        print(f"{parser.prog}: error: --trials must be >= 1, "
+              f"got {args.trials}", file=sys.stderr)
+        return 2
+    duration = getattr(args, "duration", None)
+    if duration is not None and not duration > 0:
+        print(f"{parser.prog}: error: --duration must be > 0, "
+              f"got {duration}", file=sys.stderr)
+        return 2
 
     registry = None
     if args.metrics:

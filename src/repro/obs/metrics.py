@@ -31,6 +31,8 @@ from contextlib import contextmanager
 from time import perf_counter
 from typing import Iterator
 
+import numpy as np
+
 
 class _Picklable:
     """Pickle support for slotted instruments holding a non-picklable lock.
@@ -206,6 +208,34 @@ class Histogram(_Picklable):
             if value > self.max:
                 self.max = value
             self._buckets[bucket] = self._buckets.get(bucket, 0) + 1
+
+    def observe_many(self, values) -> None:
+        """Record every value in order; same state as ``observe`` on each."""
+        values = np.asarray(values, dtype=float).ravel()
+        # One bucket lookup per distinct value, taken in first-occurrence
+        # order so new buckets enter the dict where the loop would put them.
+        uniq, first, counts = np.unique(values, return_index=True, return_counts=True)
+        order = np.argsort(first)
+        # NaN never becomes min or max; argmin/argmax keep the first of
+        # equal candidates (signed zeros), as observe's strict < and > do.
+        comparable = values[~np.isnan(values)]
+        with self._lock:
+            self.count += int(values.size)
+            # A strict left fold, bit-identical to repeated +=; float +=
+            # overflows to inf and inf - inf is nan without a warning.
+            with np.errstate(over="ignore", invalid="ignore"):
+                folded = np.add.accumulate(np.concatenate(([self.total], values)))
+            self.total = float(folded[-1])
+            if comparable.size:
+                low = float(comparable[comparable.argmin()])
+                high = float(comparable[comparable.argmax()])
+                if low < self.min:
+                    self.min = low
+                if high > self.max:
+                    self.max = high
+            for value, n in zip(uniq[order].tolist(), counts[order].tolist()):
+                bucket = _bucket_of(value)
+                self._buckets[bucket] = self._buckets.get(bucket, 0) + n
 
     @property
     def mean(self) -> float:
@@ -435,6 +465,9 @@ class _NullHistogram(Histogram):
         super().__init__("null")
 
     def observe(self, value: float) -> None:
+        pass
+
+    def observe_many(self, values) -> None:
         pass
 
 

@@ -515,8 +515,7 @@ def _simulate_fault_free_array(
         np.add.at(sp_proc, ds, send_units / k)
         np.add.at(cl_in, dc, bytes_to_client)
         np.add.at(cl_proc, dc, recv_units)
-        for v in to_r:
-            m_results.observe(float(v))
+        m_results.observe_many(to_r)
 
     _mark_phase(registry, manifest, "sim.array.delivery", phase_started)
 

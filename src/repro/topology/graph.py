@@ -18,11 +18,6 @@ from typing import Iterable, Iterator
 
 import numpy as np
 
-try:  # networkx is a hard dependency of the package, but keep import local-ish
-    import networkx as nx
-except ImportError:  # pragma: no cover - environment guard
-    nx = None
-
 
 @dataclass(frozen=True)
 class OverlayGraph:
@@ -92,6 +87,8 @@ class OverlayGraph:
 
     def to_networkx(self) -> "nx.Graph":
         """Materialize as a networkx Graph (tests, algorithms, plotting)."""
+        import networkx as nx
+
         graph = nx.Graph()
         graph.add_nodes_from(range(self.num_nodes))
         graph.add_edges_from(self.edge_list())

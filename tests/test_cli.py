@@ -282,6 +282,26 @@ def test_nonpositive_max_sources_is_one_line_usage_error(capsys, value):
     assert "--max-sources" in lines[0] and value in lines[0]
 
 
+@pytest.mark.parametrize("argv, flag", [
+    (["--trials", "0", "analyze"], "--trials"),
+    (["--trials", "-2", "simulate"], "--trials"),
+    (["simulate", "--duration", "-5"], "--duration"),
+    (["simulate", "--duration", "0"], "--duration"),
+    (["resilience", "--duration", "-1"], "--duration"),
+    (["chaos", "--duration", "-1"], "--duration"),
+    (["chaos", "--duration", "nan"], "--duration"),
+    (["design-risk", "--duration", "0"], "--duration"),
+])
+def test_nonpositive_trials_and_duration_are_one_line_usage_errors(capsys, argv, flag):
+    code = main(argv)
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    lines = captured.err.strip().splitlines()
+    assert len(lines) == 1
+    assert lines[0].startswith("repro: error:") and flag in lines[0]
+
+
 @pytest.mark.parametrize("flags, field", [
     (["--loss", "1.0"], "message_loss"),
     (["--loss", "-0.1"], "message_loss"),

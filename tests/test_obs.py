@@ -18,7 +18,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.core.load import evaluate_instance
@@ -26,6 +26,7 @@ from repro.obs.manifest import RunManifest, config_fingerprint, manifest_for
 from repro.obs.metrics import (
     _BUCKETS_PER_OCTAVE,
     NULL_REGISTRY,
+    Histogram,
     MetricsRegistry,
     _bucket_midpoint,
     _bucket_of,
@@ -127,6 +128,52 @@ def test_bucket_midpoint_relative_error(value):
     assert mid / value >= (1 / bound) * (1 - 1e-12)
     # Sign symmetry: negatives land in the mirrored bucket.
     assert _bucket_of(-value) == -_bucket_of(value)
+
+
+def _histogram_state(h):
+    # Bucket order is part of the state: snapshots list buckets in it.
+    return (h.count, float.hex(h.total), h.bucket_counts(), list(h.bucket_counts()))
+
+
+def _same_float(a, b):
+    return a == b and math.copysign(1.0, a) == math.copysign(1.0, b)
+
+
+_observed = st.one_of(
+    st.floats(allow_nan=True, allow_infinity=True),
+    st.sampled_from([0.0, -0.0, math.inf, -math.inf, math.nan, 1.0, -1.0]),
+    st.integers(-50, 50).map(float),
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(_observed, max_size=3), st.lists(_observed, max_size=40))
+@example([], [1e16] + [1.0] * 16)  # a pairwise sum would differ
+@example([], [0.0, -0.0, math.nan])  # the first zero is min and max
+@example([-0.0], [0.0, 2.0, math.nan, -math.inf, math.inf])
+def test_observe_many_equals_observe_loop(before, values):
+    loop, batch = Histogram("loop"), Histogram("batch")
+    for v in before:
+        loop.observe(v)
+        batch.observe(v)
+    for v in values:
+        loop.observe(v)
+    batch.observe_many(np.asarray(values, dtype=float))
+    assert _histogram_state(batch) == _histogram_state(loop)
+    assert _same_float(batch.min, loop.min)
+    assert _same_float(batch.max, loop.max)
+
+
+def test_observe_many_empty_and_null_are_noops():
+    h = Histogram("h")
+    h.observe(2.0)
+    state = (_histogram_state(h), h.min, h.max)
+    h.observe_many(np.array([]))
+    assert (_histogram_state(h), h.min, h.max) == state
+    null = NULL_REGISTRY.histogram("h")
+    count = null.count
+    null.observe_many(np.arange(5.0))
+    assert null.count == count
 
 
 def test_bucket_of_zero_and_nonfinite():

@@ -4,6 +4,7 @@ import math
 
 import numpy as np
 import pytest
+from scipy import stats
 
 from repro.stats.confidence import ConfidenceInterval, mean_confidence_interval
 from repro.stats.histogram import GroupedStats, group_by
@@ -100,6 +101,16 @@ class TestConfidenceInterval:
         assert ci.mean == pytest.approx(2.0)
         sem = np.std([1, 2, 2, 3], ddof=1) / 2.0
         assert ci.half_width == pytest.approx(3.182446 * sem, rel=1e-4)
+
+    @pytest.mark.parametrize("level", [0.5, 0.8, 0.9, 0.95, 0.975, 0.99, 0.999])
+    def test_half_width_is_t_ppf_times_sem_exactly(self, level):
+        rng = np.random.default_rng(7)
+        for n in (2, 3, 5, 10, 30, 101, 400):
+            values = rng.normal(10.0, 3.0, n)
+            sem = float(values.std(ddof=1) / math.sqrt(n))
+            t_crit = float(stats.t.ppf(0.5 + level / 2.0, df=n - 1))
+            ci = mean_confidence_interval(values, level=level)
+            assert ci.half_width == t_crit * sem
 
     def test_contains_and_overlaps(self):
         ci = ConfidenceInterval(mean=10.0, half_width=2.0)
