@@ -552,18 +552,22 @@ def cmd_chaos(args: argparse.Namespace) -> int:
     from .reporting import render_chaos_report
     from .sim.chaos import ChaosSpec, run_chaos
 
-    spec = ChaosSpec(
-        cases=args.cases,
-        base_seed=args.seed,
-        graph_size=args.graph_size,
-        cluster_size=args.cluster_size,
-        redundancy=not args.no_redundancy,
-        duration=args.duration,
-        recovery=not args.no_recovery,
-        replay=not args.no_replay,
-        detector=args.detector,
-        engine=args.engine,
-    )
+    try:
+        spec = ChaosSpec(
+            cases=args.cases,
+            base_seed=args.seed,
+            graph_size=args.graph_size,
+            cluster_size=args.cluster_size,
+            redundancy=not args.no_redundancy,
+            duration=args.duration,
+            recovery=not args.no_recovery,
+            replay=not args.no_replay,
+            detector=args.detector,
+            engine=args.engine,
+        )
+    except ValueError as exc:
+        print(f"repro: error: {exc}", file=sys.stderr)
+        return 2
     result = run_chaos(spec, jobs=args.jobs,
                        journal=args.journal, progress=args.progress,
                        executor=args.executor, jobdir=args.jobdir)

@@ -223,6 +223,8 @@ class ChaosSpec:
                 f"executor must be one of {EXECUTOR_NAMES} or None, "
                 f"got {self.executor!r}"
             )
+        # Bad graph_size / cluster_size fail here, named by Configuration.
+        self.configuration()
 
     @property
     def seeds(self) -> tuple[int, ...]:
@@ -525,12 +527,7 @@ def run_chaos(
         executor if executor is not None else spec.executor,
         jobs=jobs, jobdir=jobdir, retries=retries, task_timeout=task_timeout,
     )
-    try:
-        config_hash = config_fingerprint(spec.configuration())
-    except ValueError:
-        # An invalid spec must still blow up inside the case worker,
-        # where ChaosCaseError attaches the reproduction recipe.
-        config_hash = None
+    config_hash = config_fingerprint(spec.configuration())
     campaign = start_campaign(
         journal, progress,
         name="chaos", total=spec.cases, jobs=backend.jobs,

@@ -242,16 +242,10 @@ class GossipDetector:
         self._monitors = self._build_monitors()
         # Static (monitor, target-cluster, target-partner) triples for
         # the vectorized heartbeat sweep.
-        mu, mc, mp = [], [], []
-        for c in range(n):
-            for u in self._monitors[c]:
-                for p in range(k):
-                    mu.append(int(u))
-                    mc.append(c)
-                    mp.append(p)
-        self._pair_u = np.asarray(mu, dtype=np.int64)
-        self._pair_c = np.asarray(mc, dtype=np.int64)
-        self._pair_p = np.asarray(mp, dtype=np.int64)
+        watching = np.array([m.size for m in self._monitors], dtype=np.int64)
+        self._pair_u = np.repeat(np.concatenate(self._monitors), k)
+        self._pair_c = np.repeat(np.arange(n, dtype=np.int64), watching * k)
+        self._pair_p = np.tile(np.arange(k, dtype=np.int64), int(watching.sum()))
 
     # --- wiring ---------------------------------------------------------------
 
@@ -306,9 +300,12 @@ class GossipDetector:
         merged = max(int(self.view[row, slot]), int(packed))
         if merged != self.view[row, slot]:
             self.view[row, slot] = merged
-            self._active[row] = int(np.count_nonzero(
-                self.view[row] & _STATE_MASK
-            ))
+            self._recount(row)
+
+    def _recount(self, rows) -> None:
+        """Refresh the non-ALIVE entry counts of view ``rows``."""
+        self._active[rows] = np.count_nonzero(
+            self.view[rows] & _STATE_MASK, axis=-1)
 
     # --- suspicion lifecycle --------------------------------------------------
 
@@ -529,21 +526,12 @@ class GossipDetector:
         probe = constants.GOSSIP_PROBE_BYTES / self.k
         send_u = costs.SEND_UPDATE_UNITS / self.k
         recv_u = costs.RECV_UPDATE_UNITS / self.k
-        if self.st is not None:
-            np.add.at(self.st.sp_out, u[sending], probe)
-            np.add.at(self.st.sp_proc, u[sending], send_u)
-            np.add.at(self.st.sp_in, c[answering], probe)
-            np.add.at(self.st.sp_proc, c[answering], recv_u + send_u)
-            np.add.at(self.st.sp_out, c[answering], probe)
-            np.add.at(self.st.sp_in, u[answering], probe)
-            np.add.at(self.st.sp_proc, u[answering], recv_u)
-        np.add.at(self._gos_out, u[sending], probe)
-        np.add.at(self._gos_units, u[sending], send_u)
-        np.add.at(self._gos_in, c[answering], probe)
-        np.add.at(self._gos_units, c[answering], recv_u + send_u)
-        np.add.at(self._gos_out, c[answering], probe)
-        np.add.at(self._gos_in, u[answering], probe)
-        np.add.at(self._gos_units, u[answering], recv_u)
+        pings, acks, heard = u[sending], c[answering], u[answering]
+        self._scatter(np.concatenate((pings, acks)),
+                      np.concatenate((acks, heard)), probe,
+                      np.concatenate((pings, acks, heard)),
+                      np.repeat([send_u, recv_u + send_u, recv_u],
+                                [pings.size, acks.size, heard.size]))
         self.messages += int(np.count_nonzero(sending)) \
             + int(np.count_nonzero(answering))
 
@@ -652,11 +640,10 @@ class GossipDetector:
     def _exchange(self, u: int, v: int) -> None:
         """One push-pull digest exchange: both views converge, both pay."""
         for a, b in ((u, v), (v, u)):
-            size = (constants.GOSSIP_DIGEST_BASE
-                    + constants.GOSSIP_RUMOR_SIZE * int(self._active[a]))
-            self._charge(a, out_bytes=size / self.k,
+            size = self._digest_bytes(a)
+            self._charge(a, out_bytes=size,
                          units=costs.SEND_UPDATE_UNITS / self.k, messages=1)
-            self._charge(b, in_bytes=size / self.k,
+            self._charge(b, in_bytes=size,
                          units=(costs.RECV_UPDATE_UNITS
                                 + costs.PROCESS_UPDATE_UNITS) / self.k)
             self.rumors_sent += 1
@@ -665,9 +652,7 @@ class GossipDetector:
             merged = np.maximum(self.view[u], self.view[v])
             self.view[u] = merged
             self.view[v] = merged
-            active = int(np.count_nonzero(merged & _STATE_MASK))
-            self._active[u] = active
-            self._active[v] = active
+            self._recount([u, v])
 
     # --- piggyback on overlay traffic -----------------------------------------
 
@@ -688,42 +673,44 @@ class GossipDetector:
         nodes = nodes[nodes != prop.source]
         if nodes.size == 0:
             return
-        preds = prop.pred[nodes]
-        depths = prop.depth[nodes]
+        preds, depths, view = prop.pred[nodes], prop.depth[nodes], self.view
+        # Down pass, shallow levels first.  A level's receivers are
+        # distinct nodes, so a gather/max/assign merges it.
         for d in np.unique(depths):
             at = depths == d
-            self._merge_rows(preds[at], nodes[at])
+            view[nodes[at]] = np.maximum(view[nodes[at]], view[preds[at]])
+        # A node's view changes at most once per pass and before it
+        # sends, so one recount per pass sizes every digest of the pass.
+        self._recount(nodes)
+        down = self._digest_bytes(preds)
+        # Up pass, deep levels first.  Siblings share a parent row, so
+        # each level scatters with one flat maximum.at over row-major keys
+        # (``view`` is C-contiguous, so ``reshape(-1)`` writes through).
         passing = edge_pass[nodes]
-        for d in np.unique(depths[passing])[::-1]:
-            at = passing & (depths == d)
-            self._merge_rows(nodes[at], preds[at])
-
-    def _merge_rows(self, senders: np.ndarray, receivers: np.ndarray) -> None:
-        """Vectorized digest transfer: charge per edge, merge per row."""
-        if senders.size == 0:
-            return
-        sizes = (constants.GOSSIP_DIGEST_BASE
-                 + constants.GOSSIP_RUMOR_SIZE * self._active[senders]) / self.k
+        kids, parents, kid_depths = nodes[passing], preds[passing], depths[passing]
+        width = view.shape[1]
+        for d in np.unique(kid_depths)[::-1]:
+            at = kid_depths == d
+            keys = parents[at, np.newaxis] * width + np.arange(width)
+            np.maximum.at(view.reshape(-1), keys.ravel(), view[kids[at]].ravel())
+        self._recount(parents)
+        sizes = np.concatenate((down, self._digest_bytes(kids)))
+        # Per node, charges keep the per-level order: in down, out down,
+        # in up, out up.
         send_u = costs.SEND_UPDATE_UNITS / self.k
         recv_u = (costs.RECV_UPDATE_UNITS + costs.PROCESS_UPDATE_UNITS) / self.k
-        if self.st is not None:
-            np.add.at(self.st.sp_out, senders, sizes)
-            np.add.at(self.st.sp_proc, senders, send_u)
-            np.add.at(self.st.sp_in, receivers, sizes)
-            np.add.at(self.st.sp_proc, receivers, recv_u)
-        np.add.at(self._gos_out, senders, sizes)
-        np.add.at(self._gos_units, senders, send_u)
-        np.add.at(self._gos_in, receivers, sizes)
-        np.add.at(self._gos_units, receivers, recv_u)
-        # ufunc.at handles duplicate receiver rows (several children
-        # sharing one response-path parent) without buffering races.
-        np.maximum.at(self.view, receivers, self.view[senders])
-        uniq = np.unique(receivers)
-        self._active[uniq] = np.count_nonzero(
-            self.view[uniq] & _STATE_MASK, axis=1
-        )
-        self.rumors_sent += int(senders.size)
-        self._m_rumors.add(float(senders.size))
+        self._scatter(np.concatenate((preds, kids)),
+                      np.concatenate((nodes, parents)), sizes,
+                      np.concatenate((nodes, preds, parents, kids)),
+                      np.repeat([recv_u, send_u, recv_u, send_u],
+                                [nodes.size, nodes.size, kids.size, kids.size]))
+        self.rumors_sent += int(sizes.size)
+        self._m_rumors.add(float(sizes.size))
+
+    def _digest_bytes(self, senders: np.ndarray) -> np.ndarray:
+        """Per-partner bytes of each sender's digest of its current view."""
+        return (constants.GOSSIP_DIGEST_BASE
+                + constants.GOSSIP_RUMOR_SIZE * self._active[senders]) / self.k
 
     # --- helpers --------------------------------------------------------------
 
@@ -734,6 +721,17 @@ class GossipDetector:
             if start <= now < end and island[a] != island[b]:
                 return False
         return True
+
+    def _scatter(self, senders, receivers, nbytes, proc_at, units) -> None:
+        """Batched :meth:`_charge`, one ``np.add.at`` per meter; it adds in
+        index order, so each float matches one-at-a-time charging."""
+        meters = [(self._gos_out, self._gos_in, self._gos_units)]
+        if self.st is not None:
+            meters.append((self.st.sp_out, self.st.sp_in, self.st.sp_proc))
+        for out, into, proc in meters:
+            np.add.at(out, senders, nbytes)
+            np.add.at(into, receivers, nbytes)
+            np.add.at(proc, proc_at, units)
 
     def _charge(self, cluster: int, in_bytes: float = 0.0,
                 out_bytes: float = 0.0, units: float = 0.0,

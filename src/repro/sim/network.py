@@ -69,6 +69,7 @@ _QUERY_BYTES = constants.QUERY_MESSAGE_BASE + constants.QUERY_STRING_LENGTH
 _SEND_Q = costs.SEND_QUERY_BASE + costs.SEND_QUERY_PER_BYTE * constants.QUERY_STRING_LENGTH
 _RECV_Q = costs.RECV_QUERY_BASE + costs.RECV_QUERY_PER_BYTE * constants.QUERY_STRING_LENGTH
 _MUX = costs.MULTIPLEX_PER_CONNECTION
+_FLOOD_MEMO_CELLS = 1 << 21  # node entries of memoised floods per run (~64 MB)
 
 
 @dataclass(frozen=True)
@@ -150,6 +151,7 @@ class _State:
         # graph except while partition healing (sim.recovery) has
         # redundant links patched in — the one mutable-topology case.
         self.graph = instance.graph
+        self.floods = {}  # fault-free floods by source (static graph)
         self.m_sp = instance.superpeer_connections.astype(float)
         self.m_cl = float(instance.client_connections)
         self.round_robin = np.zeros(self.n, dtype=np.int64)
@@ -240,7 +242,11 @@ def _run_query(state: _State, source_cluster: int, client_index: int | None,
         st.sp_in[s] += _QUERY_BYTES / st.k
         st.sp_proc[s] += (_RECV_Q + _MUX * st.m_sp[s]) / st.k
 
-    prop = propagate_query(st.instance.graph, s, ttl)
+    prop = st.floods.get(s)
+    if prop is None:
+        prop = propagate_query(st.instance.graph, s, ttl)
+        if len(st.floods) * st.n < _FLOOD_MEMO_CELLS:
+            st.floods[s] = prop
     reached = prop.reached
     st.total_reach += prop.reach
 

@@ -18,7 +18,6 @@ run *is* the baseline run (bit-identical loads), which
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass, field, replace
 from pathlib import Path
 from time import perf_counter
@@ -575,12 +574,8 @@ def run_resilience(
     resilience run is watchable with ``repro watch`` and a killed run
     leaves a readable record.  Observation-only, as everywhere else.
 
-    Passing a :class:`~repro.config.Configuration` as the first argument
-    is deprecated: the instance is built from ``rng`` as the seed
-    (matching the historical CLI path bit-for-bit), but new code should
-    declare a :class:`ResilienceSpec` and call
-    :func:`run_resilience_spec`, which adds replicate fan-out, executor
-    selection, and JSON round-tripping.
+    To start from a :class:`~repro.config.Configuration`, declare a
+    :class:`ResilienceSpec` and call :func:`run_resilience_spec`.
     """
     if isinstance(rng, np.random.Generator):
         raise TypeError(
@@ -588,12 +583,11 @@ def run_resilience(
             "the baseline and degraded runs must replay the same stream"
         )
     if isinstance(instance, Configuration):
-        warnings.warn(
-            "run_resilience(config, ...) is deprecated; declare a "
-            "ResilienceSpec and call run_resilience_spec instead",
-            DeprecationWarning, stacklevel=2,
+        raise TypeError(
+            "run_resilience takes a built NetworkInstance; for a "
+            "Configuration declare a ResilienceSpec and call "
+            "run_resilience_spec"
         )
-        instance = build_instance(instance, seed=rng)
     if detector is not None:
         if detector not in ("oracle", "gossip"):
             raise ValueError(

@@ -12,14 +12,21 @@ kept here so the tests can pin the kernel bit for bit:
   drawing one uniform per non-back edge in the same order, so the RNG
   stream it leaves behind is part of the contract;
 * :func:`scalar_fold` — the level-by-level reverse-path fold with
-  separate ``sent`` / ``received`` accumulators and per-hop severing.
+  separate ``sent`` / ``received`` accumulators and per-hop severing;
+* :func:`level_gossip_flood` — the gossip piggyback one tree level at a
+  time, charging and merging per level with 2-D ``ufunc.at`` scatters,
+  against which :meth:`repro.sim.gossip.GossipDetector.on_flood` (two
+  passes per flood) is pinned.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
+from repro import constants
+from repro.core import costs
 from repro.core.routing import QueryPropagation
+from repro.sim.gossip import _STATE_MASK
 from repro.topology.strong import CompleteGraph
 
 
@@ -142,3 +149,47 @@ def scalar_fold(prop: QueryPropagation, weights, edge_pass=None):
         np.add.at(received, preds, sent[passing])
         np.add.at(sent, preds, sent[passing])
     return sent, received
+
+
+def level_gossip_flood(detector, prop: QueryPropagation, edge_pass) -> None:
+    """Digests down ``prop``'s flood tree and up its surviving response
+    edges, one level at a time, on ``detector`` in place."""
+    if detector._quiet:
+        return
+    nodes = np.nonzero(prop.reached)[0]
+    nodes = nodes[nodes != prop.source]
+    if nodes.size == 0:
+        return
+    preds = prop.pred[nodes]
+    depths = prop.depth[nodes]
+    for d in np.unique(depths):
+        at = depths == d
+        _merge_rows(detector, preds[at], nodes[at])
+    passing = edge_pass[nodes]
+    for d in np.unique(depths[passing])[::-1]:
+        at = passing & (depths == d)
+        _merge_rows(detector, nodes[at], preds[at])
+
+
+def _merge_rows(det, senders, receivers) -> None:
+    """One level's digest transfers: charge per edge, merge per row."""
+    if senders.size == 0:
+        return
+    sizes = (constants.GOSSIP_DIGEST_BASE
+             + constants.GOSSIP_RUMOR_SIZE * det._active[senders]) / det.k
+    send_u = costs.SEND_UPDATE_UNITS / det.k
+    recv_u = (costs.RECV_UPDATE_UNITS + costs.PROCESS_UPDATE_UNITS) / det.k
+    if det.st is not None:
+        np.add.at(det.st.sp_out, senders, sizes)
+        np.add.at(det.st.sp_proc, senders, send_u)
+        np.add.at(det.st.sp_in, receivers, sizes)
+        np.add.at(det.st.sp_proc, receivers, recv_u)
+    np.add.at(det._gos_out, senders, sizes)
+    np.add.at(det._gos_units, senders, send_u)
+    np.add.at(det._gos_in, receivers, sizes)
+    np.add.at(det._gos_units, receivers, recv_u)
+    np.maximum.at(det.view, receivers, det.view[senders])
+    uniq = np.unique(receivers)
+    det._active[uniq] = np.count_nonzero(det.view[uniq] & _STATE_MASK, axis=1)
+    det.rumors_sent += int(senders.size)
+    det._m_rumors.add(float(senders.size))

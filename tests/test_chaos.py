@@ -63,6 +63,10 @@ class TestSpec:
             ChaosSpec(duration=0.0)
         with pytest.raises(ValueError):
             ChaosSpec(executor="mainframe")
+        with pytest.raises(ValueError, match="cluster_size"):
+            ChaosSpec(graph_size=5, cluster_size=10)
+        with pytest.raises(ValueError, match="graph_size"):
+            ChaosSpec(graph_size=-5)
         # cases=0 is a legal empty campaign, not an error.
         assert ChaosSpec(cases=0).seeds == ()
 

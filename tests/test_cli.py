@@ -303,6 +303,29 @@ def test_nonpositive_trials_and_duration_are_one_line_usage_errors(capsys, argv,
 
 
 @pytest.mark.parametrize("flags, field", [
+    (["--graph-size", "-5"], "graph_size"),
+    (["--graph-size", "0"], "graph_size"),
+    (["--cluster-size", "0"], "cluster_size"),
+    (["--graph-size", "5", "--cluster-size", "10"], "cluster_size"),
+    (["--cases", "-1"], "cases"),
+])
+def test_invalid_chaos_specs_are_one_line_usage_errors(capsys, flags, field):
+    code = main(["chaos", *flags])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    lines = captured.err.strip().splitlines()
+    assert len(lines) == 1
+    assert lines[0].startswith("repro: error:") and field in lines[0]
+
+
+def test_empty_chaos_campaign_is_legal(capsys):
+    code, out = run_cli(capsys, "chaos", "--cases", "0", "--graph-size", "100")
+    assert code == 0
+    assert out
+
+
+@pytest.mark.parametrize("flags, field", [
     (["--loss", "1.0"], "message_loss"),
     (["--loss", "-0.1"], "message_loss"),
     (["--slow-fraction", "1.5"], "fraction"),

@@ -515,15 +515,12 @@ class TestResilienceSpec:
                                 rng=spec.seed)
         assert result.report.to_dict() == legacy.to_dict()
 
-    def test_config_positional_shim_warns(self):
+    def test_config_positional_is_a_type_error(self):
         spec = small_resilience(replicates=1, duration=60.0)
-        with pytest.warns(DeprecationWarning, match="ResilienceSpec"):
-            report = run_resilience(spec.config, spec.plan,
-                                    duration=60.0, rng=spec.seed)
-        instance = build_instance(spec.config, seed=spec.seed)
-        direct = run_resilience(instance, spec.plan, duration=60.0,
-                                rng=spec.seed)
-        assert report.to_dict() == direct.to_dict()
+        with pytest.raises(TypeError,
+                           match="ResilienceSpec.*run_resilience_spec"):
+            run_resilience(spec.config, spec.plan, duration=60.0,
+                           rng=spec.seed)
 
 
 class TestEmptyCampaigns:

@@ -410,16 +410,21 @@ class TestGossipAttribution:
 
 
 class TestChaosIntegration:
-    def test_worker_error_surfaces_seed_and_spec(self):
-        # cluster_size > graph_size blows up inside the worker; the
-        # pool must surface the reproduction recipe, not a bare trace.
-        spec = ChaosSpec(cases=1, base_seed=77, graph_size=5,
+    def test_worker_error_surfaces_seed_and_spec(self, monkeypatch):
+        # A case that blows up inside the worker must surface the
+        # reproduction recipe, not a bare trace.
+        def broken_build(config, seed):
+            raise RuntimeError("instance build failed")
+
+        monkeypatch.setattr("repro.sim.chaos.build_instance", broken_build)
+        spec = ChaosSpec(cases=1, base_seed=77, graph_size=50,
                          cluster_size=10, duration=50.0)
         with pytest.raises(ChaosCaseError) as err:
-            run_chaos(spec)
+            run_chaos(spec, executor="serial")
         message = str(err.value)
         assert "seed=77" in message
-        assert "'graph_size': 5" in message
+        assert "instance build failed" in message
+        assert "'graph_size': 50" in message
         assert "'cluster_size': 10" in message
 
     def test_gossip_chaos_smoke(self):

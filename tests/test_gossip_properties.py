@@ -4,27 +4,39 @@ of the ``detector`` switch.
 The membership view merge must be a join-semilattice operation — that is
 the whole correctness argument for "rumors may arrive in any order, any
 number of times, over any path, and every view still converges".
-Hypothesis drives the packed-entry arrays directly.
+Hypothesis drives the packed-entry arrays directly.  It also pins the
+two-pass flood piggyback (``GossipDetector.on_flood``) bit for bit to
+the level-by-level reference in ``tests/_oracle.py``.
 """
+
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from _oracle import level_gossip_flood
 from repro.config import Configuration
+from repro.core.routing import propagate_query
+from repro.obs.metrics import MetricsRegistry, use_registry
+from repro.obs.trace import NULL_TRACER
 from repro.sim.faults import CrashSpec, FaultPlan
 from repro.sim.gossip import (
+    _STATE_MASK,
     ALIVE,
     DEAD,
     SUSPECT,
+    GossipDetector,
     entry_inc,
     entry_state,
     merge_views,
     pack_entry,
 )
+from repro.sim.monitor import DetectorSpec
 from repro.sim.resilience import run_resilience
 from repro.topology.builder import build_instance
+from repro.topology.graph import OverlayGraph
 
 entries = st.builds(
     pack_entry,
@@ -123,3 +135,76 @@ class TestDetectorNeutrality:
             assert (getattr(base.outcome, name)
                     == getattr(switched.outcome, name))
         assert switched.outcome.gossip_rumors_sent == 0
+
+
+@st.composite
+def _flood_cases(draw):
+    """An overlay (random, or a star whose hub parents every leaf), a
+    flood over it, a response-edge mask, and a detector's starting state."""
+    n = draw(st.integers(min_value=1, max_value=18))
+    if draw(st.booleans()):
+        edges = [(0, i) for i in range(1, n)]
+    else:
+        possible = [(i, j) for i in range(n) for j in range(i + 1, n)]
+        edges = draw(st.lists(st.sampled_from(possible), unique=True,
+                              max_size=min(len(possible), 40))) if possible else []
+    graph = OverlayGraph.from_edges(n, edges)
+    prop = propagate_query(graph, draw(st.integers(0, n - 1)),
+                           draw(st.integers(1, 4)))
+    edge_pass = draw(st.one_of(
+        st.just(np.ones(n, dtype=bool)), st.just(np.zeros(n, dtype=bool)),
+        st.lists(st.booleans(), min_size=n, max_size=n).map(np.array),
+    ))
+    k = draw(st.sampled_from((1, 2)))
+    seed = draw(st.integers(0, 2**32 - 1))
+    return SimpleNamespace(graph=graph, prop=prop, edge_pass=edge_pass, k=k,
+                           seed=seed, quiet=draw(st.booleans()),
+                           charged=draw(st.booleans()))
+
+
+def _detector(case):
+    """A detector on ``case.graph`` with seeded views and meters, under
+    its own registry (so its rumor counter is private)."""
+    n, k = case.graph.num_nodes, case.k
+    rng = np.random.default_rng(case.seed)
+    runtime = SimpleNamespace(n=n, k=k, tracer=NULL_TRACER,
+                              instance=SimpleNamespace(graph=case.graph))
+    state = None
+    if case.charged:
+        state = SimpleNamespace(sp_in=rng.random(n), sp_out=rng.random(n),
+                                sp_proc=rng.random(n))
+    registry = MetricsRegistry()
+    with use_registry(registry):
+        det = GossipDetector(DetectorSpec(mode="gossip"), state, runtime,
+                             None, None)
+    det._quiet = case.quiet
+    # Sparse views: most entries ALIVE at incarnation 0, so digest sizes
+    # differ from node to node and merges change some rows, not all.
+    packed = pack_entry(rng.integers(0, 4, size=(n, n * k)),
+                        rng.integers(0, 3, size=(n, n * k)))
+    det.view = np.where(rng.random((n, n * k)) < 0.3, packed, 0)
+    det._active = np.count_nonzero(det.view & _STATE_MASK, axis=1)
+    for name in ("_gos_in", "_gos_out", "_gos_units"):
+        setattr(det, name, rng.random(n))
+    return det, registry
+
+
+class TestTwoPassPiggyback:
+    """``on_flood`` against the per-level reference, bit for bit."""
+
+    @given(_flood_cases())
+    @settings(max_examples=300, deadline=None)
+    def test_matches_level_by_level_reference(self, case):
+        fast, fast_registry = _detector(case)
+        ref, ref_registry = _detector(case)
+        fast.on_flood(case.prop, case.edge_pass)
+        level_gossip_flood(ref, case.prop, case.edge_pass)
+        for name in ("view", "_active", "_gos_in", "_gos_out", "_gos_units"):
+            assert getattr(fast, name).tobytes() == getattr(ref, name).tobytes(), name
+        if case.charged:
+            for name in ("sp_in", "sp_out", "sp_proc"):
+                assert (getattr(fast.st, name).tobytes()
+                        == getattr(ref.st, name).tobytes()), name
+        assert fast.rumors_sent == ref.rumors_sent
+        assert (fast_registry.counter("sim.gossip_rumors").value
+                == ref_registry.counter("sim.gossip_rumors").value)

@@ -3,8 +3,12 @@
 import numpy as np
 import pytest
 
+from repro.config import Configuration, GraphType
+from repro.core.routing import propagate_query
+from repro.sim import network
 from repro.sim.engine import Simulator
 from repro.sim.workload import PoissonProcess, exponential_interarrivals
+from repro.topology.builder import build_instance
 
 
 class TestSimulator:
@@ -217,3 +221,43 @@ class TestPoisson:
         process.start()
         with pytest.raises(RuntimeError):
             process.start()
+
+
+class TestFaultFreeFloodMemo:
+    """The event engine floods each fault-free source once per run, and
+    reusing those floods changes nothing."""
+
+    LOADS = ("superpeer_incoming_bps", "superpeer_outgoing_bps",
+             "superpeer_processing_hz", "client_incoming_bps",
+             "client_outgoing_bps", "client_processing_hz")
+
+    def _run(self, monkeypatch, instance, memo_cells):
+        sources = []
+
+        def counting(graph, source, ttl):
+            sources.append(source)
+            return propagate_query(graph, source, ttl)
+
+        monkeypatch.setattr(network, "propagate_query", counting)
+        monkeypatch.setattr(network, "_FLOOD_MEMO_CELLS", memo_cells)
+        report = network.simulate_instance(instance, duration=150.0, rng=3)
+        return report, sources
+
+    @pytest.mark.parametrize("config", [
+        Configuration(graph_size=200, cluster_size=10),
+        Configuration(graph_type=GraphType.STRONG, graph_size=200,
+                      cluster_size=10, ttl=1),
+        Configuration(graph_size=30, cluster_size=30),
+    ], ids=["power-law", "complete", "one-cluster"])
+    def test_memo_is_bit_identical(self, monkeypatch, config):
+        instance = build_instance(config, seed=2)
+        memo, memo_sources = self._run(monkeypatch, instance,
+                                       network._FLOOD_MEMO_CELLS)
+        plain, plain_sources = self._run(monkeypatch, instance, 0)
+        assert memo.to_dict() == plain.to_dict()
+        for name in self.LOADS:
+            assert (getattr(memo, name).tobytes()
+                    == getattr(plain, name).tobytes()), name
+        assert len(plain_sources) == plain.num_queries
+        assert sorted(memo_sources) == sorted(set(plain_sources))
+        assert len(memo_sources) < len(plain_sources)
