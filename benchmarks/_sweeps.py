@@ -122,16 +122,10 @@ def four_system_sweep(
 MANIFEST_DIR = Path(__file__).parent / "results"
 
 
-def write_manifest(manifest: RunManifest, directory: Path | None = None) -> Path:
-    """Seal a benchmark manifest and persist it as JSON.
-
-    Every sweep/bench writes ``results/<name>.manifest.json`` — config
-    hash, git rev, seed, per-phase wall-clock, peak RSS, metrics — so the
-    repo accumulates a perf trajectory run over run.
-    """
-    directory = MANIFEST_DIR if directory is None else Path(directory)
-    directory.mkdir(exist_ok=True)
+def write_manifest(manifest: RunManifest) -> None:
+    """Seal a sweep manifest and persist it as
+    ``results/<name>.manifest.json``: config hash, git rev, seed,
+    per-phase wall-clock, peak RSS, metrics."""
+    MANIFEST_DIR.mkdir(exist_ok=True)
     manifest.finish()
-    path = directory / f"{manifest.name}.manifest.json"
-    manifest.to_json(path)
-    return path
+    manifest.to_json(MANIFEST_DIR / f"{manifest.name}.manifest.json")

@@ -11,11 +11,11 @@ because redundancy doubles join cost while halving query load.
 from repro.reporting import render_series
 
 from _sweeps import FULL_GRID, LOW_QUERY_RATE, four_system_sweep
-from conftest import run_once, scaled
+from conftest import run_once
 
 
 def test_a13_aggregate_low_query_rate(benchmark, emit):
-    graph_size = scaled(10_000)
+    graph_size = 10_000
     grid = [s for s in FULL_GRID if s <= graph_size]
 
     low = run_once(benchmark, lambda: four_system_sweep(

@@ -11,13 +11,13 @@ from repro.config import Configuration
 from repro.core.analysis import evaluate_configuration
 from repro.reporting import render_series
 
-from conftest import run_once, scaled
+from conftest import run_once
 
 CLUSTER_SIZES = [20, 40, 60, 80, 100]
 
 
 def test_a15_outdegree_caveat(benchmark, emit):
-    graph_size = scaled(10_000)
+    graph_size = 10_000
 
     def experiment():
         curves = {}

@@ -17,11 +17,11 @@ from repro.core.redundancy import (
 )
 from repro.reporting import render_table
 
-from conftest import run_once, scaled
+from conftest import run_once
 
 
 def test_ablation_k_redundancy(benchmark, emit):
-    graph_size = scaled(10_000)
+    graph_size = 10_000
     ks = [1, 2, 3, 4]
 
     def experiment():

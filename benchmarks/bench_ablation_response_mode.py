@@ -14,11 +14,11 @@ from repro.core.load import evaluate_instance
 from repro.reporting import render_table
 from repro.topology.builder import build_instance
 
-from conftest import run_once, scaled
+from conftest import run_once
 
 
 def test_ablation_response_mode(benchmark, emit):
-    graph_size = scaled(10_000)
+    graph_size = 10_000
     config = Configuration(
         graph_size=graph_size, cluster_size=10, avg_outdegree=4.0, ttl=5
     )

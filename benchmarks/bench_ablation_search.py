@@ -19,13 +19,13 @@ from repro.search import (
 )
 from repro.topology.builder import build_instance
 
-from conftest import run_once, scaled
+from conftest import run_once
 
 RESULT_TARGET = 50.0
 
 
 def test_ablation_search_protocols(benchmark, emit):
-    graph_size = scaled(10_000)
+    graph_size = 10_000
     config = Configuration(graph_size=graph_size, cluster_size=10,
                            avg_outdegree=4.0, ttl=7)
     instance = build_instance(config, seed=1)

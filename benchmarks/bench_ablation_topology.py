@@ -27,7 +27,7 @@ from repro.topology.generators import (
 )
 from repro.topology.plod import plod_graph
 
-from conftest import run_once, scaled
+from conftest import run_once
 
 GENERATORS = {
     "plod": plod_graph,
@@ -38,7 +38,7 @@ GENERATORS = {
 
 
 def test_ablation_topology_robustness(benchmark, emit):
-    graph_size = scaled(10_000)
+    graph_size = 10_000
     config = Configuration(graph_size=graph_size, cluster_size=20, ttl=7)
     n = config.num_clusters
 

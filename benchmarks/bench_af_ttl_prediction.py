@@ -15,11 +15,11 @@ from repro.core.epl import choose_ttl, epl_approximation, measure_epl, measure_r
 from repro.reporting import render_table
 from repro.topology.plod import plod_graph
 
-from conftest import run_once, scaled
+from conftest import run_once
 
 
 def test_af_ttl_prediction(benchmark, emit):
-    num_superpeers = scaled(1000)
+    num_superpeers = 1000
     reach_targets = [r for r in (100, 200, 500) if r < num_superpeers]
 
     def experiment():

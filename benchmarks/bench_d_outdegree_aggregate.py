@@ -9,11 +9,11 @@ from repro.config import Configuration
 from repro.core.rules import uniform_outdegree_gain
 from repro.reporting import render_table
 
-from conftest import run_once, scaled
+from conftest import run_once
 
 
 def test_appendix_d_outdegree_aggregate(benchmark, emit):
-    graph_size = scaled(10_000)
+    graph_size = 10_000
     base = Configuration(graph_size=graph_size, cluster_size=100, ttl=7)
 
     tradeoff = run_once(benchmark, lambda: uniform_outdegree_gain(

@@ -12,11 +12,11 @@ from repro.reporting import render_table
 from repro.sim.latency import measure_response_times
 from repro.topology.builder import build_instance
 
-from conftest import run_once, scaled
+from conftest import run_once
 
 
 def test_ext_response_times(benchmark, emit):
-    graph_size = scaled(20_000 // 5)
+    graph_size = 20_000 // 5
     today_cfg = Configuration(
         graph_size=graph_size, cluster_size=1, avg_outdegree=3.1, ttl=7
     )

@@ -16,11 +16,11 @@ from repro.core.sensitivity import (
 )
 from repro.reporting import render_table
 
-from conftest import run_once, scaled
+from conftest import run_once
 
 
 def test_ext_sensitivity(benchmark, emit):
-    graph_size = scaled(10_000 // 5)
+    graph_size = 10_000 // 5
     config = Configuration(
         graph_size=graph_size, cluster_size=10, avg_outdegree=4.0, ttl=5
     )

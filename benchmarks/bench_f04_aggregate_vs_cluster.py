@@ -13,11 +13,11 @@ from repro.core.rules import find_knee
 from repro.reporting import render_series
 
 from _sweeps import FULL_GRID, four_system_sweep
-from conftest import run_once, scaled
+from conftest import run_once
 
 
 def test_f04_aggregate_bandwidth_vs_cluster_size(benchmark, emit):
-    graph_size = scaled(10_000)
+    graph_size = 10_000
     grid = [s for s in FULL_GRID if s <= graph_size] + (
         [graph_size] if graph_size not in FULL_GRID else []
     )

@@ -10,11 +10,11 @@ single all-encompassing cluster.
 from repro.reporting import render_series
 
 from _sweeps import FULL_GRID, four_system_sweep
-from conftest import run_once, scaled
+from conftest import run_once
 
 
 def test_f05_individual_incoming_vs_cluster_size(benchmark, emit):
-    graph_size = scaled(10_000)
+    graph_size = 10_000
     grid = [s for s in FULL_GRID if s <= graph_size] + (
         [graph_size] if graph_size not in FULL_GRID else []
     )

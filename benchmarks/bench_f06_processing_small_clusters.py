@@ -12,11 +12,11 @@ import numpy as np
 from repro.reporting import render_series
 
 from _sweeps import SMALL_GRID, four_system_sweep
-from conftest import run_once, scaled
+from conftest import run_once
 
 
 def test_f06_individual_processing_small_clusters(benchmark, emit):
-    graph_size = scaled(10_000)
+    graph_size = 10_000
     grid = [s for s in SMALL_GRID if s <= graph_size]
 
     sweep = run_once(benchmark, lambda: four_system_sweep(graph_size, grid))

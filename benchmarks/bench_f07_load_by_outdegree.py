@@ -18,7 +18,7 @@ from repro.reporting import render_table
 from repro.stats.histogram import group_by
 
 from _sweeps import sweep_jobs
-from conftest import run_once, scaled
+from conftest import run_once
 
 
 def _histograms(graph_size: int):
@@ -50,7 +50,7 @@ def _histograms(graph_size: int):
 
 
 def test_f07_outgoing_bandwidth_by_outdegree(benchmark, emit):
-    graph_size = scaled(10_000)
+    graph_size = 10_000
 
     def experiment():
         return _histograms(graph_size)

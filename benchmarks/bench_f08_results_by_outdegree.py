@@ -13,11 +13,11 @@ system's light nodes enjoy costs them user satisfaction.
 from repro.reporting import render_table
 
 from bench_f07_load_by_outdegree import get_results_histograms
-from conftest import run_once, scaled
+from conftest import run_once
 
 
 def test_f08_results_by_outdegree(benchmark, emit):
-    graph_size = scaled(10_000)
+    graph_size = 10_000
 
     low_res, high_res = run_once(
         benchmark, lambda: get_results_histograms(graph_size)

@@ -13,14 +13,14 @@ from repro.core.epl import measure_epl
 from repro.reporting import render_table
 from repro.topology.plod import plod_graph
 
-from conftest import run_once, scaled
+from conftest import run_once
 
 OUTDEGREES = [5, 10, 20, 40, 60, 80]
 REACHES = [20, 50, 100, 200, 500, 1000]
 
 
 def test_f09_epl_curves(benchmark, emit):
-    num_superpeers = scaled(1000)
+    num_superpeers = 1000
     reaches = [r for r in REACHES if r <= num_superpeers]
 
     def experiment():

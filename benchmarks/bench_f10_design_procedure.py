@@ -11,7 +11,7 @@ from repro.config import Configuration
 from repro.core.analysis import evaluate_configuration
 from repro.core.design import DesignConstraints, design_topology
 
-from conftest import run_once, scaled
+from conftest import run_once
 
 #: Shared with F11/F12: the Section 5.2 scenario pieces.
 def todays_gnutella(graph_size: int) -> Configuration:
@@ -46,7 +46,7 @@ def run_walkthrough(graph_size: int, allow_redundancy: bool = False):
 
 
 def test_f10_design_procedure(benchmark, emit):
-    graph_size = scaled(20_000)
+    graph_size = 20_000
 
     today, outcome = run_once(benchmark, lambda: run_walkthrough(graph_size))
 

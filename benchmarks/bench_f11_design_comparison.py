@@ -10,11 +10,11 @@ from repro.core.analysis import evaluate_configuration
 from repro.reporting import render_table
 
 from bench_f10_design_procedure import run_walkthrough
-from conftest import run_once, scaled
+from conftest import run_once
 
 
 def test_f11_aggregate_comparison(benchmark, emit):
-    graph_size = scaled(20_000)
+    graph_size = 20_000
 
     def experiment():
         today, outcome = run_walkthrough(graph_size)

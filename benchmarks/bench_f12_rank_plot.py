@@ -22,7 +22,7 @@ from repro.reporting import render_table
 from repro.topology.builder import build_instance
 
 from bench_f10_design_procedure import run_walkthrough
-from conftest import run_once, scaled
+from conftest import run_once
 
 
 def _ranked_loads(config: Configuration, seed: int = 0) -> np.ndarray:
@@ -32,7 +32,7 @@ def _ranked_loads(config: Configuration, seed: int = 0) -> np.ndarray:
 
 
 def test_f12_rank_plot(benchmark, emit):
-    graph_size = scaled(20_000)
+    graph_size = 20_000
 
     def experiment():
         # Derive the "new" topology with the design procedure at this

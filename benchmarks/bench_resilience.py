@@ -19,7 +19,7 @@ from repro.sim.recovery import RecoveryPolicy, repair_attribution
 from repro.sim.resilience import run_resilience
 from repro.topology.builder import build_instance
 
-from conftest import run_once, scaled
+from conftest import run_once
 
 MEAN_RECOVERY = 120.0    # seconds to bring a crashed partner back
 MESSAGE_LOSS = 0.02      # per-hop delivery failure probability
@@ -33,7 +33,7 @@ def test_resilience_k1_vs_k2(benchmark, emit):
         crash=CrashSpec(mean_recovery=MEAN_RECOVERY),
         retry=RetryPolicy(timeout=5.0, max_retries=2),
     )
-    size = scaled(600, minimum=300)
+    size = 600
 
     def experiment():
         out = {}
@@ -106,7 +106,7 @@ def test_self_healing_bounds_recovery(benchmark, emit):
         detector=DetectorSpec(heartbeat_interval=5.0, timeout_beats=2),
         promotion_time=10.0,
     )
-    size = scaled(600, minimum=300)
+    size = 600
     config = Configuration(graph_size=size, cluster_size=10, redundancy=True)
     instance = build_instance(config, seed=SEED)
 

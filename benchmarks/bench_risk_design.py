@@ -13,7 +13,7 @@ configurations.
 from repro.core.design import DesignConstraints, design_topology
 from repro.risk import RiskSpec
 
-from conftest import run_once, scaled
+from conftest import run_once
 
 
 def risk_constraints(num_users: int) -> DesignConstraints:
@@ -28,7 +28,7 @@ def risk_constraints(num_users: int) -> DesignConstraints:
 
 
 def test_risk_design(benchmark, emit):
-    num_users = scaled(600, minimum=120)
+    num_users = 600
     constraints = risk_constraints(num_users)
     spec = RiskSpec(
         cutoff=0.05, alpha=0.9, availability_target=0.9,

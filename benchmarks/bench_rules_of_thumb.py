@@ -16,11 +16,11 @@ from repro.core.redundancy import compare_redundancy
 from repro.core.rules import lone_increaser_penalty, ttl_savings
 from repro.reporting import render_table
 
-from conftest import run_once, scaled
+from conftest import run_once
 
 
 def test_r2_redundancy_numbers(benchmark, emit):
-    graph_size = scaled(10_000)
+    graph_size = 10_000
     config = Configuration(
         graph_type=GraphType.STRONG, graph_size=graph_size, cluster_size=100, ttl=1
     )
@@ -50,7 +50,7 @@ def test_r2_redundancy_numbers(benchmark, emit):
 
 
 def test_r3_lone_increaser(benchmark, emit):
-    graph_size = scaled(10_000)
+    graph_size = 10_000
     config = Configuration(
         graph_size=graph_size, cluster_size=10, avg_outdegree=3.1, ttl=7
     )
@@ -69,7 +69,7 @@ def test_r3_lone_increaser(benchmark, emit):
 
 
 def test_r4_ttl_savings(benchmark, emit):
-    graph_size = scaled(10_000)
+    graph_size = 10_000
     base = Configuration(graph_size=graph_size, cluster_size=10, avg_outdegree=20.0)
 
     savings = run_once(benchmark, lambda: ttl_savings(

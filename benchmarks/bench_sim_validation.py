@@ -12,11 +12,11 @@ from repro.reporting import render_table
 from repro.sim.network import simulate_instance
 from repro.topology.builder import build_instance
 
-from conftest import run_once, scaled
+from conftest import run_once
 
 
 def test_sim_validates_mva(benchmark, emit):
-    graph_size = scaled(2_000, minimum=300)
+    graph_size = 2_000
     config = Configuration(
         graph_size=graph_size, cluster_size=10, avg_outdegree=4.0, ttl=4
     )

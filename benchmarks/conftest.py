@@ -7,45 +7,19 @@ rows/series: printed to stdout (visible with ``pytest -s`` or in the
 captured-output section) and written to ``benchmarks/results/<id>.txt``
 so EXPERIMENTS.md can cite them.
 
-Scale: benches default to the paper's network sizes where that stays
-within tens of seconds and to documented reduced sizes otherwise; set
-``REPRO_BENCH_SCALE`` (a float, default 1.0) to shrink or grow every
-network proportionally, e.g. ``REPRO_BENCH_SCALE=0.2 pytest benchmarks/``.
+Scale: benches run at the paper's network sizes where that stays within
+tens of seconds and at documented reduced sizes otherwise.  The sizes
+are fixed: the paper's shape assertions hold at them, not at arbitrary
+smaller ones.
 """
 
 from __future__ import annotations
 
-import os
 from pathlib import Path
 
 import pytest
 
 RESULTS_DIR = Path(__file__).parent / "results"
-
-
-def pytest_addoption(parser):
-    parser.addoption(
-        "--rebaseline",
-        action="store_true",
-        default=False,
-        help="allow bench_perf to overwrite the committed BENCH_perf.json",
-    )
-
-
-@pytest.fixture
-def rebaseline(request) -> bool:
-    """True when the run may overwrite committed perf baselines."""
-    return bool(request.config.getoption("--rebaseline"))
-
-
-def bench_scale() -> float:
-    """Global scale factor for benchmark network sizes."""
-    return float(os.environ.get("REPRO_BENCH_SCALE", "1.0"))
-
-
-def scaled(size: int, minimum: int = 100) -> int:
-    """Scale a paper network size by REPRO_BENCH_SCALE."""
-    return max(minimum, int(round(size * bench_scale())))
 
 
 @pytest.fixture

@@ -54,9 +54,8 @@ counter and histogram families as the event engine's ``_State`` and
 ``Simulator`` — fault-path counters (drops, retries, orphans) exist at
 zero, ``sim.engine.events`` counts replayed schedule events, and the
 run is timed under the ``sim.engine.run`` timer plus per-phase
-``sim.array.*`` timers (churn / updates / flood / delivery) that also
-land in an optional :class:`~repro.obs.manifest.RunManifest`.  The
-differential harness asserts cross-engine counter-name parity, and all
+``sim.array.*`` registry timers (churn / updates / flood / delivery).
+The differential harness asserts cross-engine counter-name parity, and all
 of it is observation-only (``tests/test_journal.py`` neutrality).
 """
 
@@ -115,9 +114,6 @@ def simulate_instance_array(
     recovery=None,
     tracer=None,
     schedule: WorkloadSchedule | None = None,
-    windows: int = DEFAULT_WINDOWS,
-    block: int = DEFAULT_BLOCK,
-    manifest=None,
 ):
     """Array-engine counterpart of
     :func:`repro.sim.network.simulate_instance` (same signature, same
@@ -129,11 +125,6 @@ def simulate_instance_array(
     deterministic given the shared schedule — queries, joins, updates,
     flood transmissions, reach — equal the event engine's bit for bit;
     sampled quantities agree statistically (``tests/test_differential.py``).
-
-    ``manifest`` (a :class:`~repro.obs.manifest.RunManifest`) receives
-    per-phase wall-clock for the fault-free path's internal phases
-    (``sim.array.churn`` / ``updates`` / ``flood`` / ``delivery``) — the
-    same attribution the registry's ``sim.array.*`` timers carry.
     """
     if duration <= 0:
         raise ValueError("duration must be positive")
@@ -156,23 +147,18 @@ def simulate_instance_array(
             fault_metrics, recovery, tracer,
         )
     return _simulate_fault_free_array(
-        instance, duration, model, rng, schedule,
-        windows=windows, block=block, tracer=tracer, manifest=manifest,
+        instance, duration, model, rng, schedule, tracer=tracer,
     )
 
 
 # --- fault-free aggregate path ------------------------------------------------
 
 
-def _mark_phase(registry, manifest, name: str, started: float) -> float:
-    """Attribute wall-clock since ``started`` to a registry timer and
-    (when a manifest rides along) the same-named manifest phase;
-    returns the next phase's start time."""
+def _mark_phase(registry, name: str, started: float) -> float:
+    """Attribute wall-clock since ``started`` to the registry timer
+    ``name``; returns the next phase's start time."""
     now = perf_counter()
-    elapsed = now - started
-    registry.timer(name).record(elapsed)
-    if manifest is not None:
-        manifest.phases[name] = manifest.phases.get(name, 0.0) + elapsed
+    registry.timer(name).record(now - started)
     return now
 
 
@@ -182,10 +168,7 @@ def _simulate_fault_free_array(
     model: QueryModel,
     rng,
     schedule: WorkloadSchedule,
-    windows: int,
-    block: int,
     tracer=None,
-    manifest=None,
 ):
     from .network import (  # deferred: network lazily imports this module
         _MUX, _QUERY_BYTES, _RECV_Q, _SEND_Q, SimulationReport,
@@ -230,7 +213,7 @@ def _simulate_fault_free_array(
 
     Q = schedule.num_queries
     U = schedule.num_updates
-    W = max(1, int(windows))
+    W = DEFAULT_WINDOWS
     deltas = np.zeros((W, n))
     cluster_of_client = np.repeat(np.arange(n), clients)
 
@@ -313,8 +296,7 @@ def _simulate_fault_free_array(
         np.add.at(deltas, (window_of(pt), pcl),
                   (new_p - prev_p).astype(float))
     num_joins = C + P
-    phase_started = _mark_phase(registry, manifest, "sim.array.churn",
-                                phase_started)
+    phase_started = _mark_phase(registry, "sim.array.churn", phase_started)
 
     # --- updates: exact per-event accounting --------------------------------
     if U:
@@ -339,8 +321,7 @@ def _simulate_fault_free_array(
                 costs.SEND_UPDATE_UNITS + costs.RECV_UPDATE_UNITS
                 + 2 * _MUX * m_sp[up] + costs.PROCESS_UPDATE_UNITS
             ) / k)
-    phase_started = _mark_phase(registry, manifest, "sim.array.updates",
-                                phase_started)
+    phase_started = _mark_phase(registry, "sim.array.updates", phase_started)
 
     # --- per-window index sizes and response-weight channels ----------------
     F0 = instance.index_sizes.astype(float)
@@ -411,8 +392,8 @@ def _simulate_fault_free_array(
     # bincount per block so it can stay on by default.
     hop_frontier = np.zeros(ttl + 1)
     hop_messages = np.zeros(ttl + 1)
-    for start in range(0, q_sources.size, max(1, block)):
-        src = q_sources[start:start + max(1, block)]
+    for start in range(0, q_sources.size, DEFAULT_BLOCK):
+        src = q_sources[start:start + DEFAULT_BLOCK]
         fb = flood_block(graph, src, ttl)
         b = src.size
         rows = np.arange(b)
@@ -465,8 +446,7 @@ def _simulate_fault_free_array(
         sp_in += in_bytes / k
         sp_proc += in_units / k
         resp_msgs += float(sender_sum[:, 0].sum())
-    phase_started = _mark_phase(registry, manifest, "sim.array.flood",
-                                phase_started)
+    phase_started = _mark_phase(registry, "sim.array.flood", phase_started)
 
     # --- per-query client submit (exact) and sampled deliveries -------------
     total_results = 0.0
@@ -517,7 +497,7 @@ def _simulate_fault_free_array(
         np.add.at(cl_proc, dc, recv_units)
         m_results.observe_many(to_r)
 
-    _mark_phase(registry, manifest, "sim.array.delivery", phase_started)
+    _mark_phase(registry, "sim.array.delivery", phase_started)
 
     m_queries.add(float(Q))
     m_joins.add(float(num_joins))

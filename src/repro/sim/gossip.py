@@ -222,7 +222,7 @@ class GossipDetector:
         self._crashed: dict[tuple[int, int], float] = {}
         self._cut_raised: dict[int, set] = {}
         # Deterministic gossip counters (also exported via the metrics
-        # registry for the perf gate).
+        # registry, where the benchmark's references pin them).
         registry = get_registry()
         self._m_rumors = registry.counter("sim.gossip_rumors")
         self._m_suspicions = registry.counter("sim.gossip_suspicions")

@@ -8,11 +8,12 @@ engine that moves these numbers (beyond float noise) fails here first,
 with a message naming the statistic that moved — turning "the figures
 look different" into a one-line diff.
 
-The same quartet is also run through the array simulation engine
-(``engine="array"``, fixed sim seed) and pinned to
-``tests/golden/golden_fastcore.json``, so the vectorized backend's
-numeric behaviour is version-controlled exactly like the analytical
-engine's.
+The same quartet is also run through both simulation engines at one
+fixed sim seed and pinned to ``tests/golden/golden_fastcore.json``
+(``engine="array"``) and ``tests/golden/golden_event.json``
+(``engine="event"``, plus its event and flood-message counters), so
+each simulator's numeric behaviour is version-controlled exactly like
+the analytical engine's.
 
 Regenerating the fixtures (only after an *intentional* numeric change)::
 
@@ -37,8 +38,9 @@ from repro.topology.builder import build_instance
 
 GOLDEN_PATH = Path(__file__).parent / "golden" / "golden_loads.json"
 FASTCORE_GOLDEN_PATH = Path(__file__).parent / "golden" / "golden_fastcore.json"
+EVENT_GOLDEN_PATH = Path(__file__).parent / "golden" / "golden_event.json"
 
-#: Fixed simulation window and seed for the array-engine quartet; part
+#: Fixed simulation window and seed for the simulated quartets; part
 #: of the golden contract like the topology seeds above.
 SIM_DURATION = 240.0
 SIM_SEED = 11
@@ -91,16 +93,17 @@ def _evaluate(case: dict) -> dict[str, float]:
     }
 
 
-def _simulate_array(case: dict) -> dict[str, float]:
-    """Headline numbers of one fixed-seed array-engine run."""
+def _simulate(case: dict, engine: str) -> dict[str, float]:
+    """Headline numbers of one fixed-seed run of either engine; the
+    event engine also pins its event and flood-message counters."""
     params = dict(case)
     seed = params.pop("seed")
     instance = build_instance(Configuration(**params), seed=seed)
-    with use_registry(MetricsRegistry()):
+    with use_registry(MetricsRegistry()) as registry:
         report = simulate_instance(
-            instance, duration=SIM_DURATION, rng=SIM_SEED, engine="array"
+            instance, duration=SIM_DURATION, rng=SIM_SEED, engine=engine
         )
-    return {
+    stats = {
         "num_queries": float(report.num_queries),
         "num_joins": float(report.num_joins),
         "num_updates": float(report.num_updates),
@@ -111,53 +114,60 @@ def _simulate_array(case: dict) -> dict[str, float]:
         "mean_results_per_query": float(report.mean_results_per_query),
         "mean_reach_clusters": float(report.mean_reach_clusters),
     }
+    if engine == "event":
+        counters = registry.snapshot()["counters"]
+        for name in ("sim.engine.events", "sim.query_messages"):
+            stats[name] = counters[name]
+    return stats
 
 
-def _load_golden() -> dict:
-    with GOLDEN_PATH.open("r", encoding="utf-8") as handle:
+def _load(path: Path) -> dict:
+    with path.open("r", encoding="utf-8") as handle:
         return json.load(handle)
 
 
-def _load_fastcore_golden() -> dict:
-    with FASTCORE_GOLDEN_PATH.open("r", encoding="utf-8") as handle:
-        return json.load(handle)
+def _assert_matches(name: str, golden: dict, actual: dict) -> None:
+    assert set(actual) == set(golden), f"{name}: statistic set changed"
+    for stat, expected in golden.items():
+        assert actual[stat] == pytest.approx(expected, rel=RTOL), (
+            f"{name}.{stat} moved: expected {expected!r}, got {actual[stat]!r}"
+        )
 
 
 def test_golden_fixture_covers_all_cases():
-    golden = _load_golden()
+    golden = _load(GOLDEN_PATH)
     assert set(golden) == set(CASES)
 
 
 @pytest.mark.parametrize("name", sorted(CASES))
 def test_golden_loads(name):
-    golden = _load_golden()[name]
-    actual = _evaluate(CASES[name])
-    assert set(actual) == set(golden), f"{name}: statistic set changed"
-    for stat, expected in golden.items():
-        assert actual[stat] == pytest.approx(expected, rel=RTOL), (
-            f"{name}.{stat} moved: expected {expected!r}, got {actual[stat]!r}"
-        )
+    _assert_matches(name, _load(GOLDEN_PATH)[name], _evaluate(CASES[name]))
 
 
 def test_fastcore_golden_fixture_covers_all_cases():
-    assert set(_load_fastcore_golden()) == set(CASES)
+    assert set(_load(FASTCORE_GOLDEN_PATH)) == set(CASES)
 
 
 @pytest.mark.parametrize("name", sorted(CASES))
 def test_fastcore_golden_loads(name):
-    golden = _load_fastcore_golden()[name]
-    actual = _simulate_array(CASES[name])
-    assert set(actual) == set(golden), f"{name}: statistic set changed"
-    for stat, expected in golden.items():
-        assert actual[stat] == pytest.approx(expected, rel=RTOL), (
-            f"{name}.{stat} moved: expected {expected!r}, got {actual[stat]!r}"
-        )
+    _assert_matches(name, _load(FASTCORE_GOLDEN_PATH)[name],
+                    _simulate(CASES[name], "array"))
+
+
+def test_event_golden_fixture_covers_all_cases():
+    assert set(_load(EVENT_GOLDEN_PATH)) == set(CASES)
+
+
+@pytest.mark.parametrize("name", sorted(CASES))
+def test_event_golden_loads(name):
+    _assert_matches(name, _load(EVENT_GOLDEN_PATH)[name],
+                    _simulate(CASES[name], "event"))
 
 
 def test_redundancy_changes_the_numbers():
     # Sanity on the fixture itself: the four cases must be genuinely
     # distinct experiments, not four copies of one.
-    golden = _load_golden()
+    golden = _load(GOLDEN_PATH)
     values = {
         name: payload["aggregate_processing_hz"]
         for name, payload in golden.items()
@@ -172,11 +182,15 @@ def _regenerate() -> None:
         json.dumps(payload, indent=2, sort_keys=True) + "\n", encoding="utf-8"
     )
     print(f"wrote {GOLDEN_PATH}")
-    payload = {name: _simulate_array(case) for name, case in sorted(CASES.items())}
-    FASTCORE_GOLDEN_PATH.write_text(
-        json.dumps(payload, indent=2, sort_keys=True) + "\n", encoding="utf-8"
-    )
-    print(f"wrote {FASTCORE_GOLDEN_PATH}")
+    for engine, path in (("array", FASTCORE_GOLDEN_PATH),
+                         ("event", EVENT_GOLDEN_PATH)):
+        payload = {name: _simulate(case, engine)
+                   for name, case in sorted(CASES.items())}
+        path.write_text(
+            json.dumps(payload, indent=2, sort_keys=True) + "\n",
+            encoding="utf-8",
+        )
+        print(f"wrote {path}")
 
 
 if __name__ == "__main__":

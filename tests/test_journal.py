@@ -10,9 +10,10 @@ The contracts held here:
   throughput, per-worker status, straggler flags (with the flagged
   point's plan detail), runtime histogram and error roll-up from
   nothing but journal records.
-* **Telemetry neutrality** — a sweep or chaos batch run with the
-  journal and progress tracker attached produces bit-identical results
-  and metrics to one run without; telemetry observes, never perturbs.
+* **Telemetry neutrality** — a sweep, a chaos batch or a single
+  array-engine simulation run with the journal and progress tracker
+  attached produces bit-identical results and metrics to one run
+  without; telemetry observes, never perturbs.
 * **CLI** — ``repro watch --once`` renders a complete, in-flight, or
   truncated journal without error.
 """
@@ -21,6 +22,7 @@ from __future__ import annotations
 
 import json
 
+import numpy as np
 import pytest
 
 from repro.api import SweepSpec, run_sweep
@@ -32,6 +34,7 @@ from repro.obs.journal import (
     read_journal,
     replay_journal,
 )
+from repro.obs.metrics import MetricsRegistry, use_registry
 from repro.obs.progress import (
     Campaign,
     CampaignState,
@@ -41,6 +44,8 @@ from repro.obs.progress import (
 )
 from repro.reporting import render_campaign, render_progress_line
 from repro.sim.chaos import ChaosSpec, run_chaos
+from repro.sim.network import simulate_instance
+from repro.topology.builder import build_instance
 
 BASE = Configuration(graph_size=200, cluster_size=10, ttl=3,
                      avg_outdegree=4.0)
@@ -334,6 +339,38 @@ def test_chaos_telemetry_is_neutral_and_journals_seeds(tmp_path):
     # Each point's plan detail names the chaos seed it flags.
     assert [p["detail"]["seed"] for _, p in sorted(state.points.items())] \
         == [3, 4]
+
+
+def test_array_sim_telemetry_is_neutral(tmp_path):
+    """One array-engine run, plain and as a journaled one-point campaign."""
+    instance = build_instance(BASE, seed=4)
+
+    def run():
+        registry = MetricsRegistry()
+        with use_registry(registry):
+            report = simulate_instance(instance, duration=300.0, rng=9,
+                                       engine="array")
+        return report, registry.snapshot()
+
+    plain, plain_snap = run()
+    tracker = ProgressTracker(stream=None)
+    campaign = start_campaign(tmp_path / "a.jsonl", tracker,
+                              name="array", total=1)
+    campaign.point_started(0, "sim_array")
+    observed, observed_snap = run()
+    campaign.point_finished(0, "sim_array",
+                            counters=observed_snap["counters"])
+    campaign.finish()
+
+    assert plain_snap["counters"] == observed_snap["counters"]
+    assert plain_snap["histograms"] == observed_snap["histograms"]
+    for field in ("superpeer_incoming_bps", "superpeer_outgoing_bps",
+                  "superpeer_processing_hz", "client_incoming_bps",
+                  "client_outgoing_bps", "client_processing_hz"):
+        assert np.array_equal(getattr(plain, field), getattr(observed, field))
+    state = replay_journal(tmp_path / "a.jsonl")
+    assert state.done == 1 and state.finished and state.errors == 0
+    assert tracker.state.done == 1
 
 
 def test_sweep_error_lands_in_journal(tmp_path, monkeypatch):
