@@ -56,18 +56,14 @@ from .exec import (  # noqa: F401 - Executor re-exported as part of the facade
     EXECUTOR_NAMES,
     Executor,
     Task,
-    fragment_describer,
+    collect,
     make_executor,
+    run_campaign,
 )
 from .obs.journal import RunJournal
-from .obs.manifest import (
-    RunManifest,
-    config_fingerprint,
-    git_revision,
-    manifest_for,
-)
-from .obs.metrics import MetricsRegistry, use_registry
-from .obs.progress import ProgressTracker, start_campaign
+from .obs.manifest import RunManifest
+from .obs.metrics import MetricsRegistry
+from .obs.progress import ProgressTracker
 from .risk import (  # noqa: F401 - facade
     RiskAssessment,
     RiskDesignOutcome,
@@ -346,13 +342,7 @@ def _evaluate_point(spec: ExperimentSpec):
     identical function runs in-process when ``jobs=1``, which is what
     makes serial and parallel sweeps bit-identical.
     """
-    registry = MetricsRegistry()
-    fragment = RunManifest(name=spec.label or "point")
-    with use_registry(registry):
-        with fragment.phase(spec.label or "point"):
-            summary = spec.run()
-    fragment.finish()
-    return summary, registry, fragment
+    return collect(spec.label or "point", spec.run)
 
 
 def _warm_instance_cache(specs: Sequence[ExperimentSpec]) -> None:
@@ -389,8 +379,9 @@ def run_sweep(
 ) -> SweepResult:
     """Evaluate every point of ``spec`` on a pluggable executor backend.
 
-    Dispatch resolves through :func:`repro.exec.make_executor`:
-    ``executor`` (an :class:`~repro.exec.Executor` instance or one of
+    The fan-out is :func:`repro.exec.run_campaign`; the backend
+    resolves through :func:`repro.exec.make_executor`: ``executor`` (an
+    :class:`~repro.exec.Executor` instance or one of
     ``"serial" | "thread" | "process" | "jobfile"``) wins, then
     ``spec.executor``, then the historical jobs rule — ``jobs > 1``
     implies ``process``, anything else runs serial in-process,
@@ -419,8 +410,7 @@ def run_sweep(
     view with per-worker heartbeats and straggler detection.  Both are
     observation-only: every point still evaluates through the identical
     :func:`_evaluate_point`, so results stay bit-identical with
-    telemetry on or off, and with telemetry off the process backend
-    keeps its zero-overhead chunked ``pool.map`` path.
+    telemetry on or off.
 
     ``retries`` re-runs a failed point up to N more times before the
     campaign aborts; ``task_timeout`` bounds one point's runtime (see
@@ -428,68 +418,35 @@ def run_sweep(
     zero valid points returns a well-formed empty result (and a
     campaign-end journal record) instead of dying in pool construction.
     """
-    backend = make_executor(
-        executor if executor is not None else spec.executor,
-        jobs=jobs, jobdir=jobdir, retries=retries, task_timeout=task_timeout,
-    )
     points = spec.points()
     specs = [point_spec for _, point_spec in points]
-    tasks = [Task(i, point_spec.label or "point", point_spec)
-             for i, point_spec in enumerate(specs)]
-    campaign = start_campaign(
-        journal, progress,
-        name=spec.name, total=len(specs), jobs=backend.jobs,
-        plan=[{"index": i, "label": point_spec.label, "detail": overrides}
-              for i, (overrides, point_spec) in enumerate(points)],
-        config_hash=config_fingerprint(spec.base),
-        git_rev=git_revision(Path(__file__).resolve().parent),
-        seed=spec.seed,
-        extra={"executor": backend.name},
-    )
-    try:
-        outcomes = backend.submit_map(
-            _evaluate_point, tasks,
-            campaign=campaign,
-            prewarm=lambda: _warm_instance_cache(specs),
-            describe=fragment_describer,
-        )
-    except BaseException:
-        if campaign is not None:
-            campaign.finish(status="error")
-        raise
-    if campaign is not None:
-        campaign.finish()
-
-    manifest = manifest_for(
-        spec.name,
+    campaign = run_campaign(
+        _evaluate_point,
+        [Task(i, point_spec.label, point_spec)
+         for i, point_spec in enumerate(specs)],
+        name=spec.name,
+        plan=[overrides for overrides, _ in points],
         config=spec.base,
         seed=spec.seed,
-        grid={k: list(v) for k, v in spec.grid.items()},
-        trials=spec.trials,
-        max_sources=spec.max_sources,
-        seed_mode=spec.seed_mode,
-        jobs=backend.jobs,
-        executor=backend.name,
+        manifest={"grid": {k: list(v) for k, v in spec.grid.items()},
+                  "trials": spec.trials, "max_sources": spec.max_sources,
+                  "seed_mode": spec.seed_mode},
+        prewarm=lambda: _warm_instance_cache(specs),
+        executor=executor if executor is not None else spec.executor,
+        jobs=jobs, jobdir=jobdir, retries=retries, task_timeout=task_timeout,
+        journal=journal, progress=progress,
     )
-    registry = MetricsRegistry()
-    result_points: list[SweepPoint] = []
-    for index, ((overrides, point_spec), (summary, frag_registry, fragment)) in (
-        enumerate(zip(points, outcomes))
-    ):
-        registry.absorb(frag_registry)
-        manifest = manifest.merge(fragment, name=spec.name)
-        result_points.append(SweepPoint(
-            index=index,
-            label=point_spec.label,
-            overrides=overrides,
-            spec=point_spec,
-            summary=summary,
-        ))
-    manifest.finish(registry)
+    result_points = [
+        SweepPoint(index=index, label=point_spec.label, overrides=overrides,
+                   spec=point_spec, summary=summary)
+        for index, ((overrides, point_spec), summary) in enumerate(
+            zip(points, campaign.results)
+        )
+    ]
     return SweepResult(
         spec=spec,
         points=result_points,
-        manifest=manifest,
-        registry=registry,
-        jobs=backend.jobs,
+        manifest=campaign.manifest,
+        registry=campaign.registry,
+        jobs=campaign.jobs,
     )

@@ -43,6 +43,8 @@ from __future__ import annotations
 
 import argparse
 import sys
+from contextlib import contextmanager
+from typing import Iterator
 
 from .config import Configuration, GraphType
 from .reporting import (
@@ -54,6 +56,21 @@ from .reporting import (
     render_timeline,
 )
 from .units import format_bps, format_hz
+
+
+class UsageError(Exception):
+    """Bad command-line input: :func:`main` prints it as one
+    ``repro: error:`` line and exits 2, like an argparse usage error."""
+
+
+@contextmanager
+def _validated(what: str) -> Iterator[None]:
+    """Report a spec validator's ``ValueError``/``TypeError`` from the
+    block as the :class:`UsageError` ``invalid <what>: <message>``."""
+    try:
+        yield
+    except (TypeError, ValueError) as exc:
+        raise UsageError(f"invalid {what}: {exc}") from None
 
 
 def _add_config_arguments(parser: argparse.ArgumentParser) -> None:
@@ -158,10 +175,8 @@ def _config_from_args(args: argparse.Namespace) -> Configuration:
     payload.setdefault("cluster_size", 10)
     payload.setdefault("avg_outdegree", 3.1)
     payload.setdefault("ttl", 7)
-    try:
+    with _validated("configuration"):
         return Configuration.from_dict(payload)
-    except ValueError as exc:
-        raise SystemExit(f"invalid configuration: {exc}")
 
 
 def _print_summary(summary) -> None:
@@ -306,15 +321,16 @@ def _parse_value(param: str, raw: str):
 def cmd_design(args: argparse.Namespace) -> int:
     from .core.design import DesignConstraints, design_topology
 
-    constraints = DesignConstraints(
-        num_users=args.users,
-        desired_reach_peers=args.reach,
-        max_incoming_bps=args.max_in,
-        max_outgoing_bps=args.max_out,
-        max_processing_hz=args.max_proc,
-        max_connections=args.max_connections,
-        allow_redundancy=not args.no_redundancy,
-    )
+    with _validated("constraints"):
+        constraints = DesignConstraints(
+            num_users=args.users,
+            desired_reach_peers=args.reach,
+            max_incoming_bps=args.max_in,
+            max_outgoing_bps=args.max_out,
+            max_processing_hz=args.max_proc,
+            max_connections=args.max_connections,
+            allow_redundancy=not args.no_redundancy,
+        )
     outcome = design_topology(
         constraints, trials=args.trials, seed=args.seed, max_sources=args.max_sources
     )
@@ -333,7 +349,7 @@ def cmd_design_risk(args: argparse.Namespace) -> int:
         spec_payload = _load_config_payload(args.spec)
         unknown = sorted(set(spec_payload) - {"constraints", "risk"})
         if unknown:
-            raise SystemExit(
+            raise UsageError(
                 f"spec file {args.spec}: unknown section(s) {unknown}; "
                 'expected "constraints" and/or "risk"'
             )
@@ -358,14 +374,12 @@ def cmd_design_risk(args: argparse.Namespace) -> int:
     constraints_payload.setdefault("max_connections", 100)
     if ("num_users" not in constraints_payload
             or "desired_reach_peers" not in constraints_payload):
-        raise SystemExit(
+        raise UsageError(
             "design-risk needs --users and --reach (or a --spec file "
             'with a "constraints" section providing them)'
         )
-    try:
+    with _validated("constraints"):
         constraints = DesignConstraints(**constraints_payload)
-    except (TypeError, ValueError) as exc:
-        raise SystemExit(f"invalid constraints: {exc}")
 
     risk_payload = dict(spec_payload.get("risk", {}))
     risk_flags = {
@@ -385,10 +399,8 @@ def cmd_design_risk(args: argparse.Namespace) -> int:
         if value is not None:
             risk_payload[field_name] = value
     risk_payload.setdefault("seed", args.seed)
-    try:
+    with _validated("risk spec"):
         risk = RiskSpec.from_dict(risk_payload)
-    except (TypeError, ValueError) as exc:
-        raise SystemExit(f"invalid risk spec: {exc}")
 
     outcome = design_topology_risk(
         constraints, risk, trials=args.trials, max_sources=args.max_sources,
@@ -449,7 +461,7 @@ def cmd_resilience(args: argparse.Namespace) -> int:
     from .topology.builder import build_instance
 
     config = _config_from_args(args)
-    try:
+    with _validated("fault or recovery flags"):
         plan = FaultPlan(
             message_loss=args.loss,
             crash=CrashSpec(mean_recovery=args.recovery) if args.recovery > 0 else None,
@@ -480,11 +492,6 @@ def cmd_resilience(args: argparse.Namespace) -> int:
                 promotion_time=args.promotion_time,
                 rehome_time=args.rehome_time,
             )
-    except ValueError as exc:
-        # Out-of-range fault or recovery numbers: one usage line, like a
-        # bad --max-sources, not a validator traceback.
-        print(f"repro: error: {exc}", file=sys.stderr)
-        return 2
     instance = build_instance(config, seed=args.seed)
     print(instance.describe())
     print(f"fault plan: {plan.describe()}")
@@ -552,7 +559,7 @@ def cmd_chaos(args: argparse.Namespace) -> int:
     from .reporting import render_chaos_report
     from .sim.chaos import ChaosSpec, run_chaos
 
-    try:
+    with _validated("chaos spec"):
         spec = ChaosSpec(
             cases=args.cases,
             base_seed=args.seed,
@@ -565,9 +572,6 @@ def cmd_chaos(args: argparse.Namespace) -> int:
             detector=args.detector,
             engine=args.engine,
         )
-    except ValueError as exc:
-        print(f"repro: error: {exc}", file=sys.stderr)
-        return 2
     result = run_chaos(spec, jobs=args.jobs,
                        journal=args.journal, progress=args.progress,
                        executor=args.executor, jobdir=args.jobdir)
@@ -1003,6 +1007,9 @@ def main(argv: list[str] | None = None) -> int:
         args.tracer = Tracer(capacity=args.trace_capacity, sink=args.trace_out)
     try:
         code = args.func(args)
+    except UsageError as exc:
+        print(f"{parser.prog}: error: {exc}", file=sys.stderr)
+        code = 2
     finally:
         if registry is not None:
             set_registry(previous)

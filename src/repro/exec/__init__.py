@@ -1,15 +1,25 @@
-"""Pluggable campaign executors: one contract, four dispatch strategies.
+"""Pluggable campaign executors: one runner, four dispatch strategies.
 
-See :mod:`repro.exec.base` for the :class:`Executor` protocol that
-:func:`repro.api.run_sweep`, :func:`repro.sim.chaos.run_chaos`, and
-:func:`repro.sim.resilience.run_resilience_spec` all fan out on, and
-:func:`make_executor` for the name → backend resolution the specs and
-the CLI share.
+See :mod:`repro.exec.base` for :func:`run_campaign`, the one fan-out
+that :func:`repro.api.run_sweep`, :func:`repro.sim.chaos.run_chaos`,
+:func:`repro.sim.resilience.run_resilience_spec` and
+:func:`repro.risk.evaluate.evaluate_designs` share, the
+:class:`Executor` protocol under it, and :func:`make_executor` for the
+name → backend resolution the specs and the CLI share.
 """
 
 from __future__ import annotations
 
-from .base import Executor, Task, TaskError, TaskTimeoutError, fragment_describer
+from .base import (
+    CampaignResult,
+    Executor,
+    Task,
+    TaskError,
+    TaskTimeoutError,
+    collect,
+    fragment_describer,
+    run_campaign,
+)
 from .jobfile import JobFileExecutor, run_worker
 from .local import ProcessExecutor, SerialExecutor, ThreadExecutor
 
@@ -18,7 +28,10 @@ __all__ = [
     "Task",
     "TaskError",
     "TaskTimeoutError",
+    "CampaignResult",
+    "collect",
     "fragment_describer",
+    "run_campaign",
     "SerialExecutor",
     "ThreadExecutor",
     "ProcessExecutor",

@@ -1,22 +1,25 @@
-"""The executor protocol: one contract, four dispatch strategies.
+"""The executor protocol and the one campaign runner built on it.
 
 Every campaign in this repo — a :func:`repro.api.run_sweep` grid, a
 :func:`repro.sim.chaos.run_chaos` seed batch, a
-:func:`repro.sim.resilience.run_resilience_spec` replicate fan-out — is
-the same shape: a list of independent, picklable tasks evaluated by one
-module-level function, whose results must come back **in stable task
-order** and **bit-identical** no matter where the work physically ran.
-Before this module existed, each campaign hand-rolled its own
-``ProcessPoolExecutor`` loop (sharding, merging, telemetry wiring all
-fused to the campaign logic); now they all call
-:meth:`Executor.submit_map` and the dispatch strategy is a plugin:
+:func:`repro.sim.resilience.run_resilience_spec` replicate fan-out, a
+:func:`repro.risk.evaluate.evaluate_designs` (design × scenario) grid —
+is the same shape: a list of independent, picklable tasks evaluated by
+one module-level function, whose results must come back **in stable
+task order** and **bit-identical** no matter where the work physically
+ran.  :func:`run_campaign` owns that shape once: it resolves the
+backend, starts the campaign telemetry, dispatches the tasks through
+:meth:`Executor.submit_map`, finishes the campaign (status ``error``
+when it re-raises) and folds the per-task metrics registries and
+manifest fragments in task order.  The runners only build their tasks
+and unpack the results.  The dispatch strategy is a plugin:
 
 * :class:`~repro.exec.local.SerialExecutor` — the in-process reference
   implementation every other backend must match bit-for-bit;
 * :class:`~repro.exec.local.ThreadExecutor` — a thread pool (the
   evaluation hot paths are numpy-heavy, so threads overlap real work);
-* :class:`~repro.exec.local.ProcessExecutor` — chunked dispatch over a
-  fork-prewarmed ``ProcessPoolExecutor`` (the PR 7 fast path);
+* :class:`~repro.exec.local.ProcessExecutor` — one future per task over
+  a fork-prewarmed ``ProcessPoolExecutor``;
 * :class:`~repro.exec.jobfile.JobFileExecutor` — a shared job directory
   of claimable task files drained cooperatively by N ``repro worker``
   processes on one or many hosts, with crash-safe re-claim.
@@ -41,8 +44,9 @@ The contract of :meth:`Executor.submit_map`:
 * ``campaign`` (a :class:`repro.obs.progress.Campaign` or ``None``)
   receives ``point_started`` / ``point_finished`` / ``point_error``
   calls and, for process backends, worker heartbeats — feeding the run
-  journal and the live progress view.  Telemetry is observation-only:
-  results are bit-identical with or without it.
+  journal and the live progress view.  Finish records carry the fields
+  :func:`fragment_describer` reads off the task's outcome.  Telemetry is
+  observation-only: results are bit-identical with or without it.
 * ``prewarm`` is an optional zero-arg callable that backends running
   tasks in **forked** children invoke once, pre-fork, so expensive
   caches (the fingerprint-keyed instance cache) are inherited through
@@ -55,14 +59,21 @@ from __future__ import annotations
 import time
 from abc import ABC, abstractmethod
 from dataclasses import dataclass
-from typing import Any, Callable, Sequence
+from pathlib import Path
+from typing import Any, Callable, Mapping, Sequence
+
+from ..obs.manifest import RunManifest, config_fingerprint, git_revision
+from ..obs.metrics import MetricsRegistry, use_registry
 
 __all__ = [
     "Task",
     "TaskError",
     "TaskTimeoutError",
     "Executor",
+    "CampaignResult",
+    "collect",
     "fragment_describer",
+    "run_campaign",
 ]
 
 
@@ -89,16 +100,31 @@ class Task:
     payload: Any
 
 
-def fragment_describer(task: Task, outcome: Any) -> dict:
-    """Finish-record fields for the repo's ``(result, registry, fragment)``
-    worker convention.
+def collect(label: str, fn: Callable, *args) -> tuple:
+    """``fn(*args)`` under private collectors: ``(result, registry, fragment)``.
 
-    Every campaign worker in this repo returns its result alongside a
-    private :class:`~repro.obs.metrics.MetricsRegistry` and a
-    :class:`~repro.obs.manifest.RunManifest` fragment; this shared
-    describer extracts the point's wall-clock (the fragment's phase
-    keyed by the task label) and counter snapshot for the journal's
-    authoritative finish record.
+    The body of every campaign worker.  The call runs under its own
+    :class:`~repro.obs.metrics.MetricsRegistry` and is timed as the
+    phase ``label`` of a :class:`~repro.obs.manifest.RunManifest`
+    fragment, so :func:`run_campaign` can fold the per-task records in
+    task order no matter where each task ran.
+    """
+    registry = MetricsRegistry()
+    fragment = RunManifest(name=label)
+    with use_registry(registry), fragment.phase(label):
+        result = fn(*args)
+    fragment.finish()
+    return result, registry, fragment
+
+
+def fragment_describer(task: Task, outcome: Any) -> dict:
+    """Finish-record fields for the :func:`collect` worker convention.
+
+    Every campaign worker returns its result alongside a private
+    registry and manifest fragment; the executors apply this describer
+    to extract the point's wall-clock (the fragment's phase keyed by the
+    task label) and counter snapshot for the journal's authoritative
+    finish record.  Outcomes of any other shape describe as ``{}``.
     """
     try:
         _result, registry, fragment = outcome
@@ -149,7 +175,6 @@ class Executor(ABC):
         *,
         campaign=None,
         prewarm: Callable[[], None] | None = None,
-        describe: Callable[[Task, Any], dict] | None = None,
     ) -> list:
         """Evaluate ``fn(task.payload)`` for every task; results in task
         order.  See the module docstring for the full contract."""
@@ -161,7 +186,6 @@ class Executor(ABC):
         fn: Callable[[Any], Any],
         tasks: Sequence[Task],
         campaign=None,
-        describe: Callable[[Task, Any], dict] | None = None,
     ) -> list:
         """The reference implementation: in-process, in order, retrying.
 
@@ -181,7 +205,7 @@ class Executor(ABC):
                 raise
             results.append(result)
             if campaign is not None:
-                fields = dict(describe(task, result)) if describe else {}
+                fields = fragment_describer(task, result)
                 fields.setdefault("seconds", elapsed)
                 campaign.point_finished(task.index, task.label, **fields)
         return results
@@ -212,3 +236,90 @@ class Executor(ABC):
                     f"exceeding the {self.task_timeout:.2f}s task timeout"
                 )
             return result, elapsed
+
+
+@dataclass
+class CampaignResult:
+    """What :func:`run_campaign` returns: task results in task order plus
+    the registry and manifest folded from the per-task fragments."""
+
+    results: list
+    registry: MetricsRegistry
+    manifest: RunManifest
+    jobs: int
+
+
+def run_campaign(
+    worker: Callable[[Any], tuple],
+    tasks: Sequence[Task],
+    *,
+    name: str,
+    plan: Sequence[dict],
+    config: Any = None,
+    seed: Any = None,
+    manifest: Mapping | None = None,
+    header: Mapping | None = None,
+    prewarm: Callable[[], None] | None = None,
+    executor: "Executor | str | None" = None,
+    jobs: int | None = None,
+    jobdir=None,
+    retries: int = 0,
+    task_timeout: float | None = None,
+    journal=None,
+    progress=None,
+) -> CampaignResult:
+    """Fan ``worker`` out over ``tasks``: the one campaign runner.
+
+    ``worker`` is the module-level callable handed to the executor; it
+    returns ``(result, registry, fragment)``, normally via
+    :func:`collect`.  ``plan`` holds one journal detail dict per task.
+    ``config`` and ``seed`` are the campaign's provenance, recorded in
+    the journal header and the merged manifest; ``manifest`` adds extra
+    manifest fields and ``header`` extra journal-header fields.  The
+    backend knobs (``executor`` … ``task_timeout``) resolve through
+    :func:`repro.exec.make_executor`; ``journal`` and ``progress``
+    attach campaign telemetry (:func:`repro.obs.progress.start_campaign`).
+
+    The campaign finishes with status ``error`` when dispatch raises,
+    and the exception propagates.  Registries and fragments fold in
+    task order — the merge never sees dispatch order, which is what
+    keeps the fold identical on every backend.
+    """
+    from ..obs.progress import start_campaign
+    from . import make_executor  # the package imports the backends, which import us
+
+    backend = make_executor(executor, jobs=jobs, jobdir=jobdir,
+                            retries=retries, task_timeout=task_timeout)
+    config_hash = config_fingerprint(config) if config is not None else None
+    git_rev = git_revision(Path(__file__).resolve().parent)
+    campaign = start_campaign(
+        journal, progress,
+        name=name, total=len(tasks), jobs=backend.jobs,
+        plan=[{"index": task.index, "label": task.label, "detail": detail}
+              for task, detail in zip(tasks, plan)],
+        config_hash=config_hash, git_rev=git_rev, seed=seed,
+        extra={"executor": backend.name, **(header or {})},
+    )
+    try:
+        outcomes = backend.submit_map(worker, tasks, campaign=campaign,
+                                      prewarm=prewarm)
+    except BaseException:
+        if campaign is not None:
+            campaign.finish(status="error")
+        raise
+    if campaign is not None:
+        campaign.finish()
+
+    merged = RunManifest(
+        name=name, config_hash=config_hash, git_rev=git_rev, seed=seed,
+        extra={**(manifest or {}), "jobs": backend.jobs,
+               "executor": backend.name},
+    )
+    registry = MetricsRegistry()
+    results = []
+    for result, frag_registry, fragment in outcomes:
+        registry.absorb(frag_registry)
+        merged = merged.merge(fragment, name=name)
+        results.append(result)
+    merged.finish(registry)
+    return CampaignResult(results, registry, merged, backend.jobs)

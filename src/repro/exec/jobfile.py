@@ -42,7 +42,7 @@ import time
 from pathlib import Path
 
 from ..obs.metrics import get_registry
-from .base import Executor, Task, TaskError
+from .base import Executor, Task, TaskError, fragment_describer
 
 __all__ = ["JobFileExecutor", "run_worker", "worker_id"]
 
@@ -258,8 +258,7 @@ class JobFileExecutor(Executor):
 
     # --- the parent loop ------------------------------------------------------
 
-    def submit_map(self, fn, tasks, *, campaign=None, prewarm=None,
-                   describe=None) -> list:
+    def submit_map(self, fn, tasks, *, campaign=None, prewarm=None) -> list:
         if not tasks:
             return []
         fn_ref = f"{fn.__module__}:{fn.__qualname__}"
@@ -299,7 +298,7 @@ class JobFileExecutor(Executor):
                 self._observe_claims(root, tasks, have, announced, blobs,
                                      campaign)
                 self._collect_results(root, tasks, results, have, attempts,
-                                      announced, blobs, campaign, describe)
+                                      announced, blobs, campaign)
                 if procs and not all(have):
                     for i, proc in enumerate(procs):
                         if proc.poll() is not None:
@@ -373,7 +372,7 @@ class JobFileExecutor(Executor):
                     })
 
     def _collect_results(self, root: Path, tasks, results, have, attempts,
-                         announced, blobs, campaign, describe) -> None:
+                         announced, blobs, campaign) -> None:
         for res in sorted((root / _RESULTS).glob("task-*.pkl")):
             try:
                 pos = _task_pos(res.name)
@@ -390,8 +389,7 @@ class JobFileExecutor(Executor):
                 results[pos] = payload
                 have[pos] = True
                 if campaign is not None:
-                    fields = (dict(describe(task, payload))
-                              if describe else {})
+                    fields = fragment_describer(task, payload)
                     fields.setdefault("worker", wid)
                     campaign.point_finished(task.index, task.label, **fields)
                 continue

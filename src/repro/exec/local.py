@@ -2,11 +2,9 @@
 
 :class:`SerialExecutor` is the reference implementation — the other
 backends exist to go faster while reproducing its results bit-for-bit.
-:class:`ProcessExecutor` preserves the PR 7 parallel-sweep fast path
-verbatim: fork-prewarmed caches plus chunked ``pool.map`` dispatch when
-no telemetry or retries are attached, and one-future-per-task dispatch
-(journal records streaming in completion order, results reassembled in
-task order) when they are.
+The thread and process pools share one dispatch loop,
+:class:`_FutureDispatcher`: one future per task, finish records
+streaming in completion order, results reassembled in task order.
 """
 
 from __future__ import annotations
@@ -20,9 +18,10 @@ from concurrent.futures import (
     ThreadPoolExecutor,
     wait,
 )
+from contextlib import nullcontext
 from typing import Any, Callable, Sequence
 
-from .base import Executor, Task, TaskTimeoutError
+from .base import Executor, Task, TaskTimeoutError, fragment_describer
 
 __all__ = ["SerialExecutor", "ThreadExecutor", "ProcessExecutor"]
 
@@ -41,10 +40,8 @@ class SerialExecutor(Executor):
         super().__init__(retries=retries, task_timeout=task_timeout)
         self.jobs = 1
 
-    def submit_map(self, fn, tasks, *, campaign=None, prewarm=None,
-                   describe=None) -> list:
-        return self._run_serial(fn, tasks, campaign=campaign,
-                                describe=describe)
+    def submit_map(self, fn, tasks, *, campaign=None, prewarm=None) -> list:
+        return self._run_serial(fn, tasks, campaign=campaign)
 
 
 def _tracked_process_task(args: tuple) -> tuple:
@@ -75,13 +72,12 @@ class _FutureDispatcher:
     """
 
     def __init__(self, executor: Executor, fn: Callable[[Any], Any],
-                 tasks: Sequence[Task], campaign, describe,
+                 tasks: Sequence[Task], campaign,
                  submit: Callable, worker_of: Callable) -> None:
         self.executor = executor
         self.fn = fn
         self.tasks = tasks
         self.campaign = campaign
-        self.describe = describe
         self._submit = submit
         self._worker_of = worker_of
 
@@ -133,8 +129,7 @@ class _FutureDispatcher:
                 worker, result = self._worker_of(outcome)
                 results[pos] = result
                 if self.campaign is not None:
-                    fields = (dict(self.describe(task, result))
-                              if self.describe else {})
+                    fields = fragment_describer(task, result)
                     if worker is not None:
                         fields.setdefault("worker", worker)
                     self.campaign.point_finished(task.index, task.label,
@@ -164,13 +159,11 @@ class ThreadExecutor(Executor):
             raise ValueError(f"jobs must be >= 1, got {jobs}")
         self.jobs = jobs
 
-    def submit_map(self, fn, tasks, *, campaign=None, prewarm=None,
-                   describe=None) -> list:
+    def submit_map(self, fn, tasks, *, campaign=None, prewarm=None) -> list:
         if not tasks:
             return []
         if self.jobs == 1 or len(tasks) == 1:
-            return self._run_serial(fn, tasks, campaign=campaign,
-                                    describe=describe)
+            return self._run_serial(fn, tasks, campaign=campaign)
         campaign_ = campaign
 
         def call(task: Task):
@@ -186,23 +179,22 @@ class ThreadExecutor(Executor):
             thread_name_prefix="exec",
         ) as pool:
             return _FutureDispatcher(
-                self, fn, tasks, campaign, describe,
+                self, fn, tasks, campaign,
                 submit=lambda task: pool.submit(call, task),
                 worker_of=lambda outcome: outcome,
             ).run()
 
 
 class ProcessExecutor(Executor):
-    """A fork-based process pool: the PR 7 parallel-sweep fast path.
+    """A fork-based process pool with one future per task.
 
-    Telemetry-off, retry-free batches dispatch as chunked ``pool.map``
-    over a fork-prewarmed worker pool (one IPC round-trip per chunk,
-    caches inherited copy-on-write) — byte-for-byte the code path that
-    made ``jobs=4`` beat serial in PR 7.  With a campaign attached or a
-    retry budget, dispatch switches to one future per task so journal
-    records stream in completion order and failed tasks can resubmit.
-    ``jobs=1`` short-circuits in-process: a pool of one is pure
-    overhead, and the results are bit-identical either way.
+    The ``prewarm`` hook runs in the parent before the pool forks, so
+    the workers inherit warmed caches copy-on-write.  Each task is its
+    own future: journal records stream in completion order, failed
+    tasks resubmit under the retry budget, and ``task_timeout`` is
+    enforced while waiting.  ``jobs=1`` short-circuits in-process: a
+    pool of one is pure overhead, and the results are bit-identical
+    either way.
     """
 
     name = "process"
@@ -217,34 +209,24 @@ class ProcessExecutor(Executor):
             raise ValueError(f"jobs must be >= 1, got {jobs}")
         self.jobs = jobs
 
-    def submit_map(self, fn, tasks, *, campaign=None, prewarm=None,
-                   describe=None) -> list:
+    def submit_map(self, fn, tasks, *, campaign=None, prewarm=None) -> list:
         if not tasks:
             return []
         if self.jobs == 1 or len(tasks) == 1:
-            return self._run_serial(fn, tasks, campaign=campaign,
-                                    describe=describe)
+            return self._run_serial(fn, tasks, campaign=campaign)
         if prewarm is not None:
             prewarm()
-        workers = min(self.jobs, len(tasks))
-        if campaign is None and self.retries == 0 and self.task_timeout is None:
-            # The zero-telemetry fast path: per-worker chunks, one
-            # result round-trip each, nothing to journal.
-            chunk = -(-len(tasks) // workers)
-            with ProcessPoolExecutor(max_workers=workers) as pool:
-                return list(pool.map(fn, [t.payload for t in tasks],
-                                     chunksize=chunk))
-        from contextlib import nullcontext
-
         attach = (campaign.workers_attached() if campaign is not None
                   else nullcontext())
-        with attach:
-            with ProcessPoolExecutor(max_workers=workers) as pool:
-                return _FutureDispatcher(
-                    self, fn, tasks, campaign, describe,
-                    submit=lambda task: pool.submit(
-                        _tracked_process_task,
-                        (fn, task.index, task.label, task.payload),
-                    ),
-                    worker_of=lambda outcome: (f"pid{outcome[0]}", outcome[1]),
-                ).run()
+        # The heartbeat queue must be attached before the pool forks.
+        with attach, ProcessPoolExecutor(
+            max_workers=min(self.jobs, len(tasks))
+        ) as pool:
+            return _FutureDispatcher(
+                self, fn, tasks, campaign,
+                submit=lambda task: pool.submit(
+                    _tracked_process_task,
+                    (fn, task.index, task.label, task.payload),
+                ),
+                worker_of=lambda outcome: (f"pid{outcome[0]}", outcome[1]),
+            ).run()

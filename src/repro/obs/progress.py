@@ -523,7 +523,7 @@ def start_campaign(
     extra: dict | None = None,
 ) -> Campaign | None:
     """Build the :class:`Campaign` for a run, or ``None`` when telemetry
-    is off (the caller then takes its zero-overhead path untouched).
+    is off (the executors then skip every journal and progress call).
 
     ``journal`` accepts a path (a :class:`RunJournal` is created and
     closed by the campaign) or a ready journal (caller keeps ownership);

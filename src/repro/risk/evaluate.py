@@ -31,9 +31,7 @@ from pathlib import Path
 import numpy as np
 
 from ..config import Configuration
-from ..exec import EXECUTOR_NAMES, Executor, Task, fragment_describer, make_executor
-from ..obs.manifest import RunManifest, config_fingerprint, git_revision
-from ..obs.metrics import MetricsRegistry, use_registry
+from ..exec import EXECUTOR_NAMES, Executor, Task, collect, run_campaign
 from ..sim.faults import CrashSpec, FaultOutcome
 from ..sim.network import SimulationReport, simulate_instance
 from ..topology.builder import NetworkInstance, build_instance_cached
@@ -287,13 +285,7 @@ def _evaluate_cell(cell: RiskCell) -> tuple:
     Module-level and importable by name — the jobfile backend's external
     workers resolve it via ``repro.risk.evaluate:_evaluate_cell``.
     """
-    registry = MetricsRegistry()
-    fragment = RunManifest(name=cell.label)
-    with use_registry(registry):
-        with fragment.phase(cell.label):
-            payload = cell.run()
-    fragment.finish()
-    return payload, registry, fragment
+    return collect(cell.label, cell.run)
 
 
 # --- per-candidate aggregation -----------------------------------------------
@@ -444,79 +436,54 @@ def evaluate_designs(
 
     One campaign: a fault-free baseline cell per candidate plus one cell
     per non-nominal scenario, all dispatched together through
-    :func:`repro.exec.make_executor` with the usual journal/progress
+    :func:`repro.exec.run_campaign` with the usual journal/progress
     telemetry.  Results are folded per candidate in input order —
     bit-identical across backends.
     """
-    from ..obs.progress import start_campaign
-
     if not candidates:
         return []
     scenario_sets = []
     cells: list[RiskCell] = []
-    plan_rows = []
+    plan: list[dict] = []
     for label, config in candidates:
         instance = build_instance_cached(config, seed=spec.seed)
         sset = build_scenario_set(instance, spec)
         scenario_sets.append(sset)
-        pending = [RiskCell(label=f"{label}/baseline", config=config,
-                            seed=spec.seed, duration=spec.duration,
-                            engine=spec.engine, scenario=None)]
-        pending += [
-            RiskCell(label=f"{label}/{'+'.join(s.failed)}", config=config,
-                     seed=spec.seed, duration=spec.duration,
-                     engine=spec.engine, scenario=s)
-            for s in sset.scenarios if not s.is_nominal
-        ]
-        for cell in pending:
-            plan_rows.append({
-                "index": len(cells), "label": cell.label,
-                "detail": {
-                    "design": label,
-                    "scenario": (list(cell.scenario.failed)
-                                 if cell.scenario is not None else None),
-                    "probability": (cell.scenario.probability
-                                    if cell.scenario is not None else None),
-                    "engine": spec.engine,
-                },
+        # The baseline cell (scenario None) first, then every live one.
+        for scenario in [None, *(s for s in sset.scenarios
+                                 if not s.is_nominal)]:
+            cells.append(RiskCell(
+                label=(f"{label}/baseline" if scenario is None
+                       else f"{label}/{'+'.join(scenario.failed)}"),
+                config=config, seed=spec.seed, duration=spec.duration,
+                engine=spec.engine, scenario=scenario,
+            ))
+            plan.append({
+                "design": label,
+                "scenario": (None if scenario is None
+                             else list(scenario.failed)),
+                "probability": (None if scenario is None
+                                else scenario.probability),
+                "engine": spec.engine,
             })
-            cells.append(cell)
-
-    backend = make_executor(
-        executor if executor is not None else spec.executor,
-        jobs=jobs, jobdir=jobdir, retries=retries, task_timeout=task_timeout,
-    )
-    campaign = start_campaign(
-        journal, progress,
-        name="design-risk", total=len(cells), jobs=backend.jobs,
-        plan=plan_rows,
-        config_hash=config_fingerprint(candidates[0][1]),
-        git_rev=git_revision(Path(__file__).resolve().parent),
-        seed=spec.seed,
-        extra={"executor": backend.name, "cutoff": spec.cutoff,
-               "alpha": spec.alpha},
-    )
-    tasks = [Task(i, cell.label, cell) for i, cell in enumerate(cells)]
 
     def _prewarm() -> None:
         for _, config in candidates:
             build_instance_cached(config, seed=spec.seed)
 
-    try:
-        results = backend.submit_map(
-            _evaluate_cell, tasks,
-            campaign=campaign,
-            prewarm=_prewarm,
-            describe=fragment_describer,
-        )
-    except BaseException:
-        if campaign is not None:
-            campaign.finish(status="error")
-        raise
-    if campaign is not None:
-        campaign.finish()
-
-    payloads = [payload for payload, _registry, _fragment in results]
+    payloads = run_campaign(
+        _evaluate_cell,
+        [Task(i, cell.label, cell) for i, cell in enumerate(cells)],
+        name="design-risk",
+        plan=plan,
+        config=candidates[0][1],
+        seed=spec.seed,
+        header={"cutoff": spec.cutoff, "alpha": spec.alpha},
+        prewarm=_prewarm,
+        executor=executor if executor is not None else spec.executor,
+        jobs=jobs, jobdir=jobdir, retries=retries, task_timeout=task_timeout,
+        journal=journal, progress=progress,
+    ).results
     assessments = []
     cursor = 0
     for (label, config), sset in zip(candidates, scenario_sets):

@@ -35,22 +35,11 @@ from pathlib import Path
 import numpy as np
 
 from ..config import Configuration
-from ..exec import (
-    EXECUTOR_NAMES,
-    Executor,
-    Task,
-    fragment_describer,
-    make_executor,
-)
+from ..exec import EXECUTOR_NAMES, Executor, Task, collect, run_campaign
 from ..obs.journal import RunJournal
-from ..obs.manifest import (
-    RunManifest,
-    config_fingerprint,
-    git_revision,
-    manifest_for,
-)
-from ..obs.metrics import MetricsRegistry, use_registry
-from ..obs.progress import ProgressTracker, start_campaign
+from ..obs.manifest import RunManifest
+from ..obs.metrics import MetricsRegistry
+from ..obs.progress import ProgressTracker
 from ..stats.rng import derive_rng
 from ..topology.builder import build_instance
 from .faults import CrashSpec, FaultPlan, PartitionWindow, RetryPolicy, SlowSpec
@@ -478,12 +467,8 @@ def run_chaos_case(spec: ChaosSpec, seed: int) -> ChaosCaseResult:
 def _case_worker(args: tuple) -> tuple:
     """One case under private collectors (mirrors ``api._evaluate_point``)."""
     spec, seed = args
-    registry = MetricsRegistry()
-    fragment = RunManifest(name=f"chaos[{seed}]")
     try:
-        with use_registry(registry):
-            with fragment.phase(f"chaos[{seed}]"):
-                case = run_chaos_case(spec, seed)
+        return collect(f"chaos[{seed}]", run_chaos_case, spec, seed)
     except Exception as exc:
         # Surface the reproduction recipe instead of a bare pickled
         # traceback from inside the pool.
@@ -491,8 +476,6 @@ def _case_worker(args: tuple) -> tuple:
             f"chaos case seed={seed} failed "
             f"({type(exc).__name__}: {exc}); spec={spec.to_dict()}"
         ) from exc
-    fragment.finish()
-    return case, registry, fragment
 
 
 def run_chaos(
@@ -508,13 +491,14 @@ def run_chaos(
 ) -> ChaosReport:
     """Run every case of ``spec`` on a pluggable executor backend.
 
-    The same executor discipline as :func:`repro.api.run_sweep`:
-    dispatch resolves through :func:`repro.exec.make_executor`
-    (``executor`` argument, then ``spec.executor``, then the jobs rule),
-    and every backend returns identical case results in stable seed
-    order with one merged registry/manifest — each case is evaluated by
-    the module-level :func:`_case_worker` under private collectors, so
-    where it runs cannot change what it computes.
+    The same campaign runner as :func:`repro.api.run_sweep`
+    (:func:`repro.exec.run_campaign`): the backend resolves through
+    :func:`repro.exec.make_executor` (``executor`` argument, then
+    ``spec.executor``, then the jobs rule), and every backend returns
+    identical case results in stable seed order with one merged
+    registry/manifest — each case is evaluated by the module-level
+    :func:`_case_worker` under private collectors, so where it runs
+    cannot change what it computes.
 
     ``journal``/``progress`` attach the campaign-telemetry layer
     (:mod:`repro.obs.journal` / :mod:`repro.obs.progress`) exactly as in
@@ -523,57 +507,22 @@ def run_chaos(
     case results are bit-identical with telemetry on or off.  A spec
     with ``cases=0`` returns a well-formed empty report.
     """
-    backend = make_executor(
-        executor if executor is not None else spec.executor,
-        jobs=jobs, jobdir=jobdir, retries=retries, task_timeout=task_timeout,
-    )
-    config_hash = config_fingerprint(spec.configuration())
-    campaign = start_campaign(
-        journal, progress,
-        name="chaos", total=spec.cases, jobs=backend.jobs,
-        plan=[{"index": i, "label": f"chaos[{seed}]",
-               "detail": {"seed": seed, "detector": spec.detector,
-                          "engine": spec.engine}}
-              for i, seed in enumerate(spec.seeds)],
-        config_hash=config_hash,
-        git_rev=git_revision(Path(__file__).resolve().parent),
-        seed=spec.base_seed,
-        extra={"executor": backend.name},
-    )
-    tasks = [Task(i, f"chaos[{seed}]", (spec, seed))
-             for i, seed in enumerate(spec.seeds)]
-    try:
-        outcomes = backend.submit_map(
-            _case_worker, tasks,
-            campaign=campaign,
-            describe=fragment_describer,
-        )
-    except BaseException:
-        if campaign is not None:
-            campaign.finish(status="error")
-        raise
-    if campaign is not None:
-        campaign.finish()
-
-    manifest = manifest_for(
-        "chaos",
+    campaign = run_campaign(
+        _case_worker,
+        [Task(i, f"chaos[{seed}]", (spec, seed))
+         for i, seed in enumerate(spec.seeds)],
+        name="chaos",
+        plan=[{"seed": seed, "detector": spec.detector, "engine": spec.engine}
+              for seed in spec.seeds],
         config=spec.configuration(),
         seed=spec.base_seed,
-        cases=spec.cases,
-        duration=spec.duration,
-        recovery=spec.recovery,
-        replay=spec.replay,
-        detector=spec.detector,
-        engine=spec.engine,
-        jobs=backend.jobs,
-        executor=backend.name,
+        manifest={"cases": spec.cases, "duration": spec.duration,
+                  "recovery": spec.recovery, "replay": spec.replay,
+                  "detector": spec.detector, "engine": spec.engine},
+        executor=executor if executor is not None else spec.executor,
+        jobs=jobs, jobdir=jobdir, retries=retries, task_timeout=task_timeout,
+        journal=journal, progress=progress,
     )
-    registry = MetricsRegistry()
-    cases: list[ChaosCaseResult] = []
-    for case, frag_registry, fragment in outcomes:
-        registry.absorb(frag_registry)
-        manifest = manifest.merge(fragment, name="chaos")
-        cases.append(case)
-    manifest.finish(registry)
-    return ChaosReport(spec=spec, cases=cases, manifest=manifest,
-                       registry=registry, jobs=backend.jobs)
+    return ChaosReport(spec=spec, cases=campaign.results,
+                       manifest=campaign.manifest, registry=campaign.registry,
+                       jobs=campaign.jobs)

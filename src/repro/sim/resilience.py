@@ -25,20 +25,9 @@ from time import perf_counter
 import numpy as np
 
 from ..config import Configuration
-from ..exec import (
-    EXECUTOR_NAMES,
-    Executor,
-    Task,
-    fragment_describer,
-    make_executor,
-)
-from ..obs.manifest import (
-    RunManifest,
-    config_fingerprint,
-    git_revision,
-    manifest_for,
-)
-from ..obs.metrics import MetricsRegistry, use_registry
+from ..exec import EXECUTOR_NAMES, Executor, Task, collect, run_campaign
+from ..obs.manifest import RunManifest
+from ..obs.metrics import MetricsRegistry
 from ..querymodel.distributions import QueryModel
 from ..stats.rng import derive_seed
 from ..topology.builder import NetworkInstance, build_instance
@@ -427,22 +416,17 @@ def _replicate_worker(args: tuple) -> tuple:
     historical single-call path.
     """
     spec, replicate = args
-    seed = spec.replicate_seed(replicate)
-    label = f"replicate[{replicate}]"
-    registry = MetricsRegistry()
-    fragment = RunManifest(name=label)
-    with use_registry(registry):
-        with fragment.phase(label):
-            instance = build_instance(spec.config, seed=seed)
-            report = run_resilience(
-                instance, spec.plan, duration=spec.duration, rng=seed,
-                enable_churn=spec.enable_churn,
-                enable_updates=spec.enable_updates,
-                recovery=spec.recovery, detector=spec.detector,
-                engine=spec.engine,
-            )
-    fragment.finish()
-    return report, registry, fragment
+    return collect(f"replicate[{replicate}]", _run_replicate, spec,
+                   spec.replicate_seed(replicate))
+
+
+def _run_replicate(spec: ResilienceSpec, seed: int) -> ResilienceReport:
+    instance = build_instance(spec.config, seed=seed)
+    return run_resilience(
+        instance, spec.plan, duration=spec.duration, rng=seed,
+        enable_churn=spec.enable_churn, enable_updates=spec.enable_updates,
+        recovery=spec.recovery, detector=spec.detector, engine=spec.engine,
+    )
 
 
 def run_resilience_spec(
@@ -459,7 +443,7 @@ def run_resilience_spec(
     """Run every replicate of ``spec`` on a pluggable executor backend.
 
     The resilience campaign runner, on the same
-    :func:`repro.exec.make_executor` discipline as
+    :func:`repro.exec.run_campaign` fan-out as
     :func:`repro.api.run_sweep` and :func:`repro.sim.chaos.run_chaos`:
     replicates fan out as self-contained tasks (each carries its derived
     seed), results return in stable replicate order, and every backend
@@ -467,64 +451,30 @@ def run_resilience_spec(
     campaign telemetry; a spec with ``replicates=0`` returns a
     well-formed empty result.
     """
-    from ..obs.progress import start_campaign
-
-    backend = make_executor(
-        executor if executor is not None else spec.executor,
-        jobs=jobs, jobdir=jobdir, retries=retries, task_timeout=task_timeout,
-    )
-    campaign = start_campaign(
-        journal, progress,
-        name="resilience", total=spec.replicates, jobs=backend.jobs,
-        plan=[{"index": r, "label": f"replicate[{r}]",
-               "detail": {"replicate": r, "seed": spec.replicate_seed(r),
-                          "plan": spec.plan.describe(),
-                          "engine": spec.engine}}
-              for r in range(spec.replicates)],
-        config_hash=config_fingerprint(spec.config),
-        git_rev=git_revision(Path(__file__).resolve().parent),
-        seed=spec.seed,
-        extra={"executor": backend.name},
-    )
-    tasks = [Task(r, f"replicate[{r}]", (spec, r))
-             for r in range(spec.replicates)]
-    try:
-        outcomes = backend.submit_map(
-            _replicate_worker, tasks,
-            campaign=campaign,
-            describe=fragment_describer,
-        )
-    except BaseException:
-        if campaign is not None:
-            campaign.finish(status="error")
-        raise
-    if campaign is not None:
-        campaign.finish()
-
-    manifest = manifest_for(
-        "resilience",
+    replicates = range(spec.replicates)
+    campaign = run_campaign(
+        _replicate_worker,
+        [Task(r, f"replicate[{r}]", (spec, r)) for r in replicates],
+        name="resilience",
+        plan=[{"replicate": r, "seed": spec.replicate_seed(r),
+               "plan": spec.plan.describe(), "engine": spec.engine}
+              for r in replicates],
         config=spec.config,
         seed=spec.seed,
-        replicates=spec.replicates,
-        duration=spec.duration,
-        plan=spec.plan.describe(),
-        recovery=(
-            None if spec.recovery is None else spec.recovery.describe()
-        ),
-        detector=spec.detector,
-        engine=spec.engine,
-        jobs=backend.jobs,
-        executor=backend.name,
+        manifest={
+            "replicates": spec.replicates, "duration": spec.duration,
+            "plan": spec.plan.describe(),
+            "recovery": (None if spec.recovery is None
+                         else spec.recovery.describe()),
+            "detector": spec.detector, "engine": spec.engine,
+        },
+        executor=executor if executor is not None else spec.executor,
+        jobs=jobs, jobdir=jobdir, retries=retries, task_timeout=task_timeout,
+        journal=journal, progress=progress,
     )
-    registry = MetricsRegistry()
-    reports: list[ResilienceReport] = []
-    for report, frag_registry, fragment in outcomes:
-        registry.absorb(frag_registry)
-        manifest = manifest.merge(fragment, name="resilience")
-        reports.append(report)
-    manifest.finish(registry)
-    return ResilienceResult(spec=spec, reports=reports, manifest=manifest,
-                            registry=registry, jobs=backend.jobs)
+    return ResilienceResult(spec=spec, reports=campaign.results,
+                            manifest=campaign.manifest,
+                            registry=campaign.registry, jobs=campaign.jobs)
 
 
 def run_resilience(

@@ -14,6 +14,18 @@ def run_cli(capsys, *argv: str) -> tuple[int, str]:
 SMALL = ["--trials", "1", "--max-sources", "50"]
 
 
+def assert_usage_error(capsys, argv, needle: str) -> None:
+    """``argv`` fails with exit code 2, nothing on stdout, and exactly one
+    stderr line that starts ``repro: error:`` and contains ``needle``."""
+    code = main(list(argv))
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    lines = captured.err.strip().splitlines()
+    assert len(lines) == 1, lines
+    assert lines[0].startswith("repro: error:") and needle in lines[0]
+
+
 class TestAnalyze:
     def test_basic_output(self, capsys):
         code, out = run_cli(
@@ -137,8 +149,8 @@ class TestConfigFile:
 
     def test_unknown_field_in_config_file(self, capsys, tmp_path):
         path = self.config_path(tmp_path, {"graph_sizee": 100})
-        with pytest.raises(SystemExit, match="unknown configuration fields"):
-            run_cli(capsys, *SMALL, "analyze", "--config", path)
+        assert_usage_error(capsys, [*SMALL, "analyze", "--config", path],
+                           "unknown configuration fields")
 
     def test_missing_config_file(self, capsys):
         with pytest.raises(SystemExit, match="cannot read config file"):
@@ -293,13 +305,7 @@ def test_nonpositive_max_sources_is_one_line_usage_error(capsys, value):
     (["design-risk", "--duration", "0"], "--duration"),
 ])
 def test_nonpositive_trials_and_duration_are_one_line_usage_errors(capsys, argv, flag):
-    code = main(argv)
-    captured = capsys.readouterr()
-    assert code == 2
-    assert captured.out == ""
-    lines = captured.err.strip().splitlines()
-    assert len(lines) == 1
-    assert lines[0].startswith("repro: error:") and flag in lines[0]
+    assert_usage_error(capsys, argv, flag)
 
 
 @pytest.mark.parametrize("flags, field", [
@@ -310,13 +316,7 @@ def test_nonpositive_trials_and_duration_are_one_line_usage_errors(capsys, argv,
     (["--cases", "-1"], "cases"),
 ])
 def test_invalid_chaos_specs_are_one_line_usage_errors(capsys, flags, field):
-    code = main(["chaos", *flags])
-    captured = capsys.readouterr()
-    assert code == 2
-    assert captured.out == ""
-    lines = captured.err.strip().splitlines()
-    assert len(lines) == 1
-    assert lines[0].startswith("repro: error:") and field in lines[0]
+    assert_usage_error(capsys, ["chaos", *flags], field)
 
 
 def test_empty_chaos_campaign_is_legal(capsys):
@@ -332,13 +332,35 @@ def test_empty_chaos_campaign_is_legal(capsys):
     (["--max-retries", "1", "--timeout", "0"], "timeout"),
 ])
 def test_out_of_range_fault_flags_are_one_line_usage_errors(capsys, flags, field):
-    code = main(["resilience", "--graph-size", "200", *flags])
-    captured = capsys.readouterr()
-    assert code == 2
-    assert captured.out == ""
-    lines = captured.err.strip().splitlines()
-    assert len(lines) == 1
-    assert lines[0].startswith("repro: error:") and field in lines[0]
+    assert_usage_error(capsys, ["resilience", "--graph-size", "200", *flags],
+                       field)
+
+
+@pytest.mark.parametrize("argv, field", [
+    # Configuration (analyze, simulate, sweep, resilience, ...)
+    (["analyze", "--graph-size", "100", "--cluster-size", "0"],
+     "cluster_size"),
+    # FaultPlan
+    (["resilience", "--graph-size", "100", "--loss", "1.0"], "message_loss"),
+    # DetectorSpec
+    (["resilience", "--graph-size", "100", "--recover", "--heartbeat", "0"],
+     "heartbeat_interval"),
+    # RecoveryPolicy
+    (["resilience", "--graph-size", "100", "--recover",
+      "--promotion-time", "-1"], "promotion_time"),
+    # ChaosSpec
+    (["chaos", "--cases", "-1"], "cases"),
+    # RiskSpec
+    (["design-risk", "--users", "100", "--reach", "50", "--alpha", "1.5"],
+     "alpha"),
+    # DesignConstraints, from both design commands
+    (["design", "--users", "100", "--reach", "50",
+      "--max-connections", "-3"], "max_connections"),
+    (["design-risk", "--users", "100", "--reach", "50",
+      "--max-connections", "-3"], "max_connections"),
+])
+def test_every_validated_spec_fails_at_the_cli_boundary(capsys, argv, field):
+    assert_usage_error(capsys, argv, field)
 
 
 class TestResilienceRecover:
@@ -577,8 +599,8 @@ class TestDesignRisk:
         assert "FEASIBLE" in out
 
     def test_missing_users_is_usage_error(self, capsys):
-        with pytest.raises(SystemExit, match="--users"):
-            run_cli(capsys, "design-risk", "--reach", "60")
+        assert_usage_error(capsys, ["design-risk", "--reach", "60"],
+                           "--users")
 
     def test_unknown_risk_key_is_usage_error(self, capsys, tmp_path):
         import json
@@ -588,16 +610,16 @@ class TestDesignRisk:
             "constraints": {"num_users": 120, "desired_reach_peers": 60},
             "risk": {"cutof": 0.1},
         }))
-        with pytest.raises(SystemExit, match="unknown RiskSpec key"):
-            run_cli(capsys, "design-risk", "--spec", str(spec_path))
+        assert_usage_error(capsys, ["design-risk", "--spec", str(spec_path)],
+                           "unknown RiskSpec key")
 
     def test_unknown_section_is_usage_error(self, capsys, tmp_path):
         import json
 
         spec_path = tmp_path / "spec.json"
         spec_path.write_text(json.dumps({"constraint": {}}))
-        with pytest.raises(SystemExit, match="unknown section"):
-            run_cli(capsys, "design-risk", "--spec", str(spec_path))
+        assert_usage_error(capsys, ["design-risk", "--spec", str(spec_path)],
+                           "unknown section")
 
 
 class TestChaos:

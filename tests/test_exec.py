@@ -27,6 +27,7 @@ import pytest
 
 from repro.api import SweepSpec, run_sweep
 from repro.config import Configuration
+from repro.core.design import DesignConstraints
 from repro.exec import (
     EXECUTOR_NAMES,
     JobFileExecutor,
@@ -41,6 +42,7 @@ from repro.exec import (
 )
 from repro.exec.jobfile import _resolve_fn, _task_name, _task_pos
 from repro.obs.metrics import MetricsRegistry, get_registry, use_registry
+from repro.risk import RiskSpec, design_topology_risk
 from repro.sim.chaos import ChaosSpec, run_chaos
 from repro.sim.faults import FaultPlan, RetryPolicy
 from repro.sim.resilience import (
@@ -469,6 +471,29 @@ class TestBackendBitIdentity:
             assert len(other.reports) == len(serial.reports)
             for a, b in zip(serial.reports, other.reports):
                 assert a.to_dict() == b.to_dict()
+
+    def test_design_risk_matrix(self):
+        constraints = DesignConstraints(
+            num_users=120, desired_reach_peers=60,
+            max_incoming_bps=200_000.0, max_outgoing_bps=200_000.0,
+            max_processing_hz=20_000_000.0, max_connections=80,
+        )
+        spec = RiskSpec(cutoff=0.05, availability_target=0.9, duration=60.0,
+                        seed=0, max_candidates=2, mean_recovery=30.0)
+
+        def ranked(name):
+            outcome = design_topology_risk(
+                constraints, spec, trials=1, max_sources=60,
+                executor=name, jobs=None if name == "serial" else 2,
+            )
+            return [a.to_dict() for a in outcome.assessments]
+
+        serial = ranked("serial")
+        # Two candidates, at least one live scenario: a real fan-out.
+        assert len(serial) == 2
+        assert any(len(a["scenarios"]) > 1 for a in serial)
+        for name in ("thread", "process"):
+            assert ranked(name) == serial
 
 
 class TestResilienceSpec:

@@ -14,12 +14,16 @@ The contracts held here:
   array-engine simulation run with the journal and progress tracker
   attached produces bit-identical results and metrics to one run
   without; telemetry observes, never perturbs.
+* **Campaign runners** — for sweep, chaos, resilience and design-risk
+  alike, each finish record matches the point's registry and the merged
+  manifest, and a failing worker ends the journal with status ``error``.
 * **CLI** — ``repro watch --once`` renders a complete, in-flight, or
   truncated journal without error.
 """
 
 from __future__ import annotations
 
+import importlib
 import json
 
 import numpy as np
@@ -43,8 +47,11 @@ from repro.obs.progress import (
     start_campaign,
 )
 from repro.reporting import render_campaign, render_progress_line
+from repro.risk import RiskSpec, evaluate_designs
 from repro.sim.chaos import ChaosSpec, run_chaos
+from repro.sim.faults import FaultPlan
 from repro.sim.network import simulate_instance
+from repro.sim.resilience import ResilienceSpec, run_resilience_spec
 from repro.topology.builder import build_instance
 
 BASE = Configuration(graph_size=200, cluster_size=10, ttl=3,
@@ -386,6 +393,101 @@ def test_sweep_error_lands_in_journal(tmp_path, monkeypatch):
     assert state.errors == 1
     assert state.end_status == "error"
     assert state.error_rollup()["RuntimeError"]["count"] == 1
+
+
+def _run_sweep(journal):
+    run_sweep(small_sweep(), journal=journal)
+
+
+def _run_chaos(journal):
+    run_chaos(ChaosSpec(cases=2, base_seed=3, graph_size=120,
+                        cluster_size=10, duration=60.0, replay=False),
+              journal=journal)
+
+
+def _run_resilience(journal):
+    run_resilience_spec(ResilienceSpec(config=BASE,
+                                       plan=FaultPlan(message_loss=0.1),
+                                       duration=60.0, seed=3, replicates=2),
+                        journal=journal)
+
+
+def _run_design_risk(journal):
+    candidates = [
+        (f"r{int(redundancy)}",
+         Configuration(graph_size=120, cluster_size=60, ttl=2,
+                       avg_outdegree=1.0, redundancy=redundancy))
+        for redundancy in (False, True)
+    ]
+    evaluate_designs(candidates,
+                     RiskSpec(cutoff=0.05, duration=60.0, mean_recovery=30.0,
+                              seed=2, availability_target=0.9),
+                     journal=journal)
+
+
+#: runner -> (module, its module-level worker's name, a journaled small run)
+RUNNERS = {
+    "sweep": ("repro.api", "_evaluate_point", _run_sweep),
+    "chaos": ("repro.sim.chaos", "_case_worker", _run_chaos),
+    "resilience": ("repro.sim.resilience", "_replicate_worker",
+                   _run_resilience),
+    "design-risk": ("repro.risk.evaluate", "_evaluate_cell",
+                    _run_design_risk),
+}
+
+
+@pytest.mark.parametrize("runner", sorted(RUNNERS))
+def test_runner_finish_records_match_the_fold(tmp_path, monkeypatch, runner):
+    """Each finish record carries the point's own registry counters and
+    the seconds the merged manifest holds for its label."""
+    module_name, worker_name, run = RUNNERS[runner]
+    module = importlib.import_module(module_name)
+    worker = getattr(module, worker_name)
+    outcomes = {}
+
+    def spy_worker(payload):
+        outcome = worker(payload)
+        outcomes[outcome[2].name] = outcome
+        return outcome
+
+    folds = []
+    real_run_campaign = module.run_campaign
+
+    def spy_run_campaign(*args, **kwargs):
+        folds.append(real_run_campaign(*args, **kwargs))
+        return folds[-1]
+
+    monkeypatch.setattr(module, worker_name, spy_worker)
+    monkeypatch.setattr(module, "run_campaign", spy_run_campaign)
+    run(tmp_path / "j.jsonl")
+    records, _ = read_journal(tmp_path / "j.jsonl")
+    finishes = [r for r in records if r["record"] == "point-finish"]
+    assert len(finishes) == len(outcomes) >= 2
+    manifest = folds[0].manifest
+    for record in finishes:
+        _result, registry, _fragment = outcomes[record["label"]]
+        assert record["seconds"] == manifest.phases[record["label"]]
+        assert record["counters"] == registry.snapshot()["counters"]
+    assert records[-1]["record"] == "campaign-end"
+    assert records[-1]["status"] == "complete"
+
+
+@pytest.mark.parametrize("runner", sorted(RUNNERS))
+def test_runner_worker_error_ends_campaign_in_error(tmp_path, monkeypatch,
+                                                    runner):
+    module_name, worker_name, run = RUNNERS[runner]
+
+    def explode(payload):
+        raise RuntimeError("scripted failure")
+
+    monkeypatch.setattr(importlib.import_module(module_name), worker_name,
+                        explode)
+    with pytest.raises(RuntimeError, match="scripted failure"):
+        run(tmp_path / "e.jsonl")
+    records, _ = read_journal(tmp_path / "e.jsonl")
+    assert records[-1]["record"] == "campaign-end"
+    assert records[-1]["status"] == "error"
+    assert replay_journal(tmp_path / "e.jsonl").errors == 1
 
 
 def test_start_campaign_returns_none_when_telemetry_off():
