@@ -15,6 +15,12 @@ fixed sim seed and pinned to ``tests/golden/golden_fastcore.json``
 each simulator's numeric behaviour is version-controlled exactly like
 the analytical engine's.
 
+One k=2 and one k=1 case also run under a fixed fault plan (loss,
+crash/recovery, retries, gossip-detected self-healing) through both
+engines and are pinned to ``tests/golden/golden_faulty.json``: the
+load headline, the event counters and the degraded-mode counters of
+:class:`~repro.sim.faults.FaultOutcome`.
+
 Regenerating the fixtures (only after an *intentional* numeric change)::
 
     PYTHONPATH=src python tests/test_golden.py --regen
@@ -33,12 +39,16 @@ import pytest
 from repro.config import Configuration, GraphType
 from repro.core.load import evaluate_instance
 from repro.obs.metrics import MetricsRegistry, use_registry
+from repro.sim.faults import CrashSpec, FaultOutcome, FaultPlan, RetryPolicy
+from repro.sim.monitor import DetectorSpec
 from repro.sim.network import simulate_instance
+from repro.sim.recovery import RecoveryPolicy
 from repro.topology.builder import build_instance
 
 GOLDEN_PATH = Path(__file__).parent / "golden" / "golden_loads.json"
 FASTCORE_GOLDEN_PATH = Path(__file__).parent / "golden" / "golden_fastcore.json"
 EVENT_GOLDEN_PATH = Path(__file__).parent / "golden" / "golden_event.json"
+FAULTY_GOLDEN_PATH = Path(__file__).parent / "golden" / "golden_faulty.json"
 
 #: Fixed simulation window and seed for the simulated quartets; part
 #: of the golden contract like the topology seeds above.
@@ -69,6 +79,21 @@ CASES = {
     ),
 }
 
+#: The faulty-run contract: a fixed plan and recovery policy, run on
+#: these cases through both engines.
+FAULTY_CASES = ("power_k1", "power_k2")
+FAULTY_PLAN = FaultPlan(
+    message_loss=0.05,
+    crash=CrashSpec(mean_recovery=60.0),
+    retry=RetryPolicy(timeout=3.0, max_retries=2),
+)
+FAULTY_RECOVERY = RecoveryPolicy(detector=DetectorSpec(mode="gossip"))
+FAULT_COUNTERS = (
+    "queries_attempted", "queries_failed", "retries", "orphaned_queries",
+    "flood_messages_lost", "response_messages_lost", "partner_crashes",
+    "promotions", "lost_updates", "deferred_joins",
+)
+
 
 def _evaluate(case: dict) -> dict[str, float]:
     params = dict(case)
@@ -93,15 +118,24 @@ def _evaluate(case: dict) -> dict[str, float]:
     }
 
 
-def _simulate(case: dict, engine: str) -> dict[str, float]:
+def _simulate(case: dict, engine: str, faulty: bool = False) -> dict[str, float]:
     """Headline numbers of one fixed-seed run of either engine; the
-    event engine also pins its event and flood-message counters."""
+    event engine also pins its event and flood-message counters.
+
+    ``faulty`` runs under :data:`FAULTY_PLAN` with
+    :data:`FAULTY_RECOVERY` (the event loop on both engines) and adds
+    the event counters and :data:`FAULT_COUNTERS`.
+    """
     params = dict(case)
     seed = params.pop("seed")
     instance = build_instance(Configuration(**params), seed=seed)
+    outcome = FaultOutcome()
+    faults = dict(faults=FAULTY_PLAN, fault_metrics=outcome,
+                  recovery=FAULTY_RECOVERY) if faulty else {}
     with use_registry(MetricsRegistry()) as registry:
         report = simulate_instance(
-            instance, duration=SIM_DURATION, rng=SIM_SEED, engine=engine
+            instance, duration=SIM_DURATION, rng=SIM_SEED, engine=engine,
+            **faults,
         )
     stats = {
         "num_queries": float(report.num_queries),
@@ -114,11 +148,19 @@ def _simulate(case: dict, engine: str) -> dict[str, float]:
         "mean_results_per_query": float(report.mean_results_per_query),
         "mean_reach_clusters": float(report.mean_reach_clusters),
     }
-    if engine == "event":
+    if engine == "event" or faulty:
         counters = registry.snapshot()["counters"]
         for name in ("sim.engine.events", "sim.query_messages"):
             stats[name] = counters[name]
+    if faulty:
+        for name in FAULT_COUNTERS:
+            stats[name] = float(getattr(outcome, name))
     return stats
+
+
+def _simulate_faulty() -> dict[str, dict[str, float]]:
+    return {f"{name}/{engine}": _simulate(CASES[name], engine, faulty=True)
+            for name in FAULTY_CASES for engine in ("array", "event")}
 
 
 def _load(path: Path) -> dict:
@@ -164,6 +206,21 @@ def test_event_golden_loads(name):
                     _simulate(CASES[name], "event"))
 
 
+def test_faulty_golden_fixture_covers_all_cases():
+    assert set(_load(FAULTY_GOLDEN_PATH)) == {
+        f"{name}/{engine}" for name in FAULTY_CASES
+        for engine in ("array", "event")
+    }
+
+
+@pytest.mark.parametrize("engine", ["array", "event"])
+@pytest.mark.parametrize("name", FAULTY_CASES)
+def test_faulty_golden_loads(name, engine):
+    key = f"{name}/{engine}"
+    _assert_matches(key, _load(FAULTY_GOLDEN_PATH)[key],
+                    _simulate(CASES[name], engine, faulty=True))
+
+
 def test_redundancy_changes_the_numbers():
     # Sanity on the fixture itself: the four cases must be genuinely
     # distinct experiments, not four copies of one.
@@ -191,6 +248,11 @@ def _regenerate() -> None:
             encoding="utf-8",
         )
         print(f"wrote {path}")
+    FAULTY_GOLDEN_PATH.write_text(
+        json.dumps(_simulate_faulty(), indent=2, sort_keys=True) + "\n",
+        encoding="utf-8",
+    )
+    print(f"wrote {FAULTY_GOLDEN_PATH}")
 
 
 if __name__ == "__main__":
