@@ -85,7 +85,9 @@ class FloodingSearch(SearchProtocol):
         )
         response_bytes = self._response_bytes(depth_weighted, addr_weighted, res_weighted)
 
-        epl = depth_weighted / msgs if msgs > 0 else 0.0
+        # A weighted mean of depths cannot exceed the deepest hop; the
+        # clamp absorbs the rounding of two differently ordered sums.
+        epl = min(depth_weighted / msgs, float(prop.max_depth)) if msgs > 0 else 0.0
         metrics.histogram("search.flooding.response_hops").observe(epl)
         return QueryCost(
             query_messages=float(prop.transmissions.sum()),

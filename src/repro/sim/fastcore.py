@@ -35,21 +35,23 @@ the same measured loads with structure-of-arrays kernels:
   vectorized end-of-run draws, so result-count distributions stay
   realistic.
 
-Under a :class:`~repro.sim.faults.FaultPlan` the array engine reuses the
-event engine's entire control plane — ``_State``, ``FaultRuntime``,
-``RecoveryRuntime``, gossip detection, retries — and swaps only the
-match sampler: per-cluster hits are drawn from the cluster-level hit
-probability (``n`` uniforms per query) instead of per-collection
-Binomials (``total_clients`` draws per query).  Fault semantics are
-therefore shared by code, not by reimplementation.
+All of the above is the fault-free path.  Under a
+:class:`~repro.sim.faults.FaultPlan`, ``engine="array"`` is the event
+loop of :mod:`repro.sim.network` — ``_State``, ``FaultRuntime``,
+``RecoveryRuntime``, gossip detection, retries, the one query function
+— with :func:`meanfield_matches` as its match sampler: per-cluster hits
+are drawn from the cluster-level hit probability (``n`` uniforms per
+query) instead of per-collection Binomials (``total_clients`` draws per
+query).  Fault semantics are therefore shared by code, not by
+reimplementation.
 
-The fault-free array path is aggregate-only: it cannot emit per-query
+The vectorized path is aggregate-only: it cannot emit per-query
 trace events, so a ``tracer`` receives one vectorized ``flood-summary``
 event per run (query-weighted frontier sizes and messages per hop —
 the Figs. 4-8 quantities) instead of the event engine's per-query
-stream (faulty runs trace normally through the shared event core).
+stream (faulty runs trace normally through the event loop).
 
-Instrumentation parity: the fault-free path registers the *same*
+Instrumentation parity: the vectorized path registers the *same*
 counter and histogram families as the event engine's ``_State`` and
 ``Simulator`` — fault-path counters (drops, retries, orphans) exist at
 zero, ``sim.engine.events`` counts replayed schedule events, and the
@@ -74,10 +76,10 @@ from ..querymodel.distributions import QueryModel, default_query_model
 from ..stats.rng import derive_rng
 from ..topology.builder import NetworkInstance
 from ..units import bytes_per_second_to_bps, units_per_second_to_hz
-from .faults import FaultOutcome, FaultPlan
 from .schedule import WorkloadSchedule, generate_workload
 
-__all__ = ["FloodBlock", "flood_block", "simulate_instance_array"]
+__all__ = ["FloodBlock", "flood_block", "meanfield_matches",
+           "simulate_instance_array"]
 
 #: Number of index-size snapshots taken across a run.  Churn drifts the
 #: per-cluster file totals slowly (a few percent per window at default
@@ -102,6 +104,14 @@ def _miss_power_table(log_miss: np.ndarray, collections: np.ndarray) -> np.ndarr
     return total / max(1, x.size)
 
 
+def _mark_phase(registry, name: str, started: float) -> float:
+    """Attribute wall-clock since ``started`` to the registry timer
+    ``name``; returns the next phase's start time."""
+    now = perf_counter()
+    registry.timer(name).record(now - started)
+    return now
+
+
 def simulate_instance_array(
     instance: NetworkInstance,
     duration: float = 3600.0,
@@ -109,28 +119,21 @@ def simulate_instance_array(
     rng: np.random.Generator | int | None = None,
     enable_churn: bool = True,
     enable_updates: bool = True,
-    faults: FaultPlan | None = None,
-    fault_metrics: FaultOutcome | None = None,
-    recovery=None,
     tracer=None,
     schedule: WorkloadSchedule | None = None,
 ):
-    """Array-engine counterpart of
-    :func:`repro.sim.network.simulate_instance` (same signature, same
-    :class:`~repro.sim.network.SimulationReport`).
+    """The vectorized fault-free run behind
+    ``simulate_instance(..., engine="array")``, returning the same
+    :class:`~repro.sim.network.SimulationReport`.
 
-    Fault-free runs take the fully vectorized aggregate path below;
-    faulty runs delegate to the event core with the mean-field match
-    sampler swapped in (see module docstring).  Counters that are
-    deterministic given the shared schedule — queries, joins, updates,
-    flood transmissions, reach — equal the event engine's bit for bit;
-    sampled quantities agree statistically (``tests/test_differential.py``).
+    Counters that are deterministic given the shared schedule — queries,
+    joins, updates, flood transmissions, reach — equal the event
+    engine's bit for bit; sampled quantities agree statistically
+    (``tests/test_differential.py``).
     """
     if duration <= 0:
         raise ValueError("duration must be positive")
     model = model or default_query_model()
-    if faults is not None and faults.is_null:
-        faults = None
     if schedule is None:
         schedule = generate_workload(
             instance, duration, rng,
@@ -141,35 +144,7 @@ def simulate_instance_array(
         raise ValueError(
             f"schedule covers {schedule.duration}s, run wants {duration}s"
         )
-    if faults is not None:
-        return _simulate_faulty_array(
-            instance, duration, model, rng, schedule, faults,
-            fault_metrics, recovery, tracer,
-        )
-    return _simulate_fault_free_array(
-        instance, duration, model, rng, schedule, tracer=tracer,
-    )
 
-
-# --- fault-free aggregate path ------------------------------------------------
-
-
-def _mark_phase(registry, name: str, started: float) -> float:
-    """Attribute wall-clock since ``started`` to the registry timer
-    ``name``; returns the next phase's start time."""
-    now = perf_counter()
-    registry.timer(name).record(now - started)
-    return now
-
-
-def _simulate_fault_free_array(
-    instance: NetworkInstance,
-    duration: float,
-    model: QueryModel,
-    rng,
-    schedule: WorkloadSchedule,
-    tracer=None,
-):
     from .network import (  # deferred: network lazily imports this module
         _MUX, _QUERY_BYTES, _RECV_Q, _SEND_Q, SimulationReport,
     )
@@ -534,22 +509,19 @@ def _simulate_fault_free_array(
     )
 
 
-# --- faulty path: shared event core, mean-field match sampler ----------------
+# --- faulty runs: the event loop's mean-field match sampler ------------------
 
 
-def _make_meanfield_sampler(instance: NetworkInstance, model: QueryModel):
-    """Build the array engine's faulty-run query function.
+def meanfield_matches(instance: NetworkInstance, model: QueryModel):
+    """The array engine's match sampler for faulty runs.
 
-    Drop-in for ``network._run_query_faulty`` (the class ``j`` arrives
-    pre-drawn from the shared schedule): replaces per-collection
-    Binomial matches with cluster-level draws — hit ~
+    Returns ``matches(state, rt, s, j) -> (n_results, k_addr)`` for
+    :func:`repro.sim.network._run_query`.  Instead of per-collection
+    Binomial matches it draws cluster-level hits — hit ~
     Bernoulli(1 - (1-f_j)^F_c), with result and responder counts set to
-    their conditional expectations given a hit — and hands off to the
-    shared ``_process_query_faulty`` so retry, failover, response-loss
-    and gossip semantics are the event engine's own code.
+    their conditional expectations given a hit.  A dark source draws
+    nothing: the caller orphans the query.
     """
-    from .network import _orphan_query, _process_query_faulty
-
     n = instance.num_clusters
     k = instance.partners
     log_miss = np.log1p(-model.f)
@@ -559,12 +531,10 @@ def _make_meanfield_sampler(instance: NetworkInstance, model: QueryModel):
     phi = _miss_power_table(log_miss, collections)
     np_static = (instance.clients + k).astype(float)
 
-    def run_query(state, rt, source, client_index, j) -> None:
-        rng = state.rng
+    def matches(state, rt, s, j):
+        if rt.live[s] == 0:
+            return None, None
         f_j = float(state.model.f[j])
-        if rt.live[source] == 0:
-            _orphan_query(state, rt, source, client_index)
-            return
         if rt.recovery is not None and rt.recovery.rehomed_any:
             F = (
                 np.bincount(state.cluster_of_client,
@@ -579,35 +549,18 @@ def _make_meanfield_sampler(instance: NetworkInstance, model: QueryModel):
             F = state.index_sizes().astype(float)
             np_c = np_static
         if f_j <= 0.0:
-            n_results = np.zeros(n, dtype=np.int64)
-            k_addr = np.zeros(n, dtype=np.int64)
-        else:
-            p_hit = -np.expm1(F * log_miss[j])
-            hit = rng.random(n) < p_hit
-            safe = np.where(p_hit > 0.0, p_hit, 1.0)
-            n_results = np.where(
-                hit, np.maximum(1, np.rint(f_j * F / safe)), 0
-            ).astype(np.int64)
-            k_addr = np.where(
-                hit,
-                np.clip(np.rint(np_c * (1.0 - phi[j]) / safe), 1, n_results),
-                0,
-            ).astype(np.int64)
-        _process_query_faulty(state, rt, source, client_index,
-                              n_results, k_addr)
+            return np.zeros(n, dtype=np.int64), np.zeros(n, dtype=np.int64)
+        p_hit = -np.expm1(F * log_miss[j])
+        hit = state.rng.random(n) < p_hit
+        safe = np.where(p_hit > 0.0, p_hit, 1.0)
+        n_results = np.where(
+            hit, np.maximum(1, np.rint(f_j * F / safe)), 0
+        ).astype(np.int64)
+        k_addr = np.where(
+            hit,
+            np.clip(np.rint(np_c * (1.0 - phi[j]) / safe), 1, n_results),
+            0,
+        ).astype(np.int64)
+        return n_results, k_addr
 
-    return run_query
-
-
-def _simulate_faulty_array(
-    instance, duration, model, rng, schedule, faults,
-    fault_metrics, recovery, tracer,
-):
-    from .network import simulate_instance
-
-    return simulate_instance(
-        instance, duration=duration, model=model, rng=rng,
-        faults=faults, fault_metrics=fault_metrics, recovery=recovery,
-        tracer=tracer, engine="event", schedule=schedule,
-        _faulty_query=_make_meanfield_sampler(instance, model),
-    )
+    return matches

@@ -553,8 +553,8 @@ class FaultRuntime:
         else:
             # Surviving partners absorb the crashed slot's clients: the
             # connections are already open under k-redundancy, so the
-            # failover itself is free — round-robin simply skips the
-            # dead slot from now on.
+            # failover itself is free — the cluster's load is simply
+            # shared by the live partners from now on.
             self.metrics.failovers += 1
         if self.listener is not None:
             self.listener.on_crash(cluster, partner, self.sim.now)
@@ -653,18 +653,6 @@ class FaultRuntime:
         """Clusters with at least one live partner."""
         return self.live > 0
 
-    def pick_live_partner(self, round_robin: np.ndarray, cluster: int) -> int:
-        """Round-robin over live partners only (failover skips dead slots)."""
-        k = self.k
-        p = int(round_robin[cluster])
-        for _ in range(k):
-            candidate = p % k
-            p += 1
-            if self.up[cluster, candidate]:
-                round_robin[cluster] = p % k
-                return candidate
-        raise RuntimeError("pick_live_partner called on a dark cluster")
-
 
 def sampled_propagation(
     graph, source: int, ttl: int, runtime: FaultRuntime, now: float
@@ -735,7 +723,7 @@ def sample_response_edges(prop: QueryPropagation, runtime: FaultRuntime,
 
 def lossy_accumulate(
     prop: QueryPropagation,
-    edge_pass: np.ndarray,
+    edge_pass: np.ndarray | None,
     channels: list[np.ndarray],
 ) -> tuple[np.ndarray, np.ndarray]:
     """Fold response weights toward the source across surviving hops.
@@ -746,10 +734,12 @@ def lossy_accumulate(
     delivers) and ``received[v]`` is what actually arrives at ``v`` from
     its subtree children.  ``received[source]`` is the query's delivered
     response volume.  The fold is :func:`~repro.core.routing.fold_to_sources`
-    with ``edge_pass``; ``received = sent - weights`` is exact for the
-    integer-valued weights the simulator passes.
+    with ``edge_pass`` (None: every hop delivers); ``received = sent -
+    weights`` is exact for the integer-valued weights the simulator passes.
     """
     weights = np.array(channels, dtype=float)
+    if edge_pass is not None:
+        edge_pass = edge_pass[np.newaxis]
     sent = fold_to_sources(prop.depth[np.newaxis], prop.pred[np.newaxis],
-                           weights.T[np.newaxis], edge_pass[np.newaxis])[0].T
+                           weights.T[np.newaxis], edge_pass)[0].T
     return sent, sent - weights

@@ -4,7 +4,8 @@ Where the mean-value analysis (``repro.core.load``) charges *expected*
 costs, this simulator samples the actual randomness: Poisson query /
 update arrivals, lifespan-driven churn with live index mutation, sampled
 query classes (from g) and sampled per-collection match outcomes (from
-f), and round-robin partner selection under k-redundancy.
+f), and k-redundant partners sharing their cluster's load (round-robin
+partner selection, charged at its long-run average of 1/k per partner).
 
 Arrival processes run on the discrete-event engine; each query is then
 accounted synchronously along its BFS flood and reverse-path responses
@@ -17,15 +18,17 @@ average loads measured here must converge to the MVA's expectations —
 ``tests/test_sim_vs_mva.py`` holds that contract.
 
 Fault injection (``repro.sim.faults``) threads through the same query
-path: under a :class:`~repro.sim.faults.FaultPlan`, every overlay hop is
-individually checked for delivery, dark clusters truncate floods, the
-originating super-peer retries lossy queries with bounded backoff, and
-partner crash/recovery replaces the instantaneous-churn model.  The
-fault layer is pay-for-what-you-use: with no plan (or a null plan) the
-fault-free code path runs untouched, drawing the exact same RNG stream,
-so results are bit-identical to a run without the layer.  Degraded-mode
-metrics land in a :class:`~repro.sim.faults.FaultOutcome`; the
-measurement harness around this is :mod:`repro.sim.resilience`.
+function, :func:`_run_query`: under a
+:class:`~repro.sim.faults.FaultPlan`, every overlay hop is individually
+checked for delivery, dark clusters truncate floods, the originating
+super-peer retries lossy queries with bounded backoff, and partner
+crash/recovery replaces the instantaneous-churn model.  The fault layer
+is pay-for-what-you-use: with no plan (or a null plan) there is no fault
+runtime, the query function takes its fault-free branches and draws the
+exact same RNG stream, so results are bit-identical to a run without
+the layer.  Degraded-mode metrics land in a
+:class:`~repro.sim.faults.FaultOutcome`; the measurement harness around
+this is :mod:`repro.sim.resilience`.
 """
 
 from __future__ import annotations
@@ -40,7 +43,7 @@ from ..core import costs
 from ..core.load import LoadReport, _HANDSHAKE_BYTES, _HANDSHAKE_RECV_UNITS, _HANDSHAKE_SEND_UNITS
 from ..obs.metrics import get_registry
 from ..obs.trace import NULL_TRACER, Tracer
-from ..core.routing import fold_to_sources, propagate_query
+from ..core.routing import QueryPropagation, propagate_query
 from ..querymodel.distributions import QueryModel, default_query_model
 from ..querymodel.files import default_file_distribution
 from ..stats.rng import derive_rng
@@ -154,7 +157,9 @@ class _State:
         self.floods = {}  # fault-free floods by source (static graph)
         self.m_sp = instance.superpeer_connections.astype(float)
         self.m_cl = float(instance.client_connections)
-        self.round_robin = np.zeros(self.n, dtype=np.int64)
+        # Per-partner meters carry 1/k of the cluster's load: the
+        # long-run share of round-robin partner selection (Section 3.2).
+        self.kv = np.full(self.n, float(self.k))
         # Meters: byte and unit totals.
         self.sp_in = np.zeros(self.n)
         self.sp_out = np.zeros(self.n)
@@ -192,25 +197,11 @@ class _State:
 
     # --- index bookkeeping ------------------------------------------------------
 
-    def index_size(self, cluster: int) -> int:
-        clients = self._cluster_client_slice(cluster)
-        return int(clients.sum() + self.partner_files[cluster].sum())
-
     def index_sizes(self) -> np.ndarray:
         ptr = self.instance.client_ptr
         sums = np.add.reduceat(np.append(self.client_files, 0), ptr[:-1])
         sums[self.instance.clients == 0] = 0
         return sums + self.partner_files.sum(axis=1)
-
-    def _cluster_client_slice(self, cluster: int) -> np.ndarray:
-        ptr = self.instance.client_ptr
-        return self.client_files[ptr[cluster]: ptr[cluster + 1]]
-
-    def next_partner(self, cluster: int) -> int:
-        """Round-robin partner selection (Section 3.2, footnote 1)."""
-        p = int(self.round_robin[cluster])
-        self.round_robin[cluster] = (p + 1) % self.k
-        return p
 
 
 def _fanout_per_hop(prop) -> list[float]:
@@ -220,148 +211,25 @@ def _fanout_per_hop(prop) -> list[float]:
     return [float(x) for x in counts]
 
 
-def _run_query(state: _State, source_cluster: int, client_index: int | None,
-               j: int) -> None:
-    """Account one full query: flood, sampled matches, reverse-path responses.
+def _exact_matches(state: _State, rt: FaultRuntime | None, s: int,
+                   j: int) -> tuple[np.ndarray, np.ndarray]:
+    """Per-cluster result and responder counts of one query of class ``j``.
 
-    ``client_index`` is the flat client id when client-sourced, else None
-    (the super-peer itself is the source).  ``j`` is the query's class,
-    pre-drawn into the shared schedule so both engines see the same
-    class sequence; its selection power drives every match below.
+    Every file matches independently with probability f_j (the Appendix
+    B model), so a collection of x files contributes Binomial(x, f_j)
+    results.  N_T and K_T then follow from the *same* draws, keeping
+    them mutually consistent.  The caller draws once per query, before
+    its orphan check, so a degraded run and its baseline see the same
+    workload (common random numbers); retries reuse the draws.
     """
     st = state
-    s = source_cluster
-    ttl = st.instance.config.ttl
     rng = st.rng
-    st.num_queries += 1
     f_j = float(st.model.f[j])
-
-    if client_index is not None:
-        st.cl_out[client_index] += _QUERY_BYTES
-        st.cl_proc[client_index] += _SEND_Q + _MUX * st.m_cl
-        st.sp_in[s] += _QUERY_BYTES / st.k
-        st.sp_proc[s] += (_RECV_Q + _MUX * st.m_sp[s]) / st.k
-
-    prop = st.floods.get(s)
-    if prop is None:
-        prop = propagate_query(st.instance.graph, s, ttl)
-        if len(st.floods) * st.n < _FLOOD_MEMO_CELLS:
-            st.floods[s] = prop
-    reached = prop.reached
-    st.total_reach += prop.reach
-
-    # Query flood messages (each handled by one partner; average the meter).
-    st.sp_out += prop.transmissions * _QUERY_BYTES / st.k
-    st.sp_proc += prop.transmissions * (_SEND_Q + _MUX * st.m_sp) / st.k
-    st.sp_in += prop.receipts * _QUERY_BYTES / st.k
-    st.sp_proc += prop.receipts * (_RECV_Q + _MUX * st.m_sp) / st.k
-
-    # Sample per-collection match counts: every file matches independently
-    # with probability f_j (the Appendix B model), so a collection of x
-    # files contributes Binomial(x, f_j) results.  N_T and K_T then follow
-    # from the *same* draws, keeping them mutually consistent.
     client_matches = rng.binomial(st.client_files, f_j) if f_j > 0 else np.zeros_like(st.client_files)
     partner_matches = (
         rng.binomial(st.partner_files, f_j) if f_j > 0 else np.zeros_like(st.partner_files)
     )
-    ptr = st.instance.client_ptr
-    client_sum = np.add.reduceat(np.append(client_matches, 0), ptr[:-1])
-    client_sum[st.instance.clients == 0] = 0
-    client_hit_count = np.add.reduceat(np.append(client_matches > 0, False), ptr[:-1])
-    client_hit_count[st.instance.clients == 0] = 0
-    n_results = client_sum + partner_matches.sum(axis=1)
-    k_addr = client_hit_count + (partner_matches > 0).sum(axis=1)
-
-    # Index probe at every reached cluster.
-    st.sp_proc[reached] += (
-        costs.PROCESS_QUERY_BASE + costs.PROCESS_QUERY_PER_RESULT * n_results[reached]
-    ) / st.k
-
-    # Responses travel the reverse path.
-    msgs_w = np.where(reached & (n_results > 0), 1.0, 0.0)
-    msgs_w[s] = 0.0
-    addr_w = np.where(msgs_w > 0, k_addr, 0).astype(float)
-    res_w = np.where(msgs_w > 0, n_results, 0).astype(float)
-    weights = np.array([msgs_w, addr_w, res_w]).T[np.newaxis]
-    fw_m, fw_a, fw_r = fold_to_sources(
-        prop.depth[np.newaxis], prop.pred[np.newaxis], weights)[0].T
-
-    senders = reached.copy()
-    senders[s] = False
-    out_bytes, out_units = costs.response_costs(
-        fw_m[senders], fw_a[senders], fw_r[senders], st.m_sp[senders], send=True)
-    st.sp_out[senders] += out_bytes / st.k
-    st.sp_proc[senders] += out_units / st.k
-    inc_m, inc_a, inc_r = fw_m - msgs_w, fw_a - addr_w, fw_r - res_w
-    in_bytes, in_units = costs.response_costs(
-        inc_m[reached], inc_a[reached], inc_r[reached], st.m_sp[reached], send=False)
-    st.sp_in[reached] += in_bytes / st.k
-    st.sp_proc[reached] += in_units / st.k
-
-    # Deliver everything (remote + own-index results) to the querying client.
-    own_msg = 1.0 if n_results[s] > 0 else 0.0
-    to_m = fw_m[s] + own_msg
-    to_a = fw_a[s] + (k_addr[s] if own_msg else 0)
-    to_r = fw_r[s] + (n_results[s] if own_msg else 0)
-    st.total_results += fw_r[s] + n_results[s]
-    st.m_queries.add()
-    st.m_query_messages.add(float(prop.transmissions.sum()))
-    st.m_response_messages.add(float(fw_m[senders].sum()))
-    st.m_results.observe(float(fw_r[s] + n_results[s]))
-    if st.tracer.enabled:
-        st.tracer.emit(
-            "query", st.now, source=s, reach=int(prop.reach),
-            results=float(fw_r[s] + n_results[s]),
-            query_messages=float(prop.transmissions.sum()),
-            fanout=_fanout_per_hop(prop),
-            client=client_index is not None,
-            attempts=1, waited=0.0,
-        )
-    if client_index is not None and to_m > 0:
-        bytes_to_client, send_units = costs.response_costs(
-            to_m, to_a, to_r, st.m_sp[s], send=True)
-        st.sp_out[s] += bytes_to_client / st.k
-        st.sp_proc[s] += send_units / st.k
-        st.cl_in[client_index] += bytes_to_client
-        st.cl_proc[client_index] += costs.response_costs(
-            to_m, to_a, to_r, st.m_cl, send=False)[1]
-
-
-def _run_query_faulty(state: _State, rt: FaultRuntime, source_cluster: int,
-                      client_index: int | None, j: int) -> None:
-    """One query under a fault plan: sampled delivery, retries, failover.
-
-    Mirrors :func:`_run_query` with three degradations: the flood and
-    the reverse-path responses are per-hop sampled (``sim.faults``),
-    dark clusters orphan their queries outright, and a flood whose
-    timeout expires with *no* results is retried by the originating
-    super-peer under the plan's retry policy (each retry pays full
-    flood cost; the user keeps the best attempt's results).  The source
-    cannot see lost responses, only silence — so loss that still leaves
-    some results goes unretried.  Per-partner meters divide by the
-    *live* partner count — survivors of a crash bear the full cluster
-    load.
-    """
-    st = state
-    s = source_cluster
-    rng = st.rng
-    # The class ``j`` comes pre-drawn from the shared schedule; the
-    # per-collection matches are drawn exactly as the fault-free path
-    # draws them — same stream, same order, once per query — so a
-    # degraded run and its baseline see the *same* workload (common
-    # random numbers) and differ only in delivery.  Retries reuse the
-    # draws: the indexes don't change between attempts.
-    f_j = float(st.model.f[j])
-    client_matches = (
-        rng.binomial(st.client_files, f_j) if f_j > 0 else np.zeros_like(st.client_files)
-    )
-    partner_matches = (
-        rng.binomial(st.partner_files, f_j) if f_j > 0 else np.zeros_like(st.partner_files)
-    )
-    if rt.live[s] == 0:
-        _orphan_query(st, rt, s, client_index)
-        return
-    if rt.recovery is not None and rt.recovery.rehomed_any:
+    if rt is not None and rt.recovery is not None and rt.recovery.rehomed_any:
         # Clients have moved between clusters: aggregate matches by the
         # *current* membership instead of the static CSR roster.
         client_sum = np.bincount(
@@ -379,7 +247,102 @@ def _run_query_faulty(state: _State, rt: FaultRuntime, source_cluster: int,
         client_hit_count[st.instance.clients == 0] = 0
     n_results = client_sum + partner_matches.sum(axis=1)
     k_addr = client_hit_count + (partner_matches > 0).sum(axis=1)
-    _process_query_faulty(st, rt, s, client_index, n_results, k_addr)
+    return n_results, k_addr
+
+
+def _run_query(state: _State, rt: FaultRuntime | None, s: int,
+               client_index: int | None, j: int, matches) -> None:
+    """Account one query: matches, client submit, flood, reverse-path responses.
+
+    ``client_index`` is the flat client id when client-sourced, else None
+    (the super-peer itself is the source).  ``j`` is the query's class,
+    pre-drawn into the shared schedule so both engines see the same
+    class sequence.  ``matches(state, rt, s, j)`` returns the per-cluster
+    result and responder counts: :func:`_exact_matches`, or the array
+    engine's :func:`~repro.sim.fastcore.meanfield_matches`.
+
+    ``rt`` is the run's :class:`~repro.sim.faults.FaultRuntime`, None on
+    fault-free runs.  Under a plan the flood and the reverse-path
+    responses are per-hop sampled (``sim.faults``), dark clusters orphan
+    their queries outright, and a flood that returns *no* results is
+    retried by the originating super-peer under the plan's retry policy
+    (each retry pays full flood cost; the user keeps the best attempt's
+    results).  The source cannot see lost responses, only silence — so
+    loss that still leaves some results goes unretried.  Per-partner
+    meters divide by the *live* partner count — survivors of a crash
+    bear the full cluster load.  Fault-free, the flood is the memoised
+    static one, every response arrives, meters divide by k and there is
+    one attempt.
+    """
+    st = state
+    n_results, k_addr = matches(st, rt, s, j)
+    if rt is not None and rt.live[s] == 0:
+        _orphan_query(st, rt, s, client_index)
+        return
+    st.num_queries += 1
+    st.m_queries.add()
+    max_attempts = 1
+    if rt is None:
+        kv = st.kv
+    else:
+        rt.metrics.queries_attempted += 1
+        kv = np.maximum(rt.live, 1).astype(float)
+        if rt.plan.retry is not None:
+            max_attempts += rt.plan.retry.max_retries
+
+    if client_index is not None:
+        st.cl_out[client_index] += _QUERY_BYTES
+        st.cl_proc[client_index] += _SEND_Q + _MUX * st.m_cl
+        st.sp_in[s] += _QUERY_BYTES / kv[s]
+        st.sp_proc[s] += (_RECV_Q + _MUX * st.m_sp[s]) / kv[s]
+
+    best_results = 0.0
+    best = None
+    saw_loss = False
+    waited = 0.0
+    for attempt in range(max_attempts):
+        results, prop, lost = _flood_attempt(
+            st, rt, s, client_index, n_results, k_addr, kv
+        )
+        if results > best_results or attempt == 0:
+            best_results = results
+            best = prop
+        if lost > 0:
+            saw_loss = True
+        if best_results > 0:
+            break
+        if attempt + 1 < max_attempts:
+            met = rt.metrics
+            met.retries += 1
+            wait = rt.plan.retry.wait_before(attempt)
+            met.retry_wait_seconds += wait
+            waited += wait
+            st.m_retries.add()
+            if st.tracer.enabled:
+                st.tracer.emit("retry", st.now, source=s, attempt=attempt + 1)
+    if saw_loss:
+        rt.metrics.truncated_floods += 1
+        if st.tracer.enabled:
+            st.tracer.emit("flood-truncated", st.now, source=s)
+    st.total_results += best_results
+    st.total_reach += best.reach
+    st.m_results.observe(best_results)
+    if st.tracer.enabled:
+        if rt is None:
+            shape = dict(reach=best.reach,
+                         query_messages=best.total_query_messages())
+        else:
+            shape = dict(reach=float(best.reach), degraded=saw_loss)
+        st.tracer.emit("query", st.now, source=s, results=best_results,
+                       fanout=_fanout_per_hop(best),
+                       client=client_index is not None,
+                       attempts=attempt + 1, waited=waited, **shape)
+    # A zero-result query is only a *fault* when loss was observed:
+    # rare-file queries legitimately return nothing even fault-free, and
+    # counting them would bury the degradation signal under the query
+    # model's intrinsic miss rate.
+    if best_results <= 0 and saw_loss:
+        rt.metrics.queries_failed += 1
 
 
 def _orphan_query(state: _State, rt: FaultRuntime, s: int,
@@ -399,111 +362,46 @@ def _orphan_query(state: _State, rt: FaultRuntime, s: int,
             state.tracer.emit("orphan", state.now, source=s)
 
 
-def _process_query_faulty(state: _State, rt: FaultRuntime, s: int,
-                          client_index: int | None, n_results: np.ndarray,
-                          k_addr: np.ndarray) -> None:
-    """Run one live query's flood/retry/response cycle from given matches.
+def _flood_attempt(state: _State, rt: FaultRuntime | None, s: int,
+                   client_index: int | None, n_results: np.ndarray,
+                   k_addr: np.ndarray,
+                   kv: np.ndarray) -> tuple[float, QueryPropagation, int]:
+    """One flood + response pass: (results delivered, flood, messages lost).
 
-    Split out of :func:`_run_query_faulty` so alternative match samplers
-    (the array engine's mean-field draws, ``sim.fastcore``) share the
-    exact retry, failover, response and gossip semantics.  ``n_results``
-    and ``k_addr`` are per-cluster result and responder counts; the
-    caller has already verified ``rt.live[s] > 0``.
+    Senders pay for every attempted transmission; dead or partitioned
+    targets receive (and process) nothing.  Fault-free nothing is lost.
     """
     st = state
-    met = rt.metrics
-    st.num_queries += 1
-    st.m_queries.add()
-    met.queries_attempted += 1
-    kv = np.maximum(rt.live, 1).astype(float)
-
-    if client_index is not None:
-        # Failover: round-robin over live partners only.
-        rt.pick_live_partner(st.round_robin, s)
-        st.cl_out[client_index] += _QUERY_BYTES
-        st.cl_proc[client_index] += _SEND_Q + _MUX * st.m_cl
-        st.sp_in[s] += _QUERY_BYTES / kv[s]
-        st.sp_proc[s] += (_RECV_Q + _MUX * st.m_sp[s]) / kv[s]
-
-    retry = rt.plan.retry
-    max_attempts = 1 + (retry.max_retries if retry is not None else 0)
-    best_results = 0.0
-    best_reach = 0.0
-    best_fanout: list[float] = []
-    saw_loss = False
-    waited = 0.0
-    for attempt in range(max_attempts):
-        results, reach, lost, fanout = _flood_attempt_faulty(
-            st, rt, s, client_index, n_results, k_addr, kv
-        )
-        if results > best_results or attempt == 0:
-            best_results = results
-            best_reach = reach
-            best_fanout = fanout
-        if lost > 0:
-            saw_loss = True
-        if best_results > 0:
-            break
-        if attempt + 1 < max_attempts:
-            met.retries += 1
-            wait = retry.wait_before(attempt)
-            met.retry_wait_seconds += wait
-            waited += wait
-            st.m_retries.add()
+    ttl = st.instance.config.ttl
+    lost = 0
+    if rt is None:
+        prop = st.floods.get(s)
+        if prop is None:
+            prop = propagate_query(st.instance.graph, s, ttl)
+            if len(st.floods) * st.n < _FLOOD_MEMO_CELLS:
+                st.floods[s] = prop
+    else:
+        met = rt.metrics
+        now = st.now
+        prop, stats = sampled_propagation(st.graph, s, ttl, rt, now)
+        lost = stats.lost
+        met.flood_messages_lost += lost
+        met.flood_messages_attempted += stats.attempted
+        met.flood_messages_delivered += stats.delivered
+        if lost:
+            st.m_flood_drops.add(float(lost))
             if st.tracer.enabled:
-                st.tracer.emit("retry", st.now, source=s, attempt=attempt + 1)
-    if saw_loss:
-        met.truncated_floods += 1
-        if st.tracer.enabled:
-            st.tracer.emit("flood-truncated", st.now, source=s)
-    st.total_results += best_results
-    st.total_reach += best_reach
-    st.m_results.observe(best_results)
-    if st.tracer.enabled:
-        st.tracer.emit("query", st.now, source=s, reach=best_reach,
-                       results=best_results, degraded=saw_loss,
-                       fanout=best_fanout, client=client_index is not None,
-                       attempts=attempt + 1, waited=waited)
-    # A zero-result query is only a *fault* when loss was observed:
-    # rare-file queries legitimately return nothing even fault-free, and
-    # counting them would bury the degradation signal under the query
-    # model's intrinsic miss rate.
-    if best_results <= 0 and saw_loss:
-        met.queries_failed += 1
-
-
-def _flood_attempt_faulty(state: _State, rt: FaultRuntime, s: int,
-                          client_index: int | None, n_results: np.ndarray,
-                          k_addr: np.ndarray,
-                          kv: np.ndarray) -> tuple[float, float, int, list[float]]:
-    """One sampled flood + response pass.
-
-    Returns (results, reach, lost, fanout-per-hop); the fanout list is
-    only materialized when tracing is on (empty otherwise).
-    """
-    st = state
-    met = rt.metrics
-    now = rt.sim.now if rt.sim is not None else 0.0
-    prop, stats = sampled_propagation(
-        st.graph, s, st.instance.config.ttl, rt, now
-    )
-    met.flood_messages_lost += stats.lost
-    met.flood_messages_attempted += stats.attempted
-    met.flood_messages_delivered += stats.delivered
-    st.m_query_messages.add(float(stats.attempted))
-    if stats.lost:
-        st.m_flood_drops.add(float(stats.lost))
-        if st.tracer.enabled:
-            st.tracer.emit("drop", now, source=s, phase="flood", lost=stats.lost)
+                st.tracer.emit("drop", now, source=s, phase="flood", lost=lost)
+    st.m_query_messages.add(prop.total_query_messages())
     reached = prop.reached
 
-    # Flood costs: senders pay for every attempted transmission, dead or
-    # partitioned targets receive (and process) nothing.
+    # Query flood messages (each handled by one partner; average the meter).
     st.sp_out += prop.transmissions * _QUERY_BYTES / kv
     st.sp_proc += prop.transmissions * (_SEND_Q + _MUX * st.m_sp) / kv
     st.sp_in += prop.receipts * _QUERY_BYTES / kv
     st.sp_proc += prop.receipts * (_RECV_Q + _MUX * st.m_sp) / kv
 
+    # Index probe at every reached cluster.
     st.sp_proc[reached] += (
         costs.PROCESS_QUERY_BASE + costs.PROCESS_QUERY_PER_RESULT * n_results[reached]
     ) / kv[reached]
@@ -513,7 +411,7 @@ def _flood_attempt_faulty(state: _State, rt: FaultRuntime, s: int,
     msgs_w[s] = 0.0
     addr_w = np.where(msgs_w > 0, k_addr, 0).astype(float)
     res_w = np.where(msgs_w > 0, n_results, 0).astype(float)
-    edge_pass = sample_response_edges(prop, rt, now)
+    edge_pass = None if rt is None else sample_response_edges(prop, rt, now)
     sent, received = lossy_accumulate(prop, edge_pass, [msgs_w, addr_w, res_w])
     sent_m, sent_a, sent_r = sent
     recv_m, recv_a, recv_r = received
@@ -528,21 +426,21 @@ def _flood_attempt_faulty(state: _State, rt: FaultRuntime, s: int,
         recv_m[reached], recv_a[reached], recv_r[reached], st.m_sp[reached], send=False)
     st.sp_in[reached] += in_bytes / kv[reached]
     st.sp_proc[reached] += in_units / kv[reached]
-    lost_responses = float(sent_m[senders].sum() - recv_m.sum())
-    met.response_messages_lost += lost_responses
     st.m_response_messages.add(float(sent_m[senders].sum()))
-    if lost_responses > 0:
-        st.m_response_drops.add(lost_responses)
-        if st.tracer.enabled:
-            st.tracer.emit("drop", now, source=s, phase="response",
-                           lost=lost_responses)
+    if rt is not None:
+        lost_responses = float(sent_m[senders].sum() - recv_m.sum())
+        rt.metrics.response_messages_lost += lost_responses
+        if lost_responses > 0:
+            st.m_response_drops.add(lost_responses)
+            if st.tracer.enabled:
+                st.tracer.emit("drop", now, source=s, phase="response",
+                               lost=lost_responses)
 
-    # Deliver what survived (plus own-index results) to the client.
+    # Deliver what arrived (plus own-index results) to the querying client.
     own_msg = 1.0 if n_results[s] > 0 else 0.0
     to_m = recv_m[s] + own_msg
     to_a = recv_a[s] + (k_addr[s] if own_msg else 0)
     to_r = recv_r[s] + (n_results[s] if own_msg else 0)
-    delivered = float(recv_r[s] + n_results[s])
     if client_index is not None and to_m > 0:
         bytes_to_client, send_units = costs.response_costs(
             to_m, to_a, to_r, st.m_sp[s], send=True)
@@ -554,10 +452,9 @@ def _flood_attempt_faulty(state: _State, rt: FaultRuntime, s: int,
     # Membership digests ride the flood tree and the surviving response
     # edges (decentralized failure detection; free while nothing is
     # rumored, charged per digest once a suspicion episode opens).
-    if rt.gossip is not None:
+    if rt is not None and rt.gossip is not None:
         rt.gossip.on_flood(prop, edge_pass)
-    fanout = _fanout_per_hop(prop) if st.tracer.enabled else []
-    return delivered, float(prop.reach), stats.lost, fanout
+    return float(recv_r[s] + n_results[s]), prop, lost
 
 
 def _run_client_churn(state: _State, client_index: int,
@@ -683,7 +580,6 @@ def simulate_instance(
     tracer: Tracer | None = None,
     engine: str = "event",
     schedule: WorkloadSchedule | None = None,
-    _faulty_query=None,
 ) -> SimulationReport:
     """Simulate ``duration`` seconds of the network's life and measure loads.
 
@@ -716,8 +612,13 @@ def simulate_instance(
     traced and untraced runs produce bit-identical loads.
 
     ``engine`` selects the backend: ``"event"`` (this module — the
-    reference oracle) or ``"array"`` (:mod:`repro.sim.fastcore`, the
-    vectorized backend).  Both consume the same pre-generated
+    reference oracle) or ``"array"``.  On a fault-free run (no plan, or
+    a null one) ``"array"`` is the vectorized path of
+    :mod:`repro.sim.fastcore`.  Under a fault plan it is this module's
+    event loop with :func:`~repro.sim.fastcore.meanfield_matches` as the
+    match sampler (cluster-level hit draws instead of per-collection
+    Binomials); faults, recovery, gossip, retries and tracing are then
+    the event engine's own code.  Both consume the same pre-generated
     :class:`~repro.sim.schedule.WorkloadSchedule`, so query / join /
     update counts agree bit-for-bit across engines by construction
     (``tests/test_differential.py`` holds the full contract).  Pass
@@ -726,20 +627,24 @@ def simulate_instance(
     """
     if engine not in ("event", "array"):
         raise ValueError(f"engine must be 'event' or 'array', got {engine!r}")
-    if engine == "array":
+    if faults is not None and faults.is_null:
+        faults = None
+    if engine == "array" and faults is None:
         from .fastcore import simulate_instance_array
 
         return simulate_instance_array(
             instance, duration=duration, model=model, rng=rng,
             enable_churn=enable_churn, enable_updates=enable_updates,
-            faults=faults, fault_metrics=fault_metrics, recovery=recovery,
             tracer=tracer, schedule=schedule,
         )
     if duration <= 0:
         raise ValueError("duration must be positive")
     model = model or default_query_model()
-    if faults is not None and faults.is_null:
-        faults = None
+    matches = _exact_matches
+    if engine == "array":
+        from .fastcore import meanfield_matches
+
+        matches = meanfield_matches(instance, model)
     if schedule is None:
         # Generated before the fault/recovery streams are derived so the
         # Generator-seed spawn order is fixed and documented: schedule
@@ -800,22 +705,14 @@ def simulate_instance(
             client_index = int(instance.client_ptr[cluster]) + pick
         else:
             client_index = None
-        j = int(schedule.q_class[idx])
-        if fault_rt is None:
-            _run_query(state, cluster, client_index, j)
-        else:
-            source = cluster
-            if client_index is not None and fault_rt.recovery is not None:
-                # A re-homed client queries through its current
-                # super-peer, not its original roster cluster.
-                source = int(state.cluster_of_client[client_index])
-            # ``_faulty_query`` is the array engine's hook: fastcore
-            # swaps in its mean-field match sampler while every other
-            # moving part (faults, recovery, gossip, retries) stays this
-            # module's code.
-            (_faulty_query or _run_query_faulty)(
-                state, fault_rt, source, client_index, j
-            )
+        source = cluster
+        if (client_index is not None and fault_rt is not None
+                and fault_rt.recovery is not None):
+            # A re-homed client queries through its current
+            # super-peer, not its original roster cluster.
+            source = int(state.cluster_of_client[client_index])
+        _run_query(state, fault_rt, source, client_index,
+                   int(schedule.q_class[idx]), matches)
 
     def fire_update(cluster: int, pick: int, idx: int) -> None:
         clients_here = int(instance.clients[cluster])

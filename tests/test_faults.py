@@ -137,21 +137,6 @@ class TestFaultRuntime:
         # Recovered blackouts all fit under the longest one.
         assert all(t <= out.longest_outage for t in out.recovery_times)
 
-    def test_pick_live_partner_skips_dead_slots(self, instance):
-        rt = make_runtime(instance)
-        round_robin = np.zeros(instance.num_clusters, dtype=np.int64)
-        rt.up[0, 0] = False
-        rt.live[0] = 1
-        assert rt.pick_live_partner(round_robin, 0) == 1
-        assert rt.pick_live_partner(round_robin, 0) == 1
-
-    def test_pick_live_partner_raises_on_dark_cluster(self, instance):
-        rt = make_runtime(instance)
-        rt.up[0] = False
-        rt.live[0] = 0
-        with pytest.raises(RuntimeError):
-            rt.pick_live_partner(np.zeros(instance.num_clusters, dtype=np.int64), 0)
-
     def test_edge_cut_only_during_window(self, instance):
         plan = FaultPlan(partitions=(PartitionWindow(10.0, 20.0, (0, 1)),))
         rt = make_runtime(instance, plan)

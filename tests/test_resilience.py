@@ -48,11 +48,13 @@ def crash_reports():
 
 
 class TestZeroFaultIdentity:
-    def test_null_plan_reproduces_fault_free_run(self, instance):
+    @pytest.mark.parametrize("engine", ["event", "array"])
+    def test_null_plan_reproduces_fault_free_run(self, instance, engine):
         """Acceptance criterion: zero-fault plan == fault-free, within 1e-9."""
-        plain = simulate_instance(instance, duration=600.0, rng=5)
+        plain = simulate_instance(instance, duration=600.0, rng=5, engine=engine)
         report = run_resilience(
-            instance, FaultPlan(retry=RetryPolicy()), duration=600.0, rng=5
+            instance, FaultPlan(retry=RetryPolicy()), duration=600.0, rng=5,
+            engine=engine,
         )
         for name in LOAD_FIELDS:
             a = np.asarray(getattr(plain, name))
