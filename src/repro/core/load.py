@@ -48,7 +48,7 @@ from ..topology.builder import NetworkInstance
 from ..topology.strong import CompleteGraph
 from ..units import bytes_per_second_to_bps, units_per_second_to_hz
 from . import costs
-from .routing import DEFAULT_BLOCK, flood_block, fold_to_sources
+from .routing import DEFAULT_BLOCK, FloodBlock, flood_block, fold_to_sources
 from .routing import propagate_query  # noqa: F401 - wrapped here by the per-layer tracer
 
 #: Query message size with the default 12-byte query string (94 bytes).
@@ -381,23 +381,74 @@ def _response_triple(exp: ClusterExpectations) -> tuple[np.ndarray, np.ndarray, 
     return exp.prob_respond, exp.expected_collections, exp.expected_results
 
 
-def _response_flows(
-    w: np.ndarray, resp: np.ndarray, sent: np.ndarray, arrived: np.ndarray,
-    sources: np.ndarray,
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Rate-weighted Response traffic of a block of sources, per node.
+def _query_units(m_sp: np.ndarray, results: np.ndarray) -> dict[str, np.ndarray]:
+    """Processing units per query send, receipt, index probe (given each
+    node's expected results) and direct-Response handshake pair, per node."""
+    return {
+        "send": _SEND_Q_UNITS + _MUX * m_sp,
+        "recv": _RECV_Q_UNITS + _MUX * m_sp,
+        "probe": costs.PROCESS_QUERY_BASE + costs.PROCESS_QUERY_PER_RESULT * results,
+        "handshake": _HANDSHAKE_SEND_UNITS + _HANDSHAKE_RECV_UNITS + 2.0 * _MUX * m_sp,
+    }
 
-    ``resp`` (b, n, 3) is what each node originates, ``sent`` (b, n, 3)
-    what it ships toward the source (zero at the source itself) and
-    ``arrived`` (b, 3) what reaches each source.  Returns (n, 3) arrays
-    of (messages, addresses, results): sent, received, and the part of
-    received that is arrivals at a source.
+
+def charge_block(
+    fb: FloodBlock, w: np.ndarray, origin: np.ndarray, m_sp: np.ndarray,
+    acc: _Accumulator, direct: bool = False,
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Charge a block of fault-free floods to ``acc`` (Section 4.1, Eqs. 1-2).
+
+    ``w`` (b,) is each row's query rate and ``origin`` (3, n) the Response
+    messages, addresses and results each node originates per query it
+    processes; ``origin[2]`` also prices its index probe.  Adds to
+    ``acc.q_out``, ``q_in`` and ``q_proc`` the query sends and receipts,
+    the probe at every reached node (source included) and the Responses
+    of every reached node but the source: folded up the reverse path, or
+    with ``direct`` one hop each plus a connection handshake pair (the
+    Section 3.1 alternative).
+
+    Returns channel-major ``(resp, sent, arrived)``: what each node
+    originates (3, b, n), what it ships toward the source (3, b, n; zero
+    at the source) and what reaches each source (3, b).
     """
-    at_source = np.zeros(resp.shape[1:])
-    np.add.at(at_source, sources, w[:, np.newaxis] * arrived)
-    out = np.einsum("b,bnc->nc", w, sent)
-    inc = np.einsum("b,bnc->nc", w, sent - resp) + at_source
-    return out, inc, at_source
+    src = fb.sources
+    rows = np.arange(src.size)
+    reached = fb.reached
+    units = _query_units(m_sp, origin[2])
+
+    tw = w @ fb.transmissions
+    rw = w @ fb.receipts
+    acc.q_out += tw * _QUERY_BYTES
+    acc.q_proc += tw * units["send"]
+    acc.q_in += rw * _QUERY_BYTES
+    acc.q_proc += rw * units["recv"]
+    acc.q_proc += (w @ reached) * units["probe"]
+
+    resp = np.where(reached, origin[:, np.newaxis, :], 0.0)
+    resp[:, rows, src] = 0.0
+    if direct:
+        sent = resp
+        arrived = resp.sum(axis=2)
+    else:
+        sent = fold_to_sources(fb.depth, fb.pred, resp)
+        arrived = sent[:, rows, src]
+        sent[:, rows, src] = 0.0
+    at_source = np.zeros_like(origin)
+    np.add.at(at_source.T, src, (w * arrived).T)
+    out = w @ sent
+    inc = w @ (sent - resp) + at_source
+    if direct:
+        handshakes = out[0] + at_source[0]
+        acc.q_out += handshakes * _HANDSHAKE_BYTES
+        acc.q_in += handshakes * _HANDSHAKE_BYTES
+        acc.q_proc += handshakes * units["handshake"]
+    out_bytes, out_units = costs.response_costs(*out, m_sp, send=True)
+    in_bytes, in_units = costs.response_costs(*inc, m_sp, send=False)
+    acc.q_out += out_bytes
+    acc.q_proc += out_units
+    acc.q_in += in_bytes
+    acc.q_proc += in_units
+    return resp, sent, arrived
 
 
 def _accumulate_queries_bfs(
@@ -413,111 +464,67 @@ def _accumulate_queries_bfs(
     """Flooding query accounting over an explicit overlay.
 
     Sources go through the shared flood kernel ``DEFAULT_BLOCK`` at a
-    time; every charge is a rate-weighted sum over the block's rows.
+    time, and :func:`charge_block` charges each block at the sources'
+    (scaled) query rates.
     """
     graph = instance.graph
     ttl = instance.config.ttl
     m_sp = instance.superpeer_connections.astype(float)
     users, q_rates, _ = _cluster_rates(instance)
-    origin = np.stack(_response_triple(exp), axis=1)  # (n, 3) msgs/addr/res
+    origin = np.stack(_response_triple(exp))  # (3, n) msgs/addr/res
     direct = response_mode == "direct"
-
-    units = {
-        "send": _SEND_Q_UNITS + _MUX * m_sp,
-        "recv": _RECV_Q_UNITS + _MUX * m_sp,
-        "probe": costs.PROCESS_QUERY_BASE + costs.PROCESS_QUERY_PER_RESULT * origin[:, 2],
-        "handshake": _HANDSHAKE_SEND_UNITS + _HANDSHAKE_RECV_UNITS + 2.0 * _MUX * m_sp,
-    }
 
     for start in range(0, sources.size, DEFAULT_BLOCK):
         src = sources[start:start + DEFAULT_BLOCK]
-        rows = np.arange(src.size)
         fb = flood_block(graph, src, ttl)
-        reached = fb.reached
         w = q_rates[src] * scale
-
-        # Query transmission and receipt costs, and the index probe at
-        # every node that processes the query (source included).
-        tw = w @ fb.transmissions
-        rw = w @ fb.receipts
-        acc.q_out += tw * _QUERY_BYTES
-        acc.q_proc += tw * units["send"]
-        acc.q_in += rw * _QUERY_BYTES
-        acc.q_proc += rw * units["recv"]
-        acc.q_proc += (w @ reached) * units["probe"]
-
-        # Response origination weights: every reached cluster except the
-        # source responds over the overlay.
-        resp = np.where(reached[:, :, np.newaxis], origin, 0.0)
-        resp[rows, src] = 0.0
-        if direct:
-            # Section 3.1 alternative: every responder ships its Response
-            # straight to the source over a temporary connection — no
-            # forwarding, but a handshake pair per response and a
-            # connection-request storm at the source.
-            sent = resp
-            arrived = resp.sum(axis=1)
-        else:
-            sent = fold_to_sources(fb.depth, fb.pred, resp)
-            arrived = sent[rows, src]
-            sent[rows, src] = 0.0
-        out, inc, at_source = _response_flows(w, resp, sent, arrived, src)
-        if direct:
-            handshakes = out[:, 0] + at_source[:, 0]
-            acc.q_out += handshakes * _HANDSHAKE_BYTES
-            acc.q_in += handshakes * _HANDSHAKE_BYTES
-            acc.q_proc += handshakes * units["handshake"]
-        out_bytes, out_units = costs.response_costs(*out.T, m_sp, send=True)
-        in_bytes, in_units = costs.response_costs(*inc.T, m_sp, send=False)
-        acc.q_out += out_bytes
-        acc.q_proc += out_units
-        acc.q_in += in_bytes
-        acc.q_proc += in_units
+        resp, sent, arrived = charge_block(fb, w, origin, m_sp, acc, direct)
 
         if att.enabled:
-            _attribute_block(att, fb, w, resp, sent, arrived, units, m_sp, direct)
+            _attribute_block(att, fb, w, resp, sent, arrived, origin, m_sp, direct)
 
         # Per-source outcomes.
-        total_msgs = resp[:, :, 0].sum(axis=1)
+        total_msgs = resp[0].sum(axis=1)
         if direct:
             # Every response travels one direct hop.
             per_source.epl[src] = (total_msgs > 0).astype(float)
         else:
             per_source.epl[src] = np.divide(
-                (fb.depth * resp[:, :, 0]).sum(axis=1), total_msgs,
+                (fb.depth * resp[0]).sum(axis=1), total_msgs,
                 out=np.zeros(src.size), where=total_msgs > 0,
             )
         per_source.reach_clusters[src] = fb.reach()
-        per_source.reach_peers[src] = reached @ users
-        to_client = arrived + origin[src]
-        per_source.results[src] = to_client[:, 2]
-        per_source.to_client_msgs[src] = to_client[:, 0]
-        per_source.to_client_addr[src] = to_client[:, 1]
-        per_source.to_client_results[src] = to_client[:, 2]
+        per_source.reach_peers[src] = fb.reached @ users
+        to_client = arrived + origin[:, src]
+        per_source.results[src] = to_client[2]
+        per_source.to_client_msgs[src] = to_client[0]
+        per_source.to_client_addr[src] = to_client[1]
+        per_source.to_client_results[src] = to_client[2]
 
 
-def _attribute_block(att, fb, w, resp, sent, arrived, units, m_sp, direct) -> None:
-    """Feed one block's query and Response charges to the attribution
-    hooks, row by row, each tagged with its BFS hop."""
+def _attribute_block(att, fb, w, resp, sent, arrived, origin, m_sp, direct) -> None:
+    """Feed one block's query and Response charges (:func:`charge_block`)
+    to the attribution hooks, row by row, each tagged with its BFS hop."""
+    units = _query_units(m_sp, origin[2])
     for i in range(fb.sources.size):
         prop = fb.row(i)
         depth, rate = prop.depth, w[i]
-        one = slice(i, i + 1)
         att.add_q_by_depth("query", "out_bw", depth, rate * prop.transmissions * _QUERY_BYTES)
         att.add_q_by_depth("query", "proc", depth, rate * prop.transmissions * units["send"])
         att.add_q_by_depth("query", "in_bw", depth, rate * prop.receipts * _QUERY_BYTES)
         att.add_q_by_depth("query", "proc", depth, rate * prop.receipts * units["recv"])
         att.add_q_by_depth("query", "proc", depth, rate * prop.reached * units["probe"])
-        out, inc, at_source = _response_flows(
-            w[one], resp[one], sent[one], arrived[one], fb.sources[one]
-        )
+        at_source = np.zeros_like(origin)
+        at_source[:, prop.source] = rate * arrived[:, i]
+        out = rate * sent[:, i]
+        inc = rate * (sent[:, i] - resp[:, i]) + at_source
         if direct:
-            handshakes = out[:, 0] + at_source[:, 0]
+            handshakes = out[0] + at_source[0]
             att.add_q_by_depth("response", "out_bw", depth, handshakes * _HANDSHAKE_BYTES)
             att.add_q_by_depth("response", "in_bw", depth, handshakes * _HANDSHAKE_BYTES)
             att.add_q_by_depth("response", "proc", depth, handshakes * units["handshake"])
-        out_bytes, out_units = costs.response_costs(*out.T, m_sp, send=True)
-        in_bytes, in_units = costs.response_costs(*inc.T, m_sp, send=False)
+        out_bytes, out_units = costs.response_costs(*out, m_sp, send=True)
+        in_bytes, in_units = costs.response_costs(*inc, m_sp, send=False)
         att.add_q_by_depth("response", "out_bw", depth, out_bytes)
         att.add_q_by_depth("response", "proc", depth, out_units)
         att.add_q_by_depth("response", "in_bw", depth, in_bytes)
@@ -525,7 +532,7 @@ def _attribute_block(att, fb, w, resp, sent, arrived, units, m_sp, direct) -> No
         if direct:
             att.add_edges(prop, rate, None, None, None)  # flood edges only
         else:
-            att.add_edges(prop, rate, *sent[i].T)
+            att.add_edges(prop, rate, *sent[:, i])
 
 
 def _accumulate_queries_strong(
@@ -551,19 +558,17 @@ def _accumulate_queries_strong(
 
     total_q = q_rates.sum()
     others_q = total_q - q_rates  # rate of queries sourced elsewhere
-
-    send_q_proc = _SEND_Q_UNITS + _MUX * m_sp
-    recv_q_proc = _RECV_Q_UNITS + _MUX * m_sp
+    units = _query_units(m_sp, res_o)
 
     # --- query transmissions / receipts ---------------------------------------
     # As source: n-1 transmissions per own query.
     src_tx = q_rates * (n - 1) * _QUERY_BYTES
-    src_tx_proc = q_rates * (n - 1) * send_q_proc
+    src_tx_proc = q_rates * (n - 1) * units["send"]
     acc.q_out += src_tx
     acc.q_proc += src_tx_proc
     # As non-source: one receipt per foreign query...
     rx = others_q * _QUERY_BYTES
-    rx_proc = others_q * recv_q_proc
+    rx_proc = others_q * units["recv"]
     acc.q_in += rx
     acc.q_proc += rx_proc
     if att.enabled:
@@ -574,9 +579,9 @@ def _accumulate_queries_strong(
     if ttl >= 2 and n > 2:
         # ...plus n-2 duplicate forwards sent and n-2 duplicates received.
         dup_tx = others_q * (n - 2) * _QUERY_BYTES
-        dup_tx_proc = others_q * (n - 2) * send_q_proc
+        dup_tx_proc = others_q * (n - 2) * units["send"]
         dup_rx = others_q * (n - 2) * _QUERY_BYTES
-        dup_rx_proc = others_q * (n - 2) * recv_q_proc
+        dup_rx_proc = others_q * (n - 2) * units["recv"]
         acc.q_out += dup_tx
         acc.q_proc += dup_tx_proc
         acc.q_in += dup_rx
@@ -589,13 +594,12 @@ def _accumulate_queries_strong(
 
     # --- index probes -----------------------------------------------------------
     # Every query in the system (own + foreign) probes every cluster's index.
-    probe = costs.PROCESS_QUERY_BASE + costs.PROCESS_QUERY_PER_RESULT * res_o
-    acc.q_proc += total_q * probe
+    acc.q_proc += total_q * units["probe"]
     if att.enabled:
         # Split the total into the own-query (hop 0) and foreign (hop 1)
-        # shares; the sum differs from total_q * probe only by ulps.
-        att.add_q("query", "proc", q_rates * probe, hop=0)
-        att.add_q("query", "proc", others_q * probe, hop=1)
+        # shares; the sum differs from the total only by ulps.
+        att.add_q("query", "proc", q_rates * units["probe"], hop=0)
+        att.add_q("query", "proc", others_q * units["probe"], hop=1)
 
     # --- responses ---------------------------------------------------------------
     # As responder (for every foreign query): send own response directly.

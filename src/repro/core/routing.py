@@ -37,7 +37,7 @@ from ..topology.graph import OverlayGraph
 from ..topology.strong import CompleteGraph
 
 #: Sources per :func:`flood_block` call in both engines: large enough to
-#: amortize numpy call overhead, small enough that the (block, nodes, 3)
+#: amortize numpy call overhead, small enough that the (3, block, nodes)
 #: response buffers stay cache- and memory-friendly at 50k-node scale.
 DEFAULT_BLOCK = 64
 
@@ -107,8 +107,8 @@ class QueryPropagation:
             raise ValueError("unreached nodes cannot carry response weight")
         return fold_to_sources(
             self.depth[np.newaxis], self.pred[np.newaxis],
-            weights[np.newaxis, :, np.newaxis],
-        )[0, :, 0]
+            weights[np.newaxis, np.newaxis],
+        )[0, 0]
 
     def response_path_lengths(self) -> np.ndarray:
         """Hop count of each reached node's response path (its BFS depth)."""
@@ -276,10 +276,10 @@ def fold_to_sources(depth: np.ndarray, pred: np.ndarray,
     """Batched :meth:`QueryPropagation.accumulate_to_source`.
 
     ``depth`` and ``pred`` are a :class:`FloodBlock`'s ``(b, n)`` arrays;
-    ``weights`` is ``(b, n, c)`` — ``c`` response channels per node, zero
-    at unreached nodes.  Returns the ``(b, n, c)`` predecessor-subtree
-    sums: levels fold bottom-up, each row into its own predecessors, one
-    ``add.at`` per level and channel.
+    ``weights`` is channel-major ``(c, b, n)`` — ``c`` response channels
+    per node, zero at unreached nodes.  Returns the ``(c, b, n)``
+    predecessor-subtree sums: levels fold bottom-up, each row into its own
+    predecessors, one ``add.at`` per level and channel.
 
     ``edge_pass`` (optional ``(b, n)`` bool) severs the hop from each
     False node to its predecessor: the node still *sends* its subtree sum
@@ -287,9 +287,9 @@ def fold_to_sources(depth: np.ndarray, pred: np.ndarray,
     receives from its children is then its result minus its own weight.
     """
     b, n = depth.shape
-    # A channel-major copy, so each channel folds with the 1-D ``add.at``
-    # path and the caller's weights are never written.
-    forwarded = weights.reshape(b * n, weights.shape[-1]).T.copy()
+    # A flat copy per channel, so each folds with the 1-D ``add.at`` path
+    # and the caller's weights are never written.
+    forwarded = weights.reshape(weights.shape[0], b * n).copy()
     flat_pred = (pred + np.arange(b)[:, np.newaxis] * n).reshape(-1)
     flat_depth = depth.reshape(-1)
     if edge_pass is not None:
@@ -299,7 +299,7 @@ def fold_to_sources(depth: np.ndarray, pred: np.ndarray,
         parents = flat_pred[level]
         for channel in forwarded:
             np.add.at(channel, parents, channel[level])
-    return forwarded.T.reshape(weights.shape)
+    return forwarded.reshape(weights.shape)
 
 
 def propagate_query(

@@ -53,21 +53,34 @@ class ClusterExpectations:
         return float(self.expected_results.sum())
 
 
-def _miss_probabilities(model: QueryModel, file_counts: np.ndarray) -> np.ndarray:
-    """miss(x) = sum_i g(i) (1 - f(i))^x for each entry of ``file_counts``.
+def _miss_powers(model: QueryModel, file_counts) -> tuple[np.ndarray, np.ndarray]:
+    """(powers, inverse): ``powers[u, i] = (1 - f(i))^x_u`` for each
+    *unique* file count x_u, and the row of each entry of ``file_counts``.
 
-    Deduplicates file counts before the (unique x num_classes) outer
-    product; instances draw counts from a discrete distribution so the
-    number of unique values is far below the number of peers.
+    Instances draw counts from a discrete distribution, so the number of
+    unique values — the rows of the (unique x num_classes) table — is far
+    below the number of peers.
     """
-    counts = np.asarray(file_counts, dtype=float)
-    if counts.size == 0:
-        return np.zeros(0)
-    unique, inverse = np.unique(counts, return_inverse=True)
-    log_miss = np.log1p(-model.f)  # (num_classes,)
-    powers = np.exp(np.outer(unique, log_miss))  # (unique, num_classes)
-    miss_unique = powers @ model.g
-    return miss_unique[inverse]
+    unique, inverse = np.unique(np.asarray(file_counts, dtype=float),
+                                return_inverse=True)
+    return np.exp(np.outer(unique, np.log1p(-model.f))), inverse.reshape(-1)
+
+
+def _miss_probabilities(model: QueryModel, file_counts: np.ndarray) -> np.ndarray:
+    """miss(x) = sum_i g(i) (1 - f(i))^x for each entry of ``file_counts``."""
+    powers, inverse = _miss_powers(model, file_counts)
+    return (powers @ model.g)[inverse]
+
+
+def mean_miss_powers(model: QueryModel, file_counts) -> np.ndarray:
+    """phi(i) = mean over collections of (1 - f(i))^x, per query class.
+
+    The probability that a random collection holds no match for a class-i
+    query; the array engine's mean-field responder counts use it.
+    """
+    powers, inverse = _miss_powers(model, file_counts)
+    counts = np.bincount(inverse, minlength=powers.shape[0])
+    return counts @ powers / max(1, inverse.size)
 
 
 def cluster_expectations(

@@ -16,18 +16,18 @@ the same measured loads with structure-of-arrays kernels:
   :func:`~repro.core.routing.propagate_query` (``tests/test_fastcore.py``
   pins both against a scalar reference BFS; this module re-exports
   the kernel).  Since the fault-free flood depends only on the
-  source, per-source results are weighted by that source's query count
+  source, each source is flooded once and weighted by its query count
   instead of being recomputed per query — flood transmissions, receipts
   and reach are then *exactly* the event engine's totals
   (integer-valued sums, exact under reordering).
-* **Mean-field responses** — per-query response weights are replaced by
-  their conditional expectations given the query-class mix and
-  per-window cluster index sizes (the paper's Eq. 5/6 expectations,
-  ``querymodel.distributions``), accumulated up each source's reverse
-  path in one batched pass of the shared
-  :func:`~repro.core.routing.fold_to_sources`.  Per-node response loads
-  therefore agree in expectation and concentrate over thousands of
-  queries; the
+* **The MVA's charges** — each block of floods is charged by
+  :func:`repro.core.load.charge_block`, the mean-value analysis's own
+  routine, with realized query counts as the rates.  Per-query response
+  weights are replaced by their conditional expectations given the
+  query-class mix and per-window cluster index sizes (the paper's
+  Eq. 5/6 expectations, ``querymodel.distributions``), folded up each
+  source's reverse path.  Per-node response loads therefore agree in
+  expectation and concentrate over thousands of queries; the
   differential harness (``tests/test_differential.py``) pre-registers
   the tolerances.
 * **Sampled deliveries** — what each querying client actually receives
@@ -48,8 +48,9 @@ reimplementation.
 The vectorized path is aggregate-only: it cannot emit per-query
 trace events, so a ``tracer`` receives one vectorized ``flood-summary``
 event per run (query-weighted frontier sizes and messages per hop —
-the Figs. 4-8 quantities) instead of the event engine's per-query
-stream (faulty runs trace normally through the event loop).
+the Figs. 4-8 quantities, computed only when the tracer is enabled)
+instead of the event engine's per-query stream (faulty runs trace
+normally through the event loop).
 
 Instrumentation parity: the vectorized path registers the *same*
 counter and histogram families as the event engine's ``_State`` and
@@ -69,10 +70,14 @@ import numpy as np
 
 from .. import constants
 from ..core import costs
-from ..core.load import _HANDSHAKE_BYTES, _HANDSHAKE_RECV_UNITS, _HANDSHAKE_SEND_UNITS
-from ..core.routing import DEFAULT_BLOCK, FloodBlock, flood_block, fold_to_sources
+from ..core.load import (
+    _HANDSHAKE_BYTES, _HANDSHAKE_RECV_UNITS, _HANDSHAKE_SEND_UNITS, _MUX,
+    _QUERY_BYTES, _RECV_Q_UNITS, _SEND_Q_UNITS, _Accumulator, charge_block,
+)
+from ..core.routing import DEFAULT_BLOCK, FloodBlock, flood_block
 from ..obs.metrics import get_registry
 from ..querymodel.distributions import QueryModel, default_query_model
+from ..querymodel.expectation import mean_miss_powers
 from ..stats.rng import derive_rng
 from ..topology.builder import NetworkInstance
 from ..units import bytes_per_second_to_bps, units_per_second_to_hz
@@ -86,22 +91,6 @@ __all__ = ["FloodBlock", "flood_block", "meanfield_matches",
 #: rates), so piecewise-constant snapshots capture the drift the
 #: event engine's per-query index reads see.
 DEFAULT_WINDOWS = 8
-
-
-def _miss_power_table(log_miss: np.ndarray, collections: np.ndarray) -> np.ndarray:
-    """phi[j] = mean over collections x of (1 - f_j)^x, class-chunk safe.
-
-    The empirical per-collection miss probability of each query class
-    (Appendix B), computed blocked over collections so the intermediate
-    never materializes a (collections, classes) matrix at 50k-node scale.
-    """
-    total = np.zeros(log_miss.size)
-    x = collections.astype(float)
-    step = 16384
-    for start in range(0, x.size, step):
-        chunk = x[start:start + step]
-        total += np.exp(np.multiply.outer(chunk, log_miss)).sum(axis=0)
-    return total / max(1, x.size)
 
 
 def _mark_phase(registry, name: str, started: float) -> float:
@@ -145,9 +134,7 @@ def simulate_instance_array(
             f"schedule covers {schedule.duration}s, run wants {duration}s"
         )
 
-    from .network import (  # deferred: network lazily imports this module
-        _MUX, _QUERY_BYTES, _RECV_Q, _SEND_Q, SimulationReport,
-    )
+    from .network import SimulationReport  # deferred: network lazily imports this module
 
     n = instance.num_clusters
     k = instance.partners
@@ -318,7 +305,7 @@ def simulate_instance_array(
     collections = np.concatenate(
         [instance.client_files, instance.partner_files.ravel()]
     )
-    phi = _miss_power_table(log_miss, collections)
+    phi = mean_miss_powers(model, collections)
 
     # Per-cluster expected response weights, summed over all queries:
     #   msg:  P(cluster answers)     = 1 - (1 - f_j)^F_c
@@ -336,7 +323,8 @@ def simulate_instance_array(
         W_res += sum_mf[w] * F_wins[w]
     np_c = (clients + k).astype(float)
     W_addr = np_c * float(m_j @ (1.0 - phi))
-    W3 = np.stack([W_msg, W_addr, W_res], axis=1)
+    # Per-query Response origins for charge_block, channel-major (3, n).
+    origin = np.stack([W_msg, W_addr, W_res]) / M
 
     # Cluster-level hit probability and addresses-per-result ratio used by
     # the per-query delivery draws (global mean-field constants).
@@ -353,74 +341,49 @@ def simulate_instance_array(
         )
 
     # --- per-source flood + reverse-path response pass ----------------------
+    # The fault-free flood depends only on its source, so each source is
+    # flooded once and charged at its realized query count: the MVA's
+    # charge_block with counts for rates and mean-field Response origins.
     m_s = np.bincount(schedule.q_cluster, minlength=n).astype(float) if Q \
         else np.zeros(n)
     q_sources = np.nonzero(m_s)[0]
+    flood = _Accumulator(n, 0)
     total_flood = 0.0
     total_reach = 0.0
     resp_msgs = 0.0
     reach_count = np.zeros(n)
     F_reach = np.zeros((n, W))
     # Query-weighted per-hop flood profile (frontier clusters reached at
-    # each depth, query messages sent from each depth) — the vectorized
-    # stand-in for the event engine's per-query trace stream, one
-    # bincount per block so it can stay on by default.
+    # each depth, query messages sent from each depth) for the tracer's
+    # flood-summary event, the stand-in for the event engine's per-query
+    # trace stream.
+    traced = tracer is not None and tracer.enabled
     hop_frontier = np.zeros(ttl + 1)
     hop_messages = np.zeros(ttl + 1)
     for start in range(0, q_sources.size, DEFAULT_BLOCK):
         src = q_sources[start:start + DEFAULT_BLOCK]
         fb = flood_block(graph, src, ttl)
-        b = src.size
-        rows = np.arange(b)
         mb = m_s[src]
-        reached = fb.reached
-
-        w_rows = np.broadcast_to(mb[:, np.newaxis], fb.depth.shape)
-        depths = fb.depth[reached]
-        hop_frontier += np.bincount(depths, weights=w_rows[reached],
-                                    minlength=ttl + 1)[:ttl + 1]
-        hop_messages += np.bincount(
-            depths, weights=(fb.transmissions * w_rows)[reached],
-            minlength=ttl + 1,
-        )[:ttl + 1]
-
-        tw = mb @ fb.transmissions
-        rw = mb @ fb.receipts
-        sp_out += tw * _QUERY_BYTES / k
-        sp_proc += tw * (_SEND_Q + _MUX * m_sp) / k
-        sp_in += rw * _QUERY_BYTES / k
-        sp_proc += rw * (_RECV_Q + _MUX * m_sp) / k
+        _, sent, _ = charge_block(fb, mb, origin, m_sp, flood)
+        resp_msgs += float(mb @ sent[0].sum(axis=1))
         total_flood += float(fb.transmissions.sum(axis=1) @ mb)
         reach_s = fb.reach()
         total_reach += float(reach_s @ mb)
         reach_count[src] = reach_s
+        reached = fb.reached
         F_reach[src] = reached @ F_wins.T
-
-        # Index probe at every reached cluster (base + per-result).
-        cnt = mb @ reached
-        sp_proc += (
-            costs.PROCESS_QUERY_BASE * cnt
-            + costs.PROCESS_QUERY_PER_RESULT * (cnt / M) * W_res
-        ) / k
-
-        # Response channels: each source carries its share of the global
-        # expected weights, masked to its reached set, zero at itself.
-        Wb = (mb / M)[:, np.newaxis, np.newaxis] * W3[np.newaxis, :, :]
-        Wb[~reached] = 0.0
-        Wb[rows, src] = 0.0
-        fw3 = fold_to_sources(fb.depth, fb.pred, Wb)
-        fw_sum = fw3.sum(axis=0)
-        inc = fw_sum - Wb.sum(axis=0)
-        sender_sum = fw_sum.copy()
-        np.subtract.at(sender_sum, src, fw3[rows, src])
-
-        out_bytes, out_units = costs.response_costs(*sender_sum.T, m_sp, send=True)
-        in_bytes, in_units = costs.response_costs(*inc.T, m_sp, send=False)
-        sp_out += out_bytes / k
-        sp_proc += out_units / k
-        sp_in += in_bytes / k
-        sp_proc += in_units / k
-        resp_msgs += float(sender_sum[:, 0].sum())
+        if traced:
+            w_rows = np.broadcast_to(mb[:, np.newaxis], fb.depth.shape)
+            depths = fb.depth[reached]
+            hop_frontier += np.bincount(depths, weights=w_rows[reached],
+                                        minlength=ttl + 1)[:ttl + 1]
+            hop_messages += np.bincount(
+                depths, weights=(fb.transmissions * w_rows)[reached],
+                minlength=ttl + 1,
+            )[:ttl + 1]
+    sp_out += flood.q_out / k
+    sp_in += flood.q_in / k
+    sp_proc += flood.q_proc / k
     phase_started = _mark_phase(registry, "sim.array.flood", phase_started)
 
     # --- per-query client submit (exact) and sampled deliveries -------------
@@ -431,9 +394,9 @@ def simulate_instance_array(
         cq_src = q_src[is_client_q]
         cq_client = ptr[cq_src] + schedule.q_pick[is_client_q]
         np.add.at(cl_out, cq_client, float(_QUERY_BYTES))
-        np.add.at(cl_proc, cq_client, _SEND_Q + _MUX * m_cl)
+        np.add.at(cl_proc, cq_client, _SEND_Q_UNITS + _MUX * m_cl)
         np.add.at(sp_in, cq_src, _QUERY_BYTES / k)
-        np.add.at(sp_proc, cq_src, (_RECV_Q + _MUX * m_sp[cq_src]) / k)
+        np.add.at(sp_proc, cq_src, (_RECV_Q_UNITS + _MUX * m_sp[cq_src]) / k)
 
         f_q = model.f[j_q]
         Fq_src = F_wins[w_q, q_src]
@@ -482,7 +445,7 @@ def simulate_instance_array(
     m_events.add(float(Q + num_joins + U))
     registry.timer("sim.engine.run").record(perf_counter() - run_started)
 
-    if tracer is not None and tracer.enabled:
+    if traced:
         tracer.emit(
             "flood-summary",
             duration,
@@ -528,7 +491,7 @@ def meanfield_matches(instance: NetworkInstance, model: QueryModel):
     collections = np.concatenate(
         [instance.client_files, instance.partner_files.ravel()]
     )
-    phi = _miss_power_table(log_miss, collections)
+    phi = mean_miss_powers(model, collections)
     np_static = (instance.clients + k).astype(float)
 
     def matches(state, rt, s, j):

@@ -741,5 +741,5 @@ def lossy_accumulate(
     if edge_pass is not None:
         edge_pass = edge_pass[np.newaxis]
     sent = fold_to_sources(prop.depth[np.newaxis], prop.pred[np.newaxis],
-                           weights.T[np.newaxis], edge_pass)[0].T
+                           weights[:, np.newaxis], edge_pass)[:, 0]
     return sent, sent - weights

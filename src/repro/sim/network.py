@@ -40,7 +40,10 @@ import numpy as np
 
 from .. import constants
 from ..core import costs
-from ..core.load import LoadReport, _HANDSHAKE_BYTES, _HANDSHAKE_RECV_UNITS, _HANDSHAKE_SEND_UNITS
+from ..core.load import (
+    _HANDSHAKE_BYTES, _HANDSHAKE_RECV_UNITS, _HANDSHAKE_SEND_UNITS, _MUX,
+    _QUERY_BYTES, _RECV_Q_UNITS, _SEND_Q_UNITS, LoadReport,
+)
 from ..obs.metrics import get_registry
 from ..obs.trace import NULL_TRACER, Tracer
 from ..core.routing import QueryPropagation, propagate_query
@@ -68,10 +71,6 @@ from .schedule import (
     generate_workload,
 )
 
-_QUERY_BYTES = constants.QUERY_MESSAGE_BASE + constants.QUERY_STRING_LENGTH
-_SEND_Q = costs.SEND_QUERY_BASE + costs.SEND_QUERY_PER_BYTE * constants.QUERY_STRING_LENGTH
-_RECV_Q = costs.RECV_QUERY_BASE + costs.RECV_QUERY_PER_BYTE * constants.QUERY_STRING_LENGTH
-_MUX = costs.MULTIPLEX_PER_CONNECTION
 _FLOOD_MEMO_CELLS = 1 << 21  # node entries of memoised floods per run (~64 MB)
 
 
@@ -292,9 +291,9 @@ def _run_query(state: _State, rt: FaultRuntime | None, s: int,
 
     if client_index is not None:
         st.cl_out[client_index] += _QUERY_BYTES
-        st.cl_proc[client_index] += _SEND_Q + _MUX * st.m_cl
+        st.cl_proc[client_index] += _SEND_Q_UNITS + _MUX * st.m_cl
         st.sp_in[s] += _QUERY_BYTES / kv[s]
-        st.sp_proc[s] += (_RECV_Q + _MUX * st.m_sp[s]) / kv[s]
+        st.sp_proc[s] += (_RECV_Q_UNITS + _MUX * st.m_sp[s]) / kv[s]
 
     best_results = 0.0
     best = None
@@ -397,9 +396,9 @@ def _flood_attempt(state: _State, rt: FaultRuntime | None, s: int,
 
     # Query flood messages (each handled by one partner; average the meter).
     st.sp_out += prop.transmissions * _QUERY_BYTES / kv
-    st.sp_proc += prop.transmissions * (_SEND_Q + _MUX * st.m_sp) / kv
+    st.sp_proc += prop.transmissions * (_SEND_Q_UNITS + _MUX * st.m_sp) / kv
     st.sp_in += prop.receipts * _QUERY_BYTES / kv
-    st.sp_proc += prop.receipts * (_RECV_Q + _MUX * st.m_sp) / kv
+    st.sp_proc += prop.receipts * (_RECV_Q_UNITS + _MUX * st.m_sp) / kv
 
     # Index probe at every reached cluster.
     st.sp_proc[reached] += (

@@ -17,6 +17,7 @@ lazily; the routing and load modules recognize it and use closed forms.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -90,8 +91,12 @@ class CompleteGraph:
     # --- explicit materialization (small graphs / tests only) -----------------
 
     def materialize(self) -> OverlayGraph:
-        """Return the explicit CSR OverlayGraph (small n only)."""
+        """Return the explicit CSR OverlayGraph (small n only), built once."""
         self._check_size()
+        return self._materialized
+
+    @cached_property
+    def _materialized(self) -> OverlayGraph:
         return OverlayGraph.from_edges(self.num_nodes, self.edge_list())
 
     def directed_edge_arrays(self) -> tuple[np.ndarray, np.ndarray]:

@@ -14,6 +14,10 @@ structural invariants on hypothesis-generated graphs:
 * **batched reverse-path fold** — ``fold_to_sources`` equals the scalar
   level-by-level fold row by row, bit for bit, with and without severed
   hops;
+* **block charges** — ``charge_block``, the one flood-charge routine of
+  the MVA and the array engine, equals a per-source scalar accounting
+  (scalar BFS, scalar fold, the Table 2 cost functions) in both
+  Response modes;
 * **message conservation per hop** — the transmissions sent by depth-d
   forwarders equal the receipts their edges deliver, recomputed
   independently from the raw edge arrays;
@@ -29,6 +33,11 @@ from __future__ import annotations
 import numpy as np
 from hypothesis import given, settings, strategies as st
 
+from repro.core import costs
+from repro.core.load import (
+    _HANDSHAKE_BYTES, _HANDSHAKE_RECV_UNITS, _HANDSHAKE_SEND_UNITS,
+    _Accumulator, charge_block,
+)
 from repro.core.routing import fold_to_sources, propagate_query
 from repro.sim.fastcore import flood_block
 from repro.topology.graph import OverlayGraph
@@ -111,20 +120,20 @@ def test_blocked_rows_match_scalar_kernel(graph, ttl, seed):
 @settings(max_examples=60, deadline=None)
 @given(block=_source_blocks(), ttl=_TTLS, seed=st.integers(0, 2**32 - 1))
 def test_batched_fold_matches_scalar_accumulator(block, ttl, seed):
-    """fold_to_sources row i, channel c == the scalar fold, and
+    """fold_to_sources channel c, row i == the scalar fold, and
     accumulate_to_source (its one-channel wrapper) agrees."""
     graph, sources = block
     fb = flood_block(graph, sources, ttl)
     rng = np.random.default_rng(seed)
-    weights = rng.random(fb.depth.shape + (3,)) * fb.reached[:, :, np.newaxis]
+    weights = rng.random((3,) + fb.depth.shape) * fb.reached
     folded = fold_to_sources(fb.depth, fb.pred, weights)
     assert folded.shape == weights.shape
     for i in range(sources.size):
         prop = fb.row(i)
         for c in range(3):
-            sent, _ = scalar_fold(prop, weights[i, :, c])
-            assert np.array_equal(folded[i, :, c], sent)
-            assert np.array_equal(prop.accumulate_to_source(weights[i, :, c]),
+            sent, _ = scalar_fold(prop, weights[c, i])
+            assert np.array_equal(folded[c, i], sent)
+            assert np.array_equal(prop.accumulate_to_source(weights[c, i]),
                                   sent)
 
 
@@ -136,14 +145,69 @@ def test_masked_fold_matches_scalar_lossy_fold(block, ttl, seed):
     graph, sources = block
     fb = flood_block(graph, sources, ttl)
     rng = np.random.default_rng(seed)
-    weights = rng.integers(0, 5, fb.depth.shape + (3,)) * fb.reached[:, :, np.newaxis]
+    weights = rng.integers(0, 5, (3,) + fb.depth.shape) * fb.reached
     edge_pass = rng.random(fb.depth.shape) < 0.7
     folded = fold_to_sources(fb.depth, fb.pred, weights.astype(float), edge_pass)
     for i in range(sources.size):
         for c in range(3):
-            sent, received = scalar_fold(fb.row(i), weights[i, :, c], edge_pass[i])
-            assert np.array_equal(folded[i, :, c], sent)
-            assert np.array_equal(folded[i, :, c] - weights[i, :, c], received)
+            sent, received = scalar_fold(fb.row(i), weights[c, i], edge_pass[i])
+            assert np.array_equal(folded[c, i], sent)
+            assert np.array_equal(folded[c, i] - weights[c, i], received)
+
+
+def _scalar_charges(graph, sources, ttl, w, origin, m_sp, direct):
+    """(q_out, q_in, q_proc) of a block, one source at a time."""
+    n = graph.num_nodes
+    q_out, q_in, q_proc = np.zeros(n), np.zeros(n), np.zeros(n)
+    for s, rate in zip(sources, w):
+        prop = scalar_flood(graph, int(s), ttl)
+        send = costs.send_query(m_sp, prop.transmissions)
+        recv = costs.recv_query(m_sp, prop.receipts)
+        probe = costs.process_query(prop.reached * origin[2], prop.reached)
+        q_out += rate * send.outgoing_bytes
+        q_in += rate * recv.incoming_bytes
+        q_proc += rate * (send.processing_units + recv.processing_units
+                          + probe.processing_units)
+        out, inc = np.zeros((3, n)), np.zeros((3, n))
+        for c in range(3):
+            weights = np.where(prop.reached, origin[c], 0.0)
+            weights[s] = 0.0
+            if direct:
+                out[c], inc[c, s] = weights, weights.sum()
+            else:
+                out[c], inc[c] = scalar_fold(prop, weights)
+                out[c, s] = 0.0
+        if direct:
+            handshakes = rate * (out[0] + inc[0])
+            q_out += handshakes * _HANDSHAKE_BYTES
+            q_in += handshakes * _HANDSHAKE_BYTES
+            q_proc += handshakes * (_HANDSHAKE_SEND_UNITS + _HANDSHAKE_RECV_UNITS
+                                    + 2.0 * costs.MULTIPLEX_PER_CONNECTION * m_sp)
+        out_bytes, out_units = costs.response_costs(*out, m_sp, send=True)
+        in_bytes, in_units = costs.response_costs(*inc, m_sp, send=False)
+        q_out += rate * out_bytes
+        q_in += rate * in_bytes
+        q_proc += rate * (out_units + in_units)
+    return q_out, q_in, q_proc
+
+
+@settings(max_examples=60, deadline=None)
+@given(block=_source_blocks(), ttl=_TTLS, seed=st.integers(0, 2**32 - 1),
+       direct=st.booleans())
+def test_charge_block_matches_scalar_accounting(block, ttl, seed, direct):
+    """charge_block over a block == the per-source scalar accounting of
+    query sends, receipts, index probes and Responses, at any rates."""
+    graph, sources = block
+    n = graph.num_nodes
+    rng = np.random.default_rng(seed)
+    w = rng.random(sources.size) * 10.0
+    origin = rng.random((3, n)) * [[1.0], [4.0], [50.0]]
+    m_sp = rng.integers(1, 12, n).astype(float)
+    acc = _Accumulator(n, 0)
+    charge_block(flood_block(graph, sources, ttl), w, origin, m_sp, acc, direct)
+    expected = _scalar_charges(graph, sources, ttl, w, origin, m_sp, direct)
+    for got, want in zip((acc.q_out, acc.q_in, acc.q_proc), expected):
+        np.testing.assert_allclose(got, want, rtol=1e-12, atol=0.0)
 
 
 @settings(max_examples=60, deadline=None)

@@ -40,6 +40,15 @@ def test_materialize_matches_closed_form():
     explicit.validate()
 
 
+def test_materialize_is_built_once():
+    """Floods with a ``deliver`` hook materialize K_n on every call; the
+    CSR is built once per graph, and the indptr / indices views share it."""
+    g = strongly_connected_graph(7)
+    assert g.materialize() is g.materialize()
+    assert g.indptr is g.materialize().indptr
+    assert g.indices is g.materialize().indices
+
+
 def test_materialize_refused_for_large_n():
     g = strongly_connected_graph(10_000)
     with pytest.raises(ValueError):
