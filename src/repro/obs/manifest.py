@@ -188,11 +188,11 @@ class RunManifest:
 
     @classmethod
     def from_json(cls, source: str | Path) -> "RunManifest":
-        path = Path(source)
-        if path.exists():
-            raw = path.read_text(encoding="utf-8")
+        """Load from JSON text (a ``str`` starting with ``{``) or a path."""
+        if isinstance(source, str) and source.lstrip().startswith("{"):
+            raw = source
         else:
-            raw = str(source)
+            raw = Path(source).read_text(encoding="utf-8")
         return cls.from_dict(json.loads(raw))
 
 

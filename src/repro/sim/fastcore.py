@@ -52,14 +52,15 @@ the Figs. 4-8 quantities, computed only when the tracer is enabled)
 instead of the event engine's per-query stream (faulty runs trace
 normally through the event loop).
 
-Instrumentation parity: the vectorized path registers the *same*
-counter and histogram families as the event engine's ``_State`` and
-``Simulator`` — fault-path counters (drops, retries, orphans) exist at
-zero, ``sim.engine.events`` counts replayed schedule events, and the
+Instrumentation parity: the array engine runs on the event engine's
+``_State`` — its meters, outcome counters and instrument family — and
+charges joins, updates, client submits and deliveries through the event
+engine's own per-event routines (``network._charge_*``, called once per
+schedule array), so counter parity holds by construction.  On top of
+that, ``sim.engine.events`` counts replayed schedule events, and the
 run is timed under the ``sim.engine.run`` timer plus per-phase
 ``sim.array.*`` registry timers (churn / updates / flood / delivery).
-The differential harness asserts cross-engine counter-name parity, and all
-of it is observation-only (``tests/test_journal.py`` neutrality).
+All of it is observation-only (``tests/test_journal.py`` neutrality).
 """
 
 from __future__ import annotations
@@ -68,19 +69,13 @@ from time import perf_counter
 
 import numpy as np
 
-from .. import constants
-from ..core import costs
-from ..core.load import (
-    _HANDSHAKE_BYTES, _HANDSHAKE_RECV_UNITS, _HANDSHAKE_SEND_UNITS, _MUX,
-    _QUERY_BYTES, _RECV_Q_UNITS, _SEND_Q_UNITS, _Accumulator, charge_block,
-)
+from ..core.load import _Accumulator, charge_block
 from ..core.routing import DEFAULT_BLOCK, FloodBlock, flood_block
 from ..obs.metrics import get_registry
 from ..querymodel.distributions import QueryModel, default_query_model
 from ..querymodel.expectation import mean_miss_powers
 from ..stats.rng import derive_rng
 from ..topology.builder import NetworkInstance
-from ..units import bytes_per_second_to_bps, units_per_second_to_hz
 from .schedule import WorkloadSchedule, generate_workload
 
 __all__ = ["FloodBlock", "flood_block", "meanfield_matches",
@@ -134,7 +129,11 @@ def simulate_instance_array(
             f"schedule covers {schedule.duration}s, run wants {duration}s"
         )
 
-    from .network import SimulationReport  # deferred: network lazily imports this module
+    # deferred: network lazily imports this module
+    from .network import (
+        _charge_client_join, _charge_client_update, _charge_delivery,
+        _charge_partner_join, _charge_partner_update, _charge_submit, _State,
+    )
 
     n = instance.num_clusters
     k = instance.partners
@@ -142,42 +141,18 @@ def simulate_instance_array(
     graph = instance.graph
     clients = instance.clients
     ptr = instance.client_ptr
-    m_sp = instance.superpeer_connections.astype(float)
-    m_cl = float(instance.client_connections)
     rng_a = derive_rng(rng, "sim", "array")
+    st = _State(instance, model, rng_a)
 
     registry = get_registry()
-    m_queries = registry.counter("sim.queries")
-    m_joins = registry.counter("sim.joins")
-    m_updates = registry.counter("sim.updates")
-    m_query_messages = registry.counter("sim.query_messages")
-    m_response_messages = registry.counter("sim.response_messages")
-    m_results = registry.histogram("sim.results_per_query")
-    # Parity with the event engine's ``_State``/``Simulator``: the full
-    # fault-free counter family exists on every run (the differential
-    # harness asserts cross-engine counter-name parity), with the
-    # fault-path counters inert at zero on this path.
-    registry.counter("sim.flood_messages_dropped")
-    registry.counter("sim.response_messages_dropped")
-    registry.counter("sim.retries")
-    registry.counter("sim.orphaned_queries")
     m_events = registry.counter("sim.engine.events")
     registry.counter("sim.engine.compactions")
     run_started = phase_started = perf_counter()
-
-    sp_in = np.zeros(n)
-    sp_out = np.zeros(n)
-    sp_proc = np.zeros(n)
-    total_clients = instance.total_clients
-    cl_in = np.zeros(total_clients)
-    cl_out = np.zeros(total_clients)
-    cl_proc = np.zeros(total_clients)
 
     Q = schedule.num_queries
     U = schedule.num_updates
     W = DEFAULT_WINDOWS
     deltas = np.zeros((W, n))
-    cluster_of_client = np.repeat(np.arange(n), clients)
 
     def window_of(times: np.ndarray) -> np.ndarray:
         return np.minimum((times / duration * W).astype(np.int64), W - 1)
@@ -200,23 +175,8 @@ def simulate_instance_array(
         prev[first] = instance.client_files[cc[first]]
         idx_nf = np.nonzero(~first)[0]
         prev[idx_nf] = new_files[idx_nf - 1]
-        cl_cluster = cluster_of_client[cc]
-        join_bytes = (
-            constants.JOIN_MESSAGE_BASE + constants.FILE_METADATA_SIZE * new_files
-        ).astype(float)
-        np.add.at(sp_proc, cl_cluster,
-                  costs.PROCESS_JOIN_BASE + costs.PROCESS_JOIN_PER_FILE * prev)
-        np.add.at(cl_out, cc, k * join_bytes)
-        np.add.at(cl_proc, cc, k * (
-            costs.SEND_JOIN_BASE + costs.SEND_JOIN_PER_FILE * new_files
-            + _MUX * m_cl
-        ))
-        np.add.at(sp_in, cl_cluster, join_bytes)
-        np.add.at(sp_proc, cl_cluster, (
-            costs.RECV_JOIN_BASE + costs.RECV_JOIN_PER_FILE * new_files
-            + _MUX * m_sp[cl_cluster]
-            + costs.PROCESS_JOIN_BASE + costs.PROCESS_JOIN_PER_FILE * new_files
-        ))
+        cl_cluster = st.cluster_of_client[cc]
+        _charge_client_join(st, cl_cluster, cc, prev, new_files, k)
         np.add.at(deltas, (window_of(ct), cl_cluster),
                   (new_files - prev).astype(float))
 
@@ -235,26 +195,7 @@ def simulate_instance_array(
         prev_p[first] = instance.partner_files.ravel()[pf[first]]
         idx_nf = np.nonzero(~first)[0]
         prev_p[idx_nf] = new_p[idx_nf - 1]
-        m_here = m_sp[pcl]
-        np.add.at(sp_out, pcl, _HANDSHAKE_BYTES * m_here / k)
-        np.add.at(sp_in, pcl, _HANDSHAKE_BYTES * m_here / k)
-        np.add.at(sp_proc, pcl, m_here * (
-            _HANDSHAKE_SEND_UNITS + _HANDSHAKE_RECV_UNITS + 2 * _MUX * m_here
-        ) / k)
-        if k > 1:
-            jb = (
-                constants.JOIN_MESSAGE_BASE
-                + constants.FILE_METADATA_SIZE * new_p
-            ).astype(float)
-            np.add.at(sp_out, pcl, (k - 1) * jb / k)
-            np.add.at(sp_in, pcl, (k - 1) * jb / k)
-            np.add.at(sp_proc, pcl, (k - 1) * (
-                costs.SEND_JOIN_BASE + costs.SEND_JOIN_PER_FILE * new_p
-                + costs.RECV_JOIN_BASE + costs.RECV_JOIN_PER_FILE * new_p
-                + 2 * _MUX * m_here
-                + costs.PROCESS_JOIN_BASE + costs.PROCESS_JOIN_PER_FILE * new_p
-                + costs.PROCESS_JOIN_BASE + costs.PROCESS_JOIN_PER_FILE * prev_p
-            ) / k)
+        _charge_partner_join(st, pcl, prev_p, new_p)
         np.add.at(deltas, (window_of(pt), pcl),
                   (new_p - prev_p).astype(float))
     num_joins = C + P
@@ -264,25 +205,9 @@ def simulate_instance_array(
     if U:
         u_cluster = schedule.u_cluster
         is_client_u = schedule.u_pick < clients[u_cluster]
-        upd = float(constants.UPDATE_MESSAGE_SIZE)
         uc = u_cluster[is_client_u]
-        uc_client = ptr[uc] + schedule.u_pick[is_client_u]
-        np.add.at(cl_out, uc_client, k * upd)
-        np.add.at(cl_proc, uc_client,
-                  k * (costs.SEND_UPDATE_UNITS + _MUX * m_cl))
-        np.add.at(sp_in, uc, upd)
-        np.add.at(sp_proc, uc,
-                  costs.RECV_UPDATE_UNITS + _MUX * m_sp[uc]
-                  + costs.PROCESS_UPDATE_UNITS)
-        up = u_cluster[~is_client_u]
-        np.add.at(sp_proc, up, costs.PROCESS_UPDATE_UNITS / k)
-        if k > 1:
-            np.add.at(sp_out, up, (k - 1) * upd / k)
-            np.add.at(sp_in, up, (k - 1) * upd / k)
-            np.add.at(sp_proc, up, (k - 1) * (
-                costs.SEND_UPDATE_UNITS + costs.RECV_UPDATE_UNITS
-                + 2 * _MUX * m_sp[up] + costs.PROCESS_UPDATE_UNITS
-            ) / k)
+        _charge_client_update(st, uc, ptr[uc] + schedule.u_pick[is_client_u], k)
+        _charge_partner_update(st, u_cluster[~is_client_u], k)
     phase_started = _mark_phase(registry, "sim.array.updates", phase_started)
 
     # --- per-window index sizes and response-weight channels ----------------
@@ -364,7 +289,7 @@ def simulate_instance_array(
         src = q_sources[start:start + DEFAULT_BLOCK]
         fb = flood_block(graph, src, ttl)
         mb = m_s[src]
-        _, sent, _ = charge_block(fb, mb, origin, m_sp, flood)
+        _, sent, _ = charge_block(fb, mb, origin, st.m_sp, flood)
         resp_msgs += float(mb @ sent[0].sum(axis=1))
         total_flood += float(fb.transmissions.sum(axis=1) @ mb)
         reach_s = fb.reach()
@@ -381,22 +306,18 @@ def simulate_instance_array(
                 depths, weights=(fb.transmissions * w_rows)[reached],
                 minlength=ttl + 1,
             )[:ttl + 1]
-    sp_out += flood.q_out / k
-    sp_in += flood.q_in / k
-    sp_proc += flood.q_proc / k
+    st.sp_out += flood.q_out / k
+    st.sp_in += flood.q_in / k
+    st.sp_proc += flood.q_proc / k
     phase_started = _mark_phase(registry, "sim.array.flood", phase_started)
 
     # --- per-query client submit (exact) and sampled deliveries -------------
-    total_results = 0.0
     if Q:
         q_src = schedule.q_cluster
         is_client_q = schedule.q_pick < clients[q_src]
         cq_src = q_src[is_client_q]
-        cq_client = ptr[cq_src] + schedule.q_pick[is_client_q]
-        np.add.at(cl_out, cq_client, float(_QUERY_BYTES))
-        np.add.at(cl_proc, cq_client, _SEND_Q_UNITS + _MUX * m_cl)
-        np.add.at(sp_in, cq_src, _QUERY_BYTES / k)
-        np.add.at(sp_proc, cq_src, (_RECV_Q_UNITS + _MUX * m_sp[cq_src]) / k)
+        _charge_submit(st, cq_src, ptr[cq_src] + schedule.q_pick[is_client_q],
+                       st.kv)
 
         f_q = model.f[j_q]
         Fq_src = F_wins[w_q, q_src]
@@ -406,7 +327,7 @@ def simulate_instance_array(
             np.maximum(Fq_reach - Fq_src, 0.0).astype(np.int64), f_q
         )
         to_r = (own + remote).astype(float)
-        total_results = float(to_r.sum())
+        st.total_results = float(to_r.sum())
         reach_q = reach_count[q_src]
         mm = rng_a.binomial(
             np.maximum(reach_q - 1, 0).astype(np.int64), pbar[j_q]
@@ -426,22 +347,19 @@ def simulate_instance_array(
         deliver = is_client_q & (to_m > 0)
         ds = q_src[deliver]
         dc = ptr[ds] + schedule.q_pick[deliver]
-        dm, da, dr = to_m[deliver], to_a[deliver], to_r[deliver]
-        bytes_to_client, send_units = costs.response_costs(dm, da, dr, m_sp[ds], send=True)
-        _, recv_units = costs.response_costs(dm, da, dr, m_cl, send=False)
-        np.add.at(sp_out, ds, bytes_to_client / k)
-        np.add.at(sp_proc, ds, send_units / k)
-        np.add.at(cl_in, dc, bytes_to_client)
-        np.add.at(cl_proc, dc, recv_units)
-        m_results.observe_many(to_r)
+        _charge_delivery(st, ds, dc, to_m[deliver], to_a[deliver],
+                         to_r[deliver], st.kv)
+        st.m_results.observe_many(to_r)
 
     _mark_phase(registry, "sim.array.delivery", phase_started)
 
-    m_queries.add(float(Q))
-    m_joins.add(float(num_joins))
-    m_updates.add(float(U))
-    m_query_messages.add(total_flood)
-    m_response_messages.add(resp_msgs)
+    st.num_queries, st.num_joins, st.num_updates = Q, num_joins, U
+    st.total_reach = total_reach
+    st.m_queries.add(float(Q))
+    st.m_joins.add(float(num_joins))
+    st.m_updates.add(float(U))
+    st.m_query_messages.add(total_flood)
+    st.m_response_messages.add(resp_msgs)
     m_events.add(float(Q + num_joins + U))
     registry.timer("sim.engine.run").record(perf_counter() - run_started)
 
@@ -456,20 +374,7 @@ def simulate_instance_array(
             mean_reach=total_reach / M,
         )
 
-    return SimulationReport(
-        duration=duration,
-        num_queries=Q,
-        num_joins=num_joins,
-        num_updates=U,
-        superpeer_incoming_bps=bytes_per_second_to_bps(sp_in / duration),
-        superpeer_outgoing_bps=bytes_per_second_to_bps(sp_out / duration),
-        superpeer_processing_hz=units_per_second_to_hz(sp_proc / duration),
-        client_incoming_bps=bytes_per_second_to_bps(cl_in / duration),
-        client_outgoing_bps=bytes_per_second_to_bps(cl_out / duration),
-        client_processing_hz=units_per_second_to_hz(cl_proc / duration),
-        mean_results_per_query=total_results / M,
-        mean_reach_clusters=total_reach / M,
-    )
+    return st.report(duration)
 
 
 # --- faulty runs: the event loop's mean-field match sampler ------------------

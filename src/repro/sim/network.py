@@ -202,6 +202,24 @@ class _State:
         sums[self.instance.clients == 0] = 0
         return sums + self.partner_files.sum(axis=1)
 
+    def report(self, duration: float) -> SimulationReport:
+        """The meters and outcome counters as long-run rates."""
+        queries = max(1, self.num_queries)
+        return SimulationReport(
+            duration=duration,
+            num_queries=self.num_queries,
+            num_joins=self.num_joins,
+            num_updates=self.num_updates,
+            superpeer_incoming_bps=bytes_per_second_to_bps(self.sp_in / duration),
+            superpeer_outgoing_bps=bytes_per_second_to_bps(self.sp_out / duration),
+            superpeer_processing_hz=units_per_second_to_hz(self.sp_proc / duration),
+            client_incoming_bps=bytes_per_second_to_bps(self.cl_in / duration),
+            client_outgoing_bps=bytes_per_second_to_bps(self.cl_out / duration),
+            client_processing_hz=units_per_second_to_hz(self.cl_proc / duration),
+            mean_results_per_query=self.total_results / queries,
+            mean_reach_clusters=self.total_reach / queries,
+        )
+
 
 def _fanout_per_hop(prop) -> list[float]:
     """Messages crossing each hop: transmissions summed by sender depth."""
@@ -290,10 +308,7 @@ def _run_query(state: _State, rt: FaultRuntime | None, s: int,
             max_attempts += rt.plan.retry.max_retries
 
     if client_index is not None:
-        st.cl_out[client_index] += _QUERY_BYTES
-        st.cl_proc[client_index] += _SEND_Q_UNITS + _MUX * st.m_cl
-        st.sp_in[s] += _QUERY_BYTES / kv[s]
-        st.sp_proc[s] += (_RECV_Q_UNITS + _MUX * st.m_sp[s]) / kv[s]
+        _charge_submit(st, s, client_index, kv)
 
     best_results = 0.0
     best = None
@@ -441,13 +456,7 @@ def _flood_attempt(state: _State, rt: FaultRuntime | None, s: int,
     to_a = recv_a[s] + (k_addr[s] if own_msg else 0)
     to_r = recv_r[s] + (n_results[s] if own_msg else 0)
     if client_index is not None and to_m > 0:
-        bytes_to_client, send_units = costs.response_costs(
-            to_m, to_a, to_r, st.m_sp[s], send=True)
-        st.sp_out[s] += bytes_to_client / kv[s]
-        st.sp_proc[s] += send_units / kv[s]
-        st.cl_in[client_index] += bytes_to_client
-        st.cl_proc[client_index] += costs.response_costs(
-            to_m, to_a, to_r, st.m_cl, send=False)[1]
+        _charge_delivery(st, s, client_index, to_m, to_a, to_r, kv)
     # Membership digests ride the flood tree and the surviving response
     # edges (decentralized failure detection; free while nothing is
     # rumored, charged per digest once a suspicion episode opens).
@@ -456,84 +465,134 @@ def _flood_attempt(state: _State, rt: FaultRuntime | None, s: int,
     return float(recv_r[s] + n_results[s]), prop, lost
 
 
-def _run_client_churn(state: _State, client_index: int,
-                      live: int | None = None,
-                      new_files: int | None = None) -> None:
-    """One client leaves and its replacement joins (metadata to each partner).
+# --- per-event charges (Table 2, Section 3.2) ------------------------------
+#
+# Each routine adds one kind of action's costs to the state's meters.
+# The node arguments are scalars from the event loop, or index arrays
+# (with repeats) when the array engine charges a whole schedule in one
+# call; ``np.add.at`` accumulates both forms in the same operation order.
+# ``partners`` is k, or the live partner count on faulty runs; ``kv`` is
+# the per-cluster partner divisor of :func:`_run_query`.
 
-    ``live`` (fault runs only) is the number of partners currently up:
-    the replacement uploads its metadata to those partners alone; a
-    recovering partner rebuilds its index separately at recovery time.
-    ``new_files`` is the replacement's collection size, pre-drawn into
-    the shared schedule (drawn from the main stream only when absent).
-    """
-    st = state
-    st.num_joins += 1
-    st.m_joins.add()
-    partners = st.k if live is None else live
-    cluster = int(st.cluster_of_client[client_index])
-    old_files = int(st.client_files[client_index])
-    # Removal of the departing client's metadata at every partner.
-    st.sp_proc[cluster] += (
-        costs.PROCESS_JOIN_BASE + costs.PROCESS_JOIN_PER_FILE * old_files
-    )
-    # Replacement joins with a fresh collection.
-    if new_files is None:
-        new_files = int(default_file_distribution().sample(st.rng, 1)[0])
-    st.client_files[client_index] = new_files
+
+def _charge_submit(st: _State, s, client, kv: np.ndarray) -> None:
+    """A client hands its query to its super-peer ``s``."""
+    np.add.at(st.cl_out, client, _QUERY_BYTES)
+    np.add.at(st.cl_proc, client, _SEND_Q_UNITS + _MUX * st.m_cl)
+    np.add.at(st.sp_in, s, _QUERY_BYTES / kv[s])
+    np.add.at(st.sp_proc, s, (_RECV_Q_UNITS + _MUX * st.m_sp[s]) / kv[s])
+
+
+def _charge_delivery(st: _State, s, client, to_m, to_a, to_r,
+                     kv: np.ndarray) -> None:
+    """Super-peer ``s`` forwards ``to_m`` Responses (``to_a`` addresses,
+    ``to_r`` results) to its querying client."""
+    nbytes, send_units = costs.response_costs(
+        to_m, to_a, to_r, st.m_sp[s], send=True)
+    np.add.at(st.sp_out, s, nbytes / kv[s])
+    np.add.at(st.sp_proc, s, send_units / kv[s])
+    np.add.at(st.cl_in, client, nbytes)
+    np.add.at(st.cl_proc, client, costs.response_costs(
+        to_m, to_a, to_r, st.m_cl, send=False)[1])
+
+
+def _charge_client_join(st: _State, cluster, client, old_files, new_files,
+                        partners) -> None:
+    """A client leaves and its replacement joins: each partner drops the
+    ``old_files`` records and indexes the replacement's ``new_files``."""
+    np.add.at(st.sp_proc, cluster,
+              costs.PROCESS_JOIN_BASE + costs.PROCESS_JOIN_PER_FILE * old_files)
     join_bytes = constants.JOIN_MESSAGE_BASE + constants.FILE_METADATA_SIZE * new_files
-    st.cl_out[client_index] += partners * join_bytes
-    st.cl_proc[client_index] += partners * (
+    np.add.at(st.cl_out, client, partners * join_bytes)
+    np.add.at(st.cl_proc, client, partners * (
         costs.SEND_JOIN_BASE + costs.SEND_JOIN_PER_FILE * new_files + _MUX * st.m_cl
-    )
-    # Every partner receives and indexes the metadata.
-    st.sp_in[cluster] += join_bytes
-    st.sp_proc[cluster] += (
+    ))
+    np.add.at(st.sp_in, cluster, join_bytes)
+    np.add.at(st.sp_proc, cluster, (
         costs.RECV_JOIN_BASE + costs.RECV_JOIN_PER_FILE * new_files + _MUX * st.m_sp[cluster]
         + costs.PROCESS_JOIN_BASE + costs.PROCESS_JOIN_PER_FILE * new_files
-    )
+    ))
 
 
-def _run_partner_churn(state: _State, cluster: int, partner: int,
-                       rng: np.random.Generator | None = None,
-                       new_files: int | None = None) -> None:
-    """One super-peer partner is replaced: handshakes + (k>1) index exchange.
-
-    ``new_files`` is the replacement's collection size, pre-drawn into
-    the shared schedule.  ``rng`` (fault runs only) supplies it from the
-    fault stream instead, so a crash-driven recovery never perturbs the
-    workload stream the baseline shares.
-    """
-    st = state
-    st.num_joins += 1
-    st.m_joins.add()
+def _charge_partner_join(st: _State, cluster, old_files, new_files) -> None:
+    """A super-peer partner is replaced: handshakes + (k>1) index exchange."""
+    k = st.k
     m = st.m_sp[cluster]
     # Handshake one empty message each way per open connection; mirror side
     # is attributed to this cluster's meter in aggregate form (neighbours,
     # fellow partners and clients all pay one pair each).
-    st.sp_out[cluster] += _HANDSHAKE_BYTES * m / st.k
-    st.sp_in[cluster] += _HANDSHAKE_BYTES * m / st.k
-    st.sp_proc[cluster] += m * (
+    np.add.at(st.sp_out, cluster, _HANDSHAKE_BYTES * m / k)
+    np.add.at(st.sp_in, cluster, _HANDSHAKE_BYTES * m / k)
+    np.add.at(st.sp_proc, cluster, m * (
         _HANDSHAKE_SEND_UNITS + _HANDSHAKE_RECV_UNITS + 2 * _MUX * m
-    ) / st.k
-    if new_files is None:
-        new_files = int(default_file_distribution().sample(
-            st.rng if rng is None else rng, 1)[0])
-    old_files = int(st.partner_files[cluster, partner])
-    st.partner_files[cluster, partner] = new_files
-    if st.k > 1:
+    ) / k)
+    if k > 1:
         join_bytes = constants.JOIN_MESSAGE_BASE + constants.FILE_METADATA_SIZE * new_files
         # Ship own metadata to the k-1 fellows; they index it (and drop the
         # departed partner's records).
-        st.sp_out[cluster] += (st.k - 1) * join_bytes / st.k
-        st.sp_in[cluster] += (st.k - 1) * join_bytes / st.k
-        st.sp_proc[cluster] += (st.k - 1) * (
+        np.add.at(st.sp_out, cluster, (k - 1) * join_bytes / k)
+        np.add.at(st.sp_in, cluster, (k - 1) * join_bytes / k)
+        np.add.at(st.sp_proc, cluster, (k - 1) * (
             costs.SEND_JOIN_BASE + costs.SEND_JOIN_PER_FILE * new_files
             + costs.RECV_JOIN_BASE + costs.RECV_JOIN_PER_FILE * new_files
-            + 2 * _MUX * st.m_sp[cluster]
+            + 2 * _MUX * m
             + costs.PROCESS_JOIN_BASE + costs.PROCESS_JOIN_PER_FILE * new_files
             + costs.PROCESS_JOIN_BASE + costs.PROCESS_JOIN_PER_FILE * old_files
-        ) / st.k
+        ) / k)
+
+
+def _charge_client_update(st: _State, cluster, client, partners) -> None:
+    """A client sends a single-file metadata delta to each partner."""
+    upd = float(constants.UPDATE_MESSAGE_SIZE)
+    np.add.at(st.cl_out, client, partners * upd)
+    np.add.at(st.cl_proc, client, partners * (costs.SEND_UPDATE_UNITS + _MUX * st.m_cl))
+    np.add.at(st.sp_in, cluster, upd)
+    np.add.at(st.sp_proc, cluster, (
+        costs.RECV_UPDATE_UNITS + _MUX * st.m_sp[cluster] + costs.PROCESS_UPDATE_UNITS
+    ))
+
+
+def _charge_partner_update(st: _State, cluster, partners: int) -> None:
+    """A partner's own metadata delta, shipped to its fellow partners."""
+    upd = float(constants.UPDATE_MESSAGE_SIZE)
+    np.add.at(st.sp_proc, cluster, costs.PROCESS_UPDATE_UNITS / partners)
+    if partners > 1:
+        np.add.at(st.sp_out, cluster, (partners - 1) * upd / partners)
+        np.add.at(st.sp_in, cluster, (partners - 1) * upd / partners)
+        np.add.at(st.sp_proc, cluster, (partners - 1) * (
+            costs.SEND_UPDATE_UNITS + costs.RECV_UPDATE_UNITS
+            + 2 * _MUX * st.m_sp[cluster] + costs.PROCESS_UPDATE_UNITS
+        ) / partners)
+
+
+def _run_client_churn(state: _State, client_index: int, new_files: int,
+                      live: int | None = None) -> None:
+    """One client leaves and its replacement (``new_files`` files, pre-drawn
+    into the shared schedule) joins, uploading its metadata to each partner.
+
+    ``live`` (fault runs only) is the number of partners currently up:
+    the replacement uploads its metadata to those partners alone; a
+    recovering partner rebuilds its index separately at recovery time.
+    """
+    st = state
+    st.num_joins += 1
+    st.m_joins.add()
+    cluster = int(st.cluster_of_client[client_index])
+    old_files = int(st.client_files[client_index])
+    st.client_files[client_index] = new_files
+    _charge_client_join(st, cluster, client_index, old_files, new_files,
+                        st.k if live is None else live)
+
+
+def _run_partner_churn(state: _State, cluster: int, partner: int,
+                       new_files: int) -> None:
+    """One super-peer partner is replaced by a peer with ``new_files`` files."""
+    st = state
+    st.num_joins += 1
+    st.m_joins.add()
+    old_files = int(st.partner_files[cluster, partner])
+    st.partner_files[cluster, partner] = new_files
+    _charge_partner_join(st, cluster, old_files, new_files)
 
 
 def _run_update(state: _State, cluster: int, client_index: int | None,
@@ -547,23 +606,10 @@ def _run_update(state: _State, cluster: int, client_index: int | None,
     st.num_updates += 1
     st.m_updates.add()
     partners = st.k if live is None else live
-    upd = float(constants.UPDATE_MESSAGE_SIZE)
     if client_index is not None:
-        st.cl_out[client_index] += partners * upd
-        st.cl_proc[client_index] += partners * (costs.SEND_UPDATE_UNITS + _MUX * st.m_cl)
-        st.sp_in[cluster] += upd
-        st.sp_proc[cluster] += (
-            costs.RECV_UPDATE_UNITS + _MUX * st.m_sp[cluster] + costs.PROCESS_UPDATE_UNITS
-        )
+        _charge_client_update(st, cluster, client_index, partners)
     else:
-        st.sp_proc[cluster] += costs.PROCESS_UPDATE_UNITS / partners
-        if partners > 1:
-            st.sp_out[cluster] += (partners - 1) * upd / partners
-            st.sp_in[cluster] += (partners - 1) * upd / partners
-            st.sp_proc[cluster] += (partners - 1) * (
-                costs.SEND_UPDATE_UNITS + costs.RECV_UPDATE_UNITS
-                + 2 * _MUX * st.m_sp[cluster] + costs.PROCESS_UPDATE_UNITS
-            ) / partners
+        _charge_partner_update(st, cluster, partners)
 
 
 def simulate_instance(
@@ -682,8 +728,13 @@ def simulate_instance(
         # A recovered partner is a fresh peer: charge the replacement's
         # handshakes and (k > 1) index exchange exactly as instantaneous
         # churn does, just at recovery time instead of departure time.
+        # The replacement's collection comes from the fault stream, so a
+        # crash-driven recovery never perturbs the workload stream the
+        # baseline shares.
         fault_rt.install(
-            sim, lambda c, p: _run_partner_churn(state, c, p, rng=fault_rng)
+            sim, lambda c, p: _run_partner_churn(
+                state, c, p,
+                int(default_file_distribution().sample(fault_rng, 1)[0])),
         )
     recovery_rt: RecoveryRuntime | None = None
     if fault_rt is not None and recovery is not None:
@@ -788,18 +839,4 @@ def simulate_instance(
     if fault_rt is not None:
         fault_rt.finish(duration)
 
-    queries = max(1, state.num_queries)
-    return SimulationReport(
-        duration=duration,
-        num_queries=state.num_queries,
-        num_joins=state.num_joins,
-        num_updates=state.num_updates,
-        superpeer_incoming_bps=bytes_per_second_to_bps(state.sp_in / duration),
-        superpeer_outgoing_bps=bytes_per_second_to_bps(state.sp_out / duration),
-        superpeer_processing_hz=units_per_second_to_hz(state.sp_proc / duration),
-        client_incoming_bps=bytes_per_second_to_bps(state.cl_in / duration),
-        client_outgoing_bps=bytes_per_second_to_bps(state.cl_out / duration),
-        client_processing_hz=units_per_second_to_hz(state.cl_proc / duration),
-        mean_results_per_query=state.total_results / queries,
-        mean_reach_clusters=state.total_reach / queries,
-    )
+    return state.report(duration)

@@ -18,6 +18,11 @@ structural invariants on hypothesis-generated graphs:
   the MVA and the array engine, equals a per-source scalar accounting
   (scalar BFS, scalar fold, the Table 2 cost functions) in both
   Response modes;
+* **per-event charges** — each ``network._charge_*`` routine (joins,
+  updates, client submit and delivery), called once with index arrays
+  as the array engine does, equals one scalar call per element in the
+  same order as the event engine does: bit for bit when no node repeats,
+  to rounding when nodes repeat;
 * **message conservation per hop** — the transmissions sent by depth-d
   forwarders equal the receipts their edges deliver, recomputed
   independently from the raw edge arrays;
@@ -33,13 +38,17 @@ from __future__ import annotations
 import numpy as np
 from hypothesis import given, settings, strategies as st
 
+from repro.config import Configuration, GraphType
 from repro.core import costs
 from repro.core.load import (
     _HANDSHAKE_BYTES, _HANDSHAKE_RECV_UNITS, _HANDSHAKE_SEND_UNITS,
     _Accumulator, charge_block,
 )
 from repro.core.routing import fold_to_sources, propagate_query
+from repro.querymodel.distributions import default_query_model
+from repro.sim import network
 from repro.sim.fastcore import flood_block
+from repro.topology.builder import build_instance
 from repro.topology.graph import OverlayGraph
 from repro.topology.strong import CompleteGraph
 
@@ -208,6 +217,79 @@ def test_charge_block_matches_scalar_accounting(block, ttl, seed, direct):
     expected = _scalar_charges(graph, sources, ttl, w, origin, m_sp, direct)
     for got, want in zip((acc.q_out, acc.q_in, acc.q_proc), expected):
         np.testing.assert_allclose(got, want, rtol=1e-12, atol=0.0)
+
+
+_METERS = ("sp_in", "sp_out", "sp_proc", "cl_in", "cl_out", "cl_proc")
+_CHARGES = ("submit", "delivery", "client_join", "partner_join",
+            "client_update", "partner_update")
+
+
+@st.composite
+def _charge_calls(draw):
+    """(instance, routine, per-event argument arrays, trailing shared
+    arguments, distinct) over a small random instance.  ``distinct``
+    calls touch every client and every cluster at most once; the others
+    draw indices with repeats."""
+    instance = build_instance(Configuration(
+        graph_type=draw(st.sampled_from([GraphType.STRONG, GraphType.POWER_LAW])),
+        graph_size=draw(st.integers(min_value=20, max_value=80)),
+        cluster_size=draw(st.integers(min_value=3, max_value=10)),
+        redundancy=draw(st.booleans()), avg_outdegree=3.1,
+    ), seed=draw(st.integers(0, 2**16)))
+    name = draw(st.sampled_from(_CHARGES))
+    distinct = draw(st.booleans())
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    n = instance.num_clusters
+    with_clients = np.nonzero(instance.clients)[0]
+    size = draw(st.integers(min_value=1, max_value=30))
+    if distinct:
+        pool = with_clients if name in ("submit", "delivery", "client_join",
+                                         "client_update") else np.arange(n)
+        cluster = rng.permutation(pool)[:size]
+    else:
+        cluster = rng.choice(with_clients, size)
+    client = instance.client_ptr[cluster] + rng.integers(
+        0, np.maximum(instance.clients[cluster], 1))
+
+    def files():
+        return rng.integers(0, 2000, cluster.size)
+
+    partners = int(rng.integers(1, instance.partners + 1))
+    kv = rng.integers(1, instance.partners + 1, n).astype(float)
+    arrays, shared = {
+        "submit": ((cluster, client), (kv,)),
+        "delivery": ((cluster, client, *(rng.integers(0, 50, (3, cluster.size))
+                                         .astype(float))), (kv,)),
+        "client_join": ((cluster, client, files(), files()), (partners,)),
+        "partner_join": ((cluster, files(), files()), ()),
+        "client_update": ((cluster, client), (partners,)),
+        "partner_update": ((cluster,), (partners,)),
+    }[name]
+    return instance, name, arrays, shared, distinct
+
+
+@settings(max_examples=80, deadline=None)
+@given(call=_charge_calls())
+def test_array_charge_equals_scalar_charges(call):
+    """One ``_charge_*`` call over index arrays (the array engine) equals
+    one scalar call per element in order (the event engine), into fresh
+    meters: bit-equal when no node repeats, to rounding otherwise (the
+    per-node order of addends differs)."""
+    instance, name, arrays, shared, distinct = call
+    charge = getattr(network, f"_charge_{name}")
+    model = default_query_model()
+    batched = network._State(instance, model, np.random.default_rng(0))
+    scalar = network._State(instance, model, np.random.default_rng(0))
+    charge(batched, *arrays, *shared)
+    for i in range(arrays[0].size):
+        charge(scalar, *(a[i].item() for a in arrays), *shared)
+    for meter in _METERS:
+        got, want = getattr(batched, meter), getattr(scalar, meter)
+        if distinct:
+            assert np.array_equal(got, want), meter
+        else:
+            np.testing.assert_allclose(got, want, rtol=1e-12, atol=0.0,
+                                       err_msg=meter)
 
 
 @settings(max_examples=60, deadline=None)

@@ -55,15 +55,33 @@ class TestConservation:
 class TestStrongClosedForm:
     """The K_n analytic path must match explicit BFS on a materialized K_n."""
 
-    @pytest.mark.parametrize("ttl", [1, 2])
-    def test_matches_materialized_bfs(self, ttl):
+    @pytest.mark.parametrize("ttl,response_mode,redundancy", [
+        pytest.param(1, "reverse-path", False, id="1"),
+        pytest.param(2, "reverse-path", False, id="2"),
+        pytest.param(1, "direct", False, id="direct-1"),
+        pytest.param(2, "direct", False, id="direct-2"),
+        pytest.param(1, "reverse-path", True, id="k2-1"),
+        pytest.param(2, "reverse-path", True, id="k2-2"),
+        pytest.param(1, "direct", True, id="k2-direct-1"),
+        pytest.param(2, "direct", True, id="k2-direct-2"),
+    ])
+    def test_matches_materialized_bfs(self, ttl, response_mode, redundancy):
         config = Configuration(
-            graph_type=GraphType.STRONG, graph_size=120, cluster_size=10, ttl=ttl
+            graph_type=GraphType.STRONG, graph_size=120, cluster_size=10, ttl=ttl,
+            redundancy=redundancy,
         )
         instance = build_instance(config, seed=4)
-        closed = evaluate_instance(instance)
+        closed = evaluate_instance(instance, response_mode=response_mode)
         explicit = evaluate_instance(
-            replace(instance, graph=instance.graph.materialize())
+            replace(instance, graph=instance.graph.materialize()),
+            response_mode=response_mode,
+        )
+        # The closed form is exact over all sources even when sampling
+        # is asked for.
+        sampled = evaluate_instance(instance, max_sources=3, rng=0,
+                                    response_mode=response_mode)
+        np.testing.assert_array_equal(
+            sampled.superpeer_processing_hz, closed.superpeer_processing_hz
         )
         np.testing.assert_allclose(
             closed.superpeer_incoming_bps, explicit.superpeer_incoming_bps, rtol=1e-9

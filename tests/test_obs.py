@@ -420,12 +420,14 @@ def test_manifest_finish_and_roundtrip(tmp_path):
     assert manifest.peak_rss is None or manifest.peak_rss > 0
     path = tmp_path / "m.json"
     manifest.to_json(path)
-    loaded = RunManifest.from_json(path)
-    assert loaded.name == "roundtrip"
-    assert loaded.seed == 11
-    assert loaded.extra == {"note": "x"}
-    assert loaded.phases == manifest.phases
-    assert loaded.metrics["counters"] == {"c": 4.0}
+    # A path, and the JSON text itself (longer than any file name).
+    for source in (path, manifest.to_json()):
+        loaded = RunManifest.from_json(source)
+        assert loaded.name == "roundtrip"
+        assert loaded.seed == 11
+        assert loaded.extra == {"note": "x"}
+        assert loaded.phases == manifest.phases
+        assert loaded.metrics["counters"] == {"c": 4.0}
 
 
 def test_config_fingerprint_distinguishes_configs():
