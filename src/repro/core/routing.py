@@ -205,11 +205,12 @@ def flood_block(graph, sources, ttl: int, deliver=None) -> FloodBlock:
     frontier = rows * n + sources  # ascending: one key per row
     depth[frontier] = 0
     for d in range(ttl):
-        nodes = frontier % n
+        # One row: keys are node ids, so no row arithmetic is needed.
+        nodes = frontier if b == 1 else frontier % n
         counts, heads = _out_edges(graph, nodes)
         if heads.size == 0:
             break
-        keys = (frontier - nodes).repeat(counts) + heads
+        keys = heads if b == 1 else (frontier - nodes).repeat(counts) + heads
         senders = nodes.repeat(counts)
         # Every frontier node forwards (d < ttl) to all but its sender.
         live = heads != pred[frontier].repeat(counts)

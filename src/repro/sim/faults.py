@@ -673,16 +673,18 @@ def sampled_propagation(
         prop = QueryPropagation.empty(graph.num_nodes, source, ttl)
         return prop, FloodStats(attempted=0, delivered=0)
     loss = runtime.plan.message_loss
-    sampled = loss > 0.0 or runtime._has_slow
+    # Per-sender delivery probability, or None when nothing is sampled.
+    p_deliver = None
+    if loss > 0.0 or runtime._has_slow:
+        p_deliver = (1.0 - loss) * (1.0 - runtime.slow_drop)
 
     def deliver(senders, heads):
         ok = alive[heads]
         cut = runtime.edge_cut(senders, heads, now)
         if cut is not None:
             ok &= ~cut
-        if sampled:
-            p_deliver = (1.0 - loss) * (1.0 - runtime.slow_drop[senders])
-            ok &= runtime.rng.random(senders.size) < p_deliver
+        if p_deliver is not None:
+            ok &= runtime.rng.random(senders.size) < p_deliver[senders]
         return ok
 
     prop = flood_block(graph, [source], ttl, deliver).row(0)

@@ -648,7 +648,7 @@ class GossipDetector:
                                 + costs.PROCESS_UPDATE_UNITS) / self.k)
             self.rumors_sent += 1
             self._m_rumors.add()
-        if not self._quiet:
+        if not self._quiet and (self.view[u] != self.view[v]).any():
             merged = np.maximum(self.view[u], self.view[v])
             self.view[u] = merged
             self.view[v] = merged
@@ -665,7 +665,9 @@ class GossipDetector:
         the child's view back.  Both directions are charged as digest
         bytes on top of the messages they ride.  While the run is quiet
         (no suspicion episode has ever opened) every digest would be
-        empty, so nothing is attached and nothing is charged.
+        empty, so nothing is attached and nothing is charged.  When the
+        flood's nodes already agree on their views, the digests are
+        charged but nothing is merged.
         """
         if self._quiet:
             return
@@ -674,26 +676,34 @@ class GossipDetector:
         if nodes.size == 0:
             return
         preds, depths, view = prop.pred[nodes], prop.depth[nodes], self.view
-        # Down pass, shallow levels first.  A level's receivers are
-        # distinct nodes, so a gather/max/assign merges it.
-        for d in np.unique(depths):
-            at = depths == d
-            view[nodes[at]] = np.maximum(view[nodes[at]], view[preds[at]])
-        # A node's view changes at most once per pass and before it
-        # sends, so one recount per pass sizes every digest of the pass.
-        self._recount(nodes)
+        # When every reached row equals the source's, every maximum below
+        # is a no-op and ``_active`` is already fresh: skip both merges
+        # and charge the digests alone.
+        agreed = not (view[nodes] != view[prop.source]).any()
+        if not agreed:
+            # Down pass, shallow levels first.  A level's receivers are
+            # distinct nodes, so a gather/max/assign merges it.
+            for d in np.unique(depths):
+                at = depths == d
+                view[nodes[at]] = np.maximum(view[nodes[at]], view[preds[at]])
+            # A node's view changes at most once per pass and before it
+            # sends, so one recount per pass sizes every digest of the pass.
+            self._recount(nodes)
         down = self._digest_bytes(preds)
-        # Up pass, deep levels first.  Siblings share a parent row, so
-        # each level scatters with one flat maximum.at over row-major keys
-        # (``view`` is C-contiguous, so ``reshape(-1)`` writes through).
         passing = edge_pass[nodes]
         kids, parents, kid_depths = nodes[passing], preds[passing], depths[passing]
-        width = view.shape[1]
-        for d in np.unique(kid_depths)[::-1]:
-            at = kid_depths == d
-            keys = parents[at, np.newaxis] * width + np.arange(width)
-            np.maximum.at(view.reshape(-1), keys.ravel(), view[kids[at]].ravel())
-        self._recount(parents)
+        if not agreed:
+            # Up pass, deep levels first.  Siblings share a parent row, so
+            # each level scatters with one flat maximum.at over row-major
+            # keys (``view`` is C-contiguous, so ``reshape(-1)`` writes
+            # through).
+            width = view.shape[1]
+            for d in np.unique(kid_depths)[::-1]:
+                at = kid_depths == d
+                keys = parents[at, np.newaxis] * width + np.arange(width)
+                np.maximum.at(view.reshape(-1), keys.ravel(),
+                              view[kids[at]].ravel())
+            self._recount(parents)
         sizes = np.concatenate((down, self._digest_bytes(kids)))
         # Per node, charges keep the per-level order: in down, out down,
         # in up, out up.

@@ -246,22 +246,14 @@ def _exact_matches(state: _State, rt: FaultRuntime | None, s: int,
     partner_matches = (
         rng.binomial(st.partner_files, f_j) if f_j > 0 else np.zeros_like(st.partner_files)
     )
-    if rt is not None and rt.recovery is not None and rt.recovery.rehomed_any:
-        # Clients have moved between clusters: aggregate matches by the
-        # *current* membership instead of the static CSR roster.
-        client_sum = np.bincount(
-            st.cluster_of_client, weights=client_matches, minlength=st.n
-        ).astype(np.int64)
-        client_hit_count = np.bincount(
-            st.cluster_of_client, weights=(client_matches > 0).astype(float),
-            minlength=st.n,
-        ).astype(np.int64)
-    else:
-        ptr = st.instance.client_ptr
-        client_sum = np.add.reduceat(np.append(client_matches, 0), ptr[:-1])
-        client_sum[st.instance.clients == 0] = 0
-        client_hit_count = np.add.reduceat(np.append(client_matches > 0, False), ptr[:-1])
-        client_hit_count[st.instance.clients == 0] = 0
+    # Summed by current membership: the static roster until recovery
+    # re-homes a client.  The sums are integer-valued, hence exact.
+    client_sum = np.bincount(
+        st.cluster_of_client, weights=client_matches, minlength=st.n
+    ).astype(np.int64)
+    client_hit_count = np.bincount(
+        st.cluster_of_client, weights=client_matches > 0, minlength=st.n
+    ).astype(np.int64)
     n_results = client_sum + partner_matches.sum(axis=1)
     k_addr = client_hit_count + (partner_matches > 0).sum(axis=1)
     return n_results, k_addr
@@ -415,34 +407,34 @@ def _flood_attempt(state: _State, rt: FaultRuntime | None, s: int,
     st.sp_in += prop.receipts * _QUERY_BYTES / kv
     st.sp_proc += prop.receipts * (_RECV_Q_UNITS + _MUX * st.m_sp) / kv
 
-    # Index probe at every reached cluster.
-    st.sp_proc[reached] += (
-        costs.PROCESS_QUERY_BASE + costs.PROCESS_QUERY_PER_RESULT * n_results[reached]
-    ) / kv[reached]
+    # Index probe at every reached cluster.  The charges below are
+    # full-length: unreached nodes (and the source, for what it sends)
+    # add +0.0, which leaves a non-negative meter's bits unchanged.
+    st.sp_proc += reached * ((
+        costs.PROCESS_QUERY_BASE + costs.PROCESS_QUERY_PER_RESULT * n_results
+    ) / kv)
 
     # Responses travel the reverse path, each hop subject to the plan.
-    msgs_w = np.where(reached & (n_results > 0), 1.0, 0.0)
-    msgs_w[s] = 0.0
-    addr_w = np.where(msgs_w > 0, k_addr, 0).astype(float)
-    res_w = np.where(msgs_w > 0, n_results, 0).astype(float)
+    responds = reached & (n_results > 0)
+    responds[s] = False
     edge_pass = None if rt is None else sample_response_edges(prop, rt, now)
-    sent, received = lossy_accumulate(prop, edge_pass, [msgs_w, addr_w, res_w])
+    sent, received = lossy_accumulate(
+        prop, edge_pass, [responds, responds * k_addr, responds * n_results])
+    sent[:, s] = 0.0  # the source answers its client, not a predecessor
     sent_m, sent_a, sent_r = sent
     recv_m, recv_a, recv_r = received
 
-    senders = reached.copy()
-    senders[s] = False
     out_bytes, out_units = costs.response_costs(
-        sent_m[senders], sent_a[senders], sent_r[senders], st.m_sp[senders], send=True)
-    st.sp_out[senders] += out_bytes / kv[senders]
-    st.sp_proc[senders] += out_units / kv[senders]
+        sent_m, sent_a, sent_r, st.m_sp, send=True)
     in_bytes, in_units = costs.response_costs(
-        recv_m[reached], recv_a[reached], recv_r[reached], st.m_sp[reached], send=False)
-    st.sp_in[reached] += in_bytes / kv[reached]
-    st.sp_proc[reached] += in_units / kv[reached]
-    st.m_response_messages.add(float(sent_m[senders].sum()))
+        recv_m, recv_a, recv_r, st.m_sp, send=False)
+    st.sp_out += out_bytes / kv
+    st.sp_proc += out_units / kv
+    st.sp_in += in_bytes / kv
+    st.sp_proc += in_units / kv
+    st.m_response_messages.add(float(sent_m.sum()))
     if rt is not None:
-        lost_responses = float(sent_m[senders].sum() - recv_m.sum())
+        lost_responses = float(sent_m.sum() - recv_m.sum())
         rt.metrics.response_messages_lost += lost_responses
         if lost_responses > 0:
             st.m_response_drops.add(lost_responses)

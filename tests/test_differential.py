@@ -27,6 +27,7 @@ from _diff import (
     ARTIFACT_DIR,
     BIAS_TOL,
     PANEL,
+    TOLERANCES,
     DiffCase,
     check_counter_parity,
     check_deterministic,
@@ -77,12 +78,14 @@ def test_panel_no_systematic_bias(panel_results):
     systematically off (a misderived expectation, a dropped cost term)
     every case would err the same way and the panel mean would not
     shrink.  Success rates are compared absolutely, so they are
-    excluded here (their per-case bound is already tight).
+    excluded here (their per-case bound is already tight), and so are
+    the single-case gossip lanes (no panel to average over).
     """
     sums: dict[str, list[float]] = {}
     for case, ev, ar in panel_results.values():
         for name, err in statistical_errors(case, ev, ar).items():
-            if name == "query_success_rate":
+            tol = TOLERANCES[name]
+            if tol["rel"] is None or not tol.get("bias", True):
                 continue
             sums.setdefault(name, []).append(err)
     report = {name: float(np.mean(errs)) for name, errs in sums.items()}

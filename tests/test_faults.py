@@ -19,6 +19,7 @@ from repro.sim.faults import (
     sampled_propagation,
 )
 from repro.topology.builder import build_instance
+from repro.topology.graph import OverlayGraph
 
 from _oracle import scalar_fold, scalar_sampled_flood
 
@@ -485,13 +486,21 @@ class TestSampledPropagationProperties:
         source=st.integers(min_value=0, max_value=14),
         ttl=st.integers(min_value=1, max_value=7),
         seed=st.integers(min_value=0, max_value=2**31 - 1),
+        isolated=st.booleans(),
     )
     def test_bit_identical_to_scalar_sampled_flood(
-        self, small_instance, loss, slow, cut, dead, source, ttl, seed
+        self, small_instance, loss, slow, cut, dead, source, ttl, seed,
+        isolated,
     ):
         # The kernel's deliver hook must draw exactly the scalar flood's
         # uniforms, in its order: same flood, same stats, and the fault
-        # stream left in the same state for whatever draws next.
+        # stream left in the same state for whatever draws next.  An
+        # isolated (degree-0) source gathers no edges at hop 0.
+        graph = small_instance.graph
+        if isolated:
+            graph = OverlayGraph.from_edges(
+                graph.num_nodes,
+                [e for e in graph.edge_list() if source not in e])
         plan = FaultPlan(
             message_loss=loss,
             slow=SlowSpec(fraction=slow, factor=3.0) if slow else None,
@@ -502,7 +511,7 @@ class TestSampledPropagationProperties:
             rt = make_runtime(small_instance, plan, seed=seed)
             rt.up[dead] = False
             rt.live[dead] = 0
-            result = flood(small_instance.graph, source, ttl, rt, 1.0)
+            result = flood(graph, source, ttl, rt, 1.0)
             outcomes.append((result, rt.rng.random()))
         ((prop, stats), after), ((ref, attempted, delivered), ref_after) = outcomes
         assert np.array_equal(prop.depth, ref.depth)
@@ -511,6 +520,9 @@ class TestSampledPropagationProperties:
         assert np.array_equal(prop.receipts, ref.receipts)
         assert (stats.attempted, stats.delivered) == (attempted, delivered)
         assert after == ref_after
+        if isolated:
+            assert prop.reach == (1 if rt.live[source] else 0)
+            assert stats.attempted == 0
 
     @settings(max_examples=25, deadline=None)
     @given(

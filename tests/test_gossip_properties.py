@@ -157,8 +157,13 @@ def _flood_cases(draw):
     ))
     k = draw(st.sampled_from((1, 2)))
     seed = draw(st.integers(0, 2**32 - 1))
+    # Half the cases seed views the flood's nodes already agree on (all
+    # rows, or only the reached ones), which on_flood charges but does
+    # not merge; sparse random views almost never agree.
+    views = draw(st.sampled_from(("sparse", "agreed", "sparse", "reached")))
+    quiet = views == "sparse" and draw(st.booleans())
     return SimpleNamespace(graph=graph, prop=prop, edge_pass=edge_pass, k=k,
-                           seed=seed, quiet=draw(st.booleans()),
+                           seed=seed, quiet=quiet, views=views,
                            charged=draw(st.booleans()))
 
 
@@ -183,6 +188,10 @@ def _detector(case):
     packed = pack_entry(rng.integers(0, 4, size=(n, n * k)),
                         rng.integers(0, 3, size=(n, n * k)))
     det.view = np.where(rng.random((n, n * k)) < 0.3, packed, 0)
+    if case.views == "agreed":
+        det.view[:] = det.view[0]
+    elif case.views == "reached":
+        det.view[case.prop.reached] = det.view[case.prop.source]
     det._active = np.count_nonzero(det.view & _STATE_MASK, axis=1)
     for name in ("_gos_in", "_gos_out", "_gos_units"):
         setattr(det, name, rng.random(n))
@@ -197,8 +206,11 @@ class TestTwoPassPiggyback:
     def test_matches_level_by_level_reference(self, case):
         fast, fast_registry = _detector(case)
         ref, ref_registry = _detector(case)
+        seeded = fast.view.copy()
         fast.on_flood(case.prop, case.edge_pass)
         level_gossip_flood(ref, case.prop, case.edge_pass)
+        if case.views != "sparse":
+            assert np.array_equal(fast.view, seeded)
         for name in ("view", "_active", "_gos_in", "_gos_out", "_gos_units"):
             assert getattr(fast, name).tobytes() == getattr(ref, name).tobytes(), name
         if case.charged:
