@@ -21,6 +21,14 @@ engines and are pinned to ``tests/golden/golden_faulty.json``: the
 load headline, the event counters and the degraded-mode counters of
 :class:`~repro.sim.faults.FaultOutcome`.
 
+The Eq. 1-4 cost attribution (:mod:`repro.obs.attribution`) of the
+``tests/test_attribution.py`` configurations, in each of its modes, is
+pinned to ``tests/golden/golden_attribution.json``: the split by action
+and by BFS hop, the sum of every (action, resource, hop) table and the
+top super-peers and edges.  The hotspot lists are compared tie-robustly:
+the ranked bandwidths position by position, and each pinned row against
+the row of the same cluster or edge.
+
 Regenerating the fixtures (only after an *intentional* numeric change)::
 
     PYTHONPATH=src python tests/test_golden.py --regen
@@ -38,6 +46,7 @@ import pytest
 
 from repro.config import Configuration, GraphType
 from repro.core.load import evaluate_instance
+from repro.obs.attribution import profile_instance
 from repro.obs.metrics import MetricsRegistry, use_registry
 from repro.sim.faults import CrashSpec, FaultOutcome, FaultPlan, RetryPolicy
 from repro.sim.monitor import DetectorSpec
@@ -45,10 +54,14 @@ from repro.sim.network import simulate_instance
 from repro.sim.recovery import RecoveryPolicy
 from repro.topology.builder import build_instance
 
+from test_attribution import GOLDEN_CONFIGS as ATTRIBUTION_CONFIGS
+from test_attribution import MODES as ATTRIBUTION_MODES
+
 GOLDEN_PATH = Path(__file__).parent / "golden" / "golden_loads.json"
 FASTCORE_GOLDEN_PATH = Path(__file__).parent / "golden" / "golden_fastcore.json"
 EVENT_GOLDEN_PATH = Path(__file__).parent / "golden" / "golden_event.json"
 FAULTY_GOLDEN_PATH = Path(__file__).parent / "golden" / "golden_faulty.json"
+ATTRIBUTION_GOLDEN_PATH = Path(__file__).parent / "golden" / "golden_attribution.json"
 
 #: Fixed simulation window and seed for the simulated quartets; part
 #: of the golden contract like the topology seeds above.
@@ -163,6 +176,33 @@ def _simulate_faulty() -> dict[str, dict[str, float]]:
             for name in FAULTY_CASES for engine in ("array", "event")}
 
 
+def _attribute(name: str, mode: str) -> tuple[dict, object]:
+    """(pinned payload, attribution) of one configuration and mode of
+    ``tests/test_attribution.py``; the attribution serves the by-id
+    lookups of :func:`test_attribution_golden`."""
+    instance = build_instance(ATTRIBUTION_CONFIGS[name], seed=11)
+    _, attribution = profile_instance(instance, **ATTRIBUTION_MODES[mode])
+    tables = {}
+    for space, table in (("superpeer", attribution.superpeer_tables()),
+                         ("client", attribution.client_tables())):
+        for (action, resource, hop), values in table.items():
+            tables[f"{space}/{action}/{resource}/{hop}"] = float(values.sum())
+    payload = {
+        "by_action": attribution.by_action(),
+        "by_hop": {str(h): v for h, v in attribution.by_hop().items()},
+        "tables": tables,
+        "top_superpeers": attribution.top_superpeers(10),
+        "top_edges": [{**row, "edge": list(row["edge"])}
+                      for row in attribution.top_edges(10)],
+    }
+    return payload, attribution
+
+
+def _attribution_cases() -> list[str]:
+    return [f"{name}/{mode}" for name in sorted(ATTRIBUTION_CONFIGS)
+            for mode in sorted(ATTRIBUTION_MODES)]
+
+
 def _load(path: Path) -> dict:
     with path.open("r", encoding="utf-8") as handle:
         return json.load(handle)
@@ -221,6 +261,50 @@ def test_faulty_golden_loads(name, engine):
                     _simulate(CASES[name], engine, faulty=True))
 
 
+def test_attribution_golden_fixture_covers_all_cases():
+    assert set(_load(ATTRIBUTION_GOLDEN_PATH)) == set(_attribution_cases())
+
+
+def _assert_row(name: str, golden: dict, actual: dict) -> None:
+    assert set(actual) == set(golden), f"{name}: field set changed"
+    for field, expected in golden.items():
+        if isinstance(expected, str):
+            assert actual[field] == expected, f"{name}.{field} changed"
+        else:
+            assert actual[field] == pytest.approx(expected, rel=RTOL), (
+                f"{name}.{field} moved: expected {expected!r}, "
+                f"got {actual[field]!r}"
+            )
+
+
+@pytest.mark.parametrize("case", _attribution_cases())
+def test_attribution_golden(case):
+    golden = _load(ATTRIBUTION_GOLDEN_PATH)[case]
+    actual, attribution = _attribute(*case.split("/"))
+    for part in ("by_action", "by_hop"):
+        assert set(actual[part]) == set(golden[part]), f"{case}.{part} keys"
+        for key, loads in golden[part].items():
+            _assert_matches(f"{case}.{part}.{key}", loads, actual[part][key])
+    _assert_matches(f"{case}.tables", golden["tables"], actual["tables"])
+    # Hotspots, tie-robust: the ranked bandwidths match position by
+    # position, and each pinned row matches the row of its own id.
+    everyone = {
+        "top_superpeers": {row["cluster"]: row for row in
+                           attribution.top_superpeers(attribution.n)},
+        "top_edges": {row["edge"]: {**row, "edge": list(row["edge"])}
+                      for row in attribution.top_edges(2 ** 62)},
+    }
+    for part, key in (("top_superpeers", "cluster"), ("top_edges", "edge")):
+        assert len(actual[part]) == len(golden[part]), f"{case}.{part} length"
+        for rank, (want, got) in enumerate(zip(golden[part], actual[part])):
+            assert got["bandwidth_bps"] == pytest.approx(
+                want["bandwidth_bps"], rel=RTOL
+            ), f"{case}.{part}[{rank}] bandwidth moved"
+            ident = want[key] if part == "top_superpeers" else tuple(want[key])
+            assert ident in everyone[part], f"{case}.{part}: {ident} gone"
+            _assert_row(f"{case}.{part}[{ident}]", want, everyone[part][ident])
+
+
 def test_redundancy_changes_the_numbers():
     # Sanity on the fixture itself: the four cases must be genuinely
     # distinct experiments, not four copies of one.
@@ -253,6 +337,12 @@ def _regenerate() -> None:
         encoding="utf-8",
     )
     print(f"wrote {FAULTY_GOLDEN_PATH}")
+    payload = {case: _attribute(*case.split("/"))[0]
+               for case in _attribution_cases()}
+    ATTRIBUTION_GOLDEN_PATH.write_text(
+        json.dumps(payload, indent=2, sort_keys=True) + "\n", encoding="utf-8"
+    )
+    print(f"wrote {ATTRIBUTION_GOLDEN_PATH}")
 
 
 if __name__ == "__main__":
