@@ -30,6 +30,13 @@ Two evaluation modes: *exact* visits every source cluster; *sampled*
 (seeded) visits a uniform subset and scales, keeping 20,000-peer
 configurations tractable.  Strongly connected overlays use a closed-form
 path that never materializes K_n.
+
+Every charge is written once, as an ``add`` on the run's
+:class:`_Accumulator`: it adds to the per-node arrays and, when a
+:class:`~repro.obs.attribution.LoadAttribution` is attached, files a
+copy tagged (action, resource, hop).  Flood blocks are priced once on
+their row sums and, with attribution on, once more on their split by
+BFS depth (:meth:`_Accumulator.add_flood`).
 """
 
 from __future__ import annotations
@@ -39,7 +46,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .. import constants
-from ..obs.attribution import NULL_ATTRIBUTION, NullAttribution
+from ..obs.attribution import LoadAttribution
 from ..obs.metrics import get_registry
 from ..querymodel.distributions import QueryModel, default_query_model
 from ..querymodel.expectation import ClusterExpectations, cluster_expectations
@@ -105,12 +112,27 @@ class LoadVector:
         }
 
 
+#: Which accumulator array each (space, resource) charge lands in.
+_ARRAYS = {
+    (space, resource): f"{space}_{field}"
+    for space in ("q", "p", "c")
+    for resource, field in (("in_bw", "in"), ("out_bw", "out"), ("proc", "proc"))
+}
+
+
 @dataclass
 class _Accumulator:
-    """Per-cluster and per-client running byte/unit rates (per second)."""
+    """Per-cluster and per-client running byte/unit rates (per second).
+
+    Every Eq. 1-4 charge is recorded here, once.  With an ``attribution``
+    (:class:`~repro.obs.attribution.LoadAttribution`) attached, each charge
+    also files a copy tagged (space, action, resource, hop); the arrays
+    receive the same floats in the same order either way.
+    """
 
     num_clusters: int
     total_clients: int
+    attribution: LoadAttribution | None = None
 
     def __post_init__(self) -> None:
         n, m = self.num_clusters, self.total_clients
@@ -127,6 +149,63 @@ class _Accumulator:
         self.c_in = np.zeros(m)
         self.c_out = np.zeros(m)
         self.c_proc = np.zeros(m)
+
+    def add(self, space: str, action: str, resource: str, amounts, hop=0) -> None:
+        """Charge ``amounts`` to one array: ``space`` is ``"q"`` (cluster
+        query traffic), ``"p"`` (per partner) or ``"c"`` (per client).
+
+        ``hop`` is the BFS depth the charge is attributed to, or a
+        ``{hop: share}`` mapping when it spans several (the shares sum to
+        ``amounts`` up to rounding).
+        """
+        arr = getattr(self, _ARRAYS[space, resource])
+        arr += amounts
+        if self.attribution is not None:
+            shares = hop.items() if isinstance(hop, dict) else ((hop, amounts),)
+            for h, share in shares:
+                self.attribution.add(space, action, resource, share, h)
+
+    def add_flood(self, price, fb: FloodBlock, w: np.ndarray, flows,
+                  at_source: np.ndarray, response_flow) -> None:
+        """Charge one flood block to the cluster query space.
+
+        ``flows`` are per-(row, node) quantities, each ``(..., b, n)``;
+        ``price(add, *totals, at_source)`` turns their row sums at rates
+        ``w`` (``w @ flow``) into charges through ``add(action, resource,
+        amounts)``.  With attribution on, ``price`` runs once more on each
+        flow split by BFS depth, ``(..., H, n)`` with ``at_source`` at hop
+        0, and the flood edges and the Response edges of ``response_flow``
+        (``None``: Responses skip the overlay) are attributed too.
+        """
+        def to_arrays(action, resource, amounts):
+            arr = getattr(self, _ARRAYS["q", resource])
+            arr += amounts
+
+        price(to_arrays, *(w @ flow for flow in flows), at_source)
+        if self.attribution is None:
+            return
+        att = self.attribution
+        n = fb.depth.shape[1]
+        hops = np.maximum(fb.depth, 0)  # unreached nodes carry zero amounts
+        num_hops = int(hops.max()) + 1 if hops.size else 1
+        keys = (hops * n + np.arange(n)).ravel()
+
+        def by_hop(flow):
+            weighted = np.asarray(flow) * w[:, np.newaxis]
+            lead = weighted.shape[:-2]
+            return np.stack([
+                np.bincount(keys, weights=rows, minlength=num_hops * n)
+                for rows in weighted.reshape(int(np.prod(lead)), -1)
+            ]).reshape(lead + (num_hops, n))
+
+        def to_attribution(action, resource, amounts):
+            for hop, share in enumerate(amounts):
+                att.add("q", action, resource, share, hop)
+
+        at_hops = np.zeros(at_source.shape[:-1] + (num_hops, n))
+        at_hops[..., 0, :] = at_source
+        price(to_attribution, *(by_hop(flow) for flow in flows), at_hops)
+        att.add_edges(fb, w, response_flow)
 
 
 @dataclass(frozen=True)
@@ -284,12 +363,12 @@ def evaluate_instance(
     if max_sources is not None and max_sources < 1:
         raise ValueError("max_sources must be >= 1")
     model = model or default_query_model()
-    att = NULL_ATTRIBUTION if attribution is None else attribution
-    att.bind(instance)
+    if attribution is not None:
+        attribution.bind(instance)
     metrics = get_registry()
     with metrics.timer("load.expectations").time():
         exp = cluster_expectations(instance, model)
-    acc = _Accumulator(instance.num_clusters, instance.total_clients)
+    acc = _Accumulator(instance.num_clusters, instance.total_clients, attribution)
 
     n = instance.num_clusters
     if max_sources is None or max_sources >= n:
@@ -304,27 +383,24 @@ def evaluate_instance(
     if "query" in components:
         with metrics.timer("load.queries").time():
             if isinstance(instance.graph, CompleteGraph):
-                # On K_n every responder already neighbours the source, so the
-                # reverse path *is* the direct hop (minus the temporary
-                # connection handshake, which the ablation adds below).
-                _accumulate_queries_strong(instance, exp, acc, per_source, att)
-                if response_mode == "direct":
-                    _add_direct_connection_overhead(instance, exp, acc, att)
+                _accumulate_queries_strong(
+                    instance, exp, acc, per_source, response_mode == "direct"
+                )
                 # Closed form is exact over all sources regardless of sampling.
                 sources = np.arange(n, dtype=np.int64)
                 scale = 1.0
             else:
                 _accumulate_queries_bfs(
-                    instance, exp, acc, per_source, sources, scale, response_mode, att
+                    instance, exp, acc, per_source, sources, scale, response_mode
                 )
-            _accumulate_client_query_costs(instance, acc, per_source, sources, scale, att)
+            _accumulate_client_query_costs(instance, acc, per_source, sources, scale)
         metrics.counter("load.query_sources_evaluated").add(len(sources))
     if "join" in components:
         with metrics.timer("load.joins").time():
-            _accumulate_joins(instance, acc, att)
+            _accumulate_joins(instance, acc)
     if "update" in components:
         with metrics.timer("load.updates").time():
-            _accumulate_updates(instance, acc, att)
+            _accumulate_updates(instance, acc)
     metrics.counter("load.instances_evaluated").add()
     metrics.gauge("load.last_num_clusters").set(float(n))
 
@@ -381,6 +457,12 @@ def _response_triple(exp: ClusterExpectations) -> tuple[np.ndarray, np.ndarray, 
     return exp.prob_respond, exp.expected_collections, exp.expected_results
 
 
+def _handshake_units(m):
+    """Processing units of one connection handshake pair (an empty message
+    each way) at a node with ``m`` open connections."""
+    return _HANDSHAKE_SEND_UNITS + _HANDSHAKE_RECV_UNITS + 2.0 * _MUX * m
+
+
 def _query_units(m_sp: np.ndarray, results: np.ndarray) -> dict[str, np.ndarray]:
     """Processing units per query send, receipt, index probe (given each
     node's expected results) and direct-Response handshake pair, per node."""
@@ -388,7 +470,7 @@ def _query_units(m_sp: np.ndarray, results: np.ndarray) -> dict[str, np.ndarray]
         "send": _SEND_Q_UNITS + _MUX * m_sp,
         "recv": _RECV_Q_UNITS + _MUX * m_sp,
         "probe": costs.PROCESS_QUERY_BASE + costs.PROCESS_QUERY_PER_RESULT * results,
-        "handshake": _HANDSHAKE_SEND_UNITS + _HANDSHAKE_RECV_UNITS + 2.0 * _MUX * m_sp,
+        "handshake": _handshake_units(m_sp),
     }
 
 
@@ -413,18 +495,7 @@ def charge_block(
     """
     src = fb.sources
     rows = np.arange(src.size)
-    reached = fb.reached
-    units = _query_units(m_sp, origin[2])
-
-    tw = w @ fb.transmissions
-    rw = w @ fb.receipts
-    acc.q_out += tw * _QUERY_BYTES
-    acc.q_proc += tw * units["send"]
-    acc.q_in += rw * _QUERY_BYTES
-    acc.q_proc += rw * units["recv"]
-    acc.q_proc += (w @ reached) * units["probe"]
-
-    resp = np.where(reached, origin[:, np.newaxis, :], 0.0)
+    resp = np.where(fb.reached, origin[:, np.newaxis, :], 0.0)
     resp[:, rows, src] = 0.0
     if direct:
         sent = resp
@@ -435,19 +506,32 @@ def charge_block(
         sent[:, rows, src] = 0.0
     at_source = np.zeros_like(origin)
     np.add.at(at_source.T, src, (w * arrived).T)
-    out = w @ sent
-    inc = w @ (sent - resp) + at_source
-    if direct:
-        handshakes = out[0] + at_source[0]
-        acc.q_out += handshakes * _HANDSHAKE_BYTES
-        acc.q_in += handshakes * _HANDSHAKE_BYTES
-        acc.q_proc += handshakes * units["handshake"]
-    out_bytes, out_units = costs.response_costs(*out, m_sp, send=True)
-    in_bytes, in_units = costs.response_costs(*inc, m_sp, send=False)
-    acc.q_out += out_bytes
-    acc.q_proc += out_units
-    acc.q_in += in_bytes
-    acc.q_proc += in_units
+    units = _query_units(m_sp, origin[2])
+
+    def price(add, tx, rx, probes, out, forwarded, arrivals):
+        # Query sends, receipts and index probes.
+        add("query", "out_bw", tx * _QUERY_BYTES)
+        add("query", "proc", tx * units["send"])
+        add("query", "in_bw", rx * _QUERY_BYTES)
+        add("query", "proc", rx * units["recv"])
+        add("query", "proc", probes * units["probe"])
+        # Responses shipped (``out``) and received: those a node forwards
+        # and those that arrive at the source.
+        inc = forwarded + arrivals
+        if direct:
+            handshakes = out[0] + arrivals[0]
+            add("response", "out_bw", handshakes * _HANDSHAKE_BYTES)
+            add("response", "in_bw", handshakes * _HANDSHAKE_BYTES)
+            add("response", "proc", handshakes * units["handshake"])
+        out_bytes, out_units = costs.response_costs(*out, m_sp, send=True)
+        in_bytes, in_units = costs.response_costs(*inc, m_sp, send=False)
+        add("response", "out_bw", out_bytes)
+        add("response", "proc", out_units)
+        add("response", "in_bw", in_bytes)
+        add("response", "proc", in_units)
+
+    flows = (fb.transmissions, fb.receipts, fb.reached, sent, sent - resp)
+    acc.add_flood(price, fb, w, flows, at_source, None if direct else sent)
     return resp, sent, arrived
 
 
@@ -459,7 +543,6 @@ def _accumulate_queries_bfs(
     sources: np.ndarray,
     scale: float,
     response_mode: str = "reverse-path",
-    att: NullAttribution = NULL_ATTRIBUTION,
 ) -> None:
     """Flooding query accounting over an explicit overlay.
 
@@ -480,9 +563,6 @@ def _accumulate_queries_bfs(
         w = q_rates[src] * scale
         resp, sent, arrived = charge_block(fb, w, origin, m_sp, acc, direct)
 
-        if att.enabled:
-            _attribute_block(att, fb, w, resp, sent, arrived, origin, m_sp, direct)
-
         # Per-source outcomes.
         total_msgs = resp[0].sum(axis=1)
         if direct:
@@ -502,45 +582,12 @@ def _accumulate_queries_bfs(
         per_source.to_client_results[src] = to_client[2]
 
 
-def _attribute_block(att, fb, w, resp, sent, arrived, origin, m_sp, direct) -> None:
-    """Feed one block's query and Response charges (:func:`charge_block`)
-    to the attribution hooks, row by row, each tagged with its BFS hop."""
-    units = _query_units(m_sp, origin[2])
-    for i in range(fb.sources.size):
-        prop = fb.row(i)
-        depth, rate = prop.depth, w[i]
-        att.add_q_by_depth("query", "out_bw", depth, rate * prop.transmissions * _QUERY_BYTES)
-        att.add_q_by_depth("query", "proc", depth, rate * prop.transmissions * units["send"])
-        att.add_q_by_depth("query", "in_bw", depth, rate * prop.receipts * _QUERY_BYTES)
-        att.add_q_by_depth("query", "proc", depth, rate * prop.receipts * units["recv"])
-        att.add_q_by_depth("query", "proc", depth, rate * prop.reached * units["probe"])
-        at_source = np.zeros_like(origin)
-        at_source[:, prop.source] = rate * arrived[:, i]
-        out = rate * sent[:, i]
-        inc = rate * (sent[:, i] - resp[:, i]) + at_source
-        if direct:
-            handshakes = out[0] + at_source[0]
-            att.add_q_by_depth("response", "out_bw", depth, handshakes * _HANDSHAKE_BYTES)
-            att.add_q_by_depth("response", "in_bw", depth, handshakes * _HANDSHAKE_BYTES)
-            att.add_q_by_depth("response", "proc", depth, handshakes * units["handshake"])
-        out_bytes, out_units = costs.response_costs(*out, m_sp, send=True)
-        in_bytes, in_units = costs.response_costs(*inc, m_sp, send=False)
-        att.add_q_by_depth("response", "out_bw", depth, out_bytes)
-        att.add_q_by_depth("response", "proc", depth, out_units)
-        att.add_q_by_depth("response", "in_bw", depth, in_bytes)
-        att.add_q_by_depth("response", "proc", depth, in_units)
-        if direct:
-            att.add_edges(prop, rate, None, None, None)  # flood edges only
-        else:
-            att.add_edges(prop, rate, *sent[:, i])
-
-
 def _accumulate_queries_strong(
     instance: NetworkInstance,
     exp: ClusterExpectations,
     acc: _Accumulator,
     per_source: _QuerySourceOutputs,
-    att: NullAttribution = NULL_ATTRIBUTION,
+    direct: bool = False,
 ) -> None:
     """Closed-form query accounting on the complete overlay K_n.
 
@@ -548,7 +595,9 @@ def _accumulate_queries_strong(
     one hop (EPL = 1) and nothing is forwarded.  With TTL >= 2 each
     non-source node additionally floods n-2 duplicate copies, which are
     received and dropped — the redundant-query waste rule #4 measures.
-    Exact over all sources at O(n) cost.
+    Exact over all sources at O(n) cost.  The reverse path *is* the
+    direct hop here, so ``direct`` only adds the temporary connection's
+    handshake pairs.
     """
     n = instance.num_clusters
     ttl = instance.config.ttl
@@ -562,65 +611,45 @@ def _accumulate_queries_strong(
 
     # --- query transmissions / receipts ---------------------------------------
     # As source: n-1 transmissions per own query.
-    src_tx = q_rates * (n - 1) * _QUERY_BYTES
-    src_tx_proc = q_rates * (n - 1) * units["send"]
-    acc.q_out += src_tx
-    acc.q_proc += src_tx_proc
+    acc.add("q", "query", "out_bw", q_rates * (n - 1) * _QUERY_BYTES, hop=0)
+    acc.add("q", "query", "proc", q_rates * (n - 1) * units["send"], hop=0)
     # As non-source: one receipt per foreign query...
-    rx = others_q * _QUERY_BYTES
-    rx_proc = others_q * units["recv"]
-    acc.q_in += rx
-    acc.q_proc += rx_proc
-    if att.enabled:
-        att.add_q("query", "out_bw", src_tx, hop=0)
-        att.add_q("query", "proc", src_tx_proc, hop=0)
-        att.add_q("query", "in_bw", rx, hop=1)
-        att.add_q("query", "proc", rx_proc, hop=1)
+    acc.add("q", "query", "in_bw", others_q * _QUERY_BYTES, hop=1)
+    acc.add("q", "query", "proc", others_q * units["recv"], hop=1)
     if ttl >= 2 and n > 2:
         # ...plus n-2 duplicate forwards sent and n-2 duplicates received.
-        dup_tx = others_q * (n - 2) * _QUERY_BYTES
-        dup_tx_proc = others_q * (n - 2) * units["send"]
-        dup_rx = others_q * (n - 2) * _QUERY_BYTES
-        dup_rx_proc = others_q * (n - 2) * units["recv"]
-        acc.q_out += dup_tx
-        acc.q_proc += dup_tx_proc
-        acc.q_in += dup_rx
-        acc.q_proc += dup_rx_proc
-        if att.enabled:
-            att.add_q("query", "out_bw", dup_tx, hop=1)
-            att.add_q("query", "proc", dup_tx_proc, hop=1)
-            att.add_q("query", "in_bw", dup_rx, hop=2)
-            att.add_q("query", "proc", dup_rx_proc, hop=2)
+        acc.add("q", "query", "out_bw", others_q * (n - 2) * _QUERY_BYTES, hop=1)
+        acc.add("q", "query", "proc", others_q * (n - 2) * units["send"], hop=1)
+        acc.add("q", "query", "in_bw", others_q * (n - 2) * _QUERY_BYTES, hop=2)
+        acc.add("q", "query", "proc", others_q * (n - 2) * units["recv"], hop=2)
 
     # --- index probes -----------------------------------------------------------
-    # Every query in the system (own + foreign) probes every cluster's index.
-    acc.q_proc += total_q * units["probe"]
-    if att.enabled:
-        # Split the total into the own-query (hop 0) and foreign (hop 1)
-        # shares; the sum differs from the total only by ulps.
-        att.add_q("query", "proc", q_rates * units["probe"], hop=0)
-        att.add_q("query", "proc", others_q * units["probe"], hop=1)
+    # Every query in the system (own + foreign) probes every cluster's index:
+    # own queries at hop 0, foreign ones at hop 1.
+    acc.add("q", "query", "proc", total_q * units["probe"],
+            hop={0: q_rates * units["probe"], 1: others_q * units["probe"]})
 
     # --- responses ---------------------------------------------------------------
     # As responder (for every foreign query): send own response directly.
     out_bytes, out_units = costs.response_costs(msgs_o, addr_o, res_o, m_sp, send=True)
-    resp_out = others_q * out_bytes
-    resp_out_proc = others_q * out_units
-    acc.q_out += resp_out
-    acc.q_proc += resp_out_proc
+    acc.add("q", "response", "out_bw", others_q * out_bytes, hop=1)
+    acc.add("q", "response", "proc", others_q * out_units, hop=1)
     # As source: receive every other cluster's response.
     tot_m, tot_a, tot_r = msgs_o.sum(), addr_o.sum(), res_o.sum()
     arr_m, arr_a, arr_r = tot_m - msgs_o, tot_a - addr_o, tot_r - res_o
     in_bytes, in_units = costs.response_costs(arr_m, arr_a, arr_r, m_sp, send=False)
-    resp_in = q_rates * in_bytes
-    resp_in_proc = q_rates * in_units
-    acc.q_in += resp_in
-    acc.q_proc += resp_in_proc
-    if att.enabled:
-        att.add_q("response", "out_bw", resp_out, hop=1)
-        att.add_q("response", "proc", resp_out_proc, hop=1)
-        att.add_q("response", "in_bw", resp_in, hop=0)
-        att.add_q("response", "proc", resp_in_proc, hop=0)
+    acc.add("q", "response", "in_bw", q_rates * in_bytes, hop=0)
+    acc.add("q", "response", "proc", q_rates * in_units, hop=0)
+    if direct:
+        # One handshake pair per response to a foreign query (as
+        # responder, hop 1) and per arriving response (as source, hop 0).
+        per_responder = others_q * msgs_o
+        arriving = q_rates * arr_m
+        handshakes = per_responder + arriving
+        for resource, unit in (("out_bw", _HANDSHAKE_BYTES), ("in_bw", _HANDSHAKE_BYTES),
+                               ("proc", units["handshake"])):
+            acc.add("q", "response", resource, handshakes * unit,
+                    hop={0: arriving * unit, 1: per_responder * unit})
 
     # --- per-source outcomes -------------------------------------------------------
     per_source.results[:] = tot_r  # full reach: every cluster contributes
@@ -632,54 +661,12 @@ def _accumulate_queries_strong(
     per_source.to_client_results[:] = arr_r + res_o
 
 
-def _add_direct_connection_overhead(
-    instance: NetworkInstance,
-    exp: ClusterExpectations,
-    acc: _Accumulator,
-    att: NullAttribution = NULL_ATTRIBUTION,
-) -> None:
-    """Temporary-connection handshakes for direct responses on K_n.
-
-    On the complete overlay each response already travels one hop; the
-    only delta of the ``direct`` ablation is the handshake pair each
-    responder/source exchanges to open the temporary connection.
-    """
-    users, q_rates, _ = _cluster_rates(instance)
-    m_sp = instance.superpeer_connections.astype(float)
-    msgs_o = exp.prob_respond
-    total_q = q_rates.sum()
-    others_q = total_q - q_rates
-    # As responder: one handshake pair per response to a foreign query.
-    per_responder = others_q * msgs_o
-    # As source: one handshake pair per arriving response.
-    arriving = q_rates * (msgs_o.sum() - msgs_o)
-    handshakes = per_responder + arriving
-    hs_bytes = handshakes * _HANDSHAKE_BYTES
-    hs_proc = handshakes * (
-        _HANDSHAKE_SEND_UNITS + _HANDSHAKE_RECV_UNITS + 2.0 * _MUX * m_sp
-    )
-    acc.q_out += hs_bytes
-    acc.q_in += hs_bytes
-    acc.q_proc += hs_proc
-    if att.enabled:
-        # Responder-side handshakes happen one hop out; the source's own
-        # happen at hop 0.  The split differs from the total only by ulps.
-        hs_unit = _HANDSHAKE_SEND_UNITS + _HANDSHAKE_RECV_UNITS + 2.0 * _MUX * m_sp
-        att.add_q("response", "out_bw", per_responder * _HANDSHAKE_BYTES, hop=1)
-        att.add_q("response", "in_bw", per_responder * _HANDSHAKE_BYTES, hop=1)
-        att.add_q("response", "proc", per_responder * hs_unit, hop=1)
-        att.add_q("response", "out_bw", arriving * _HANDSHAKE_BYTES, hop=0)
-        att.add_q("response", "in_bw", arriving * _HANDSHAKE_BYTES, hop=0)
-        att.add_q("response", "proc", arriving * hs_unit, hop=0)
-
-
 def _accumulate_client_query_costs(
     instance: NetworkInstance,
     acc: _Accumulator,
     per_source: _QuerySourceOutputs,
     sources: np.ndarray,
     scale: float,
-    att: NullAttribution = NULL_ATTRIBUTION,
 ) -> None:
     """The client leg of client-sourced queries.
 
@@ -690,7 +677,6 @@ def _accumulate_client_query_costs(
     """
     config = instance.config
     n = instance.num_clusters
-    k = instance.partners
     m_sp = instance.superpeer_connections.astype(float)
     m_cl = float(instance.client_connections)
     users, q_rates, client_fraction = _cluster_rates(instance)
@@ -712,40 +698,22 @@ def _accumulate_client_query_costs(
     cq_rate = q_rates * client_fraction
 
     # Super-peer side: receive the query, send the collected responses.
-    cq_in = cq_rate * _QUERY_BYTES
-    cq_in_proc = cq_rate * (_RECV_Q_UNITS + _MUX * m_sp)
-    acc.q_in += cq_in
-    acc.q_proc += cq_in_proc
+    acc.add("q", "query", "in_bw", cq_rate * _QUERY_BYTES)
+    acc.add("q", "query", "proc", cq_rate * (_RECV_Q_UNITS + _MUX * m_sp))
     resp_bytes, sp_units = costs.response_costs(msgs, addr, res, m_sp, send=True)
-    sp_resp_out = cq_rate * resp_bytes
-    sp_resp_proc = cq_rate * sp_units
-    acc.q_out += sp_resp_out
-    acc.q_proc += sp_resp_proc
-    if att.enabled:
-        att.add_q("query", "in_bw", cq_in, hop=0)
-        att.add_q("query", "proc", cq_in_proc, hop=0)
-        att.add_q("response", "out_bw", sp_resp_out, hop=0)
-        att.add_q("response", "proc", sp_resp_proc, hop=0)
+    acc.add("q", "response", "out_bw", cq_rate * resp_bytes)
+    acc.add("q", "response", "proc", cq_rate * sp_units)
 
     # Client side: each client submits queries at the per-user rate.
     q = config.query_rate
     cluster_of_client = np.repeat(np.arange(n), instance.clients)
     if cluster_of_client.size:
-        cl_q_out = q * _QUERY_BYTES
-        cl_q_proc = q * (_SEND_Q_UNITS + _MUX * m_cl)
-        cl_resp_in = q * resp_bytes[cluster_of_client]
-        cl_resp_proc = q * costs.response_costs(
+        acc.add("c", "query", "out_bw", q * _QUERY_BYTES)
+        acc.add("c", "query", "proc", q * (_SEND_Q_UNITS + _MUX * m_cl))
+        acc.add("c", "response", "in_bw", q * resp_bytes[cluster_of_client])
+        acc.add("c", "response", "proc", q * costs.response_costs(
             msgs, addr, res, m_cl, send=False
-        )[1][cluster_of_client]
-        acc.c_out += cl_q_out
-        acc.c_proc += cl_q_proc
-        acc.c_in += cl_resp_in
-        acc.c_proc += cl_resp_proc
-        if att.enabled:
-            att.add_c("query", "out_bw", cl_q_out)
-            att.add_c("query", "proc", cl_q_proc)
-            att.add_c("response", "in_bw", cl_resp_in)
-            att.add_c("response", "proc", cl_resp_proc)
+        )[1][cluster_of_client])
 
 
 def _cluster_sum(values: np.ndarray, instance: NetworkInstance) -> np.ndarray:
@@ -766,11 +734,16 @@ def _neighbor_sum(instance: NetworkInstance, values: np.ndarray) -> np.ndarray:
     )
 
 
-def _accumulate_joins(
-    instance: NetworkInstance,
-    acc: _Accumulator,
-    att: NullAttribution = NULL_ATTRIBUTION,
-) -> None:
+def _add_handshakes(acc: _Accumulator, space: str, pairs, m) -> None:
+    """Join-time handshake pairs: ``pairs`` per second at nodes with ``m``
+    open connections, each pair one empty message in and one out."""
+    hs_bytes = pairs * _HANDSHAKE_BYTES
+    acc.add(space, "join", "in_bw", hs_bytes)
+    acc.add(space, "join", "out_bw", hs_bytes)
+    acc.add(space, "join", "proc", pairs * _handshake_units(m))
+
+
+def _accumulate_joins(instance: NetworkInstance, acc: _Accumulator) -> None:
     """Join (and the associated leave) costs at per-node rates 1/lifespan."""
     k = instance.partners
     m_sp = instance.superpeer_connections.astype(float)
@@ -784,98 +757,48 @@ def _accumulate_joins(
 
     # Client side: send the Join (with metadata) to each of the k partners.
     if rates.size:
-        cj_out = rates * k * (
+        acc.add("c", "join", "out_bw", rates * k * (
             constants.JOIN_MESSAGE_BASE + constants.FILE_METADATA_SIZE * files
-        )
-        cj_proc = rates * k * (
+        ))
+        acc.add("c", "join", "proc", rates * k * (
             costs.SEND_JOIN_BASE
             + costs.SEND_JOIN_PER_FILE * files
             + _MUX * m_cl
-        )
-        acc.c_out += cj_out
-        acc.c_proc += cj_proc
-        if att.enabled:
-            att.add_c("join", "out_bw", cj_out)
-            att.add_c("join", "proc", cj_proc)
+        ))
 
     # Partner side: every partner receives every client's Join, inserts the
     # metadata, and removes it again at the client's leave.
-    pj_in = (
+    acc.add("p", "join", "in_bw", (
         constants.JOIN_MESSAGE_BASE * rate_sum
         + constants.FILE_METADATA_SIZE * rate_files_sum
-    )
-    pj_proc = (
+    ))
+    acc.add("p", "join", "proc", (
         (costs.RECV_JOIN_BASE + _MUX * m_sp) * rate_sum
         + costs.RECV_JOIN_PER_FILE * rate_files_sum
         # index insertion at join + removal at leave
         + 2.0 * (costs.PROCESS_JOIN_BASE * rate_sum + costs.PROCESS_JOIN_PER_FILE * rate_files_sum)
-    )
-    acc.p_in += pj_in
-    acc.p_proc += pj_proc
-    if att.enabled:
-        att.add_p("join", "in_bw", pj_in)
-        att.add_p("join", "proc", pj_proc)
+    ))
 
     # --- super-peer (partner) joins ---------------------------------------------
     # A joining partner handshakes (one empty message each way) over every
     # connection it opens; the peers at the other end each handle one pair.
     partner_rates = (1.0 / instance.partner_lifespans).sum(axis=1)  # per cluster
     own_hs = (partner_rates / k) * _HANDSHAKE_BYTES * m_sp
-    own_hs_proc = (partner_rates / k) * m_sp * (
-        _HANDSHAKE_SEND_UNITS + _HANDSHAKE_RECV_UNITS + 2.0 * _MUX * m_sp
-    )
-    acc.p_in += own_hs
-    acc.p_out += own_hs
-    acc.p_proc += own_hs_proc
-    if att.enabled:
-        att.add_p("join", "in_bw", own_hs)
-        att.add_p("join", "out_bw", own_hs)
-        att.add_p("join", "proc", own_hs_proc)
+    acc.add("p", "join", "in_bw", own_hs)
+    acc.add("p", "join", "out_bw", own_hs)
+    acc.add("p", "join", "proc", (partner_rates / k) * m_sp * _handshake_units(m_sp))
 
     # Peers on the other end of those handshakes:
     # * this cluster's clients (each is touched by each partner join),
     cluster_of_client = np.repeat(np.arange(instance.num_clusters), instance.clients)
     if cluster_of_client.size:
-        touch = partner_rates[cluster_of_client]
-        touch_hs = touch * _HANDSHAKE_BYTES
-        touch_proc = touch * (
-            _HANDSHAKE_SEND_UNITS + _HANDSHAKE_RECV_UNITS + 2.0 * _MUX * m_cl
-        )
-        acc.c_in += touch_hs
-        acc.c_out += touch_hs
-        acc.c_proc += touch_proc
-        if att.enabled:
-            att.add_c("join", "in_bw", touch_hs)
-            att.add_c("join", "out_bw", touch_hs)
-            att.add_c("join", "proc", touch_proc)
+        _add_handshakes(acc, "c", partner_rates[cluster_of_client], m_cl)
     # * fellow partners ((k-1) of the k partner connections, split evenly),
     if k > 1:
-        fellow = partner_rates * (k - 1) / k
-        fellow_hs = fellow * _HANDSHAKE_BYTES
-        fellow_proc = fellow * (
-            _HANDSHAKE_SEND_UNITS + _HANDSHAKE_RECV_UNITS + 2.0 * _MUX * m_sp
-        )
-        acc.p_in += fellow_hs
-        acc.p_out += fellow_hs
-        acc.p_proc += fellow_proc
-        if att.enabled:
-            att.add_p("join", "in_bw", fellow_hs)
-            att.add_p("join", "out_bw", fellow_hs)
-            att.add_p("join", "proc", fellow_proc)
+        _add_handshakes(acc, "p", partner_rates * (k - 1) / k, m_sp)
     # * neighbouring clusters' partners (k handshakes per neighbouring
     #   cluster per join, i.e. one per partner there).
-    neighbour_rates = _neighbor_sum(instance, partner_rates)
-    nb_hs = neighbour_rates * _HANDSHAKE_BYTES
-    nb_proc = neighbour_rates * (
-        _HANDSHAKE_SEND_UNITS + _HANDSHAKE_RECV_UNITS + 2.0 * _MUX * m_sp
-    )
-    acc.p_in += nb_hs
-    acc.p_out += nb_hs
-    acc.p_proc += nb_proc
-    if att.enabled:
-        att.add_p("join", "in_bw", nb_hs)
-        att.add_p("join", "out_bw", nb_hs)
-        att.add_p("join", "proc", nb_proc)
+    _add_handshakes(acc, "p", _neighbor_sum(instance, partner_rates), m_sp)
 
     # Under redundancy, a joining partner also ships its own metadata to
     # its k-1 fellow partners (each partner holds the others' data too).
@@ -889,33 +812,22 @@ def _accumulate_joins(
             + constants.FILE_METADATA_SIZE * rate_files_p
         )
         # Sender side (averaged over the cluster's partners):
-        meta_out_proc = (k - 1) / k * (
+        acc.add("p", "join", "out_bw", meta_bytes)
+        acc.add("p", "join", "proc", (k - 1) / k * (
             (costs.SEND_JOIN_BASE + _MUX * m_sp) * rate_sum_p
             + costs.SEND_JOIN_PER_FILE * rate_files_p
-        )
-        acc.p_out += meta_bytes
-        acc.p_proc += meta_out_proc
+        ))
         # Receiver side: each fellow partner receives, inserts, and later
         # removes the metadata.
-        meta_in_proc = (k - 1) / k * (
+        acc.add("p", "join", "in_bw", meta_bytes)
+        acc.add("p", "join", "proc", (k - 1) / k * (
             (costs.RECV_JOIN_BASE + _MUX * m_sp) * rate_sum_p
             + costs.RECV_JOIN_PER_FILE * rate_files_p
             + 2.0 * (costs.PROCESS_JOIN_BASE * rate_sum_p + costs.PROCESS_JOIN_PER_FILE * rate_files_p)
-        )
-        acc.p_in += meta_bytes
-        acc.p_proc += meta_in_proc
-        if att.enabled:
-            att.add_p("join", "out_bw", meta_bytes)
-            att.add_p("join", "proc", meta_out_proc)
-            att.add_p("join", "in_bw", meta_bytes)
-            att.add_p("join", "proc", meta_in_proc)
+        ))
 
 
-def _accumulate_updates(
-    instance: NetworkInstance,
-    acc: _Accumulator,
-    att: NullAttribution = NULL_ATTRIBUTION,
-) -> None:
+def _accumulate_updates(instance: NetworkInstance, acc: _Accumulator) -> None:
     """Update costs: fixed-size metadata deltas at the per-user update rate."""
     u = instance.config.update_rate
     if u == 0.0:
@@ -928,41 +840,21 @@ def _accumulate_updates(
     # Clients: send one Update to each partner; partners receive and apply.
     clients = instance.clients.astype(float)
     if instance.total_clients:
-        cu_out = u * k * upd_bytes
-        cu_proc = u * k * (costs.SEND_UPDATE_UNITS + _MUX * m_cl)
-        acc.c_out += cu_out
-        acc.c_proc += cu_proc
-        if att.enabled:
-            att.add_c("update", "out_bw", cu_out)
-            att.add_c("update", "proc", cu_proc)
-    pu_in = u * clients * upd_bytes
-    pu_proc = u * clients * (
+        acc.add("c", "update", "out_bw", u * k * upd_bytes)
+        acc.add("c", "update", "proc", u * k * (costs.SEND_UPDATE_UNITS + _MUX * m_cl))
+    acc.add("p", "update", "in_bw", u * clients * upd_bytes)
+    acc.add("p", "update", "proc", u * clients * (
         costs.RECV_UPDATE_UNITS + _MUX * m_sp + costs.PROCESS_UPDATE_UNITS
-    )
-    acc.p_in += pu_in
-    acc.p_proc += pu_proc
-    if att.enabled:
-        att.add_p("update", "in_bw", pu_in)
-        att.add_p("update", "proc", pu_proc)
+    ))
 
     # Partners' own updates: applied locally; under redundancy also
     # propagated to the k-1 fellow partners.
-    own_proc = u * costs.PROCESS_UPDATE_UNITS
-    acc.p_proc += own_proc
-    if att.enabled:
-        att.add_p("update", "proc", own_proc)
+    acc.add("p", "update", "proc", u * costs.PROCESS_UPDATE_UNITS)
     if k > 1:
         fan_bytes = u * (k - 1) * upd_bytes
-        fan_out_proc = u * (k - 1) * (costs.SEND_UPDATE_UNITS + _MUX * m_sp)
-        fan_in_proc = u * (k - 1) * (
+        acc.add("p", "update", "out_bw", fan_bytes)
+        acc.add("p", "update", "proc", u * (k - 1) * (costs.SEND_UPDATE_UNITS + _MUX * m_sp))
+        acc.add("p", "update", "in_bw", fan_bytes)
+        acc.add("p", "update", "proc", u * (k - 1) * (
             costs.RECV_UPDATE_UNITS + _MUX * m_sp + costs.PROCESS_UPDATE_UNITS
-        )
-        acc.p_out += fan_bytes
-        acc.p_proc += fan_out_proc
-        acc.p_in += fan_bytes
-        acc.p_proc += fan_in_proc
-        if att.enabled:
-            att.add_p("update", "out_bw", fan_bytes)
-            att.add_p("update", "proc", fan_out_proc)
-            att.add_p("update", "in_bw", fan_bytes)
-            att.add_p("update", "proc", fan_in_proc)
+        ))

@@ -12,8 +12,6 @@ from .attribution import (
     ACTIONS,
     AttributionError,
     LoadAttribution,
-    NULL_ATTRIBUTION,
-    NullAttribution,
     RESOURCES,
     profile_instance,
 )
@@ -78,10 +76,8 @@ __all__ = [
     "JOURNAL_SCHEMA",
     "LoadAttribution",
     "MetricsRegistry",
-    "NULL_ATTRIBUTION",
     "NULL_REGISTRY",
     "NULL_TRACER",
-    "NullAttribution",
     "NullRegistry",
     "NullTracer",
     "OutageWindow",

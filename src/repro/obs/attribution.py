@@ -3,9 +3,11 @@
 The mean-value analysis (Eqs. 1-4) computes per-(source, target) expected
 cost per action and immediately collapses it into per-node and aggregate
 totals.  This module preserves the intermediate terms: a
-:class:`LoadAttribution` threaded through
-:func:`repro.core.load.evaluate_instance` receives every contribution the
-engine adds to its accumulators, tagged along four dimensions —
+:class:`LoadAttribution` passed to
+:func:`repro.core.load.evaluate_instance` is attached to the engine's
+accumulator, the one place a charge is recorded, and receives through
+one hook (:meth:`LoadAttribution.add`) a copy of every contribution,
+tagged along four dimensions —
 
 * **target node** — the cluster's super-peer partner (or the client)
   that pays the cost;
@@ -24,10 +26,13 @@ copies of values the engine computes anyway, never touches an RNG and
 never feeds back, so enabling it cannot change a single output number
 (the neutrality test extends ``tests/test_obs.py``'s contract).
 
-On explicit overlays the flood and reverse-path edges are attributed
-too, so hotspot reports can answer "which *links* carry the most load",
-not only which super-peers.  The complete graph K_n uses closed forms
-and materializes no edges; edge attribution is skipped there.
+Flood charges arrive one block of sources at a time, already split by
+BFS depth for the whole block.  On explicit overlays the flood and
+reverse-path edges are attributed too (:meth:`LoadAttribution.add_edges`,
+also per block), so hotspot reports can answer "which *links* carry the
+most load", not only which super-peers.  The complete graph K_n uses
+closed forms and materializes no edges; edge attribution is skipped
+there, at any size.
 """
 
 from __future__ import annotations
@@ -35,6 +40,7 @@ from __future__ import annotations
 import numpy as np
 
 from .. import constants
+from ..topology.strong import CompleteGraph
 from ..units import bytes_per_second_to_bps, units_per_second_to_hz
 
 #: Attribution dimensions (fixed vocabulary; exports rely on the order).
@@ -48,38 +54,6 @@ class AttributionError(AssertionError):
     """The attributed totals failed to reproduce the engine's loads."""
 
 
-class NullAttribution:
-    """The disabled recorder: every hook is a no-op.
-
-    The load engine always talks to an attribution object; this one makes
-    the disabled path cost a truthiness check per accumulation site.
-    """
-
-    enabled = False
-
-    def bind(self, instance) -> "NullAttribution":
-        return self
-
-    def add_q(self, action, resource, amounts, hop=0):
-        pass
-
-    def add_p(self, action, resource, amounts):
-        pass
-
-    def add_c(self, action, resource, amounts, hop=0):
-        pass
-
-    def add_q_by_depth(self, action, resource, depth, amounts):
-        pass
-
-    def add_edges(self, prop, rate, fw_m, fw_a, fw_r):
-        pass
-
-
-#: Shared inert recorder the load engine defaults to.
-NULL_ATTRIBUTION = NullAttribution()
-
-
 class LoadAttribution:
     """Accumulates per-(node, action, resource, hop) load contributions.
 
@@ -89,8 +63,6 @@ class LoadAttribution:
     traffic, and per-client traffic — so the read-side arithmetic mirrors
     :class:`~repro.core.load.LoadReport` exactly.
     """
-
-    enabled = True
 
     def __init__(self) -> None:
         self._bound = False
@@ -108,15 +80,16 @@ class LoadAttribution:
         self._q: dict[tuple[str, str, int], np.ndarray] = {}
         self._p: dict[tuple[str, str, int], np.ndarray] = {}
         self._c: dict[tuple[str, str, int], np.ndarray] = {}
-        # Directed-edge attribution (explicit overlays only).
+        # Directed-edge attribution (explicit overlays only: K_n is priced
+        # in closed form and its edges are never built).
         graph = instance.graph
         self._edges = None
-        if hasattr(graph, "directed_edge_arrays"):
+        if not isinstance(graph, CompleteGraph):
             tails, heads = graph.directed_edge_arrays()
             self._tails = tails
             self._heads = heads
             # Sorted (tail * n + head) keys let response-path edges be
-            # looked up with one searchsorted per source.
+            # looked up with one searchsorted per block.
             keys = tails.astype(np.int64) * self.n + heads.astype(np.int64)
             self._edge_order = np.argsort(keys, kind="stable")
             self._edge_keys = keys[self._edge_order]
@@ -136,76 +109,65 @@ class LoadAttribution:
                 "(or call bind(instance)) before reading it"
             )
 
-    def _tbl(self, store: dict, size: int, action: str, resource: str,
-             hop: int) -> np.ndarray:
+    # --- recording hooks (called by the load engine) -----------------------------
+
+    def add(self, space: str, action: str, resource: str, amounts,
+            hop: int = 0) -> None:
+        """File one contribution: ``space`` is ``"q"`` (cluster query
+        traffic, split by k at read time), ``"p"`` (per partner) or ``"c"``
+        (per client); ``amounts`` is a scalar or a per-node vector."""
         if action not in ACTIONS:
             raise ValueError(f"unknown action {action!r}; one of {ACTIONS}")
         if resource not in RESOURCES:
             raise ValueError(f"unknown resource {resource!r}; one of {RESOURCES}")
+        store = {"q": self._q, "p": self._p, "c": self._c}[space]
         key = (action, resource, int(hop))
-        arr = store.get(key)
-        if arr is None:
-            arr = store[key] = np.zeros(size)
-        return arr
+        table = store.get(key)
+        if table is None:
+            table = store[key] = np.zeros(self.m if space == "c" else self.n)
+        table += amounts
 
-    # --- recording hooks (called by the load engine) -----------------------------
+    def add_edges(self, fb, w: np.ndarray, sent) -> None:
+        """Attribute a flood block's query and Response traffic to edges.
 
-    def add_q(self, action: str, resource: str, amounts, hop: int = 0) -> None:
-        """Cluster-level query-traffic contribution (split by k at read)."""
-        self._tbl(self._q, self.n, action, resource, hop)[...] += amounts
-
-    def add_p(self, action: str, resource: str, amounts) -> None:
-        """Per-partner contribution (joins/updates; not split by k)."""
-        self._tbl(self._p, self.n, action, resource, 0)[...] += amounts
-
-    def add_c(self, action: str, resource: str, amounts, hop: int = 0) -> None:
-        """Per-client contribution (scalar broadcast or m-vector)."""
-        self._tbl(self._c, self.m, action, resource, hop)[...] += amounts
-
-    def add_q_by_depth(self, action: str, resource: str, depth: np.ndarray,
-                       amounts: np.ndarray) -> None:
-        """Full-length cluster contribution scattered by per-node BFS depth."""
-        hops = np.maximum(depth, 0)  # unreached nodes carry zero amounts
-        for h in np.unique(hops):
-            sel = hops == h
-            self._tbl(self._q, self.n, action, resource, int(h))[sel] += amounts[sel]
-
-    def add_edges(self, prop, rate: float, fw_m: np.ndarray, fw_a: np.ndarray,
-                  fw_r: np.ndarray) -> None:
-        """Attribute one source's flood and reverse-path traffic to edges.
-
-        ``rate`` is the source's query rate (scaled in sampled mode);
-        ``fw_*`` are the reverse-path accumulations the engine already
-        computed (``None`` in direct-response mode, where Responses skip
-        the overlay).  No-op on overlays without explicit edges (K_n).
+        ``w`` is each row's query rate (scaled in sampled mode) and
+        ``sent`` the (3, b, n) Response messages, addresses and results
+        each node ships toward its row's source (``None`` in
+        direct-response mode, where Responses skip the overlay).  No-op on
+        K_n, which has no explicit edges.
         """
         if self._edges is None:
             return
         # Flood: every live directed edge out of a forwarder carries one
         # query copy (the same edge set routing uses for receipts).
-        forwarder = (prop.depth >= 0) & (prop.depth < prop.ttl)
-        live = forwarder[self._tails] & (prop.pred[self._tails] != self._heads)
-        self._edges["flood_messages"][live] += rate
-        self._edges["flood_bytes"][live] += rate * _QUERY_BYTES
-        if fw_m is None:
+        depth, pred = fb.depth[:, self._tails], fb.pred[:, self._tails]
+        live = (depth >= 0) & (depth < fb.ttl) & (pred != self._heads)
+        flood = w @ live
+        self._edges["flood_messages"] += flood
+        self._edges["flood_bytes"] += flood * _QUERY_BYTES
+        if sent is None:
             return
         # Responses: each reached non-source node v ships its subtree's
         # accumulated Response weight over the single edge (v -> pred[v]).
-        children = np.nonzero((prop.depth > 0) & (fw_m > 0))[0]
+        rows, children = np.nonzero((fb.depth > 0) & (sent[0] > 0))
         if children.size == 0:
             return
-        keys = children.astype(np.int64) * self.n + prop.pred[children].astype(np.int64)
+        keys = children.astype(np.int64) * self.n + fb.pred[rows, children]
         pos = np.searchsorted(self._edge_keys, keys)
         pos = np.clip(pos, 0, self._edge_keys.size - 1)
         found = self._edge_keys[pos] == keys
         edge_ids = self._edge_order[pos[found]]
-        kids = children[found]
-        self._edges["response_messages"][edge_ids] += rate * fw_m[kids]
-        self._edges["response_bytes"][edge_ids] += rate * (
-            constants.RESPONSE_MESSAGE_BASE * fw_m[kids]
-            + constants.RESPONSE_ADDRESS_SIZE * fw_a[kids]
-            + constants.RESULT_RECORD_SIZE * fw_r[kids]
-        )
+        rate = w[rows[found]]
+        m, a, r = sent[:, rows[found], children[found]]
+        size = self._tails.size
+        self._edges["response_messages"] += np.bincount(
+            edge_ids, weights=rate * m, minlength=size)
+        self._edges["response_bytes"] += np.bincount(
+            edge_ids, minlength=size, weights=rate * (
+                constants.RESPONSE_MESSAGE_BASE * m
+                + constants.RESPONSE_ADDRESS_SIZE * a
+                + constants.RESULT_RECORD_SIZE * r
+            ))
 
     # --- read side ---------------------------------------------------------------
 

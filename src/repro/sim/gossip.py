@@ -812,10 +812,10 @@ def gossip_attribution(instance, outcome, duration: float, attribution=None):
         )
     if attribution is None:
         attribution = LoadAttribution().bind(instance)
-    attribution.add_p("gossip", "in_bw",
-                      outcome.gossip_cluster_bytes_in / duration)
-    attribution.add_p("gossip", "out_bw",
-                      outcome.gossip_cluster_bytes_out / duration)
-    attribution.add_p("gossip", "proc",
-                      outcome.gossip_cluster_units / duration)
+    attribution.add("p", "gossip", "in_bw",
+                    outcome.gossip_cluster_bytes_in / duration)
+    attribution.add("p", "gossip", "out_bw",
+                    outcome.gossip_cluster_bytes_out / duration)
+    attribution.add("p", "gossip", "proc",
+                    outcome.gossip_cluster_units / duration)
     return attribution

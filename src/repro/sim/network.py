@@ -41,8 +41,8 @@ import numpy as np
 from .. import constants
 from ..core import costs
 from ..core.load import (
-    _HANDSHAKE_BYTES, _HANDSHAKE_RECV_UNITS, _HANDSHAKE_SEND_UNITS, _MUX,
-    _QUERY_BYTES, _RECV_Q_UNITS, _SEND_Q_UNITS, LoadReport,
+    _HANDSHAKE_BYTES, _MUX, _QUERY_BYTES, _RECV_Q_UNITS, _SEND_Q_UNITS, LoadReport,
+    _handshake_units,
 )
 from ..obs.metrics import get_registry
 from ..obs.trace import NULL_TRACER, Tracer
@@ -515,9 +515,7 @@ def _charge_partner_join(st: _State, cluster, old_files, new_files) -> None:
     # fellow partners and clients all pay one pair each).
     np.add.at(st.sp_out, cluster, _HANDSHAKE_BYTES * m / k)
     np.add.at(st.sp_in, cluster, _HANDSHAKE_BYTES * m / k)
-    np.add.at(st.sp_proc, cluster, m * (
-        _HANDSHAKE_SEND_UNITS + _HANDSHAKE_RECV_UNITS + 2 * _MUX * m
-    ) / k)
+    np.add.at(st.sp_proc, cluster, m * _handshake_units(m) / k)
     if k > 1:
         join_bytes = constants.JOIN_MESSAGE_BASE + constants.FILE_METADATA_SIZE * new_files
         # Ship own metadata to the k-1 fellows; they index it (and drop the

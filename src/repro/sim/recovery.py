@@ -558,10 +558,10 @@ def repair_attribution(instance, outcome, duration: float, attribution=None):
         )
     if attribution is None:
         attribution = LoadAttribution().bind(instance)
-    attribution.add_p("repair", "in_bw",
-                      outcome.repair_cluster_bytes_in / duration)
-    attribution.add_p("repair", "out_bw",
-                      outcome.repair_cluster_bytes_out / duration)
-    attribution.add_p("repair", "proc",
-                      outcome.repair_cluster_units / duration)
+    attribution.add("p", "repair", "in_bw",
+                    outcome.repair_cluster_bytes_in / duration)
+    attribution.add("p", "repair", "out_bw",
+                    outcome.repair_cluster_bytes_out / duration)
+    attribution.add("p", "repair", "proc",
+                    outcome.repair_cluster_units / duration)
     return attribution

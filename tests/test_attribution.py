@@ -10,23 +10,39 @@ Two contracts matter:
 * **Neutrality** — attaching an attribution accumulator never changes a
   single number ``evaluate_instance`` produces: the engine only copies
   values it was already adding.
+
+The hop and edge split of a flood block, which the accumulator computes
+for the whole block at once, is pinned against a per-source scalar
+accounting (scalar BFS, scalar fold, Table 2 costs) on random overlays.
 """
 
 from __future__ import annotations
 
+from collections import defaultdict
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from repro import constants
 from repro.config import Configuration, GraphType
-from repro.core.load import evaluate_instance
+from repro.core import costs
+from repro.core.load import (
+    _HANDSHAKE_BYTES, _QUERY_BYTES, _Accumulator, _handshake_units,
+    charge_block, evaluate_instance,
+)
+from repro.core.routing import flood_block
 from repro.obs.attribution import (
     ACTIONS,
-    NULL_ATTRIBUTION,
     AttributionError,
     LoadAttribution,
     profile_instance,
 )
 from repro.topology.builder import build_instance
+
+from _oracle import scalar_flood, scalar_fold
+from test_fastcore import _TTLS, _source_blocks
 
 # The golden-config quartet (mirrors tests/golden/): both topology
 # families, with and without partner redundancy.
@@ -88,6 +104,112 @@ def test_verify_raises_when_a_cell_is_tampered(golden_instance):
         attribution.verify(report, rtol=1e-9)
 
 
+def test_profile_on_a_complete_overlay_above_the_materialization_limit():
+    """K_5000 is priced in closed form: attribution builds no edge tables
+    and never materializes the graph's explicit adjacency."""
+    instance = build_instance(Configuration(
+        graph_type=GraphType.STRONG, graph_size=50000, cluster_size=10, ttl=1,
+    ), seed=1)
+    for mode in ("reverse-path", "direct"):
+        report, attribution = profile_instance(instance, response_mode=mode)
+        attribution.verify(report, rtol=1e-9)
+        assert attribution.top_edges() == []
+    assert "_materialized" not in vars(instance.graph)
+
+
+# --- block attribution vs a per-source scalar accounting ---------------------
+
+
+_EDGE_TABLES = ("flood_messages", "flood_bytes", "response_messages",
+                "response_bytes")
+
+
+def _scalar_attribution(graph, sources, ttl, w, origin, m_sp, direct):
+    """({(action, resource, hop): n-vector}, {edge table: E-vector}) of a
+    block, one source at a time, each charge tagged with its node's depth."""
+    n = graph.num_nodes
+    tables = defaultdict(lambda: np.zeros(n))
+    tails, heads = graph.directed_edge_arrays()
+    edges = {name: np.zeros(tails.size) for name in _EDGE_TABLES}
+    for s, rate in zip(sources, w):
+        prop = scalar_flood(graph, int(s), ttl)
+        hop = np.maximum(prop.depth, 0)
+
+        def charge(action, resource, amounts):
+            for h in np.unique(hop):
+                tables[action, resource, int(h)] += np.where(hop == h, amounts, 0.0)
+
+        send = costs.send_query(m_sp, prop.transmissions)
+        recv = costs.recv_query(m_sp, prop.receipts)
+        probe = costs.process_query(prop.reached * origin[2], prop.reached)
+        charge("query", "out_bw", rate * send.outgoing_bytes)
+        charge("query", "in_bw", rate * recv.incoming_bytes)
+        charge("query", "proc", rate * (send.processing_units
+                                        + recv.processing_units
+                                        + probe.processing_units))
+        out, inc = np.zeros((3, n)), np.zeros((3, n))
+        for c in range(3):
+            weights = np.where(prop.reached, origin[c], 0.0)
+            weights[s] = 0.0
+            if direct:
+                out[c], inc[c, s] = weights, weights.sum()
+            else:
+                out[c], inc[c] = scalar_fold(prop, weights)
+                out[c, s] = 0.0
+        out_bytes, out_units = costs.response_costs(*out, m_sp, send=True)
+        in_bytes, in_units = costs.response_costs(*inc, m_sp, send=False)
+        handshakes = rate * (out[0] + inc[0]) if direct else np.zeros(n)
+        charge("response", "out_bw", handshakes * _HANDSHAKE_BYTES + rate * out_bytes)
+        charge("response", "in_bw", handshakes * _HANDSHAKE_BYTES + rate * in_bytes)
+        charge("response", "proc", handshakes * _handshake_units(m_sp)
+               + rate * (out_units + in_units))
+
+        forwarder = (prop.depth >= 0) & (prop.depth < ttl)
+        live = forwarder[tails] & (prop.pred[tails] != heads)
+        edges["flood_messages"][live] += rate
+        edges["flood_bytes"][live] += rate * _QUERY_BYTES
+        if direct:
+            continue
+        for v in np.nonzero((prop.depth > 0) & (out[0] > 0))[0]:
+            e = np.nonzero((tails == v) & (heads == prop.pred[v]))[0][0]
+            edges["response_messages"][e] += rate * out[0, v]
+            edges["response_bytes"][e] += rate * (
+                constants.RESPONSE_MESSAGE_BASE * out[0, v]
+                + constants.RESPONSE_ADDRESS_SIZE * out[1, v]
+                + constants.RESULT_RECORD_SIZE * out[2, v]
+            )
+    return tables, edges
+
+
+@settings(max_examples=60, deadline=None)
+@given(block=_source_blocks(), ttl=_TTLS, seed=st.integers(0, 2**32 - 1),
+       direct=st.booleans())
+def test_block_attribution_matches_scalar_accounting(block, ttl, seed, direct):
+    """charge_block's hop-resolved attribution and its per-edge split ==
+    the per-source scalar accounting, in both Response modes.  Origins
+    are whole numbers so that the folded Responses received
+    (``sent - resp``) carry no cancellation error."""
+    graph, sources = block
+    n = graph.num_nodes
+    rng = np.random.default_rng(seed)
+    w = rng.random(sources.size) * 10.0
+    origin = rng.integers(0, [[2], [8], [60]], (3, n)).astype(float)
+    m_sp = rng.integers(1, 12, n).astype(float)
+    attribution = LoadAttribution().bind(SimpleNamespace(
+        num_clusters=n, total_clients=0, partners=1, graph=graph,
+    ))
+    acc = _Accumulator(n, 0, attribution)
+    charge_block(flood_block(graph, sources, ttl), w, origin, m_sp, acc, direct)
+    tables, edges = _scalar_attribution(graph, sources, ttl, w, origin, m_sp, direct)
+    assert set(tables) <= set(attribution._q)
+    for key, got in attribution._q.items():
+        np.testing.assert_allclose(got, tables.get(key, np.zeros(n)),
+                                   rtol=1e-12, atol=0.0, err_msg=str(key))
+    for name in _EDGE_TABLES:
+        np.testing.assert_allclose(attribution._edges[name], edges[name],
+                                   rtol=1e-12, atol=0.0, err_msg=name)
+
+
 # --- neutrality ----------------------------------------------------------------
 
 
@@ -111,14 +233,6 @@ def test_attribution_is_bit_neutral(golden_instance, mode):
     for left, right in zip(_report_arrays(baseline),
                            _report_arrays(instrumented)):
         np.testing.assert_array_equal(left, right)
-
-
-def test_null_attribution_is_inert():
-    assert not NULL_ATTRIBUTION.enabled
-    assert NULL_ATTRIBUTION.bind(object()) is NULL_ATTRIBUTION
-    # Hooks swallow anything without effect.
-    NULL_ATTRIBUTION.add_q("query", "in_bw", np.ones(3))
-    NULL_ATTRIBUTION.add_edges(None, 1.0, None, None, None)
 
 
 # --- report shape --------------------------------------------------------------
