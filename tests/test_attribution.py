@@ -67,9 +67,9 @@ GOLDEN_CONFIGS = {
 
 MODES = {
     "exact": {},
-    "sampled": {"max_sources": 40, "rng": 7},
+    "sampled": {"max_sources": 7, "rng": 7},
     "direct_exact": {"response_mode": "direct"},
-    "direct_sampled": {"response_mode": "direct", "max_sources": 40, "rng": 7},
+    "direct_sampled": {"response_mode": "direct", "max_sources": 7, "rng": 7},
 }
 
 
