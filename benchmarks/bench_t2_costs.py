@@ -1,9 +1,13 @@
 """T2/T3 — Tables 2 and 3: the atomic-action cost model.
 
-Regenerates the cost table (bandwidth bytes + processing units per
-atomic action, evaluated at the Table 3 general statistics) and
-benchmarks the cost-evaluation hot path the load engine leans on.
+Renders the cost table (bandwidth bytes + processing units per atomic
+action, evaluated at the Table 3 general statistics) from the constants
+of ``repro.core.costs``, and times the calls the engines make: per-event
+prices as the event engine charges them, and whole per-node vectors as
+the MVA and the array engine charge them.
 """
+
+import numpy as np
 
 from repro import constants
 from repro.core import costs
@@ -12,46 +16,73 @@ from repro.reporting import render_table
 from conftest import run_once
 
 
+def _u(value: float) -> str:
+    """A processing constant in the paper's style (``.44``, ``1.1``)."""
+    text = f"{value:g}"
+    return text[1:] if text.startswith("0.") else text
+
+
 def _cost_table_rows():
-    L = constants.QUERY_STRING_LENGTH
-    rows = [
-        ["Send Query", f"82 + len = {82 + L}",
-         f".44 + .003 len = {0.44 + 0.003 * L:.3f}"],
-        ["Recv Query", f"82 + len = {82 + L}",
-         f".57 + .004 len = {0.57 + 0.004 * L:.3f}"],
-        ["Process Query", "0", ".14 + 1.1/result"],
-        ["Send Response", "80 + 28/addr + 76/result", ".21 + .31/addr + .2/result"],
-        ["Recv Response", "80 + 28/addr + 76/result", ".26 + .41/addr + .3/result"],
-        ["Send Join", "80 + 72/file", ".44 + .2/file"],
-        ["Recv Join", "80 + 72/file", ".56 + .3/file"],
-        ["Process Join", "0", ".14 + .105/file"],
-        ["Send Update", "152", ".6"],
-        ["Recv Update", "152", ".8"],
-        ["Process Update", "0", ".30"],
-        ["Packet Multiplex", "0", ".01/connection/message"],
+    c, k = costs, constants
+    response_bytes = (f"{k.RESPONSE_MESSAGE_BASE} + {k.RESPONSE_ADDRESS_SIZE}/addr"
+                      f" + {k.RESULT_RECORD_SIZE}/result")
+    join_bytes = f"{k.JOIN_MESSAGE_BASE} + {k.FILE_METADATA_SIZE}/file"
+    return [
+        ["Send Query", f"{k.QUERY_MESSAGE_BASE} + len = {c.send_query(0)[0]:g}",
+         f"{_u(c.SEND_QUERY_BASE)} + {_u(c.SEND_QUERY_PER_BYTE)} len"
+         f" = {c.send_query(0)[1]:.3f}"],
+        ["Recv Query", f"{k.QUERY_MESSAGE_BASE} + len = {c.recv_query(0)[0]:g}",
+         f"{_u(c.RECV_QUERY_BASE)} + {_u(c.RECV_QUERY_PER_BYTE)} len"
+         f" = {c.recv_query(0)[1]:.3f}"],
+        ["Process Query", "0",
+         f"{_u(c.PROCESS_QUERY_BASE)} + {_u(c.PROCESS_QUERY_PER_RESULT)}/result"],
+        ["Send Response", response_bytes,
+         f"{_u(c.SEND_RESPONSE_BASE)} + {_u(c.SEND_RESPONSE_PER_ADDRESS)}/addr"
+         f" + {_u(c.SEND_RESPONSE_PER_RESULT)}/result"],
+        ["Recv Response", response_bytes,
+         f"{_u(c.RECV_RESPONSE_BASE)} + {_u(c.RECV_RESPONSE_PER_ADDRESS)}/addr"
+         f" + {_u(c.RECV_RESPONSE_PER_RESULT)}/result"],
+        ["Send Join", join_bytes,
+         f"{_u(c.SEND_JOIN_BASE)} + {_u(c.SEND_JOIN_PER_FILE)}/file"],
+        ["Recv Join", join_bytes,
+         f"{_u(c.RECV_JOIN_BASE)} + {_u(c.RECV_JOIN_PER_FILE)}/file"],
+        ["Process Join", "0",
+         f"{_u(c.PROCESS_JOIN_BASE)} + {_u(c.PROCESS_JOIN_PER_FILE)}/file"],
+        ["Send Update", f"{k.UPDATE_MESSAGE_SIZE}", _u(c.SEND_UPDATE_UNITS)],
+        ["Recv Update", f"{k.UPDATE_MESSAGE_SIZE}", _u(c.RECV_UPDATE_UNITS)],
+        ["Process Update", "0", _u(c.PROCESS_UPDATE_UNITS)],
+        ["Packet Multiplex", "0",
+         f"{_u(c.MULTIPLEX_PER_CONNECTION)}/connection/message"],
     ]
-    return rows
 
 
 def test_t2_cost_table(benchmark, emit):
+    files = np.arange(2000.0)
+    conns = np.full(files.size, 30.0)
+
     def experiment():
-        # The hot path: a batch of atomic-cost evaluations like one
-        # source-cluster accumulation performs.
-        total = costs.CostVector()
-        for results in range(200):
-            total = total + costs.send_response(
-                connections=30, num_messages=0.8,
-                num_addresses=results * 0.1, num_results=float(results),
-            )
-            total = total + costs.process_query(float(results))
+        # Per-event prices, one scalar call each (the event engine).
+        total = 0.0
+        for x in range(2000):
+            total += (costs.send_join(float(x), 3.0)[1]
+                      + costs.recv_index_join(float(x), 30.0)[1]
+                      + costs.send_query(30.0)[1]
+                      + costs.process_query(0.1 * x))
+        # Whole per-node vectors (the MVA and the array engine).
+        for _ in range(200):
+            total += float(costs.send_response(0.8, files * 0.1, files, conns)[1].sum()
+                           + costs.recv_join(files, conns, files)[1].sum()
+                           + costs.handshake(conns, files)[1].sum())
         return total
 
     total = run_once(benchmark, experiment)
-    assert total.is_nonnegative()
+    assert total > 0.0
 
+    rows = _cost_table_rows()
+    assert rows[0][1].endswith(f"= {constants.AVERAGE_QUERY_MESSAGE_SIZE}")
     table = render_table(
         ["Action", "Bandwidth (bytes)", "Processing (units)"],
-        _cost_table_rows(),
+        rows,
         title="Table 2 — costs of atomic actions (1 unit = 7200 cycles)",
     )
     stats = render_table(

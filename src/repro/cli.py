@@ -46,7 +46,7 @@ import sys
 from contextlib import contextmanager
 from typing import Iterator
 
-from .config import Configuration, GraphType
+from .config import STRONG_BEST_CASE, Configuration, GraphType
 from .reporting import (
     render_attribution,
     render_load_row,
@@ -87,7 +87,8 @@ def _add_config_arguments(parser: argparse.ArgumentParser) -> None:
                         help="suggested average super-peer outdegree "
                              "(default: 3.1)")
     parser.add_argument("--ttl", type=int, default=None,
-                        help="query TTL (default: 7)")
+                        help="query TTL (default: 7, or 1 on a --strong "
+                             "overlay)")
     parser.add_argument("--strong", action="store_true",
                         help="strongly connected overlay instead of power-law")
     parser.add_argument("--redundancy", action="store_true",
@@ -174,7 +175,10 @@ def _config_from_args(args: argparse.Namespace) -> Configuration:
     payload.setdefault("graph_size", 10_000)
     payload.setdefault("cluster_size", 10)
     payload.setdefault("avg_outdegree", 3.1)
-    payload.setdefault("ttl", 7)
+    # One hop reaches every super-peer of a strong overlay; the paper
+    # queries it at TTL 1 (``STRONG_BEST_CASE``, Figs. 4-6).
+    strong = payload["graph_type"] in (GraphType.STRONG, GraphType.STRONG.value)
+    payload.setdefault("ttl", STRONG_BEST_CASE.ttl if strong else 7)
     with _validated("configuration"):
         return Configuration.from_dict(payload)
 

@@ -1,6 +1,5 @@
 """The paper's primary contribution: cost model, load analysis, design rules."""
 
-from .costs import CostVector, ATOMIC_COSTS
 from .load import LoadVector, LoadReport, evaluate_instance
 from .analysis import ConfigurationSummary, evaluate_configuration
 from .routing import QueryPropagation, propagate_query
@@ -9,8 +8,6 @@ from .design import DesignConstraints, DesignOutcome, design_topology
 from .redundancy import RedundancyComparison, compare_redundancy, virtual_superpeer_availability
 
 __all__ = [
-    "CostVector",
-    "ATOMIC_COSTS",
     "LoadVector",
     "LoadReport",
     "evaluate_instance",

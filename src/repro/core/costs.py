@@ -1,11 +1,11 @@
-"""Atomic-action costs: Table 2 of the paper.
+"""Atomic-action costs: Table 2 of the paper, the one price list.
 
 Each atomic action has a **bandwidth cost** (bytes transferred, attributed
 to the sender's outgoing or the receiver's incoming budget) and a
 **processing cost** (coarse units; 1 unit = 7200 cycles on the reference
 Pentium III 930 MHz, see ``units.CYCLES_PER_UNIT``).  On top of every
 message handled, a node pays the packet-multiplex overhead of
-``0.01 * open_connections`` units (Appendix A; ``protocol.connections``).
+``0.01 * open_connections`` units (Appendix A, below).
 
 Provenance of the constants
 ---------------------------
@@ -33,77 +33,45 @@ Recv Update     152                  [paper]    .8                     [recon]
 Process Update  0                    [paper]    .30                    [recon]
 Packet Multiplex 0                   [paper]    .01 #connections       [paper]
 ==============  ==============================  ================================
+
+Message sizes follow Gnutella v0.4 plus the Ethernet/TCP/IP framing the
+paper includes (``constants``): a Query is ``82 + len(q)`` bytes (94 at
+the default 12-byte string), a Response ``80 + 28 #addr + 76 #results``,
+a Join ``80 + 72 #files`` and an Update a fixed 152.
+
+Packet multiplex (Appendix A)
+-----------------------------
+The super-peer is an event-driven server: one thread services all
+connections via ``select``, whose common implementation scans one file
+descriptor per open connection.  The measured scan cost is about 3
+microseconds per descriptor on a Pentium 100 (Gooch), **0.04 units** on
+the paper's scale, and under the default load about four messages are
+discovered per ``select`` call, so the amortized overhead is
+``0.04 / 4 = 0.01`` units per open connection, per message sent or
+received.  This is the ``.01 * m`` of the Section 4.1 Join example; the
+linear regime holds for the <= 1000 connections the paper considers
+(Banga & Mogul see it level off only beyond that).
+
+Evaluation order
+----------------
+Every function is elementwise over numpy arrays or scalars and charges
+``n`` messages (or index operations) at a node with ``m`` open
+connections.  A row is written ``BASE*n + PER*payload + MUX*m*n``, where
+the payload is the total over the ``n`` messages; at ``n = 1`` this is
+the per-event ``BASE + PER*x + MUX*m`` of the worked example bit for bit,
+so a caller may charge one event and scale it, or pass expected counts
+and totals as ``n`` and payload (every cost is linear).  Response rows
+are written ``(BASE + MUX*m)*n + PER_ADDR*#addr + PER_RES*#res``, the
+order in which the simulator charges whole vectors of Responses.  The
+composite events below (a partner receiving and indexing a Join, an
+exchange between fellow partners, a handshake pair, a promotion's index
+rebuild) sum their terms in the simulator's per-event order.  Both keep
+the simulator's loads, which the benchmark pins bit for bit, unchanged.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from types import MappingProxyType
-
 from .. import constants
-from ..protocol.connections import MULTIPLEX_COST_PER_CONNECTION
-from ..protocol.messages import (
-    join_message_bytes,
-    query_message_bytes,
-    response_message_bytes,
-    update_message_bytes,
-)
-
-
-@dataclass(frozen=True)
-class CostVector:
-    """Cost along the three resources of Section 4: in-bw, out-bw, processing.
-
-    Bandwidth components are in **bytes**, processing in **units**;
-    conversion to bps / Hz happens once at reporting time (``units`` module).
-    Supports addition and scalar multiplication so macro actions compose
-    algebraically from atomic ones.
-    """
-
-    incoming_bytes: float = 0.0
-    outgoing_bytes: float = 0.0
-    processing_units: float = 0.0
-
-    def __add__(self, other: "CostVector") -> "CostVector":
-        if not isinstance(other, CostVector):
-            return NotImplemented
-        return CostVector(
-            self.incoming_bytes + other.incoming_bytes,
-            self.outgoing_bytes + other.outgoing_bytes,
-            self.processing_units + other.processing_units,
-        )
-
-    def __mul__(self, factor: float) -> "CostVector":
-        return CostVector(
-            self.incoming_bytes * factor,
-            self.outgoing_bytes * factor,
-            self.processing_units * factor,
-        )
-
-    __rmul__ = __mul__
-
-    def __neg__(self) -> "CostVector":
-        return self * -1.0
-
-    def __sub__(self, other: "CostVector") -> "CostVector":
-        if not isinstance(other, CostVector):
-            return NotImplemented
-        return self + (-other)
-
-    @property
-    def total_bytes(self) -> float:
-        """In + out bandwidth, the quantity Figure 4 plots."""
-        return self.incoming_bytes + self.outgoing_bytes
-
-    def is_nonnegative(self) -> bool:
-        return (
-            self.incoming_bytes >= 0
-            and self.outgoing_bytes >= 0
-            and self.processing_units >= 0
-        )
-
-
-ZERO_COST = CostVector()
 
 # --- Table 2 processing constants -------------------------------------------
 
@@ -146,202 +114,182 @@ SEND_UPDATE_UNITS = 0.6
 RECV_UPDATE_UNITS = 0.8
 PROCESS_UPDATE_UNITS = 0.30
 
-#: Packet multiplex: .01 * #open connections per message   [paper, App. A]
-MULTIPLEX_PER_CONNECTION = MULTIPLEX_COST_PER_CONNECTION
+# --- Appendix A: packet multiplex ---------------------------------------------
 
-#: Read-only export of every processing constant, keyed as in Table 2,
-#: for documentation tables and the T2 benchmark.
-ATOMIC_COSTS = MappingProxyType({
-    "send_query": (SEND_QUERY_BASE, SEND_QUERY_PER_BYTE),
-    "recv_query": (RECV_QUERY_BASE, RECV_QUERY_PER_BYTE),
-    "process_query": (PROCESS_QUERY_BASE, PROCESS_QUERY_PER_RESULT),
-    "send_response": (SEND_RESPONSE_BASE, SEND_RESPONSE_PER_ADDRESS, SEND_RESPONSE_PER_RESULT),
-    "recv_response": (RECV_RESPONSE_BASE, RECV_RESPONSE_PER_ADDRESS, RECV_RESPONSE_PER_RESULT),
-    "send_join": (SEND_JOIN_BASE, SEND_JOIN_PER_FILE),
-    "recv_join": (RECV_JOIN_BASE, RECV_JOIN_PER_FILE),
-    "process_join": (PROCESS_JOIN_BASE, PROCESS_JOIN_PER_FILE),
-    "send_update": (SEND_UPDATE_UNITS,),
-    "recv_update": (RECV_UPDATE_UNITS,),
-    "process_update": (PROCESS_UPDATE_UNITS,),
-    "packet_multiplex": (MULTIPLEX_PER_CONNECTION,),
-})
+#: Cost of scanning one file descriptor in a select() call, units.
+SELECT_SCAN_COST_UNITS = 0.04
 
-# --- Atomic actions ----------------------------------------------------------
+#: Average number of messages amortizing one select() call.
+MESSAGES_PER_SELECT = 4.0
+
+#: Per-message, per-open-connection overhead, units (0.01).
+MULTIPLEX_PER_CONNECTION = SELECT_SCAN_COST_UNITS / MESSAGES_PER_SELECT
+
+#: An empty message (a handshake half, a verification probe): the fixed
+#: 80-byte header alone.
+EMPTY_MESSAGE_BYTES = 80.0
+
+
+# --- Table 2 rows ----------------------------------------------------------------
 #
-# Each function returns the CostVector incurred *by the node performing
-# the action*, already including the packet-multiplex overhead for the
-# node's ``connections`` open connections.  ``num_messages`` may be a
-# fractional expected count: the mean-value analysis scales the fixed
-# per-message parts by expected message counts and the variable parts by
-# expected payload totals, which is exact because every cost is linear.
+# Send/Recv rows return (bytes, units); Process rows move no bytes and
+# return units.
 
 
-def send_query(
-    connections: float,
-    num_messages: float = 1.0,
-    query_length: float = constants.QUERY_STRING_LENGTH,
-) -> CostVector:
-    """Cost of sending ``num_messages`` Query messages."""
-    per_message = (
-        SEND_QUERY_BASE
-        + SEND_QUERY_PER_BYTE * query_length
-        + MULTIPLEX_PER_CONNECTION * connections
-    )
-    return CostVector(
-        outgoing_bytes=query_message_bytes(query_length) * num_messages,
-        processing_units=per_message * num_messages,
-    )
+def send_query(m, n=1.0):
+    """Send Query: ``n`` Query messages of the default query length."""
+    return (constants.AVERAGE_QUERY_MESSAGE_SIZE * n,
+            SEND_QUERY_BASE * n
+            + SEND_QUERY_PER_BYTE * (constants.QUERY_STRING_LENGTH * n)
+            + MULTIPLEX_PER_CONNECTION * m * n)
 
 
-def recv_query(
-    connections: float,
-    num_messages: float = 1.0,
-    query_length: float = constants.QUERY_STRING_LENGTH,
-) -> CostVector:
-    """Cost of receiving ``num_messages`` Query messages (dropped duplicates
+def recv_query(m, n=1.0):
+    """Recv Query: ``n`` Query messages received (dropped duplicates
     included — they are received and then discarded)."""
-    per_message = (
-        RECV_QUERY_BASE
-        + RECV_QUERY_PER_BYTE * query_length
-        + MULTIPLEX_PER_CONNECTION * connections
-    )
-    return CostVector(
-        incoming_bytes=query_message_bytes(query_length) * num_messages,
-        processing_units=per_message * num_messages,
-    )
+    return (constants.AVERAGE_QUERY_MESSAGE_SIZE * n,
+            RECV_QUERY_BASE * n
+            + RECV_QUERY_PER_BYTE * (constants.QUERY_STRING_LENGTH * n)
+            + MULTIPLEX_PER_CONNECTION * m * n)
 
 
-def process_query(expected_results: float, num_queries: float = 1.0) -> CostVector:
-    """Cost of evaluating ``num_queries`` queries over the local index."""
-    return CostVector(
-        processing_units=(
-            PROCESS_QUERY_BASE * num_queries
-            + PROCESS_QUERY_PER_RESULT * expected_results
-        )
-    )
+def process_query(results, n=1.0):
+    """Process Query: ``n`` index probes returning ``results`` in all."""
+    return PROCESS_QUERY_BASE * n + PROCESS_QUERY_PER_RESULT * results
 
 
-def send_response(
-    connections: float,
-    num_messages: float,
-    num_addresses: float,
-    num_results: float,
-) -> CostVector:
-    """Cost of sending Response traffic.
-
-    ``num_messages`` is the expected number of Response messages;
-    ``num_addresses`` and ``num_results`` are the expected *totals* across
-    those messages (linearity makes this exact).
-    """
-    payload_bytes = response_message_bytes(num_addresses, num_results)
-    # response_message_bytes charges one fixed header; re-weight it by the
-    # expected message count.
-    fixed = constants.RESPONSE_MESSAGE_BASE
-    bytes_total = fixed * num_messages + (payload_bytes - fixed)
-    processing = (
-        (SEND_RESPONSE_BASE + MULTIPLEX_PER_CONNECTION * connections) * num_messages
-        + SEND_RESPONSE_PER_ADDRESS * num_addresses
-        + SEND_RESPONSE_PER_RESULT * num_results
-    )
-    return CostVector(outgoing_bytes=bytes_total, processing_units=processing)
-
-
-def recv_response(
-    connections: float,
-    num_messages: float,
-    num_addresses: float,
-    num_results: float,
-) -> CostVector:
-    """Cost of receiving Response traffic (see :func:`send_response`)."""
-    payload_bytes = response_message_bytes(num_addresses, num_results)
-    fixed = constants.RESPONSE_MESSAGE_BASE
-    bytes_total = fixed * num_messages + (payload_bytes - fixed)
-    processing = (
-        (RECV_RESPONSE_BASE + MULTIPLEX_PER_CONNECTION * connections) * num_messages
-        + RECV_RESPONSE_PER_ADDRESS * num_addresses
-        + RECV_RESPONSE_PER_RESULT * num_results
-    )
-    return CostVector(incoming_bytes=bytes_total, processing_units=processing)
-
-
-def response_costs(num_messages, num_addresses, num_results, connections, send: bool):
-    """(bytes, processing units) of Response traffic, elementwise.
-
-    The array form of :func:`send_response` (``send``) and
-    :func:`recv_response`: the engines charge whole per-node vectors of
-    Response messages, addresses and result records at once.
-    """
-    if send:
-        base, per_address, per_result = (
-            SEND_RESPONSE_BASE, SEND_RESPONSE_PER_ADDRESS, SEND_RESPONSE_PER_RESULT)
-    else:
-        base, per_address, per_result = (
-            RECV_RESPONSE_BASE, RECV_RESPONSE_PER_ADDRESS, RECV_RESPONSE_PER_RESULT)
+def _response(n, addresses, results, m, base, per_address, per_result):
     nbytes = (
-        constants.RESPONSE_MESSAGE_BASE * num_messages
-        + constants.RESPONSE_ADDRESS_SIZE * num_addresses
-        + constants.RESULT_RECORD_SIZE * num_results
+        constants.RESPONSE_MESSAGE_BASE * n
+        + constants.RESPONSE_ADDRESS_SIZE * addresses
+        + constants.RESULT_RECORD_SIZE * results
     )
     units = (
-        (base + MULTIPLEX_PER_CONNECTION * connections) * num_messages
-        + per_address * num_addresses
-        + per_result * num_results
+        (base + MULTIPLEX_PER_CONNECTION * m) * n
+        + per_address * addresses
+        + per_result * results
     )
     return nbytes, units
 
 
-def send_join(connections: float, num_files: float, num_messages: float = 1.0) -> CostVector:
-    """Cost of sending a Join carrying metadata for ``num_files`` files.
+def send_response(n, addresses, results, m):
+    """Send Response: ``n`` Response messages carrying ``addresses``
+    collection addresses and ``results`` records in all."""
+    return _response(n, addresses, results, m, SEND_RESPONSE_BASE,
+                     SEND_RESPONSE_PER_ADDRESS, SEND_RESPONSE_PER_RESULT)
 
-    Matches the worked example of Section 4.1: outgoing ``80 + 72x`` bytes
-    and ``.44 + .2x + .01m`` units for a client with x files and m open
-    connections.
+
+def recv_response(n, addresses, results, m):
+    """Recv Response (see :func:`send_response`)."""
+    return _response(n, addresses, results, m, RECV_RESPONSE_BASE,
+                     RECV_RESPONSE_PER_ADDRESS, RECV_RESPONSE_PER_RESULT)
+
+
+def _join_bytes(files, n):
+    return constants.JOIN_MESSAGE_BASE * n + constants.FILE_METADATA_SIZE * files
+
+
+def send_join(files, m, n=1.0):
+    """Send Join: ``n`` Joins carrying metadata for ``files`` files in all
+    (Section 4.1: ``80 + 72x`` bytes and ``.44 + .2x + .01m`` units)."""
+    return (_join_bytes(files, n),
+            SEND_JOIN_BASE * n + SEND_JOIN_PER_FILE * files
+            + MULTIPLEX_PER_CONNECTION * m * n)
+
+
+def recv_join(files, m, n=1.0):
+    """Recv Join (see :func:`send_join`)."""
+    return (_join_bytes(files, n),
+            RECV_JOIN_BASE * n + RECV_JOIN_PER_FILE * files
+            + MULTIPLEX_PER_CONNECTION * m * n)
+
+
+def process_join(files, n=1.0):
+    """Process Join: ``n`` index insertions (or removals) of ``files``
+    metadata records in all."""
+    return PROCESS_JOIN_BASE * n + PROCESS_JOIN_PER_FILE * files
+
+
+def send_update(m, n=1.0):
+    """Send Update: ``n`` single-file metadata deltas."""
+    return (constants.UPDATE_MESSAGE_SIZE * n,
+            SEND_UPDATE_UNITS * n + MULTIPLEX_PER_CONNECTION * m * n)
+
+
+def recv_update(m, n=1.0):
+    """Recv Update (see :func:`send_update`)."""
+    return (constants.UPDATE_MESSAGE_SIZE * n,
+            RECV_UPDATE_UNITS * n + MULTIPLEX_PER_CONNECTION * m * n)
+
+
+def process_update(n=1.0):
+    """Process Update: ``n`` index updates applied."""
+    return PROCESS_UPDATE_UNITS * n
+
+
+# --- Composite events -------------------------------------------------------------
+
+
+def handshake(m, n=1.0):
+    """``n`` connection handshakes: one empty message each way.
+
+    Returns the bytes of each direction and the units of the pair.  By
+    definition (Section 4.1) sending plus receiving an empty message costs
+    one unit; it is split with the Send and Recv Query base costs, which
+    sum to ~1.
     """
-    processing = (
-        (SEND_JOIN_BASE + MULTIPLEX_PER_CONNECTION * connections) * num_messages
-        + SEND_JOIN_PER_FILE * num_files
-    )
-    fixed = constants.JOIN_MESSAGE_BASE
-    bytes_total = fixed * num_messages + (join_message_bytes(num_files) - fixed)
-    return CostVector(outgoing_bytes=bytes_total, processing_units=processing)
+    return (EMPTY_MESSAGE_BYTES * n,
+            (SEND_QUERY_BASE + RECV_QUERY_BASE) * n
+            + 2.0 * MULTIPLEX_PER_CONNECTION * m * n)
 
 
-def recv_join(connections: float, num_files: float, num_messages: float = 1.0) -> CostVector:
-    """Cost of receiving a Join message (super-peer side)."""
-    processing = (
-        (RECV_JOIN_BASE + MULTIPLEX_PER_CONNECTION * connections) * num_messages
-        + RECV_JOIN_PER_FILE * num_files
-    )
-    fixed = constants.JOIN_MESSAGE_BASE
-    bytes_total = fixed * num_messages + (join_message_bytes(num_files) - fixed)
-    return CostVector(incoming_bytes=bytes_total, processing_units=processing)
+def send_empty(m, n=1.0):
+    """The sending half of :func:`handshake` alone (a verification probe)."""
+    return (EMPTY_MESSAGE_BYTES * n,
+            SEND_QUERY_BASE * n + MULTIPLEX_PER_CONNECTION * m * n)
 
 
-def process_join(num_files: float, num_joins: float = 1.0) -> CostVector:
-    """Cost of inserting (or removing) ``num_files`` metadata records."""
-    return CostVector(
-        processing_units=PROCESS_JOIN_BASE * num_joins + PROCESS_JOIN_PER_FILE * num_files
-    )
+def recv_empty(m, n=1.0):
+    """The receiving half of :func:`handshake` alone."""
+    return (EMPTY_MESSAGE_BYTES * n,
+            RECV_QUERY_BASE * n + MULTIPLEX_PER_CONNECTION * m * n)
 
 
-def send_update(connections: float, num_messages: float = 1.0) -> CostVector:
-    """Cost of sending ``num_messages`` Update messages."""
-    per_message = SEND_UPDATE_UNITS + MULTIPLEX_PER_CONNECTION * connections
-    return CostVector(
-        outgoing_bytes=update_message_bytes() * num_messages,
-        processing_units=per_message * num_messages,
-    )
+def recv_index_join(files, m, n=1.0):
+    """A partner receives ``n`` client Joins and indexes their ``files``
+    records: Recv Join then Process Join."""
+    return (_join_bytes(files, n),
+            RECV_JOIN_BASE * n + RECV_JOIN_PER_FILE * files
+            + MULTIPLEX_PER_CONNECTION * m * n
+            + PROCESS_JOIN_BASE * n + PROCESS_JOIN_PER_FILE * files)
 
 
-def recv_update(connections: float, num_messages: float = 1.0) -> CostVector:
-    """Cost of receiving ``num_messages`` Update messages."""
-    per_message = RECV_UPDATE_UNITS + MULTIPLEX_PER_CONNECTION * connections
-    return CostVector(
-        incoming_bytes=update_message_bytes() * num_messages,
-        processing_units=per_message * num_messages,
-    )
+def exchange_join(files, m, n=1.0, dropped=None):
+    """A partner ships its own metadata (``files`` records) to a fellow
+    partner, which indexes it: the Send Join, Recv Join and Process Join
+    of one message whose two ends share a meter.  With ``dropped`` the
+    fellow also removes that many records of a departed partner."""
+    units = (SEND_JOIN_BASE * n + SEND_JOIN_PER_FILE * files
+             + RECV_JOIN_BASE * n + RECV_JOIN_PER_FILE * files
+             + 2.0 * MULTIPLEX_PER_CONNECTION * m * n
+             + PROCESS_JOIN_BASE * n + PROCESS_JOIN_PER_FILE * files)
+    if dropped is not None:
+        units = units + PROCESS_JOIN_BASE * n + PROCESS_JOIN_PER_FILE * dropped
+    return _join_bytes(files, n), units
 
 
-def process_update(num_updates: float = 1.0) -> CostVector:
-    """Cost of applying ``num_updates`` index updates."""
-    return CostVector(processing_units=PROCESS_UPDATE_UNITS * num_updates)
+def exchange_update(m, n=1.0):
+    """A partner's own metadata delta sent to a fellow partner, which
+    receives and applies it (both ends on one meter)."""
+    return (constants.UPDATE_MESSAGE_SIZE * n,
+            SEND_UPDATE_UNITS * n + RECV_UPDATE_UNITS * n
+            + 2.0 * MULTIPLEX_PER_CONNECTION * m * n
+            + PROCESS_UPDATE_UNITS * n)
+
+
+def reindex_units(n, files, m):
+    """Units for a promoted partner to receive and index the Joins of ``n``
+    clients holding ``files`` records in all (the bytes are the Joins'
+    own, :func:`send_join`)."""
+    return (n * (RECV_JOIN_BASE + PROCESS_JOIN_BASE + MULTIPLEX_PER_CONNECTION * m)
+            + (RECV_JOIN_PER_FILE + PROCESS_JOIN_PER_FILE) * files)

@@ -214,65 +214,46 @@ def design_topology(
 
     for ttl in range(1, max_ttl + 1):
         trail.append(DesignStep("2" if ttl == 1 else "4", f"try TTL = {ttl}"))
-        for cluster_size in _candidate_cluster_sizes(constraints.num_users):
-            reach_sp = max(1, math.ceil(reach_peers / cluster_size))
-            num_clusters = max(1, round(constraints.num_users / cluster_size))
-            if reach_sp > num_clusters:
-                continue  # cannot reach more super-peers than exist
-            if num_clusters == 1:
-                outdeg = 1.0
-            else:
-                outdeg = float(min(required_outdegree(reach_sp, ttl), num_clusters - 1))
-            connections = outdeg + (cluster_size - 1)
-            if connections > constraints.max_connections:
+        for point in design_points(constraints, ttl, trials=trials, seed=seed,
+                                   max_sources=max_sources):
+            config, summary = point.config, point.summary
+            if config is None:
                 trail.append(DesignStep(
                     "3",
-                    f"cluster {cluster_size}: needs outdegree {outdeg:.0f} "
-                    f"(~{connections:.0f} connections) > budget "
-                    f"{constraints.max_connections}",
+                    f"cluster {point.cluster_size}: needs outdegree "
+                    f"{point.outdegree:.0f} (~{point.connections:.0f} "
+                    f"connections) > budget {constraints.max_connections}",
                 ))
                 continue
-
-            for redundancy in _redundancy_options(constraints, cluster_size):
-                config = Configuration(
-                    graph_type=GraphType.POWER_LAW,
-                    graph_size=constraints.num_users,
-                    cluster_size=cluster_size,
-                    redundancy=redundancy,
-                    avg_outdegree=max(outdeg, 1.0),
-                    ttl=ttl,
+            if not point.reaches:
+                trail.append(DesignStep(
+                    "3",
+                    f"cluster {point.cluster_size}, TTL {ttl}: measured reach "
+                    f"{summary.mean('reach_peers'):.0f} < target; need more "
+                    "outdegree or TTL",
+                ))
+                continue
+            if point.within_limits:
+                trail.append(DesignStep(
+                    "3",
+                    f"cluster {point.cluster_size}"
+                    f"{' + redundancy' if config.redundancy else ''}, "
+                    f"outdegree {config.avg_outdegree:.0f}, TTL {ttl}: "
+                    "all limits met",
+                    config,
+                ))
+                config, summary = _shrink_outdegree(
+                    config, summary, constraints, reach_peers, trail,
+                    trials, seed, max_sources,
                 )
-                summary = evaluate_configuration(
-                    config, trials=trials, seed=seed, max_sources=max_sources
+                return DesignOutcome(
+                    config=config,
+                    summary=summary,
+                    constraints=constraints,
+                    trail=trail,
+                    feasible=True,
                 )
-                if summary.mean("reach_peers") < 0.9 * reach_peers:
-                    trail.append(DesignStep(
-                        "3",
-                        f"cluster {cluster_size}, TTL {ttl}: measured reach "
-                        f"{summary.mean('reach_peers'):.0f} < target; need more "
-                        "outdegree or TTL",
-                    ))
-                    continue
-                if _within_limits(summary, constraints):
-                    trail.append(DesignStep(
-                        "3",
-                        f"cluster {cluster_size}{' + redundancy' if redundancy else ''}, "
-                        f"outdegree {config.avg_outdegree:.0f}, TTL {ttl}: "
-                        "all limits met",
-                        config,
-                    ))
-                    config, summary = _shrink_outdegree(
-                        config, summary, constraints, reach_peers, trail,
-                        trials, seed, max_sources,
-                    )
-                    return DesignOutcome(
-                        config=config,
-                        summary=summary,
-                        constraints=constraints,
-                        trail=trail,
-                        feasible=True,
-                    )
-                best_attempt = (config, summary)
+            best_attempt = (config, summary)
         trail.append(DesignStep(
             "4", f"no cluster size satisfies the limits at TTL = {ttl}"
         ))
@@ -295,11 +276,72 @@ def design_topology(
     )
 
 
-def _redundancy_options(constraints: DesignConstraints, cluster_size: int):
-    """Try the simpler non-redundant cluster first, then redundancy."""
-    yield False
-    if constraints.allow_redundancy and cluster_size >= 4:
-        yield True
+@dataclass(frozen=True)
+class DesignPoint:
+    """One point of the Figure 10 search space at a TTL.
+
+    ``config`` and ``summary`` are ``None`` when the cluster size's
+    required outdegree busts the connection budget (nothing is
+    evaluated).  Otherwise ``reaches`` says whether the measured reach is
+    within 90% of the target and ``within_limits`` whether every
+    per-node (and aggregate) limit holds.
+    """
+
+    ttl: int
+    cluster_size: int
+    outdegree: float
+    connections: float
+    config: Configuration | None = None
+    summary: ConfigurationSummary | None = None
+    reaches: bool = False
+    within_limits: bool = False
+
+
+def design_points(constraints: DesignConstraints, ttl: int, *, trials: int,
+                  seed: int | None, max_sources: int | None):
+    """Walk the Figure 10 search space at one TTL, in the procedure's order.
+
+    Cluster sizes descend (the largest feasible wins the aggregate-load
+    race, rule #1); at each, the required outdegree comes from the tree
+    bound and the simpler non-redundant cluster is tried before
+    redundancy.  A configuration is evaluated only when the consumer
+    asks for its point, so a consumer that stops early pays for nothing
+    more.
+    """
+    reach_peers = constraints.desired_reach_peers
+    for cluster_size in _candidate_cluster_sizes(constraints.num_users):
+        reach_sp = max(1, math.ceil(reach_peers / cluster_size))
+        num_clusters = max(1, round(constraints.num_users / cluster_size))
+        if reach_sp > num_clusters:
+            continue  # cannot reach more super-peers than exist
+        if num_clusters == 1:
+            outdeg = 1.0
+        else:
+            outdeg = float(min(required_outdegree(reach_sp, ttl), num_clusters - 1))
+        connections = outdeg + (cluster_size - 1)
+        if connections > constraints.max_connections:
+            yield DesignPoint(ttl, cluster_size, outdeg, connections)
+            continue
+        redundancy_options = [False]
+        if constraints.allow_redundancy and cluster_size >= 4:
+            redundancy_options.append(True)
+        for redundancy in redundancy_options:
+            config = Configuration(
+                graph_type=GraphType.POWER_LAW,
+                graph_size=constraints.num_users,
+                cluster_size=cluster_size,
+                redundancy=redundancy,
+                avg_outdegree=max(outdeg, 1.0),
+                ttl=ttl,
+            )
+            summary = evaluate_configuration(
+                config, trials=trials, seed=seed, max_sources=max_sources
+            )
+            reaches = summary.mean("reach_peers") >= 0.9 * reach_peers
+            yield DesignPoint(
+                ttl, cluster_size, outdeg, connections, config, summary,
+                reaches, reaches and _within_limits(summary, constraints),
+            )
 
 
 def _shrink_outdegree(

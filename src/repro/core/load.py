@@ -45,7 +45,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .. import constants
 from ..obs.attribution import LoadAttribution
 from ..obs.metrics import get_registry
 from ..querymodel.distributions import QueryModel, default_query_model
@@ -57,21 +56,6 @@ from ..units import bytes_per_second_to_bps, units_per_second_to_hz
 from . import costs
 from .routing import DEFAULT_BLOCK, FloodBlock, flood_block, fold_to_sources
 from .routing import propagate_query  # noqa: F401 - wrapped here by the per-layer tracer
-
-#: Query message size with the default 12-byte query string (94 bytes).
-_QUERY_BYTES = constants.QUERY_MESSAGE_BASE + constants.QUERY_STRING_LENGTH
-_SEND_Q_UNITS = costs.SEND_QUERY_BASE + costs.SEND_QUERY_PER_BYTE * constants.QUERY_STRING_LENGTH
-_RECV_Q_UNITS = costs.RECV_QUERY_BASE + costs.RECV_QUERY_PER_BYTE * constants.QUERY_STRING_LENGTH
-_MUX = costs.MULTIPLEX_PER_CONNECTION
-
-#: Handshake between a joining super-peer and one existing connection:
-#: one empty message each way.  By definition (Section 4.1) sending plus
-#: receiving an empty message costs one unit; we split it with the
-#: empty-query send/recv constants, which sum to ~1.
-_HANDSHAKE_BYTES = 80.0
-_HANDSHAKE_SEND_UNITS = costs.SEND_QUERY_BASE
-_HANDSHAKE_RECV_UNITS = costs.RECV_QUERY_BASE
-
 
 @dataclass(frozen=True)
 class LoadVector:
@@ -457,23 +441,6 @@ def _response_triple(exp: ClusterExpectations) -> tuple[np.ndarray, np.ndarray, 
     return exp.prob_respond, exp.expected_collections, exp.expected_results
 
 
-def _handshake_units(m):
-    """Processing units of one connection handshake pair (an empty message
-    each way) at a node with ``m`` open connections."""
-    return _HANDSHAKE_SEND_UNITS + _HANDSHAKE_RECV_UNITS + 2.0 * _MUX * m
-
-
-def _query_units(m_sp: np.ndarray, results: np.ndarray) -> dict[str, np.ndarray]:
-    """Processing units per query send, receipt, index probe (given each
-    node's expected results) and direct-Response handshake pair, per node."""
-    return {
-        "send": _SEND_Q_UNITS + _MUX * m_sp,
-        "recv": _RECV_Q_UNITS + _MUX * m_sp,
-        "probe": costs.PROCESS_QUERY_BASE + costs.PROCESS_QUERY_PER_RESULT * results,
-        "handshake": _handshake_units(m_sp),
-    }
-
-
 def charge_block(
     fb: FloodBlock, w: np.ndarray, origin: np.ndarray, m_sp: np.ndarray,
     acc: _Accumulator, direct: bool = False,
@@ -506,25 +473,30 @@ def charge_block(
         sent[:, rows, src] = 0.0
     at_source = np.zeros_like(origin)
     np.add.at(at_source.T, src, (w * arrived).T)
-    units = _query_units(m_sp, origin[2])
+    # One query send, receipt, index probe and handshake pair per node,
+    # scaled by the flows below.
+    tx_bytes, tx_units = costs.send_query(m_sp)
+    rx_bytes, rx_units = costs.recv_query(m_sp)
+    probe_units = costs.process_query(origin[2])
+    hs_bytes, hs_units = costs.handshake(m_sp)
 
     def price(add, tx, rx, probes, out, forwarded, arrivals):
         # Query sends, receipts and index probes.
-        add("query", "out_bw", tx * _QUERY_BYTES)
-        add("query", "proc", tx * units["send"])
-        add("query", "in_bw", rx * _QUERY_BYTES)
-        add("query", "proc", rx * units["recv"])
-        add("query", "proc", probes * units["probe"])
+        add("query", "out_bw", tx * tx_bytes)
+        add("query", "proc", tx * tx_units)
+        add("query", "in_bw", rx * rx_bytes)
+        add("query", "proc", rx * rx_units)
+        add("query", "proc", probes * probe_units)
         # Responses shipped (``out``) and received: those a node forwards
         # and those that arrive at the source.
         inc = forwarded + arrivals
         if direct:
             handshakes = out[0] + arrivals[0]
-            add("response", "out_bw", handshakes * _HANDSHAKE_BYTES)
-            add("response", "in_bw", handshakes * _HANDSHAKE_BYTES)
-            add("response", "proc", handshakes * units["handshake"])
-        out_bytes, out_units = costs.response_costs(*out, m_sp, send=True)
-        in_bytes, in_units = costs.response_costs(*inc, m_sp, send=False)
+            add("response", "out_bw", handshakes * hs_bytes)
+            add("response", "in_bw", handshakes * hs_bytes)
+            add("response", "proc", handshakes * hs_units)
+        out_bytes, out_units = costs.send_response(*out, m_sp)
+        in_bytes, in_units = costs.recv_response(*inc, m_sp)
         add("response", "out_bw", out_bytes)
         add("response", "proc", out_units)
         add("response", "in_bw", in_bytes)
@@ -607,49 +579,44 @@ def _accumulate_queries_strong(
 
     total_q = q_rates.sum()
     others_q = total_q - q_rates  # rate of queries sourced elsewhere
-    units = _query_units(m_sp, res_o)
 
     # --- query transmissions / receipts ---------------------------------------
     # As source: n-1 transmissions per own query.
-    acc.add("q", "query", "out_bw", q_rates * (n - 1) * _QUERY_BYTES, hop=0)
-    acc.add("q", "query", "proc", q_rates * (n - 1) * units["send"], hop=0)
+    _charge(acc, "q", "query", "out_bw", costs.send_query(m_sp, q_rates * (n - 1)), hop=0)
     # As non-source: one receipt per foreign query...
-    acc.add("q", "query", "in_bw", others_q * _QUERY_BYTES, hop=1)
-    acc.add("q", "query", "proc", others_q * units["recv"], hop=1)
+    _charge(acc, "q", "query", "in_bw", costs.recv_query(m_sp, others_q), hop=1)
     if ttl >= 2 and n > 2:
         # ...plus n-2 duplicate forwards sent and n-2 duplicates received.
-        acc.add("q", "query", "out_bw", others_q * (n - 2) * _QUERY_BYTES, hop=1)
-        acc.add("q", "query", "proc", others_q * (n - 2) * units["send"], hop=1)
-        acc.add("q", "query", "in_bw", others_q * (n - 2) * _QUERY_BYTES, hop=2)
-        acc.add("q", "query", "proc", others_q * (n - 2) * units["recv"], hop=2)
+        duplicates = others_q * (n - 2)
+        _charge(acc, "q", "query", "out_bw", costs.send_query(m_sp, duplicates), hop=1)
+        _charge(acc, "q", "query", "in_bw", costs.recv_query(m_sp, duplicates), hop=2)
 
     # --- index probes -----------------------------------------------------------
     # Every query in the system (own + foreign) probes every cluster's index:
     # own queries at hop 0, foreign ones at hop 1.
-    acc.add("q", "query", "proc", total_q * units["probe"],
-            hop={0: q_rates * units["probe"], 1: others_q * units["probe"]})
+    own = costs.process_query(q_rates * res_o, q_rates)
+    foreign = costs.process_query(others_q * res_o, others_q)
+    acc.add("q", "query", "proc", own + foreign, hop={0: own, 1: foreign})
 
     # --- responses ---------------------------------------------------------------
     # As responder (for every foreign query): send own response directly.
-    out_bytes, out_units = costs.response_costs(msgs_o, addr_o, res_o, m_sp, send=True)
+    out_bytes, out_units = costs.send_response(msgs_o, addr_o, res_o, m_sp)
     acc.add("q", "response", "out_bw", others_q * out_bytes, hop=1)
     acc.add("q", "response", "proc", others_q * out_units, hop=1)
     # As source: receive every other cluster's response.
     tot_m, tot_a, tot_r = msgs_o.sum(), addr_o.sum(), res_o.sum()
     arr_m, arr_a, arr_r = tot_m - msgs_o, tot_a - addr_o, tot_r - res_o
-    in_bytes, in_units = costs.response_costs(arr_m, arr_a, arr_r, m_sp, send=False)
+    in_bytes, in_units = costs.recv_response(arr_m, arr_a, arr_r, m_sp)
     acc.add("q", "response", "in_bw", q_rates * in_bytes, hop=0)
     acc.add("q", "response", "proc", q_rates * in_units, hop=0)
     if direct:
         # One handshake pair per response to a foreign query (as
         # responder, hop 1) and per arriving response (as source, hop 0).
-        per_responder = others_q * msgs_o
-        arriving = q_rates * arr_m
-        handshakes = per_responder + arriving
-        for resource, unit in (("out_bw", _HANDSHAKE_BYTES), ("in_bw", _HANDSHAKE_BYTES),
-                               ("proc", units["handshake"])):
-            acc.add("q", "response", resource, handshakes * unit,
-                    hop={0: arriving * unit, 1: per_responder * unit})
+        responder = costs.handshake(m_sp, others_q * msgs_o)
+        source = costs.handshake(m_sp, q_rates * arr_m)
+        for resource, i in (("out_bw", 0), ("in_bw", 0), ("proc", 1)):
+            acc.add("q", "response", resource, responder[i] + source[i],
+                    hop={0: source[i], 1: responder[i]})
 
     # --- per-source outcomes -------------------------------------------------------
     per_source.results[:] = tot_r  # full reach: every cluster contributes
@@ -698,9 +665,8 @@ def _accumulate_client_query_costs(
     cq_rate = q_rates * client_fraction
 
     # Super-peer side: receive the query, send the collected responses.
-    acc.add("q", "query", "in_bw", cq_rate * _QUERY_BYTES)
-    acc.add("q", "query", "proc", cq_rate * (_RECV_Q_UNITS + _MUX * m_sp))
-    resp_bytes, sp_units = costs.response_costs(msgs, addr, res, m_sp, send=True)
+    _charge(acc, "q", "query", "in_bw", costs.recv_query(m_sp, cq_rate))
+    resp_bytes, sp_units = costs.send_response(msgs, addr, res, m_sp)
     acc.add("q", "response", "out_bw", cq_rate * resp_bytes)
     acc.add("q", "response", "proc", cq_rate * sp_units)
 
@@ -708,11 +674,10 @@ def _accumulate_client_query_costs(
     q = config.query_rate
     cluster_of_client = np.repeat(np.arange(n), instance.clients)
     if cluster_of_client.size:
-        acc.add("c", "query", "out_bw", q * _QUERY_BYTES)
-        acc.add("c", "query", "proc", q * (_SEND_Q_UNITS + _MUX * m_cl))
+        _charge(acc, "c", "query", "out_bw", costs.send_query(m_cl, q))
         acc.add("c", "response", "in_bw", q * resp_bytes[cluster_of_client])
-        acc.add("c", "response", "proc", q * costs.response_costs(
-            msgs, addr, res, m_cl, send=False
+        acc.add("c", "response", "proc", q * costs.recv_response(
+            msgs, addr, res, m_cl
         )[1][cluster_of_client])
 
 
@@ -734,13 +699,22 @@ def _neighbor_sum(instance: NetworkInstance, values: np.ndarray) -> np.ndarray:
     )
 
 
+def _charge(acc: _Accumulator, space: str, action: str, resource: str,
+            priced, hop=0) -> None:
+    """Add a Send (``resource="out_bw"``) or Recv (``"in_bw"``) row's
+    ``(bytes, units)`` to one space of ``acc``."""
+    nbytes, units = priced
+    acc.add(space, action, resource, nbytes, hop)
+    acc.add(space, action, "proc", units, hop)
+
+
 def _add_handshakes(acc: _Accumulator, space: str, pairs, m) -> None:
     """Join-time handshake pairs: ``pairs`` per second at nodes with ``m``
     open connections, each pair one empty message in and one out."""
-    hs_bytes = pairs * _HANDSHAKE_BYTES
+    hs_bytes, hs_units = costs.handshake(m, pairs)
     acc.add(space, "join", "in_bw", hs_bytes)
     acc.add(space, "join", "out_bw", hs_bytes)
-    acc.add(space, "join", "proc", pairs * _handshake_units(m))
+    acc.add(space, "join", "proc", hs_units)
 
 
 def _accumulate_joins(instance: NetworkInstance, acc: _Accumulator) -> None:
@@ -757,36 +731,19 @@ def _accumulate_joins(instance: NetworkInstance, acc: _Accumulator) -> None:
 
     # Client side: send the Join (with metadata) to each of the k partners.
     if rates.size:
-        acc.add("c", "join", "out_bw", rates * k * (
-            constants.JOIN_MESSAGE_BASE + constants.FILE_METADATA_SIZE * files
-        ))
-        acc.add("c", "join", "proc", rates * k * (
-            costs.SEND_JOIN_BASE
-            + costs.SEND_JOIN_PER_FILE * files
-            + _MUX * m_cl
-        ))
+        _charge(acc, "c", "join", "out_bw", costs.send_join(rates * k * files, m_cl, rates * k))
 
     # Partner side: every partner receives every client's Join, inserts the
     # metadata, and removes it again at the client's leave.
-    acc.add("p", "join", "in_bw", (
-        constants.JOIN_MESSAGE_BASE * rate_sum
-        + constants.FILE_METADATA_SIZE * rate_files_sum
-    ))
-    acc.add("p", "join", "proc", (
-        (costs.RECV_JOIN_BASE + _MUX * m_sp) * rate_sum
-        + costs.RECV_JOIN_PER_FILE * rate_files_sum
-        # index insertion at join + removal at leave
-        + 2.0 * (costs.PROCESS_JOIN_BASE * rate_sum + costs.PROCESS_JOIN_PER_FILE * rate_files_sum)
-    ))
+    join_bytes, join_units = costs.recv_index_join(rate_files_sum, m_sp, rate_sum)
+    acc.add("p", "join", "in_bw", join_bytes)
+    acc.add("p", "join", "proc", join_units + costs.process_join(rate_files_sum, rate_sum))
 
     # --- super-peer (partner) joins ---------------------------------------------
     # A joining partner handshakes (one empty message each way) over every
     # connection it opens; the peers at the other end each handle one pair.
     partner_rates = (1.0 / instance.partner_lifespans).sum(axis=1)  # per cluster
-    own_hs = (partner_rates / k) * _HANDSHAKE_BYTES * m_sp
-    acc.add("p", "join", "in_bw", own_hs)
-    acc.add("p", "join", "out_bw", own_hs)
-    acc.add("p", "join", "proc", (partner_rates / k) * m_sp * _handshake_units(m_sp))
+    _add_handshakes(acc, "p", (partner_rates / k) * m_sp, m_sp)
 
     # Peers on the other end of those handshakes:
     # * this cluster's clients (each is touched by each partner join),
@@ -801,30 +758,18 @@ def _accumulate_joins(instance: NetworkInstance, acc: _Accumulator) -> None:
     _add_handshakes(acc, "p", _neighbor_sum(instance, partner_rates), m_sp)
 
     # Under redundancy, a joining partner also ships its own metadata to
-    # its k-1 fellow partners (each partner holds the others' data too).
+    # its k-1 fellow partners (each partner holds the others' data too),
+    # which index it and remove it again at its leave; averaged over the
+    # cluster's partners, both ends land on one meter.
     if k > 1:
         p_rates = 1.0 / instance.partner_lifespans  # (n, k)
-        p_files = instance.partner_files.astype(float)
-        rate_sum_p = (p_rates).sum(axis=1)
-        rate_files_p = (p_rates * p_files).sum(axis=1)
-        meta_bytes = (k - 1) / k * (
-            constants.JOIN_MESSAGE_BASE * rate_sum_p
-            + constants.FILE_METADATA_SIZE * rate_files_p
-        )
-        # Sender side (averaged over the cluster's partners):
-        acc.add("p", "join", "out_bw", meta_bytes)
-        acc.add("p", "join", "proc", (k - 1) / k * (
-            (costs.SEND_JOIN_BASE + _MUX * m_sp) * rate_sum_p
-            + costs.SEND_JOIN_PER_FILE * rate_files_p
-        ))
-        # Receiver side: each fellow partner receives, inserts, and later
-        # removes the metadata.
-        acc.add("p", "join", "in_bw", meta_bytes)
-        acc.add("p", "join", "proc", (k - 1) / k * (
-            (costs.RECV_JOIN_BASE + _MUX * m_sp) * rate_sum_p
-            + costs.RECV_JOIN_PER_FILE * rate_files_p
-            + 2.0 * (costs.PROCESS_JOIN_BASE * rate_sum_p + costs.PROCESS_JOIN_PER_FILE * rate_files_p)
-        ))
+        share = (k - 1) / k
+        exchanges = share * p_rates.sum(axis=1)
+        shipped = share * (p_rates * instance.partner_files).sum(axis=1)
+        ex_bytes, ex_units = costs.exchange_join(shipped, m_sp, exchanges, dropped=shipped)
+        acc.add("p", "join", "out_bw", ex_bytes)
+        acc.add("p", "join", "in_bw", ex_bytes)
+        acc.add("p", "join", "proc", ex_units)
 
 
 def _accumulate_updates(instance: NetworkInstance, acc: _Accumulator) -> None:
@@ -835,26 +780,20 @@ def _accumulate_updates(instance: NetworkInstance, acc: _Accumulator) -> None:
     k = instance.partners
     m_sp = instance.superpeer_connections.astype(float)
     m_cl = float(instance.client_connections)
-    upd_bytes = float(constants.UPDATE_MESSAGE_SIZE)
 
     # Clients: send one Update to each partner; partners receive and apply.
-    clients = instance.clients.astype(float)
     if instance.total_clients:
-        acc.add("c", "update", "out_bw", u * k * upd_bytes)
-        acc.add("c", "update", "proc", u * k * (costs.SEND_UPDATE_UNITS + _MUX * m_cl))
-    acc.add("p", "update", "in_bw", u * clients * upd_bytes)
-    acc.add("p", "update", "proc", u * clients * (
-        costs.RECV_UPDATE_UNITS + _MUX * m_sp + costs.PROCESS_UPDATE_UNITS
-    ))
+        _charge(acc, "c", "update", "out_bw", costs.send_update(m_cl, u * k))
+    received = u * instance.clients
+    upd_bytes, upd_units = costs.recv_update(m_sp, received)
+    acc.add("p", "update", "in_bw", upd_bytes)
+    acc.add("p", "update", "proc", upd_units + costs.process_update(received))
 
     # Partners' own updates: applied locally; under redundancy also
     # propagated to the k-1 fellow partners.
-    acc.add("p", "update", "proc", u * costs.PROCESS_UPDATE_UNITS)
+    acc.add("p", "update", "proc", costs.process_update(u))
     if k > 1:
-        fan_bytes = u * (k - 1) * upd_bytes
-        acc.add("p", "update", "out_bw", fan_bytes)
-        acc.add("p", "update", "proc", u * (k - 1) * (costs.SEND_UPDATE_UNITS + _MUX * m_sp))
-        acc.add("p", "update", "in_bw", fan_bytes)
-        acc.add("p", "update", "proc", u * (k - 1) * (
-            costs.RECV_UPDATE_UNITS + _MUX * m_sp + costs.PROCESS_UPDATE_UNITS
-        ))
+        ex_bytes, ex_units = costs.exchange_update(m_sp, u * (k - 1))
+        acc.add("p", "update", "out_bw", ex_bytes)
+        acc.add("p", "update", "in_bw", ex_bytes)
+        acc.add("p", "update", "proc", ex_units)

@@ -39,15 +39,13 @@ from __future__ import annotations
 
 import numpy as np
 
-from .. import constants
+from ..core import costs
 from ..topology.strong import CompleteGraph
 from ..units import bytes_per_second_to_bps, units_per_second_to_hz
 
 #: Attribution dimensions (fixed vocabulary; exports rely on the order).
 ACTIONS = ("query", "response", "join", "update", "repair", "gossip")
 RESOURCES = ("in_bw", "out_bw", "proc")
-
-_QUERY_BYTES = constants.QUERY_MESSAGE_BASE + constants.QUERY_STRING_LENGTH
 
 
 class AttributionError(AssertionError):
@@ -144,7 +142,7 @@ class LoadAttribution:
         live = (depth >= 0) & (depth < fb.ttl) & (pred != self._heads)
         flood = w @ live
         self._edges["flood_messages"] += flood
-        self._edges["flood_bytes"] += flood * _QUERY_BYTES
+        self._edges["flood_bytes"] += costs.send_query(0.0, flood)[0]
         if sent is None:
             return
         # Responses: each reached non-source node v ships its subtree's
@@ -163,11 +161,8 @@ class LoadAttribution:
         self._edges["response_messages"] += np.bincount(
             edge_ids, weights=rate * m, minlength=size)
         self._edges["response_bytes"] += np.bincount(
-            edge_ids, minlength=size, weights=rate * (
-                constants.RESPONSE_MESSAGE_BASE * m
-                + constants.RESPONSE_ADDRESS_SIZE * a
-                + constants.RESULT_RECORD_SIZE * r
-            ))
+            edge_ids, minlength=size,
+            weights=rate * costs.send_response(m, a, r, 0.0)[0])
 
     # --- read side ---------------------------------------------------------------
 

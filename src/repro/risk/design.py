@@ -17,19 +17,11 @@ byte-for-byte — the contract the CI ``risk-design-smoke`` job enforces.
 
 from __future__ import annotations
 
-import math
 from dataclasses import asdict, dataclass, field
 from pathlib import Path
 
-from ..config import Configuration, GraphType
-from ..core.analysis import evaluate_configuration
-from ..core.design import (
-    DesignConstraints,
-    _candidate_cluster_sizes,
-    _redundancy_options,
-    _within_limits,
-    required_outdegree,
-)
+from ..config import Configuration
+from ..core.design import DesignConstraints, design_points
 from ..exec import Executor
 from ..topology.builder import build_instance_cached
 from .evaluate import (
@@ -59,7 +51,8 @@ def enumerate_candidates(
     """Fault-free-feasible candidates from the Figure 10 search space.
 
     Walks the same (TTL ascending, cluster size descending, redundancy)
-    ladder as :func:`repro.core.design.design_topology` but *collects*
+    ladder as :func:`repro.core.design.design_topology`
+    (:func:`~repro.core.design.design_points`) but *collects*
     up to ``spec.max_candidates`` configurations that attain the reach
     within the limits, instead of stopping at the first — the risk
     layer needs alternatives to trade cost against availability.  The
@@ -67,60 +60,31 @@ def enumerate_candidates(
     the closest attempt is returned alone (the assessment will report it
     as missing the target).
     """
-    reach_peers = constraints.desired_reach_peers
     candidates: list[tuple[str, Configuration]] = []
     fallback: tuple[str, Configuration] | None = None
     notes = trail if trail is not None else []
-
-    for ttl in range(1, max_ttl + 1):
+    points = (point for ttl in range(1, max_ttl + 1)
+              for point in design_points(constraints, ttl, trials=trials,
+                                         seed=spec.seed, max_sources=max_sources))
+    for point in points:
+        config = point.config
+        if config is None or not point.reaches:
+            continue
+        label = (
+            f"c{point.cluster_size}{'r' if config.redundancy else ''}"
+            f"-ttl{point.ttl}-d{config.avg_outdegree:.0f}"
+        )
+        if not point.within_limits:
+            if fallback is None:
+                fallback = (label, config)
+            continue
+        notes.append(
+            f"candidate {label}: fault-free feasible "
+            f"(reach {point.summary.mean('reach_peers'):.0f})"
+        )
+        candidates.append((label, config))
         if len(candidates) >= spec.max_candidates:
             break
-        for cluster_size in _candidate_cluster_sizes(constraints.num_users):
-            if len(candidates) >= spec.max_candidates:
-                break
-            reach_sp = max(1, math.ceil(reach_peers / cluster_size))
-            num_clusters = max(1, round(constraints.num_users / cluster_size))
-            if reach_sp > num_clusters:
-                continue
-            if num_clusters == 1:
-                outdeg = 1.0
-            else:
-                outdeg = float(
-                    min(required_outdegree(reach_sp, ttl), num_clusters - 1)
-                )
-            connections = outdeg + (cluster_size - 1)
-            if connections > constraints.max_connections:
-                continue
-            for redundancy in _redundancy_options(constraints, cluster_size):
-                config = Configuration(
-                    graph_type=GraphType.POWER_LAW,
-                    graph_size=constraints.num_users,
-                    cluster_size=cluster_size,
-                    redundancy=redundancy,
-                    avg_outdegree=max(outdeg, 1.0),
-                    ttl=ttl,
-                )
-                label = (
-                    f"c{cluster_size}{'r' if redundancy else ''}"
-                    f"-ttl{ttl}-d{config.avg_outdegree:.0f}"
-                )
-                summary = evaluate_configuration(
-                    config, trials=trials, seed=spec.seed,
-                    max_sources=max_sources,
-                )
-                if summary.mean("reach_peers") < 0.9 * reach_peers:
-                    continue
-                if not _within_limits(summary, constraints):
-                    if fallback is None:
-                        fallback = (label, config)
-                    continue
-                notes.append(
-                    f"candidate {label}: fault-free feasible "
-                    f"(reach {summary.mean('reach_peers'):.0f})"
-                )
-                candidates.append((label, config))
-                if len(candidates) >= spec.max_candidates:
-                    break
 
     if not candidates:
         if fallback is None:

@@ -7,14 +7,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .. import constants
 from ..querymodel.distributions import QueryModel, default_query_model
 from ..querymodel.expectation import ClusterExpectations, cluster_expectations
 from ..stats.rng import derive_rng
 from ..topology.builder import NetworkInstance
-
-#: Size of one query message at the default query length.
-QUERY_BYTES = constants.QUERY_MESSAGE_BASE + constants.QUERY_STRING_LENGTH
 
 
 @dataclass(frozen=True)
@@ -98,12 +94,4 @@ class SearchProtocol(abc.ABC):
             float(exp.prob_respond[mask].sum()),
             float(exp.expected_collections[mask].sum()),
             float(exp.expected_results[mask].sum()),
-        )
-
-    @staticmethod
-    def _response_bytes(messages: float, addresses: float, results: float) -> float:
-        return (
-            constants.RESPONSE_MESSAGE_BASE * messages
-            + constants.RESPONSE_ADDRESS_SIZE * addresses
-            + constants.RESULT_RECORD_SIZE * results
         )

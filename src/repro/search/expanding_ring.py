@@ -15,8 +15,9 @@ case stopping at a cheap small ring.
 
 from __future__ import annotations
 
+from ..core import costs
 from ..obs.metrics import get_registry
-from .base import QUERY_BYTES, QueryCost, SearchProtocol
+from .base import QueryCost, SearchProtocol
 from .flooding import FloodingSearch
 
 
@@ -82,7 +83,7 @@ class ExpandingRingSearch(SearchProtocol):
         return QueryCost(
             query_messages=query_messages,
             response_messages=response_messages,
-            query_bytes=query_messages * QUERY_BYTES,
+            query_bytes=costs.send_query(0.0, query_messages)[0],
             response_bytes=response_bytes,
             expected_results=final.expected_results,
             reach=final.reach,

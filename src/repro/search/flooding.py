@@ -15,9 +15,10 @@ from __future__ import annotations
 
 import numpy as np
 
+from ..core import costs
 from ..core.routing import propagate_query
 from ..obs.metrics import get_registry
-from .base import QUERY_BYTES, QueryCost, SearchProtocol
+from .base import QueryCost, SearchProtocol
 
 
 class FloodingSearch(SearchProtocol):
@@ -83,7 +84,8 @@ class FloodingSearch(SearchProtocol):
         res_weighted = float(
             (prop.depth * np.where(responders, exp.expected_results, 0.0))[reached].sum()
         )
-        response_bytes = self._response_bytes(depth_weighted, addr_weighted, res_weighted)
+        response_bytes = costs.send_response(
+            depth_weighted, addr_weighted, res_weighted, 0.0)[0]
 
         # A weighted mean of depths cannot exceed the deepest hop; the
         # clamp absorbs the rounding of two differently ordered sums.
@@ -92,7 +94,7 @@ class FloodingSearch(SearchProtocol):
         return QueryCost(
             query_messages=float(prop.transmissions.sum()),
             response_messages=depth_weighted,
-            query_bytes=float(prop.transmissions.sum()) * QUERY_BYTES,
+            query_bytes=costs.send_query(0.0, float(prop.transmissions.sum()))[0],
             response_bytes=response_bytes,
             expected_results=res + own_results,
             reach=float(prop.reach),

@@ -16,9 +16,10 @@ from __future__ import annotations
 
 import numpy as np
 
+from ..core import costs
 from ..stats.rng import derive_rng
 from ..topology.strong import CompleteGraph
-from .base import QUERY_BYTES, QueryCost, SearchProtocol, average_costs
+from .base import QueryCost, SearchProtocol, average_costs
 
 
 class RandomWalkSearch(SearchProtocol):
@@ -96,8 +97,8 @@ class RandomWalkSearch(SearchProtocol):
         return QueryCost(
             query_messages=query_messages,
             response_messages=resp_msgs,
-            query_bytes=query_messages * QUERY_BYTES,
-            response_bytes=self._response_bytes(resp_msgs, resp_addr, resp_res),
+            query_bytes=costs.send_query(0.0, query_messages)[0],
+            response_bytes=costs.send_response(resp_msgs, resp_addr, resp_res, 0.0)[0],
             expected_results=results,
             reach=float(len(visited)),
             mean_response_hops=epl,

@@ -32,8 +32,9 @@ import heapq
 
 import numpy as np
 
+from ..core import costs
 from ..topology.strong import CompleteGraph
-from .base import QUERY_BYTES, QueryCost, SearchProtocol
+from .base import QueryCost, SearchProtocol
 
 
 class RoutingIndicesSearch(SearchProtocol):
@@ -153,8 +154,8 @@ class RoutingIndicesSearch(SearchProtocol):
         return QueryCost(
             query_messages=query_messages,
             response_messages=resp_msgs,
-            query_bytes=query_messages * QUERY_BYTES,
-            response_bytes=self._response_bytes(resp_msgs, resp_addr, resp_res),
+            query_bytes=costs.send_query(0.0, query_messages)[0],
+            response_bytes=costs.send_response(resp_msgs, resp_addr, resp_res, 0.0)[0],
             expected_results=results,
             reach=float(len(visited)),
             mean_response_hops=epl,

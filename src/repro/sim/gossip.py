@@ -45,11 +45,6 @@ import numpy as np
 
 from .. import constants
 from ..core import costs
-from ..core.load import (
-    _HANDSHAKE_BYTES,
-    _HANDSHAKE_RECV_UNITS,
-    _HANDSHAKE_SEND_UNITS,
-)
 from ..obs.metrics import get_registry
 from ..topology.strong import CompleteGraph
 
@@ -235,6 +230,11 @@ class GossipDetector:
         self._gos_in = np.zeros(n)
         self._gos_out = np.zeros(n)
         self._gos_units = np.zeros(n)
+        # Per-partner units of a control message, priced as an Update
+        # without the multiplex term: sent, received, received and applied.
+        self._send_u = costs.send_update(0.0)[1] / k
+        self._recv_u = costs.recv_update(0.0)[1] / k
+        self._apply_u = (costs.recv_update(0.0)[1] + costs.process_update()) / k
         graph = runtime.instance.graph
         if isinstance(graph, CompleteGraph):
             graph = graph.materialize()
@@ -375,7 +375,7 @@ class GossipDetector:
             if w == u or self.rt.live[w] <= 0:
                 continue
             self._charge(u, out_bytes=constants.GOSSIP_REPORT_BYTES / self.k,
-                         units=costs.SEND_UPDATE_UNITS / self.k, messages=1)
+                         units=self._send_u, messages=1)
             self.rumors_sent += 1
             self._m_rumors.add()
             if self._reachable(u, w):
@@ -394,7 +394,7 @@ class GossipDetector:
         if rec is None or rec["inc"] != inc or rec["declared"]:
             return
         self._charge(w, in_bytes=constants.GOSSIP_REPORT_BYTES / self.k,
-                     units=costs.RECV_UPDATE_UNITS / self.k)
+                     units=self._recv_u)
         if w == cluster and self.rt.up[cluster, partner]:
             # The cluster itself heard a report about its own live
             # partner: it refutes immediately with a higher incarnation.
@@ -429,13 +429,15 @@ class GossipDetector:
         if rec["declared"]:
             return
         # Verification probe before acting on the rumor mass.
-        self._charge(w, out_bytes=_HANDSHAKE_BYTES / self.k,
-                     units=_HANDSHAKE_SEND_UNITS / self.k, messages=1)
+        probe_bytes, probe_units = costs.send_empty(0.0)
+        self._charge(w, out_bytes=probe_bytes / self.k,
+                     units=probe_units / self.k, messages=1)
         if self.rt.up[cluster, partner]:
             if self._reachable(w, cluster):
                 # The probe answers: the slot is alive — refute.
-                self._charge(w, in_bytes=_HANDSHAKE_BYTES / self.k,
-                             units=_HANDSHAKE_RECV_UNITS / self.k, messages=1)
+                probe_bytes, probe_units = costs.recv_empty(0.0)
+                self._charge(w, in_bytes=probe_bytes / self.k,
+                             units=probe_units / self.k, messages=1)
                 self._refute(cluster, partner, rec, refuter=w)
             else:
                 # The probe is severed by the cut: w wrongly concludes
@@ -479,12 +481,12 @@ class GossipDetector:
                 continue
             self._charge(refuter,
                          out_bytes=constants.GOSSIP_RUMOR_SIZE / self.k,
-                         units=costs.SEND_UPDATE_UNITS / self.k, messages=1)
+                         units=self._send_u, messages=1)
             self.rumors_sent += 1
             self._m_rumors.add()
             if self._reachable(refuter, w):
                 self._charge(w, in_bytes=constants.GOSSIP_RUMOR_SIZE / self.k,
-                             units=costs.RECV_UPDATE_UNITS / self.k)
+                             units=self._recv_u)
                 self._set_entry(w, cluster, partner, fresh)
         self._records.pop((cluster, partner), None)
         if self.tracer.enabled:
@@ -524,8 +526,7 @@ class GossipDetector:
             return
         answering = sending & self.rt.up[c, p]
         probe = constants.GOSSIP_PROBE_BYTES / self.k
-        send_u = costs.SEND_UPDATE_UNITS / self.k
-        recv_u = costs.RECV_UPDATE_UNITS / self.k
+        send_u, recv_u = self._send_u, self._recv_u
         pings, acks, heard = u[sending], c[answering], u[answering]
         self._scatter(np.concatenate((pings, acks)),
                       np.concatenate((acks, heard)), probe,
@@ -614,11 +615,10 @@ class GossipDetector:
             for w in sorted(rec["suspected"] | rec["false_declared"]):
                 if self.rt.live[w] > 0 and self._reachable(w, c):
                     # Verification probe round-trip, then refutation.
-                    self._charge(w, out_bytes=_HANDSHAKE_BYTES / self.k,
-                                 in_bytes=_HANDSHAKE_BYTES / self.k,
-                                 units=(_HANDSHAKE_SEND_UNITS
-                                        + _HANDSHAKE_RECV_UNITS) / self.k,
-                                 messages=2)
+                    hs_bytes, hs_units = costs.handshake(0.0)
+                    self._charge(w, out_bytes=hs_bytes / self.k,
+                                 in_bytes=hs_bytes / self.k,
+                                 units=hs_units / self.k, messages=2)
                     self._refute(c, p, rec, refuter=w)
                     break
 
@@ -641,11 +641,8 @@ class GossipDetector:
         """One push-pull digest exchange: both views converge, both pay."""
         for a, b in ((u, v), (v, u)):
             size = self._digest_bytes(a)
-            self._charge(a, out_bytes=size,
-                         units=costs.SEND_UPDATE_UNITS / self.k, messages=1)
-            self._charge(b, in_bytes=size,
-                         units=(costs.RECV_UPDATE_UNITS
-                                + costs.PROCESS_UPDATE_UNITS) / self.k)
+            self._charge(a, out_bytes=size, units=self._send_u, messages=1)
+            self._charge(b, in_bytes=size, units=self._apply_u)
             self.rumors_sent += 1
             self._m_rumors.add()
         if not self._quiet and (self.view[u] != self.view[v]).any():
@@ -707,8 +704,7 @@ class GossipDetector:
         sizes = np.concatenate((down, self._digest_bytes(kids)))
         # Per node, charges keep the per-level order: in down, out down,
         # in up, out up.
-        send_u = costs.SEND_UPDATE_UNITS / self.k
-        recv_u = (costs.RECV_UPDATE_UNITS + costs.PROCESS_UPDATE_UNITS) / self.k
+        send_u, recv_u = self._send_u, self._apply_u
         self._scatter(np.concatenate((preds, kids)),
                       np.concatenate((nodes, parents)), sizes,
                       np.concatenate((nodes, preds, parents, kids)),

@@ -38,12 +38,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .. import constants
 from ..core import costs
-from ..core.load import (
-    _HANDSHAKE_BYTES, _MUX, _QUERY_BYTES, _RECV_Q_UNITS, _SEND_Q_UNITS, LoadReport,
-    _handshake_units,
-)
+from ..core.load import LoadReport
 from ..obs.metrics import get_registry
 from ..obs.trace import NULL_TRACER, Tracer
 from ..core.routing import QueryPropagation, propagate_query
@@ -402,17 +398,17 @@ def _flood_attempt(state: _State, rt: FaultRuntime | None, s: int,
     reached = prop.reached
 
     # Query flood messages (each handled by one partner; average the meter).
-    st.sp_out += prop.transmissions * _QUERY_BYTES / kv
-    st.sp_proc += prop.transmissions * (_SEND_Q_UNITS + _MUX * st.m_sp) / kv
-    st.sp_in += prop.receipts * _QUERY_BYTES / kv
-    st.sp_proc += prop.receipts * (_RECV_Q_UNITS + _MUX * st.m_sp) / kv
+    tx_bytes, tx_units = costs.send_query(st.m_sp)
+    rx_bytes, rx_units = costs.recv_query(st.m_sp)
+    st.sp_out += prop.transmissions * tx_bytes / kv
+    st.sp_proc += prop.transmissions * tx_units / kv
+    st.sp_in += prop.receipts * rx_bytes / kv
+    st.sp_proc += prop.receipts * rx_units / kv
 
     # Index probe at every reached cluster.  The charges below are
     # full-length: unreached nodes (and the source, for what it sends)
     # add +0.0, which leaves a non-negative meter's bits unchanged.
-    st.sp_proc += reached * ((
-        costs.PROCESS_QUERY_BASE + costs.PROCESS_QUERY_PER_RESULT * n_results
-    ) / kv)
+    st.sp_proc += reached * (costs.process_query(n_results) / kv)
 
     # Responses travel the reverse path, each hop subject to the plan.
     responds = reached & (n_results > 0)
@@ -424,10 +420,8 @@ def _flood_attempt(state: _State, rt: FaultRuntime | None, s: int,
     sent_m, sent_a, sent_r = sent
     recv_m, recv_a, recv_r = received
 
-    out_bytes, out_units = costs.response_costs(
-        sent_m, sent_a, sent_r, st.m_sp, send=True)
-    in_bytes, in_units = costs.response_costs(
-        recv_m, recv_a, recv_r, st.m_sp, send=False)
+    out_bytes, out_units = costs.send_response(sent_m, sent_a, sent_r, st.m_sp)
+    in_bytes, in_units = costs.recv_response(recv_m, recv_a, recv_r, st.m_sp)
     st.sp_out += out_bytes / kv
     st.sp_proc += out_units / kv
     st.sp_in += in_bytes / kv
@@ -469,41 +463,36 @@ def _flood_attempt(state: _State, rt: FaultRuntime | None, s: int,
 
 def _charge_submit(st: _State, s, client, kv: np.ndarray) -> None:
     """A client hands its query to its super-peer ``s``."""
-    np.add.at(st.cl_out, client, _QUERY_BYTES)
-    np.add.at(st.cl_proc, client, _SEND_Q_UNITS + _MUX * st.m_cl)
-    np.add.at(st.sp_in, s, _QUERY_BYTES / kv[s])
-    np.add.at(st.sp_proc, s, (_RECV_Q_UNITS + _MUX * st.m_sp[s]) / kv[s])
+    cl_bytes, cl_units = costs.send_query(st.m_cl)
+    sp_bytes, sp_units = costs.recv_query(st.m_sp[s])
+    np.add.at(st.cl_out, client, cl_bytes)
+    np.add.at(st.cl_proc, client, cl_units)
+    np.add.at(st.sp_in, s, sp_bytes / kv[s])
+    np.add.at(st.sp_proc, s, sp_units / kv[s])
 
 
 def _charge_delivery(st: _State, s, client, to_m, to_a, to_r,
                      kv: np.ndarray) -> None:
     """Super-peer ``s`` forwards ``to_m`` Responses (``to_a`` addresses,
     ``to_r`` results) to its querying client."""
-    nbytes, send_units = costs.response_costs(
-        to_m, to_a, to_r, st.m_sp[s], send=True)
+    nbytes, send_units = costs.send_response(to_m, to_a, to_r, st.m_sp[s])
     np.add.at(st.sp_out, s, nbytes / kv[s])
     np.add.at(st.sp_proc, s, send_units / kv[s])
     np.add.at(st.cl_in, client, nbytes)
-    np.add.at(st.cl_proc, client, costs.response_costs(
-        to_m, to_a, to_r, st.m_cl, send=False)[1])
+    np.add.at(st.cl_proc, client, costs.recv_response(to_m, to_a, to_r, st.m_cl)[1])
 
 
 def _charge_client_join(st: _State, cluster, client, old_files, new_files,
                         partners) -> None:
     """A client leaves and its replacement joins: each partner drops the
     ``old_files`` records and indexes the replacement's ``new_files``."""
-    np.add.at(st.sp_proc, cluster,
-              costs.PROCESS_JOIN_BASE + costs.PROCESS_JOIN_PER_FILE * old_files)
-    join_bytes = constants.JOIN_MESSAGE_BASE + constants.FILE_METADATA_SIZE * new_files
+    np.add.at(st.sp_proc, cluster, costs.process_join(old_files))
+    join_bytes, send_units = costs.send_join(new_files, st.m_cl)
     np.add.at(st.cl_out, client, partners * join_bytes)
-    np.add.at(st.cl_proc, client, partners * (
-        costs.SEND_JOIN_BASE + costs.SEND_JOIN_PER_FILE * new_files + _MUX * st.m_cl
-    ))
+    np.add.at(st.cl_proc, client, partners * send_units)
     np.add.at(st.sp_in, cluster, join_bytes)
-    np.add.at(st.sp_proc, cluster, (
-        costs.RECV_JOIN_BASE + costs.RECV_JOIN_PER_FILE * new_files + _MUX * st.m_sp[cluster]
-        + costs.PROCESS_JOIN_BASE + costs.PROCESS_JOIN_PER_FILE * new_files
-    ))
+    np.add.at(st.sp_proc, cluster,
+              costs.recv_index_join(new_files, st.m_sp[cluster])[1])
 
 
 def _charge_partner_join(st: _State, cluster, old_files, new_files) -> None:
@@ -513,46 +502,37 @@ def _charge_partner_join(st: _State, cluster, old_files, new_files) -> None:
     # Handshake one empty message each way per open connection; mirror side
     # is attributed to this cluster's meter in aggregate form (neighbours,
     # fellow partners and clients all pay one pair each).
-    np.add.at(st.sp_out, cluster, _HANDSHAKE_BYTES * m / k)
-    np.add.at(st.sp_in, cluster, _HANDSHAKE_BYTES * m / k)
-    np.add.at(st.sp_proc, cluster, m * _handshake_units(m) / k)
+    hs_bytes, hs_units = costs.handshake(m)
+    np.add.at(st.sp_out, cluster, hs_bytes * m / k)
+    np.add.at(st.sp_in, cluster, hs_bytes * m / k)
+    np.add.at(st.sp_proc, cluster, m * hs_units / k)
     if k > 1:
-        join_bytes = constants.JOIN_MESSAGE_BASE + constants.FILE_METADATA_SIZE * new_files
         # Ship own metadata to the k-1 fellows; they index it (and drop the
         # departed partner's records).
+        join_bytes, units = costs.exchange_join(new_files, m, dropped=old_files)
         np.add.at(st.sp_out, cluster, (k - 1) * join_bytes / k)
         np.add.at(st.sp_in, cluster, (k - 1) * join_bytes / k)
-        np.add.at(st.sp_proc, cluster, (k - 1) * (
-            costs.SEND_JOIN_BASE + costs.SEND_JOIN_PER_FILE * new_files
-            + costs.RECV_JOIN_BASE + costs.RECV_JOIN_PER_FILE * new_files
-            + 2 * _MUX * m
-            + costs.PROCESS_JOIN_BASE + costs.PROCESS_JOIN_PER_FILE * new_files
-            + costs.PROCESS_JOIN_BASE + costs.PROCESS_JOIN_PER_FILE * old_files
-        ) / k)
+        np.add.at(st.sp_proc, cluster, (k - 1) * units / k)
 
 
 def _charge_client_update(st: _State, cluster, client, partners) -> None:
     """A client sends a single-file metadata delta to each partner."""
-    upd = float(constants.UPDATE_MESSAGE_SIZE)
+    upd, send_units = costs.send_update(st.m_cl)
     np.add.at(st.cl_out, client, partners * upd)
-    np.add.at(st.cl_proc, client, partners * (costs.SEND_UPDATE_UNITS + _MUX * st.m_cl))
+    np.add.at(st.cl_proc, client, partners * send_units)
     np.add.at(st.sp_in, cluster, upd)
-    np.add.at(st.sp_proc, cluster, (
-        costs.RECV_UPDATE_UNITS + _MUX * st.m_sp[cluster] + costs.PROCESS_UPDATE_UNITS
-    ))
+    np.add.at(st.sp_proc, cluster,
+              costs.recv_update(st.m_sp[cluster])[1] + costs.process_update())
 
 
 def _charge_partner_update(st: _State, cluster, partners: int) -> None:
     """A partner's own metadata delta, shipped to its fellow partners."""
-    upd = float(constants.UPDATE_MESSAGE_SIZE)
-    np.add.at(st.sp_proc, cluster, costs.PROCESS_UPDATE_UNITS / partners)
+    np.add.at(st.sp_proc, cluster, costs.process_update() / partners)
     if partners > 1:
+        upd, units = costs.exchange_update(st.m_sp[cluster])
         np.add.at(st.sp_out, cluster, (partners - 1) * upd / partners)
         np.add.at(st.sp_in, cluster, (partners - 1) * upd / partners)
-        np.add.at(st.sp_proc, cluster, (partners - 1) * (
-            costs.SEND_UPDATE_UNITS + costs.RECV_UPDATE_UNITS
-            + 2 * _MUX * st.m_sp[cluster] + costs.PROCESS_UPDATE_UNITS
-        ) / partners)
+        np.add.at(st.sp_proc, cluster, (partners - 1) * units / partners)
 
 
 def _run_client_churn(state: _State, client_index: int, new_files: int,

@@ -41,19 +41,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .. import constants
 from ..core import costs
-from ..core.load import (
-    _HANDSHAKE_BYTES,
-    _HANDSHAKE_RECV_UNITS,
-    _HANDSHAKE_SEND_UNITS,
-)
 from ..querymodel.files import default_file_distribution
 from ..topology.strong import CompleteGraph
 from .gossip import GossipDetector
 from .monitor import DetectorSpec, FailureDetector
-
-_MUX = costs.MULTIPLEX_PER_CONNECTION
 
 __all__ = ["RecoveryPolicy", "RecoveryRuntime", "repair_attribution"]
 
@@ -191,11 +183,12 @@ class RecoveryRuntime:
     def _on_false_positive(self, cluster: int, partner: int) -> None:
         """A live partner was wrongly suspected: pay the verification probe."""
         st = self.st
+        hs_bytes, hs_units = costs.handshake(0.0)
         self._charge_sp(
             cluster,
-            in_bytes=_HANDSHAKE_BYTES / st.k,
-            out_bytes=_HANDSHAKE_BYTES / st.k,
-            units=(_HANDSHAKE_SEND_UNITS + _HANDSHAKE_RECV_UNITS) / st.k,
+            in_bytes=hs_bytes / st.k,
+            out_bytes=hs_bytes / st.k,
+            units=hs_units / st.k,
             messages=2,
         )
 
@@ -225,62 +218,40 @@ class RecoveryRuntime:
 
         # 1) The new partner opens every connection of the slot.
         m = float(st.m_sp[cluster])
+        hs_bytes, hs_units = costs.handshake(m)
         self._charge_sp(
             cluster,
-            in_bytes=_HANDSHAKE_BYTES * m / st.k,
-            out_bytes=_HANDSHAKE_BYTES * m / st.k,
-            units=m * (_HANDSHAKE_SEND_UNITS + _HANDSHAKE_RECV_UNITS
-                       + 2.0 * _MUX * m) / st.k,
+            in_bytes=hs_bytes * m / st.k,
+            out_bytes=hs_bytes * m / st.k,
+            units=m * hs_units / st.k,
             messages=int(2 * m),
         )
         # 2) Index rebuild: every client of the cluster re-uploads its
         #    metadata to the new partner (the backfilled seat included).
         files = st.client_files[roster].astype(float)
-        join_bytes = (
-            constants.JOIN_MESSAGE_BASE + constants.FILE_METADATA_SIZE * files
-        )
+        join_bytes, join_units = costs.send_join(files, st.m_cl)
         st.cl_out[roster] += join_bytes
-        st.cl_proc[roster] += (
-            costs.SEND_JOIN_BASE + costs.SEND_JOIN_PER_FILE * files
-            + _MUX * st.m_cl
-        )
+        st.cl_proc[roster] += join_units
         self._count_client_repair(
             bytes_total=float(join_bytes.sum()),
-            units_total=float(
-                roster.size * (costs.SEND_JOIN_BASE + _MUX * st.m_cl)
-                + costs.SEND_JOIN_PER_FILE * files.sum()
-            ),
+            units_total=float(join_units.sum()),
             messages=int(roster.size),
         )
         self._charge_sp(
             cluster,
             in_bytes=float(join_bytes.sum()) / st.k,
-            units=(
-                roster.size * (costs.RECV_JOIN_BASE + costs.PROCESS_JOIN_BASE
-                               + _MUX * m)
-                + (costs.RECV_JOIN_PER_FILE + costs.PROCESS_JOIN_PER_FILE)
-                * float(files.sum())
-            ) / st.k,
+            units=costs.reindex_units(roster.size, float(files.sum()), m) / st.k,
             messages=int(roster.size),
         )
         # 3) k > 1: exchange indexes with the surviving fellows.
         fellows = int(rt.live[cluster])
         if fellows > 0:
-            own_join = (
-                constants.JOIN_MESSAGE_BASE
-                + constants.FILE_METADATA_SIZE * promoted_files
-            )
+            own_join, units = costs.exchange_join(promoted_files, m)
             self._charge_sp(
                 cluster,
                 in_bytes=fellows * own_join / st.k,
                 out_bytes=fellows * own_join / st.k,
-                units=fellows * (
-                    costs.SEND_JOIN_BASE + costs.SEND_JOIN_PER_FILE * promoted_files
-                    + costs.RECV_JOIN_BASE + costs.RECV_JOIN_PER_FILE * promoted_files
-                    + 2.0 * _MUX * m
-                    + costs.PROCESS_JOIN_BASE
-                    + costs.PROCESS_JOIN_PER_FILE * promoted_files
-                ) / st.k,
+                units=fellows * units / st.k,
                 messages=2 * fellows,
             )
         rt.revive(cluster, partner)
@@ -334,29 +305,18 @@ class RecoveryRuntime:
             target = int(target)
             lv = int(rt.live[target])
             f = float(st.client_files[idx])
-            join_bytes = (
-                constants.JOIN_MESSAGE_BASE + constants.FILE_METADATA_SIZE * f
-            )
+            join_bytes, send_units = costs.send_join(f, st.m_cl)
             st.cl_out[idx] += lv * join_bytes
-            st.cl_proc[idx] += lv * (
-                costs.SEND_JOIN_BASE + costs.SEND_JOIN_PER_FILE * f
-                + _MUX * st.m_cl
-            )
+            st.cl_proc[idx] += lv * send_units
             self._count_client_repair(
                 bytes_total=lv * join_bytes,
-                units_total=lv * (costs.SEND_JOIN_BASE
-                                  + costs.SEND_JOIN_PER_FILE * f
-                                  + _MUX * st.m_cl),
+                units_total=lv * send_units,
                 messages=lv,
             )
             self._charge_sp(
                 target,
                 in_bytes=join_bytes,
-                units=(
-                    costs.RECV_JOIN_BASE + costs.RECV_JOIN_PER_FILE * f
-                    + _MUX * float(st.m_sp[target])
-                    + costs.PROCESS_JOIN_BASE + costs.PROCESS_JOIN_PER_FILE * f
-                ),
+                units=costs.recv_index_join(f, float(st.m_sp[target]))[1],
                 messages=lv,
             )
         self.rehomed_any = True
@@ -422,13 +382,12 @@ class RecoveryRuntime:
             # Each endpoint's k partners open connections to the k
             # partners across the new link.
             for c in (u, v):
-                m = float(st.m_sp[c])
+                hs_bytes, hs_units = costs.handshake(float(st.m_sp[c]))
                 self._charge_sp(
                     c,
-                    in_bytes=_HANDSHAKE_BYTES * st.k / st.k,
-                    out_bytes=_HANDSHAKE_BYTES * st.k / st.k,
-                    units=st.k * (_HANDSHAKE_SEND_UNITS + _HANDSHAKE_RECV_UNITS
-                                  + 2.0 * _MUX * m) / st.k,
+                    in_bytes=hs_bytes * st.k / st.k,
+                    out_bytes=hs_bytes * st.k / st.k,
+                    units=st.k * hs_units / st.k,
                     messages=2 * st.k,
                 )
                 st.m_sp[c] += st.k

@@ -25,13 +25,9 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro import constants
 from repro.config import Configuration, GraphType
 from repro.core import costs
-from repro.core.load import (
-    _HANDSHAKE_BYTES, _QUERY_BYTES, _Accumulator, _handshake_units,
-    charge_block, evaluate_instance,
-)
+from repro.core.load import _Accumulator, charge_block, evaluate_instance
 from repro.core.routing import flood_block
 from repro.obs.attribution import (
     ACTIONS,
@@ -139,14 +135,12 @@ def _scalar_attribution(graph, sources, ttl, w, origin, m_sp, direct):
             for h in np.unique(hop):
                 tables[action, resource, int(h)] += np.where(hop == h, amounts, 0.0)
 
-        send = costs.send_query(m_sp, prop.transmissions)
-        recv = costs.recv_query(m_sp, prop.receipts)
-        probe = costs.process_query(prop.reached * origin[2], prop.reached)
-        charge("query", "out_bw", rate * send.outgoing_bytes)
-        charge("query", "in_bw", rate * recv.incoming_bytes)
-        charge("query", "proc", rate * (send.processing_units
-                                        + recv.processing_units
-                                        + probe.processing_units))
+        send_bytes, send_units = costs.send_query(m_sp, prop.transmissions)
+        recv_bytes, recv_units = costs.recv_query(m_sp, prop.receipts)
+        probe_units = costs.process_query(prop.reached * origin[2], prop.reached)
+        charge("query", "out_bw", rate * send_bytes)
+        charge("query", "in_bw", rate * recv_bytes)
+        charge("query", "proc", rate * (send_units + recv_units + probe_units))
         out, inc = np.zeros((3, n)), np.zeros((3, n))
         for c in range(3):
             weights = np.where(prop.reached, origin[c], 0.0)
@@ -156,28 +150,25 @@ def _scalar_attribution(graph, sources, ttl, w, origin, m_sp, direct):
             else:
                 out[c], inc[c] = scalar_fold(prop, weights)
                 out[c, s] = 0.0
-        out_bytes, out_units = costs.response_costs(*out, m_sp, send=True)
-        in_bytes, in_units = costs.response_costs(*inc, m_sp, send=False)
-        handshakes = rate * (out[0] + inc[0]) if direct else np.zeros(n)
-        charge("response", "out_bw", handshakes * _HANDSHAKE_BYTES + rate * out_bytes)
-        charge("response", "in_bw", handshakes * _HANDSHAKE_BYTES + rate * in_bytes)
-        charge("response", "proc", handshakes * _handshake_units(m_sp)
-               + rate * (out_units + in_units))
+        out_bytes, out_units = costs.send_response(*out, m_sp)
+        in_bytes, in_units = costs.recv_response(*inc, m_sp)
+        hs_bytes, hs_units = costs.handshake(
+            m_sp, rate * (out[0] + inc[0]) if direct else np.zeros(n))
+        charge("response", "out_bw", hs_bytes + rate * out_bytes)
+        charge("response", "in_bw", hs_bytes + rate * in_bytes)
+        charge("response", "proc", hs_units + rate * (out_units + in_units))
 
         forwarder = (prop.depth >= 0) & (prop.depth < ttl)
         live = forwarder[tails] & (prop.pred[tails] != heads)
         edges["flood_messages"][live] += rate
-        edges["flood_bytes"][live] += rate * _QUERY_BYTES
+        edges["flood_bytes"][live] += rate * costs.send_query(0.0)[0]
         if direct:
             continue
         for v in np.nonzero((prop.depth > 0) & (out[0] > 0))[0]:
             e = np.nonzero((tails == v) & (heads == prop.pred[v]))[0][0]
             edges["response_messages"][e] += rate * out[0, v]
-            edges["response_bytes"][e] += rate * (
-                constants.RESPONSE_MESSAGE_BASE * out[0, v]
-                + constants.RESPONSE_ADDRESS_SIZE * out[1, v]
-                + constants.RESULT_RECORD_SIZE * out[2, v]
-            )
+            edges["response_bytes"][e] += rate * costs.send_response(
+                *out[:, v], 0.0)[0]
     return tables, edges
 
 

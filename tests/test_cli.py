@@ -152,6 +152,23 @@ class TestConfigFile:
         assert_usage_error(capsys, [*SMALL, "analyze", "--config", path],
                            "unknown configuration fields")
 
+    def test_ttl_from_flag_file_or_overlay_default(self, tmp_path):
+        """A TTL comes from ``--ttl``, else the file, else the overlay:
+        1 on a strong overlay (the paper's Figs. 4-6), 7 on a power-law."""
+        from repro.cli import _config_from_args
+
+        def ttl(*argv):
+            return _config_from_args(build_parser().parse_args(["analyze", *argv])).ttl
+
+        assert ttl("--strong", "--ttl", "4") == 4
+        path = self.config_path(tmp_path, {"graph_type": "strong", "ttl": 3})
+        assert ttl("--config", path) == 3
+        assert ttl("--strong", "--config", path) == 3
+        assert ttl("--strong") == 1
+        path = self.config_path(tmp_path, {"graph_type": "strong"})
+        assert ttl("--config", path) == 1
+        assert ttl() == 7
+
     def test_missing_config_file(self, capsys):
         with pytest.raises(SystemExit, match="cannot read config file"):
             run_cli(capsys, *SMALL, "analyze", "--config", "/no/such/file.json")

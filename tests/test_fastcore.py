@@ -40,10 +40,7 @@ from hypothesis import given, settings, strategies as st
 
 from repro.config import Configuration, GraphType
 from repro.core import costs
-from repro.core.load import (
-    _HANDSHAKE_BYTES, _HANDSHAKE_RECV_UNITS, _HANDSHAKE_SEND_UNITS,
-    _Accumulator, charge_block,
-)
+from repro.core.load import _Accumulator, charge_block
 from repro.core.routing import fold_to_sources, propagate_query
 from repro.querymodel.distributions import default_query_model
 from repro.sim import network
@@ -170,13 +167,12 @@ def _scalar_charges(graph, sources, ttl, w, origin, m_sp, direct):
     q_out, q_in, q_proc = np.zeros(n), np.zeros(n), np.zeros(n)
     for s, rate in zip(sources, w):
         prop = scalar_flood(graph, int(s), ttl)
-        send = costs.send_query(m_sp, prop.transmissions)
-        recv = costs.recv_query(m_sp, prop.receipts)
-        probe = costs.process_query(prop.reached * origin[2], prop.reached)
-        q_out += rate * send.outgoing_bytes
-        q_in += rate * recv.incoming_bytes
-        q_proc += rate * (send.processing_units + recv.processing_units
-                          + probe.processing_units)
+        send_bytes, send_units = costs.send_query(m_sp, prop.transmissions)
+        recv_bytes, recv_units = costs.recv_query(m_sp, prop.receipts)
+        probe_units = costs.process_query(prop.reached * origin[2], prop.reached)
+        q_out += rate * send_bytes
+        q_in += rate * recv_bytes
+        q_proc += rate * (send_units + recv_units + probe_units)
         out, inc = np.zeros((3, n)), np.zeros((3, n))
         for c in range(3):
             weights = np.where(prop.reached, origin[c], 0.0)
@@ -187,13 +183,12 @@ def _scalar_charges(graph, sources, ttl, w, origin, m_sp, direct):
                 out[c], inc[c] = scalar_fold(prop, weights)
                 out[c, s] = 0.0
         if direct:
-            handshakes = rate * (out[0] + inc[0])
-            q_out += handshakes * _HANDSHAKE_BYTES
-            q_in += handshakes * _HANDSHAKE_BYTES
-            q_proc += handshakes * (_HANDSHAKE_SEND_UNITS + _HANDSHAKE_RECV_UNITS
-                                    + 2.0 * costs.MULTIPLEX_PER_CONNECTION * m_sp)
-        out_bytes, out_units = costs.response_costs(*out, m_sp, send=True)
-        in_bytes, in_units = costs.response_costs(*inc, m_sp, send=False)
+            hs_bytes, hs_units = costs.handshake(m_sp, rate * (out[0] + inc[0]))
+            q_out += hs_bytes
+            q_in += hs_bytes
+            q_proc += hs_units
+        out_bytes, out_units = costs.send_response(*out, m_sp)
+        in_bytes, in_units = costs.recv_response(*inc, m_sp)
         q_out += rate * out_bytes
         q_in += rate * in_bytes
         q_proc += rate * (out_units + in_units)

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.config import Configuration, GraphType
-from repro.core.costs import CostVector
+from repro.core import costs
 from repro.core.load import evaluate_instance
 from repro.core.routing import propagate_query
 from repro.querymodel.distributions import make_query_model
@@ -18,8 +18,6 @@ from repro.topology.graph import OverlayGraph
 from repro.topology.plod import plod_graph
 
 # --- strategies ---------------------------------------------------------------
-
-finite = st.floats(min_value=0.0, max_value=1e9, allow_nan=False)
 
 
 @st.composite
@@ -99,24 +97,43 @@ def test_accumulated_weight_all_arrives(graph, seed_source):
     assert np.all(forwarded[~prop.reached] == 0.0)
 
 
-# --- cost algebra ------------------------------------------------------------------
+# --- cost model ------------------------------------------------------------------
+
+counts = st.floats(min_value=0.0, max_value=1e4, allow_nan=False)
 
 
-@given(finite, finite, finite, finite, finite, finite)
-def test_cost_vector_addition_componentwise(a1, a2, a3, b1, b2, b3):
-    a, b = CostVector(a1, a2, a3), CostVector(b1, b2, b3)
-    total = a + b
-    assert total.incoming_bytes == a1 + b1
-    assert total.outgoing_bytes == a2 + b2
-    assert total.processing_units == a3 + b3
+@given(counts, counts, counts)
+def test_composite_costs_add_their_rows(files, dropped, m):
+    """A composite event costs the sum of its Table 2 rows (up to the
+    rounding of its own term order)."""
+    def close(got, want):
+        assert got == pytest.approx(want, rel=1e-12, abs=1e-12)
+
+    close(costs.handshake(m)[1], costs.send_empty(m)[1] + costs.recv_empty(m)[1])
+    close(costs.recv_index_join(files, m)[1],
+          costs.recv_join(files, m)[1] + costs.process_join(files))
+    close(costs.exchange_join(files, m, dropped=dropped)[1],
+          costs.send_join(files, m)[1] + costs.recv_join(files, m)[1]
+          + costs.process_join(files) + costs.process_join(dropped))
+    close(costs.exchange_update(m)[1],
+          costs.send_update(m)[1] + costs.recv_update(m)[1] + costs.process_update())
+    close(costs.reindex_units(1, files, m),
+          costs.recv_join(files, m)[1] + costs.process_join(files))
 
 
-@given(finite, finite, finite, st.floats(0, 1e4, allow_nan=False))
-def test_cost_vector_scaling_distributes(x, y, z, factor):
-    v = CostVector(x, y, z)
-    scaled = v * factor
-    assert scaled.incoming_bytes == pytest.approx(x * factor)
-    assert scaled.total_bytes == pytest.approx((x + y) * factor)
+@given(counts, counts, st.floats(min_value=0.0, max_value=1e4, allow_nan=False))
+def test_cost_rows_scale_linearly(files, m, n):
+    """``n`` messages carrying ``n`` times the payload cost ``n`` times one."""
+    for many, one in (
+        (costs.send_query(m, n), costs.send_query(m)),
+        (costs.recv_update(m, n), costs.recv_update(m)),
+        (costs.send_join(n * files, m, n), costs.send_join(files, m)),
+        (costs.recv_index_join(n * files, m, n), costs.recv_index_join(files, m)),
+        (costs.handshake(m, n), costs.handshake(m)),
+        (costs.recv_response(n, n * files, n * files, m),
+         costs.recv_response(1.0, files, files, m)),
+    ):
+        assert many == pytest.approx(tuple(n * v for v in one), rel=1e-12, abs=1e-9)
 
 
 # --- query model properties -----------------------------------------------------------
