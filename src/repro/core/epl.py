@@ -27,10 +27,6 @@ import numpy as np
 from ..stats.rng import derive_rng
 from .routing import DEFAULT_BLOCK, flood_block
 
-#: Depth bound standing in for "no TTL" when exploring the full graph.
-_FULL_DEPTH = 64
-
-
 def _sample_sources(graph, num_sources: int | None, rng) -> np.ndarray:
     n = graph.num_nodes
     if num_sources is None or num_sources >= n:
@@ -65,10 +61,11 @@ def measure_epl(
         raise ValueError(
             f"desired reach {reach} exceeds the {graph.num_nodes}-node overlay"
         )
+    full_depth = graph.num_nodes - 1  # no BFS goes deeper: unbounded
     epls = []
-    for fb in _floods(graph, _FULL_DEPTH, num_sources, rng):
+    for fb in _floods(graph, full_depth, num_sources, rng):
         # Unreached nodes sort last; the source (the only depth 0) first.
-        depths = np.sort(np.where(fb.reached, fb.depth, _FULL_DEPTH + 1), axis=1)
+        depths = np.sort(np.where(fb.reached, fb.depth, full_depth + 1), axis=1)
         # Sources in a component smaller than the reach are skipped.
         covered = fb.reach() >= reach
         epls.extend(depths[covered, 1:reach].mean(axis=1).tolist())

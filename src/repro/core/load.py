@@ -462,7 +462,7 @@ def charge_block(
     """
     src = fb.sources
     rows = np.arange(src.size)
-    resp = np.where(fb.reached, origin[:, np.newaxis, :], 0.0)
+    resp = origin[:, np.newaxis, :] * fb.reached  # origins are finite, >= 0
     resp[:, rows, src] = 0.0
     if direct:
         sent = resp

@@ -17,7 +17,8 @@ Flooding semantics (baseline Gnutella search, Section 3.1):
 :func:`flood_block` is the one flood kernel: it runs a block of sources at
 once, and every caller — the mean-value analysis (``core.load``), both
 simulators, the fault layer's lossy floods (through its ``deliver`` hook),
-EPL measurement and the search protocols — goes through it.
+EPL measurement and the search protocols — goes through it.  Fault-free,
+it subtracts the back edges to predecessors once per block, not per edge.
 :func:`fold_to_sources` is the one reverse-path accumulator, charging
 Response forwarding costs on every node along each responder's path back
 to the source (optionally severed per hop).
@@ -33,7 +34,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ..topology.graph import OverlayGraph
 from ..topology.strong import CompleteGraph
 
 #: Sources per :func:`flood_block` call in both engines: large enough to
@@ -149,33 +149,20 @@ class FloodBlock:
         )
 
 
-def _out_edges(
-    graph: OverlayGraph, nodes: np.ndarray
-) -> tuple[np.ndarray, np.ndarray]:
-    """(counts, heads): each node's out-degree and the heads of all its
-    out-edges, node by node in CSR order."""
-    starts = graph.indptr[nodes]
-    counts = graph.indptr[nodes + 1] - starts
-    ends = counts.cumsum()
-    total = int(ends[-1]) if ends.size else 0
-    # Gather CSR slices without a Python loop: offsets[j] walks each
-    # node's adjacency range consecutively.  (Array methods rather than
-    # np.* wrappers throughout the kernel: one-row floods on small
-    # overlays are dominated by per-call overhead.)
-    offsets = np.arange(total, dtype=np.int64) + (starts - (ends - counts)).repeat(counts)
-    return counts, graph.indices[offsets]
-
-
 def flood_block(graph, sources, ttl: int, deliver=None) -> FloodBlock:
     """Batched BFS floods from ``sources``, one :class:`FloodBlock` row each.
 
     Frontier-sparse: the block's frontier is a sorted array of flat keys
     ``row * n + node``, and each hop gathers from the CSR only the
-    out-edges of those ``(row, node)`` pairs.  Every gathered edge not
-    pointing back to its sender's predecessor is one receipt at its head.
-    Heads not yet reached in their row join the next depth, and their
-    predecessor is the minimum-id sender among the edges reaching them —
-    the first writer, since frontiers are ascending.
+    out-edges of those ``(row, node)`` pairs.  Every gathered edge is one
+    receipt at its head, the edge back to the sender's predecessor too:
+    that head is already reached, so it never joins the next depth.  Once
+    per block, each non-source forwarder's one back edge (the overlay is
+    simple) is subtracted from its predecessor's receipts; all counts are
+    integer-valued floats, so this is exact.  Heads not yet reached in
+    their row join the next depth, and their predecessor is the minimum-id
+    sender among the edges reaching them — the first writer, since
+    frontiers are ascending.
 
     ``deliver(senders, heads) -> bool mask``, when given, is called once
     per hop on that hop's non-back edges (frontier-ascending, CSR order)
@@ -198,6 +185,8 @@ def flood_block(graph, sources, ttl: int, deliver=None) -> FloodBlock:
         graph = graph.materialize()
     b = sources.size
     rows = np.arange(b, dtype=np.int64)
+    indptr = graph.indptr
+    degrees = indptr[1:] - indptr[:-1]
 
     depth = np.full(b * n, -1, dtype=np.int64)
     pred = depth.copy()
@@ -207,29 +196,40 @@ def flood_block(graph, sources, ttl: int, deliver=None) -> FloodBlock:
     for d in range(ttl):
         # One row: keys are node ids, so no row arithmetic is needed.
         nodes = frontier if b == 1 else frontier % n
-        counts, heads = _out_edges(graph, nodes)
-        if heads.size == 0:
+        counts = degrees[nodes]
+        ends = counts.cumsum()
+        total = int(ends[-1]) if ends.size else 0
+        if total == 0:
             break
+        # The frontier's CSR slices, consecutively.  (Array methods, not
+        # np.* wrappers: per-call overhead dominates one-row floods.)
+        heads = graph.indices[np.arange(total, dtype=np.int64)
+                              + (indptr[nodes] - ends + counts).repeat(counts)]
         keys = heads if b == 1 else (frontier - nodes).repeat(counts) + heads
         senders = nodes.repeat(counts)
-        # Every frontier node forwards (d < ttl) to all but its sender.
-        live = heads != pred[frontier].repeat(counts)
         if deliver is not None:
-            live[live] = deliver(senders[live], heads[live])
-        keys, senders = keys[live], senders[live]
+            # Every frontier node forwards (d < ttl) to all but its sender.
+            live = (heads != pred[frontier].repeat(counts)).nonzero()[0]
+            live = live[deliver(senders[live], heads[live])]
+            keys, senders = keys[live], senders[live]
         np.add.at(receipts, keys, 1.0)
-        fresh = depth[keys] == -1
-        keys, senders = keys[fresh], senders[fresh]
-        if keys.size == 0:
+        # A back edge lands on a reached node, so it is never fresh.
+        fresh = (depth[keys] == -1).nonzero()[0]
+        if fresh.size == 0:
             break
+        keys, senders = keys[fresh], senders[fresh]
         depth[keys] = d + 1
         pred[keys] = n  # above every node id, so the minimum is a sender
         np.minimum.at(pred, keys, senders)
         frontier = (depth == d + 1).nonzero()[0]
+    if deliver is None:
+        # Receipts above include each non-source forwarder's back edge to
+        # its predecessor: take those out, one per forwarder.
+        back = ((depth > 0) & (depth < ttl)).nonzero()[0]
+        np.add.at(receipts, back - back % n + pred[back], -1.0)
     depth = depth.reshape(b, n)
     pred = pred.reshape(b, n)
 
-    degrees = (graph.indptr[1:] - graph.indptr[:-1]).astype(np.float64)
     forwarder = (depth >= 0) & (depth < ttl)
     transmissions = np.where(forwarder, degrees[np.newaxis, :] - 1.0, 0.0)
     transmissions[rows, sources] = degrees[sources]

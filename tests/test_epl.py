@@ -2,6 +2,7 @@
 
 import math
 
+import numpy as np
 import pytest
 
 from repro.core.epl import (
@@ -48,6 +49,17 @@ class TestMeasureEpl:
         small = measure_epl(g, reach=50, num_sources=24, rng=0)
         large = measure_epl(g, reach=600, num_sources=24, rng=0)
         assert large > small
+
+    def test_bfs_is_unbounded_on_a_long_path(self):
+        # A 200-node path has diameter 199: from an end, the 150 nearest
+        # nodes lie up to 149 hops away, and every source can cover them.
+        g = path_graph(200)
+        expected = np.mean([
+            np.mean(sorted(abs(v - s) for v in range(200) if v != s)[:149])
+            for s in range(200)
+        ])
+        epl = measure_epl(g, 150, num_sources=None)
+        assert epl == pytest.approx(expected, rel=1e-12)
 
     def test_invalid_reach(self):
         g = ring_graph(10)

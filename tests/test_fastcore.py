@@ -9,6 +9,9 @@ structural invariants on hypothesis-generated graphs:
   equals the scalar BFS's, for every source, and for any block of
   sources: shuffled, duplicated, empty, or isolated; with dead relays
   (``propagate_query(blocked=)``, the kernel's ``deliver`` hook) too;
+* **receipt paths** — delivering every edge through ``deliver`` equals
+  the fault-free path field for field; delivering none reaches only the
+  sources;
 * **K_n dispatch** — the closed form the kernel takes on a
   ``CompleteGraph`` equals the BFS over the materialized graph;
 * **batched reverse-path fold** — ``fold_to_sources`` equals the scalar
@@ -121,6 +124,35 @@ def test_blocked_rows_match_scalar_kernel(graph, ttl, seed):
         _assert_same_flood(prop, scalar_flood(graph, s, ttl, blocked=blocked))
         if blocked[s]:
             assert prop.reach == 0 and prop.transmissions.sum() == 0
+
+
+@settings(max_examples=60, deadline=None)
+@given(block=_source_blocks(), ttl=_TTLS)
+def test_deliver_hook_extremes_match_the_fault_free_path(block, ttl):
+    """Both receipt paths agree: delivering every edge equals the
+    fault-free kernel (which counts receipts over all gathered edges and
+    takes out the back edges once per block) field for field, and
+    delivering none reaches only the sources, which still send to every
+    neighbor."""
+    graph, sources = block
+    fb = flood_block(graph, sources, ttl)
+    every = flood_block(graph, sources, ttl,
+                        lambda senders, heads: np.ones(heads.size, dtype=bool))
+    for name in ("sources", "depth", "pred", "transmissions", "receipts"):
+        want, got = getattr(fb, name), getattr(every, name)
+        assert got.dtype == want.dtype and np.array_equal(got, want), name
+
+    none = flood_block(graph, sources, ttl,
+                       lambda senders, heads: np.zeros(heads.size, dtype=bool))
+    rows = np.arange(sources.size)
+    at_sources = np.zeros((sources.size, graph.num_nodes), dtype=bool)
+    at_sources[rows, sources] = True
+    assert np.array_equal(none.reached, at_sources)
+    assert np.all(none.pred == -1)
+    assert np.all(none.receipts == 0.0)
+    degrees = np.diff(graph.indptr).astype(float)
+    assert np.array_equal(none.transmissions,
+                          np.where(at_sources, degrees[sources][:, np.newaxis], 0.0))
 
 
 @settings(max_examples=60, deadline=None)
