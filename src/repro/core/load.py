@@ -149,14 +149,15 @@ class _Accumulator:
             for h, share in shares:
                 self.attribution.add(space, action, resource, share, h)
 
-    def add_flood(self, price, fb: FloodBlock, w: np.ndarray, flows,
-                  at_source: np.ndarray, response_flow) -> None:
+    def add_flood(self, price, fb: FloodBlock, w: np.ndarray, totals,
+                  flows, at_source: np.ndarray, response_flow) -> None:
         """Charge one flood block to the cluster query space.
 
-        ``flows`` are per-(row, node) quantities, each ``(..., b, n)``;
-        ``price(add, *totals, at_source)`` turns their row sums at rates
-        ``w`` (``w @ flow``) into charges through ``add(action, resource,
-        amounts)``.  With attribution on, ``price`` runs once more on each
+        ``totals`` are a block's flows summed over rows at rates ``w``,
+        each ``(..., n)``; ``price(add, *totals, at_source)`` turns them
+        into charges through ``add(action, resource, amounts)``.  With
+        attribution on, ``flows()`` returns the per-(row, node) flows
+        themselves, each ``(..., b, n)``; ``price`` runs once more on each
         flow split by BFS depth, ``(..., H, n)`` with ``at_source`` at hop
         0, and the flood edges and the Response edges of ``response_flow``
         (``None``: Responses skip the overlay) are attributed too.
@@ -165,7 +166,7 @@ class _Accumulator:
             arr = getattr(self, _ARRAYS["q", resource])
             arr += amounts
 
-        price(to_arrays, *(w @ flow for flow in flows), at_source)
+        price(to_arrays, *totals, at_source)
         if self.attribution is None:
             return
         att = self.attribution
@@ -188,7 +189,7 @@ class _Accumulator:
 
         at_hops = np.zeros(at_source.shape[:-1] + (num_hops, n))
         at_hops[..., 0, :] = at_source
-        price(to_attribution, *(by_hop(flow) for flow in flows), at_hops)
+        price(to_attribution, *(by_hop(flow) for flow in flows()), at_hops)
         att.add_edges(fb, w, response_flow)
 
 
@@ -443,7 +444,7 @@ def _response_triple(exp: ClusterExpectations) -> tuple[np.ndarray, np.ndarray, 
 
 def charge_block(
     fb: FloodBlock, w: np.ndarray, origin: np.ndarray, m_sp: np.ndarray,
-    acc: _Accumulator, direct: bool = False,
+    acc: _Accumulator, direct: bool = False, edges=None,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Charge a block of fault-free floods to ``acc`` (Section 4.1, Eqs. 1-2).
 
@@ -454,25 +455,51 @@ def charge_block(
     the probe at every reached node (source included) and the Responses
     of every reached node but the source: folded up the reverse path, or
     with ``direct`` one hop each plus a connection handshake pair (the
-    Section 3.1 alternative).
+    Section 3.1 alternative).  ``edges`` is the overlay's
+    ``directed_edge_arrays()``, for callers that charge many blocks.
 
-    Returns channel-major ``(resp, sent, arrived)``: what each node
-    originates (3, b, n), what it ships toward the source (3, b, n; zero
-    at the source) and what reaches each source (3, b).
+    Sends and receipts are summed over rows straight from the BFS tree,
+    with ``S`` the rate of the rows each node is the source of and ``F =
+    w @ (0 < depth < ttl)`` the rate at which it forwards: a node sends
+    ``deg S + (deg - 1) F``, and receives its neighbours' ``S + F`` less
+    what its forwarding children do not send back.  Responses live in one
+    ``(3, b, n)`` buffer, folded in place over the block's levels.
+
+    Returns ``(sent, arrived, sends)``: what each node ships toward the
+    source (3, b, n, channel-major; zero at the source), what reaches
+    each source (3, b), and the rate-weighted query sends per node (n,).
     """
     src = fb.sources
-    rows = np.arange(src.size)
-    resp = origin[:, np.newaxis, :] * fb.reached  # origins are finite, >= 0
-    resp[:, rows, src] = 0.0
+    b, n = fb.depth.shape
+    rows = np.arange(b)
+    reached = fb.reached
+    sent = origin[:, np.newaxis, :] * reached  # origins are finite, >= 0
+    sent[:, rows, src] = 0.0
+    originated = w @ sent
     if direct:
-        sent = resp
-        arrived = resp.sum(axis=2)
+        arrived = sent.sum(axis=2)
     else:
-        sent = fold_to_sources(fb.depth, fb.pred, resp)
+        fold_to_sources(fb.levels, fb.pred, sent)
         arrived = sent[:, rows, src]
         sent[:, rows, src] = 0.0
     at_source = np.zeros_like(origin)
     np.add.at(at_source.T, src, (w * arrived).T)
+
+    # Rates at which each node floods as a source (to all ``deg``
+    # neighbours) and forwards (to all but its predecessor).
+    as_source = np.bincount(src, weights=w, minlength=n)
+    forwarding = w @ ((fb.depth > 0) & (fb.depth < fb.ttl))
+    sends = (fb.degrees - 1.0) * forwarding + fb.degrees * as_source
+    # Non-source forwarders (the forwarder keys after the b sources) do
+    # not send back to their predecessors.
+    back = np.concatenate(fb.levels[:fb.ttl])[b:]
+    skipped = np.bincount(fb.pred.reshape(-1)[back], weights=w[back // n],
+                          minlength=n)
+    receipts = (_neighbor_sum(fb.graph, as_source + forwarding, edges)
+                - skipped)
+    out = w @ sent
+    totals = (sends, receipts, w @ reached, out, out - originated)
+
     # One query send, receipt, index probe and handshake pair per node,
     # scaled by the flows below.
     tx_bytes, tx_units = costs.send_query(m_sp)
@@ -502,9 +529,14 @@ def charge_block(
         add("response", "in_bw", in_bytes)
         add("response", "proc", in_units)
 
-    flows = (fb.transmissions, fb.receipts, fb.reached, sent, sent - resp)
-    acc.add_flood(price, fb, w, flows, at_source, None if direct else sent)
-    return resp, sent, arrived
+    def flows():  # the dense per-row flows, for attribution only
+        resp = origin[:, np.newaxis, :] * reached
+        resp[:, rows, src] = 0.0
+        return fb.transmissions, fb.receipts, reached, sent, sent - resp
+
+    acc.add_flood(price, fb, w, totals, flows, at_source,
+                  None if direct else sent)
+    return sent, arrived, sends
 
 
 def _accumulate_queries_bfs(
@@ -528,21 +560,23 @@ def _accumulate_queries_bfs(
     users, q_rates, _ = _cluster_rates(instance)
     origin = np.stack(_response_triple(exp))  # (3, n) msgs/addr/res
     direct = response_mode == "direct"
+    edges = graph.directed_edge_arrays()
 
     for start in range(0, sources.size, DEFAULT_BLOCK):
         src = sources[start:start + DEFAULT_BLOCK]
         fb = flood_block(graph, src, ttl)
         w = q_rates[src] * scale
-        resp, sent, arrived = charge_block(fb, w, origin, m_sp, acc, direct)
+        sent, arrived, _ = charge_block(fb, w, origin, m_sp, acc, direct, edges)
 
-        # Per-source outcomes.
-        total_msgs = resp[0].sum(axis=1)
+        # Per-source outcomes.  A Response is shipped once per hop of its
+        # path, so what a row's nodes ship sums its Responses' hops.
+        total_msgs = arrived[0]
         if direct:
             # Every response travels one direct hop.
             per_source.epl[src] = (total_msgs > 0).astype(float)
         else:
             per_source.epl[src] = np.divide(
-                (fb.depth * resp[0]).sum(axis=1), total_msgs,
+                sent[0].sum(axis=1), total_msgs,
                 out=np.zeros(src.size), where=total_msgs > 0,
             )
         per_source.reach_clusters[src] = fb.reach()
@@ -688,15 +722,16 @@ def _cluster_sum(values: np.ndarray, instance: NetworkInstance) -> np.ndarray:
     return sums
 
 
-def _neighbor_sum(instance: NetworkInstance, values: np.ndarray) -> np.ndarray:
-    """For each cluster, the sum of ``values`` over its overlay neighbours."""
-    graph = instance.graph
+def _neighbor_sum(graph, values: np.ndarray, edges=None) -> np.ndarray:
+    """For each cluster, the sum of ``values`` over its overlay neighbours.
+
+    ``edges`` is ``graph.directed_edge_arrays()`` when the caller already
+    has it; K_n never needs it.
+    """
     if isinstance(graph, CompleteGraph):
         return values.sum() - values
-    tails, heads = graph.directed_edge_arrays()
-    return np.bincount(
-        tails, weights=values[heads], minlength=instance.num_clusters
-    )
+    tails, heads = edges if edges is not None else graph.directed_edge_arrays()
+    return np.bincount(tails, weights=values[heads], minlength=graph.num_nodes)
 
 
 def _charge(acc: _Accumulator, space: str, action: str, resource: str,
@@ -755,7 +790,7 @@ def _accumulate_joins(instance: NetworkInstance, acc: _Accumulator) -> None:
         _add_handshakes(acc, "p", partner_rates * (k - 1) / k, m_sp)
     # * neighbouring clusters' partners (k handshakes per neighbouring
     #   cluster per join, i.e. one per partner there).
-    _add_handshakes(acc, "p", _neighbor_sum(instance, partner_rates), m_sp)
+    _add_handshakes(acc, "p", _neighbor_sum(instance.graph, partner_rates), m_sp)
 
     # Under redundancy, a joining partner also ships its own metadata to
     # its k-1 fellow partners (each partner holds the others' data too),

@@ -17,11 +17,13 @@ Flooding semantics (baseline Gnutella search, Section 3.1):
 :func:`flood_block` is the one flood kernel: it runs a block of sources at
 once, and every caller — the mean-value analysis (``core.load``), both
 simulators, the fault layer's lossy floods (through its ``deliver`` hook),
-EPL measurement and the search protocols — goes through it.  Fault-free,
-it subtracts the back edges to predecessors once per block, not per edge.
-:func:`fold_to_sources` is the one reverse-path accumulator, charging
-Response forwarding costs on every node along each responder's path back
-to the source (optionally severed per hop).
+EPL measurement and the search protocols — goes through it.  It keeps the
+BFS tree (depths, predecessors and the per-hop frontiers as ``levels``);
+fault-free, per-node transmissions and receipts are derived from that
+tree only when a caller reads them.  :func:`fold_to_sources` is the one
+reverse-path accumulator, charging Response forwarding costs on every
+node along each responder's path back to the source (optionally severed
+per hop), one level at a time.
 
 :class:`QueryPropagation` is one row of a :class:`FloodBlock`;
 :func:`propagate_query` is the one-source call (with optional dead
@@ -30,15 +32,16 @@ relays) the event engine makes per query.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
 from ..topology.strong import CompleteGraph
 
 #: Sources per :func:`flood_block` call in both engines: large enough to
-#: amortize numpy call overhead, small enough that the (3, block, nodes)
-#: response buffers stay cache- and memory-friendly at 50k-node scale.
+#: amortize numpy call overhead, small enough that the one (3, block,
+#: nodes) Response buffer a block is charged with stays cache- and
+#: memory-friendly at 50k-node scale.
 DEFAULT_BLOCK = 64
 
 
@@ -52,6 +55,13 @@ class QueryPropagation:
     pred: np.ndarray           # (n,) BFS predecessor (first sender); -1 at source/unreached
     transmissions: np.ndarray  # (n,) query messages sent by each node
     receipts: np.ndarray       # (n,) query messages received by each node
+    #: Reached node ids by BFS depth, ascending, one array per depth
+    #: (read off ``depth`` when not given).
+    levels: tuple = field(default=None, repr=False, compare=False)
+
+    def __post_init__(self) -> None:
+        if self.levels is None:
+            object.__setattr__(self, "levels", _depth_levels(self.depth))
 
     @classmethod
     def empty(cls, n: int, source: int, ttl: int) -> "QueryPropagation":
@@ -106,8 +116,8 @@ class QueryPropagation:
         if np.any(weights[~self.reached] != 0.0):
             raise ValueError("unreached nodes cannot carry response weight")
         return fold_to_sources(
-            self.depth[np.newaxis], self.pred[np.newaxis],
-            weights[np.newaxis, np.newaxis],
+            self.levels, self.pred[np.newaxis],
+            weights[np.newaxis, np.newaxis].copy(),
         )[0, 0]
 
     def response_path_lengths(self) -> np.ndarray:
@@ -121,16 +131,26 @@ class FloodBlock:
 
     Each row is independent of the others: the flood from ``sources[i]``
     with first-sender predecessors (the minimum-id frontier neighbor —
-    frontiers are ascending, so "first writer" is "lowest sender") and
-    per-node transmissions and receipts.
+    frontiers are ascending, so "first writer" is "lowest sender").
+    ``levels[d]`` holds the flat keys ``row * n + node`` of every node at
+    depth ``d``, ascending: the kernel's hop-``d`` frontier.
+
+    ``transmissions`` and ``receipts`` are read off the tree each time a
+    caller asks for them.  A forwarder (``depth < ttl``) sends ``deg - 1``
+    copies, ``deg`` at the source; a node receives one copy from each
+    forwarding neighbour except its forwarding children, which do not
+    send back to it.  A ``deliver``-hooked flood counts its receipts per
+    delivered edge instead (``delivered``), and K_n takes its closed form.
     """
 
     sources: np.ndarray        # (b,)
     ttl: int
     depth: np.ndarray          # (b, n) BFS depth; -1 if not reached
     pred: np.ndarray           # (b, n) first-sender predecessor; -1 at source/unreached
-    transmissions: np.ndarray  # (b, n) query messages sent by each node
-    receipts: np.ndarray       # (b, n) query messages received by each node
+    levels: tuple              # per depth 0..max, ascending flat keys row*n+node
+    degrees: np.ndarray        # (n,) overlay degrees
+    graph: object = field(repr=False)  # the overlay flooded
+    delivered: np.ndarray | None = field(default=None, repr=False)  # (b, n) counted receipts
 
     @property
     def reached(self) -> np.ndarray:
@@ -140,13 +160,65 @@ class FloodBlock:
         """Clusters reached per source (the paper's *reach*), (b,)."""
         return np.count_nonzero(self.reached, axis=1)
 
+    @property
+    def transmissions(self) -> np.ndarray:
+        """(b, n) query messages sent by each node."""
+        forwarder = self.reached & (self.depth < self.ttl)
+        transmissions = np.where(forwarder, self.degrees - 1.0, 0.0)
+        transmissions[np.arange(self.sources.size), self.sources] = \
+            self.degrees[self.sources]
+        return transmissions
+
+    @property
+    def receipts(self) -> np.ndarray:
+        """(b, n) query messages received by each node."""
+        if self.delivered is not None:
+            return self.delivered
+        b, n = self.depth.shape
+        if isinstance(self.graph, CompleteGraph):
+            return _complete_receipts(b, n, self.sources, self.ttl)
+        # Every out-edge of a forwarder (the levels below the TTL, the b
+        # sources first) carries a copy, except the one from each
+        # non-source forwarder back to its predecessor.
+        keys = np.concatenate(self.levels[:self.ttl])
+        back = self.pred.reshape(-1)[keys[b:]]
+        nodes = keys if b == 1 else keys % n
+        counts = self.degrees[nodes]
+        heads = _out_heads(self.graph, nodes, counts)
+        if b > 1:
+            bases = keys - nodes
+            heads = heads + bases.repeat(counts)
+            back = back + bases[b:]
+        received = (np.bincount(heads, minlength=b * n)
+                    - np.bincount(back, minlength=b * n))
+        return received.astype(float).reshape(b, n)
+
     def row(self, i: int) -> QueryPropagation:
-        """Row ``i`` as a one-source :class:`QueryPropagation` (views)."""
+        """Row ``i`` as a one-source :class:`QueryPropagation`."""
         return QueryPropagation(
             source=int(self.sources[i]), ttl=self.ttl,
             depth=self.depth[i], pred=self.pred[i],
             transmissions=self.transmissions[i], receipts=self.receipts[i],
+            # One row's keys are its node ids.
+            levels=self.levels if self.sources.size == 1 else None,
         )
+
+
+def _out_heads(graph, nodes: np.ndarray, counts: np.ndarray) -> np.ndarray:
+    """The CSR out-neighbours of ``nodes`` (``counts`` their degrees),
+    each node's slice in turn.  Array methods, not ``np.*`` wrappers:
+    per-call overhead dominates one-row floods."""
+    ends = counts.cumsum()
+    total = int(ends[-1]) if ends.size else 0
+    return graph.indices[np.arange(total, dtype=np.int64)
+                         + (graph.indptr[nodes] - ends + counts).repeat(counts)]
+
+
+def _depth_levels(depth: np.ndarray) -> tuple[np.ndarray, ...]:
+    """Flat keys of ``depth``'s entries at each depth 0..max, ascending."""
+    flat = depth.reshape(-1)
+    return tuple([(flat == d).nonzero()[0]
+                  for d in range(int(flat.max(initial=0)) + 1)])
 
 
 def flood_block(graph, sources, ttl: int, deliver=None) -> FloodBlock:
@@ -154,24 +226,22 @@ def flood_block(graph, sources, ttl: int, deliver=None) -> FloodBlock:
 
     Frontier-sparse: the block's frontier is a sorted array of flat keys
     ``row * n + node``, and each hop gathers from the CSR only the
-    out-edges of those ``(row, node)`` pairs.  Every gathered edge is one
-    receipt at its head, the edge back to the sender's predecessor too:
-    that head is already reached, so it never joins the next depth.  Once
-    per block, each non-source forwarder's one back edge (the overlay is
-    simple) is subtracted from its predecessor's receipts; all counts are
-    integer-valued floats, so this is exact.  Heads not yet reached in
+    out-edges of those ``(row, node)`` pairs.  Heads not yet reached in
     their row join the next depth, and their predecessor is the minimum-id
     sender among the edges reaching them — the first writer, since
-    frontiers are ascending.
+    frontiers are ascending.  The edge back to a sender's predecessor
+    lands on a reached node, so it never joins the next depth.  Each
+    frontier is kept as the block's ``levels``; fault-free, nothing is
+    counted per edge, since sends and receipts follow from the tree.
 
     ``deliver(senders, heads) -> bool mask``, when given, is called once
     per hop on that hop's non-back edges (frontier-ascending, CSR order)
-    and decides which of them arrive: receipts and new frontier nodes
-    count only delivered edges, while every forwarder still pays its
-    ``deg - 1`` transmissions (``deg`` at the source; exact because the
-    overlay is simple, so one out-edge leads back to the predecessor).
-    It models dead relays and per-hop loss.  Without it, K_n takes the
-    closed form.
+    and decides which of them arrive: receipts (counted per delivered
+    edge) and new frontier nodes count only delivered edges, while every
+    forwarder still pays its ``deg - 1`` transmissions (``deg`` at the
+    source; exact because the overlay is simple, so one out-edge leads
+    back to the predecessor).  It models dead relays and per-hop loss.
+    Without it, K_n takes the closed form.
     """
     n = graph.num_nodes
     if ttl < 1:
@@ -181,30 +251,25 @@ def flood_block(graph, sources, ttl: int, deliver=None) -> FloodBlock:
         raise IndexError(f"sources out of range [0, {n})")
     if isinstance(graph, CompleteGraph):
         if deliver is None:
-            return _complete_block(n, sources, ttl)
+            return _complete_block(graph, sources, ttl)
         graph = graph.materialize()
     b = sources.size
-    rows = np.arange(b, dtype=np.int64)
     indptr = graph.indptr
     degrees = indptr[1:] - indptr[:-1]
 
     depth = np.full(b * n, -1, dtype=np.int64)
     pred = depth.copy()
-    receipts = np.zeros(b * n)
-    frontier = rows * n + sources  # ascending: one key per row
+    receipts = None if deliver is None else np.zeros(b * n)
+    frontier = np.arange(b, dtype=np.int64) * n + sources  # one key per row
     depth[frontier] = 0
+    levels = [frontier]
     for d in range(ttl):
         # One row: keys are node ids, so no row arithmetic is needed.
         nodes = frontier if b == 1 else frontier % n
         counts = degrees[nodes]
-        ends = counts.cumsum()
-        total = int(ends[-1]) if ends.size else 0
-        if total == 0:
+        heads = _out_heads(graph, nodes, counts)
+        if heads.size == 0:
             break
-        # The frontier's CSR slices, consecutively.  (Array methods, not
-        # np.* wrappers: per-call overhead dominates one-row floods.)
-        heads = graph.indices[np.arange(total, dtype=np.int64)
-                              + (indptr[nodes] - ends + counts).repeat(counts)]
         keys = heads if b == 1 else (frontier - nodes).repeat(counts) + heads
         senders = nodes.repeat(counts)
         if deliver is not None:
@@ -212,8 +277,7 @@ def flood_block(graph, sources, ttl: int, deliver=None) -> FloodBlock:
             live = (heads != pred[frontier].repeat(counts)).nonzero()[0]
             live = live[deliver(senders[live], heads[live])]
             keys, senders = keys[live], senders[live]
-        np.add.at(receipts, keys, 1.0)
-        # A back edge lands on a reached node, so it is never fresh.
+            np.add.at(receipts, keys, 1.0)
         fresh = (depth[keys] == -1).nonzero()[0]
         if fresh.size == 0:
             break
@@ -222,25 +286,32 @@ def flood_block(graph, sources, ttl: int, deliver=None) -> FloodBlock:
         pred[keys] = n  # above every node id, so the minimum is a sender
         np.minimum.at(pred, keys, senders)
         frontier = (depth == d + 1).nonzero()[0]
-    if deliver is None:
-        # Receipts above include each non-source forwarder's back edge to
-        # its predecessor: take those out, one per forwarder.
-        back = ((depth > 0) & (depth < ttl)).nonzero()[0]
-        np.add.at(receipts, back - back % n + pred[back], -1.0)
-    depth = depth.reshape(b, n)
-    pred = pred.reshape(b, n)
-
-    forwarder = (depth >= 0) & (depth < ttl)
-    transmissions = np.where(forwarder, degrees[np.newaxis, :] - 1.0, 0.0)
-    transmissions[rows, sources] = degrees[sources]
+        levels.append(frontier)
     return FloodBlock(
-        sources=sources, ttl=int(ttl), depth=depth, pred=pred,
-        transmissions=transmissions, receipts=receipts.reshape(b, n),
+        sources=sources, ttl=int(ttl), depth=depth.reshape(b, n),
+        pred=pred.reshape(b, n), levels=tuple(levels), degrees=degrees,
+        graph=graph,
+        delivered=None if receipts is None else receipts.reshape(b, n),
     )
 
 
-def _complete_block(n: int, sources, ttl: int) -> FloodBlock:
-    """Closed-form :class:`FloodBlock` on K_n (no adjacency needed).
+def _complete_block(graph: CompleteGraph, sources, ttl: int) -> FloodBlock:
+    """Closed-form :class:`FloodBlock` on K_n (no adjacency needed): every
+    node but the source sits at depth 1, with the source as predecessor."""
+    n = graph.num_nodes
+    b = sources.size
+    rows = np.arange(b)
+    depth = np.ones((b, n), dtype=np.int64)
+    depth[rows, sources] = 0
+    pred = np.broadcast_to(sources[:, np.newaxis], (b, n)).copy()
+    pred[rows, sources] = -1
+    return FloodBlock(sources=sources, ttl=int(ttl), depth=depth, pred=pred,
+                      levels=_depth_levels(depth), degrees=graph.degrees,
+                      graph=graph)
+
+
+def _complete_receipts(b: int, n: int, sources, ttl: int) -> np.ndarray:
+    """Receipts of a K_n block.
 
     With TTL = 1 the source sends n-1 queries and every other node
     receives exactly one.  With TTL >= 2, every non-source node also
@@ -248,59 +319,45 @@ def _complete_block(n: int, sources, ttl: int) -> FloodBlock:
     1 + (n-2) copies (all duplicates dropped) and the source receives no
     more (every node's predecessor is the source itself).
     """
-    b = sources.size
-    rows = np.arange(b)
-    depth = np.ones((b, n), dtype=np.int64)
-    depth[rows, sources] = 0
-    pred = np.broadcast_to(sources[:, np.newaxis], (b, n)).copy()
-    pred[rows, sources] = -1
-    transmissions = np.zeros((b, n))
     receipts = np.zeros((b, n))
     if n > 1:
-        transmissions[rows, sources] = n - 1.0
-        receipts[:] = 1.0
-        receipts[rows, sources] = 0.0
-        if ttl >= 2 and n > 2:
-            transmissions[:] = n - 2.0
-            transmissions[rows, sources] = n - 1.0
-            receipts[:] = n - 1.0
-            receipts[rows, sources] = 0.0
-    return FloodBlock(
-        sources=sources, ttl=int(ttl), depth=depth, pred=pred,
-        transmissions=transmissions, receipts=receipts,
-    )
+        receipts[:] = n - 1.0 if ttl >= 2 and n > 2 else 1.0
+        receipts[np.arange(b), sources] = 0.0
+    return receipts
 
 
-def fold_to_sources(depth: np.ndarray, pred: np.ndarray,
-                    weights: np.ndarray,
+def fold_to_sources(levels, pred: np.ndarray, weights: np.ndarray,
                     edge_pass: np.ndarray | None = None) -> np.ndarray:
-    """Batched :meth:`QueryPropagation.accumulate_to_source`.
+    """Batched :meth:`QueryPropagation.accumulate_to_source`, in place.
 
-    ``depth`` and ``pred`` are a :class:`FloodBlock`'s ``(b, n)`` arrays;
-    ``weights`` is channel-major ``(c, b, n)`` — ``c`` response channels
-    per node, zero at unreached nodes.  Returns the ``(c, b, n)``
-    predecessor-subtree sums: levels fold bottom-up, each row into its own
-    predecessors, one ``add.at`` per level and channel.
+    ``levels`` and ``pred`` are a :class:`FloodBlock`'s per-depth flat
+    keys and ``(b, n)`` predecessors; ``weights`` is a C-contiguous,
+    channel-major ``(c, b, n)`` array — ``c`` response channels per
+    node, zero at unreached nodes.  It is folded into the
+    predecessor-subtree sums and returned: deepest level first, each
+    level's keys into their own rows' predecessors, one ``add.at`` per
+    level and channel.  Only reached keys are read or written.
 
     ``edge_pass`` (optional ``(b, n)`` bool) severs the hop from each
     False node to its predecessor: the node still *sends* its subtree sum
     (it is in the result) but nothing of it arrives above.  What a node
     receives from its children is then its result minus its own weight.
     """
-    b, n = depth.shape
-    # A flat copy per channel, so each folds with the 1-D ``add.at`` path
-    # and the caller's weights are never written.
-    forwarded = weights.reshape(weights.shape[0], b * n).copy()
-    flat_pred = (pred + np.arange(b)[:, np.newaxis] * n).reshape(-1)
-    flat_depth = depth.reshape(-1)
-    if edge_pass is not None:
-        flat_depth = np.where(edge_pass.reshape(-1), flat_depth, -1)
-    for d in range(int(depth.max(initial=0)), 0, -1):
-        level = (flat_depth == d).nonzero()[0]
+    if not weights.flags.c_contiguous:
+        raise ValueError("weights are folded in place: pass a C-contiguous array")
+    b, n = pred.shape
+    flat = weights.reshape(weights.shape[0], b * n)
+    flat_pred = pred.reshape(-1)
+    passes = None if edge_pass is None else edge_pass.reshape(-1)
+    for level in levels[:0:-1]:
+        if passes is not None:
+            level = level[passes[level]]
         parents = flat_pred[level]
-        for channel in forwarded:
+        if b > 1:
+            parents = parents + (level - level % n)
+        for channel in flat:
             np.add.at(channel, parents, channel[level])
-    return forwarded.reshape(weights.shape)
+    return weights
 
 
 def propagate_query(

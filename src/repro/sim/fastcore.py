@@ -76,6 +76,7 @@ from ..querymodel.distributions import QueryModel, default_query_model
 from ..querymodel.expectation import mean_miss_powers
 from ..stats.rng import derive_rng
 from ..topology.builder import NetworkInstance
+from ..topology.strong import CompleteGraph
 from .schedule import WorkloadSchedule, generate_workload
 
 __all__ = ["FloodBlock", "flood_block", "meanfield_matches",
@@ -285,13 +286,16 @@ def simulate_instance_array(
     traced = tracer is not None and tracer.enabled
     hop_frontier = np.zeros(ttl + 1)
     hop_messages = np.zeros(ttl + 1)
+    edges = None if isinstance(graph, CompleteGraph) else \
+        graph.directed_edge_arrays()
     for start in range(0, q_sources.size, DEFAULT_BLOCK):
         src = q_sources[start:start + DEFAULT_BLOCK]
         fb = flood_block(graph, src, ttl)
         mb = m_s[src]
-        _, sent, _ = charge_block(fb, mb, origin, st.m_sp, flood)
+        sent, _, sends = charge_block(fb, mb, origin, st.m_sp, flood,
+                                      edges=edges)
         resp_msgs += float(mb @ sent[0].sum(axis=1))
-        total_flood += float(fb.transmissions.sum(axis=1) @ mb)
+        total_flood += float(sends.sum())
         reach_s = fb.reach()
         total_reach += float(reach_s @ mb)
         reach_count[src] = reach_s

@@ -742,6 +742,6 @@ def lossy_accumulate(
     weights = np.array(channels, dtype=float)
     if edge_pass is not None:
         edge_pass = edge_pass[np.newaxis]
-    sent = fold_to_sources(prop.depth[np.newaxis], prop.pred[np.newaxis],
-                           weights[:, np.newaxis], edge_pass)[:, 0]
+    sent = fold_to_sources(prop.levels, prop.pred[np.newaxis],
+                           weights[:, np.newaxis].copy(), edge_pass)[:, 0]
     return sent, sent - weights

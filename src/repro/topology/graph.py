@@ -132,8 +132,10 @@ class OverlayGraph:
     def directed_edge_arrays(self) -> tuple[np.ndarray, np.ndarray]:
         """(tails, heads) arrays listing every directed edge once.
 
-        ``tails[i] -> heads[i]``; used by the flooding accountant to count
-        query receipts in bulk.
+        ``tails[i] -> heads[i]``.  The mean-value analysis sums query
+        receipts over them (``core.load._neighbor_sum``, once per block of
+        floods, from arrays computed once per run), and load attribution
+        keys its per-edge tables by them.
         """
         tails = np.repeat(np.arange(self.num_nodes), self.degrees)
         return tails, self.indices

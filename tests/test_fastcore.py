@@ -21,6 +21,11 @@ structural invariants on hypothesis-generated graphs:
   the MVA and the array engine, equals a per-source scalar accounting
   (scalar BFS, scalar fold, the Table 2 cost functions) in both
   Response modes;
+* **tree-derived flows** — a block's ``levels`` are its per-depth key
+  sets, its derived per-row sends and receipts equal the scalar BFS's
+  per-edge counts, and ``charge_block``'s rate-weighted sends, receipts
+  and probes equal the row sums of those per-row flows, on random
+  overlays and on K_n;
 * **per-event charges** — each ``network._charge_*`` routine (joins,
   updates, client submit and delivery), called once with index arrays
   as the array engine does, equals one scalar call per element in the
@@ -164,7 +169,7 @@ def test_batched_fold_matches_scalar_accumulator(block, ttl, seed):
     fb = flood_block(graph, sources, ttl)
     rng = np.random.default_rng(seed)
     weights = rng.random((3,) + fb.depth.shape) * fb.reached
-    folded = fold_to_sources(fb.depth, fb.pred, weights)
+    folded = fold_to_sources(fb.levels, fb.pred, weights.copy())
     assert folded.shape == weights.shape
     for i in range(sources.size):
         prop = fb.row(i)
@@ -185,7 +190,7 @@ def test_masked_fold_matches_scalar_lossy_fold(block, ttl, seed):
     rng = np.random.default_rng(seed)
     weights = rng.integers(0, 5, (3,) + fb.depth.shape) * fb.reached
     edge_pass = rng.random(fb.depth.shape) < 0.7
-    folded = fold_to_sources(fb.depth, fb.pred, weights.astype(float), edge_pass)
+    folded = fold_to_sources(fb.levels, fb.pred, weights.astype(float), edge_pass)
     for i in range(sources.size):
         for c in range(3):
             sent, received = scalar_fold(fb.row(i), weights[c, i], edge_pass[i])
@@ -244,6 +249,76 @@ def test_charge_block_matches_scalar_accounting(block, ttl, seed, direct):
     expected = _scalar_charges(graph, sources, ttl, w, origin, m_sp, direct)
     for got, want in zip((acc.q_out, acc.q_in, acc.q_proc), expected):
         np.testing.assert_allclose(got, want, rtol=1e-12, atol=0.0)
+
+
+class _FlowTotals:
+    """Stands in for the accumulator: keeps the rate-weighted flow totals
+    ``charge_block`` prices."""
+
+    def add_flood(self, price, fb, w, totals, flows, at_source,
+                  response_flow):
+        self.totals = totals
+
+
+@st.composite
+def _weighted_blocks(draw):
+    """A random overlay (with an isolated node) or K_n, and a source
+    block over it with per-row rates."""
+    if draw(st.booleans()):
+        graph, sources = draw(_source_blocks())
+    else:
+        graph = CompleteGraph(num_nodes=draw(st.integers(1, 6)))
+        sources = np.array(draw(st.lists(
+            st.integers(0, graph.num_nodes - 1), max_size=8)), dtype=np.int64)
+    return graph, sources, draw(st.integers(0, 2**32 - 1))
+
+
+@settings(max_examples=80, deadline=None)
+@given(block=_weighted_blocks(), ttl=_TTLS)
+def test_tree_derived_flows_match_per_edge_counts(block, ttl):
+    """The flows read off the BFS tree equal the per-edge counts.
+
+    ``levels`` are the ascending per-depth key sets; each row's derived
+    sends and receipts equal the scalar BFS's (which counts receipts
+    edge by edge), dtypes included; and ``charge_block``'s rate-weighted
+    sends, receipts and probes equal ``w @`` those per-row flows (up to
+    rounding: receipts to 1e-12 of the block's rate-weighted sends where
+    they cancel to zero).  Blocks
+    with a degree-0 source, repeated sources and no sources are checked
+    alongside the drawn one.
+    """
+    graph, sources, seed = block
+    n = graph.num_nodes
+    rng = np.random.default_rng(seed)
+    batches = (sources, np.append(sources, n - 1),
+               np.concatenate([sources, sources]), sources[:0])
+    for batch in batches:
+        fb = flood_block(graph, batch, ttl)
+        flat = fb.depth.reshape(-1)
+        want = [(flat == d).nonzero()[0]
+                for d in range(int(flat.max(initial=0)) + 1)]
+        assert len(fb.levels) == len(want)
+        for got, keys in zip(fb.levels, want):
+            assert got.dtype == np.int64 and np.array_equal(got, keys)
+        for i, s in enumerate(batch):
+            prop, expected = fb.row(i), scalar_flood(graph, int(s), ttl)
+            for name in ("transmissions", "receipts"):
+                got, ref = getattr(prop, name), getattr(expected, name)
+                assert got.dtype == ref.dtype and np.array_equal(got, ref), name
+
+        w = rng.random(batch.size) * 10.0
+        origin = rng.random((3, n))
+        recorder = _FlowTotals()
+        _, _, sends = charge_block(fb, w, origin, np.ones(n), recorder)
+        tx, rx, probes = recorder.totals[:3]
+        assert sends is tx
+        np.testing.assert_allclose(tx, w @ fb.transmissions, rtol=1e-12, atol=0.0)
+        np.testing.assert_allclose(probes, w @ fb.reached, rtol=1e-12, atol=0.0)
+        # Receipts are a difference of two sums, so a node that receives
+        # nothing may keep a rounding residue of the block's volume.
+        volume = float(tx.sum())
+        np.testing.assert_allclose(rx, w @ fb.receipts, rtol=1e-12,
+                                   atol=1e-12 * volume)
 
 
 _METERS = ("sp_in", "sp_out", "sp_proc", "cl_in", "cl_out", "cl_proc")
