@@ -46,10 +46,11 @@ cache or record provenance, and is deprecated for sweeps.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from pathlib import Path
 from typing import Any, Iterator, Mapping, Sequence
 
+from .codec import Codec, reject_unknown
 from .config import Configuration
 from .core.analysis import ConfigurationSummary, evaluate_configuration
 from .exec import (  # noqa: F401 - Executor re-exported as part of the facade
@@ -150,7 +151,7 @@ class ExperimentSpec:
 
 
 @dataclass(frozen=True)
-class SweepSpec:
+class SweepSpec(Codec):
     """A named grid of experiment points over configuration fields.
 
     ``grid`` maps field names to the values to sweep; the points are the
@@ -169,9 +170,9 @@ class SweepSpec:
       studies where shared instances would correlate the grid.
     """
 
-    name: str
-    base: Configuration
-    grid: Mapping[str, Sequence[Any]]
+    name: str = "sweep"
+    base: Configuration = Configuration()
+    grid: Mapping[str, Sequence[Any]] = field(default_factory=dict)
     trials: int = 3
     seed: int | None = 0
     max_sources: int | None = 400
@@ -198,11 +199,8 @@ class SweepSpec:
                 f"executor must be one of {EXECUTOR_NAMES} or None, "
                 f"got {self.executor!r}"
             )
-        for field_name in self.grid:
-            if not hasattr(self.base, field_name):
-                raise ValueError(
-                    f"unknown configuration field {field_name!r} in grid"
-                )
+        reject_unknown(self.grid, [f.name for f in fields(self.base)],
+                       "SweepSpec.grid")
 
     def points(self) -> list[tuple[dict, ExperimentSpec]]:
         """The grid's evaluation points as ``(overrides, spec)`` pairs.
@@ -211,12 +209,12 @@ class SweepSpec:
         invalid points never shift the per-point seeds of the survivors:
         seeds derive from the position in the *full* product enumeration.
         """
-        fields = list(self.grid)
+        names = list(self.grid)
         points: list[tuple[dict, ExperimentSpec]] = []
         for index, combo in enumerate(itertools.product(
-            *(self.grid[f] for f in fields)
+            *(self.grid[name] for name in names)
         )):
-            overrides = dict(zip(fields, combo))
+            overrides = dict(zip(names, combo))
             try:
                 config = self.base.with_changes(**overrides)
             except ValueError:
@@ -239,44 +237,6 @@ class SweepSpec:
                 label=label,
             )))
         return points
-
-    # --- serialization ------------------------------------------------------
-
-    def to_dict(self) -> dict:
-        """JSON-ready dict; round-trips through :meth:`from_dict`."""
-        return {
-            "name": self.name,
-            "base": self.base.to_dict(),
-            "grid": {k: list(v) for k, v in self.grid.items()},
-            "trials": self.trials,
-            "seed": self.seed,
-            "max_sources": self.max_sources,
-            "keep_reports": self.keep_reports,
-            "seed_mode": self.seed_mode,
-            "skip_invalid": self.skip_invalid,
-            "executor": self.executor,
-        }
-
-    @classmethod
-    def from_dict(cls, payload: dict, **overrides) -> "SweepSpec":
-        """Build a sweep from a :meth:`to_dict`-style mapping.
-
-        The declarative twin of ``repro sweep --config sweep.json``:
-        only ``base`` and ``grid`` are required; keyword ``overrides``
-        (e.g. ``trials`` from a CLI flag) win over the payload.
-        """
-        known = {"name", "base", "grid", "trials", "seed", "max_sources",
-                 "keep_reports", "seed_mode", "skip_invalid", "executor"}
-        unknown = sorted(set(payload) - known)
-        if unknown:
-            raise ValueError(
-                f"unknown sweep fields {unknown}; valid fields are {sorted(known)}"
-            )
-        kwargs = dict(payload)
-        kwargs["base"] = Configuration.from_dict(kwargs.get("base", {}))
-        kwargs.setdefault("name", "sweep")
-        kwargs.update(overrides)
-        return cls(**kwargs)
 
 
 @dataclass(frozen=True)

@@ -23,9 +23,10 @@ the inverse of its session length (Section 4.1, step 3).
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass, fields, replace
+from dataclasses import dataclass, replace
 
 from . import constants
+from .codec import Codec
 
 
 class GraphType(enum.Enum):
@@ -41,7 +42,7 @@ class GraphType(enum.Enum):
 
 
 @dataclass(frozen=True)
-class Configuration:
+class Configuration(Codec):
     """One row of the paper's design space (Table 1).
 
     Instances are immutable; use :meth:`with_changes` to derive variants,
@@ -123,42 +124,6 @@ class Configuration:
     def with_changes(self, **changes) -> "Configuration":
         """Return a copy with the given fields replaced (sweep helper)."""
         return replace(self, **changes)
-
-    # --- serialization ------------------------------------------------------
-
-    def to_dict(self) -> dict:
-        """JSON-ready dict of every field (enums by value).
-
-        Round-trips through :meth:`from_dict`; the canonical on-disk form
-        used by ``repro --config file.json`` and the instance/report
-        persistence in :mod:`repro.io`.
-        """
-        payload = {}
-        for f in fields(self):
-            value = getattr(self, f.name)
-            payload[f.name] = value.value if isinstance(value, enum.Enum) else value
-        return payload
-
-    @classmethod
-    def from_dict(cls, payload: dict) -> "Configuration":
-        """Build a configuration from a :meth:`to_dict`-style mapping.
-
-        ``graph_type`` may be the enum or its string value; unknown keys
-        raise ``ValueError`` naming the valid fields rather than being
-        silently dropped (a typo in a config file should not run the
-        default experiment).
-        """
-        known = {f.name for f in fields(cls)}
-        unknown = sorted(set(payload) - known)
-        if unknown:
-            raise ValueError(
-                f"unknown configuration fields {unknown}; valid fields are "
-                f"{sorted(known)}"
-            )
-        kwargs = dict(payload)
-        if isinstance(kwargs.get("graph_type"), str):
-            kwargs["graph_type"] = GraphType(kwargs["graph_type"])
-        return cls(**kwargs)
 
     def describe(self) -> str:
         """One-line human-readable summary used by the benchmark harness."""

@@ -12,7 +12,6 @@ manifests instead of anecdotes.
 from __future__ import annotations
 
 import dataclasses
-import enum
 import hashlib
 import json
 import platform
@@ -25,22 +24,19 @@ from pathlib import Path
 from time import perf_counter
 from typing import Any, Iterator
 
+from ..codec import encode
 from .metrics import MetricsRegistry
 
 
 def config_fingerprint(config: Any) -> str:
     """Stable short hash of a configuration-like object.
 
-    Dataclasses hash their sorted field dict (enums by value); anything
-    else hashes its ``repr``.  Equal configurations get equal
-    fingerprints across processes and sessions.
+    Dataclasses hash their :func:`repro.codec.encode` form with sorted
+    keys; anything else hashes its ``repr``.  Equal configurations get
+    equal fingerprints across processes and sessions.
     """
     if dataclasses.is_dataclass(config) and not isinstance(config, type):
-        payload = {}
-        for f in dataclasses.fields(config):
-            value = getattr(config, f.name)
-            payload[f.name] = value.value if isinstance(value, enum.Enum) else value
-        raw = json.dumps(payload, sort_keys=True, default=repr)
+        raw = json.dumps(encode(config), sort_keys=True, default=repr)
     else:
         raw = repr(config)
     return hashlib.sha256(raw.encode("utf-8")).hexdigest()[:16]

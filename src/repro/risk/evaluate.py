@@ -25,11 +25,12 @@ suite asserts for every reported metric.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
 
+from ..codec import Codec, encode
 from ..config import Configuration
 from ..exec import EXECUTOR_NAMES, Executor, Task, collect, run_campaign
 from ..sim.faults import CrashSpec, FaultOutcome
@@ -61,7 +62,7 @@ _TARGET_METRICS = ("expected", "cvar")
 
 
 @dataclass(frozen=True)
-class RiskSpec:
+class RiskSpec(Codec):
     """Everything the risk-aware design procedure needs beyond constraints.
 
     ``cutoff`` bounds the residual (un-enumerated) probability mass;
@@ -143,20 +144,6 @@ class RiskSpec:
     def crash_spec(self) -> CrashSpec:
         return CrashSpec(mean_recovery=self.mean_recovery,
                          lifespan_scale=self.lifespan_scale)
-
-    def to_dict(self) -> dict:
-        return {f.name: getattr(self, f.name) for f in fields(self)}
-
-    @classmethod
-    def from_dict(cls, payload: dict) -> "RiskSpec":
-        known = {f.name for f in fields(cls)}
-        unknown = sorted(set(payload) - known)
-        if unknown:
-            raise ValueError(
-                f"unknown RiskSpec key(s): {unknown}; expected a subset of "
-                f"{sorted(known)}"
-            )
-        return cls(**payload)
 
 
 def build_scenario_set(instance: NetworkInstance, spec: RiskSpec) -> ScenarioSet:
@@ -306,13 +293,7 @@ class ScenarioOutcome:
         return 1.0 - self.availability
 
     def to_dict(self) -> dict:
-        return {
-            "failed": list(self.failed),
-            "probability": self.probability,
-            "availability": self.availability,
-            "results_lost": self.results_lost,
-            "superpeer_load_bps": self.superpeer_load_bps,
-        }
+        return encode(self)
 
 
 @dataclass(frozen=True)
@@ -354,7 +335,7 @@ class RiskAssessment:
             "availability_target": self.availability_target,
             "meets_target": self.meets_target,
             "stats": self.stats,
-            "scenarios": [s.to_dict() for s in self.scenarios],
+            "scenarios": encode(self.scenarios),
         }
 
 

@@ -39,6 +39,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from ..codec import Codec, encode
 from ..sim.faults import CrashSpec, FaultPlan, PartitionWindow
 from ..stats.rng import derive_rng
 from ..topology.builder import NetworkInstance
@@ -66,7 +67,7 @@ class ScenarioBudgetError(ValueError):
 
 
 @dataclass(frozen=True)
-class FailureUnit:
+class FailureUnit(Codec):
     """One independently-failing component of the overlay.
 
     ``kind="crash"`` units name a single cluster that goes fully dark;
@@ -105,20 +106,9 @@ class FailureUnit:
             )
         object.__setattr__(self, "probability", p)
 
-    def to_dict(self) -> dict:
-        return {"kind": self.kind, "name": self.name,
-                "clusters": list(self.clusters),
-                "probability": self.probability}
-
-    @classmethod
-    def from_dict(cls, payload: dict) -> "FailureUnit":
-        return cls(kind=payload["kind"], name=payload["name"],
-                   clusters=tuple(payload["clusters"]),
-                   probability=payload["probability"])
-
 
 @dataclass(frozen=True)
-class FailureScenario:
+class FailureScenario(Codec):
     """One weighted network state: the named units are failed, the rest up."""
 
     failed: tuple[str, ...]
@@ -139,23 +129,6 @@ class FailureScenario:
                 PartitionWindow(0.0, float(duration), island)
                 for island in self.islands
             ),
-        )
-
-    def to_dict(self) -> dict:
-        return {
-            "failed": list(self.failed),
-            "probability": self.probability,
-            "dark_clusters": list(self.dark_clusters),
-            "islands": [list(i) for i in self.islands],
-        }
-
-    @classmethod
-    def from_dict(cls, payload: dict) -> "FailureScenario":
-        return cls(
-            failed=tuple(payload["failed"]),
-            probability=payload["probability"],
-            dark_clusters=tuple(payload["dark_clusters"]),
-            islands=tuple(tuple(i) for i in payload["islands"]),
         )
 
 
@@ -182,8 +155,8 @@ class ScenarioSet:
             "cutoff": self.cutoff,
             "threshold": self.threshold,
             "covered_probability": self.covered_probability,
-            "units": [u.to_dict() for u in self.units],
-            "scenarios": [s.to_dict() for s in self.scenarios],
+            "units": encode(self.units),
+            "scenarios": encode(self.scenarios),
         }
 
 

@@ -13,7 +13,6 @@ the event scheduler from scratch (binary heap, cancellable events).
 """
 
 from .engine import Simulator, EventHandle, RepeatingEvent
-from .workload import PoissonProcess, exponential_interarrivals
 from .network import SimulationReport, simulate_instance
 from .churn import ChurnResult, simulate_cluster_churn
 from .local import AdaptiveNetwork, AdaptiveLimits, AdaptiveHistory
@@ -47,8 +46,6 @@ __all__ = [
     "Simulator",
     "EventHandle",
     "RepeatingEvent",
-    "PoissonProcess",
-    "exponential_interarrivals",
     "SimulationReport",
     "simulate_instance",
     "ChurnResult",

@@ -34,6 +34,7 @@ from pathlib import Path
 
 import numpy as np
 
+from ..codec import Codec, encode
 from ..config import Configuration
 from ..exec import EXECUTOR_NAMES, Executor, Task, collect, run_campaign
 from ..obs.journal import RunJournal
@@ -173,7 +174,7 @@ def generate_recovery_policy(seed: int,
 
 
 @dataclass(frozen=True)
-class ChaosSpec:
+class ChaosSpec(Codec):
     """A batch of chaos cases: seeds plus the shared scenario shape."""
 
     cases: int = 20
@@ -226,26 +227,6 @@ class ChaosSpec:
             redundancy=self.redundancy,
         )
 
-    def to_dict(self) -> dict:
-        return {
-            "cases": self.cases,
-            "base_seed": self.base_seed,
-            "graph_size": self.graph_size,
-            "cluster_size": self.cluster_size,
-            "redundancy": self.redundancy,
-            "duration": self.duration,
-            "recovery": self.recovery,
-            "replay": self.replay,
-            "detector": self.detector,
-            "engine": self.engine,
-            "executor": self.executor,
-        }
-
-    @classmethod
-    def from_dict(cls, payload: dict) -> "ChaosSpec":
-        payload = {"engine": "event", "executor": None, **payload}
-        return cls(**payload)
-
 
 @dataclass(frozen=True)
 class ChaosCaseResult:
@@ -263,15 +244,7 @@ class ChaosCaseResult:
         return not self.violations
 
     def to_dict(self) -> dict:
-        return {
-            "seed": self.seed,
-            "plan": self.plan,
-            "policy": self.policy,
-            "digest": self.digest,
-            "violations": list(self.violations),
-            "summary": self.summary,
-            "passed": self.passed,
-        }
+        return {**encode(self), "passed": self.passed}
 
 
 @dataclass

@@ -40,13 +40,14 @@ from dataclasses import dataclass, field, fields, replace
 
 import numpy as np
 
+from ..codec import Codec
 from ..core.routing import QueryPropagation, flood_block, fold_to_sources
 from ..obs.metrics import get_registry
 from ..obs.trace import NULL_TRACER
 
 
 @dataclass(frozen=True)
-class CrashSpec:
+class CrashSpec(Codec):
     """Partner crash/recovery schedule.
 
     Up-times are exponential with each slot's instance-assigned mean
@@ -67,17 +68,9 @@ class CrashSpec:
         if self.lifespan_scale <= 0:
             raise ValueError("lifespan_scale must be positive")
 
-    def to_dict(self) -> dict:
-        return {"mean_recovery": self.mean_recovery,
-                "lifespan_scale": self.lifespan_scale}
-
-    @classmethod
-    def from_dict(cls, payload: dict) -> "CrashSpec":
-        return cls(**payload)
-
 
 @dataclass(frozen=True)
-class PartitionWindow:
+class PartitionWindow(Codec):
     """During ``[start, end)`` the ``island`` clusters are cut off.
 
     Overlay messages crossing the island boundary (either direction) are
@@ -102,18 +95,9 @@ class PartitionWindow:
         in_time = self.start < other.end and other.start < self.end
         return in_time and bool(set(self.island) & set(other.island))
 
-    def to_dict(self) -> dict:
-        return {"start": self.start, "end": self.end,
-                "island": list(self.island)}
-
-    @classmethod
-    def from_dict(cls, payload: dict) -> "PartitionWindow":
-        return cls(start=payload["start"], end=payload["end"],
-                   island=tuple(payload["island"]))
-
 
 @dataclass(frozen=True)
-class SlowSpec:
+class SlowSpec(Codec):
     """A random ``fraction`` of clusters forward ``factor``x slower.
 
     A message forwarded by a slow node misses the query deadline with
@@ -137,16 +121,9 @@ class SlowSpec:
     def drop_prob(self) -> float:
         return 1.0 - 1.0 / self.factor
 
-    def to_dict(self) -> dict:
-        return {"fraction": self.fraction, "factor": self.factor}
-
-    @classmethod
-    def from_dict(cls, payload: dict) -> "SlowSpec":
-        return cls(**payload)
-
 
 @dataclass(frozen=True)
-class RetryPolicy:
+class RetryPolicy(Codec):
     """Timeout/retry behaviour of the originating super-peer.
 
     When a flood loses messages, the source waits ``timeout`` seconds
@@ -194,17 +171,9 @@ class RetryPolicy:
             return self.ceiling
         return min(self.timeout * self.backoff ** attempt, self.ceiling)
 
-    def to_dict(self) -> dict:
-        return {"timeout": self.timeout, "max_retries": self.max_retries,
-                "backoff": self.backoff, "ceiling": self.ceiling}
-
-    @classmethod
-    def from_dict(cls, payload: dict) -> "RetryPolicy":
-        return cls(**payload)
-
 
 @dataclass(frozen=True)
-class FaultPlan:
+class FaultPlan(Codec):
     """A composable bundle of failure modes to inject into a simulation."""
 
     message_loss: float = 0.0
@@ -294,37 +263,9 @@ class FaultPlan:
             )
         return " + ".join(parts) if parts else "no faults"
 
-    def to_dict(self) -> dict:
-        """JSON-ready dict; round-trips through :meth:`from_dict`."""
-        return {
-            "message_loss": self.message_loss,
-            "crash": None if self.crash is None else self.crash.to_dict(),
-            "partitions": [w.to_dict() for w in self.partitions],
-            "blackout": list(self.blackout),
-            "slow": None if self.slow is None else self.slow.to_dict(),
-            "retry": None if self.retry is None else self.retry.to_dict(),
-        }
-
-    @classmethod
-    def from_dict(cls, payload: dict) -> "FaultPlan":
-        crash = payload.get("crash")
-        slow = payload.get("slow")
-        retry = payload.get("retry")
-        return cls(
-            message_loss=payload.get("message_loss", 0.0),
-            crash=None if crash is None else CrashSpec.from_dict(crash),
-            partitions=tuple(
-                PartitionWindow.from_dict(w)
-                for w in payload.get("partitions", ())
-            ),
-            blackout=tuple(payload.get("blackout", ())),
-            slow=None if slow is None else SlowSpec.from_dict(slow),
-            retry=None if retry is None else RetryPolicy.from_dict(retry),
-        )
-
 
 @dataclass
-class FaultOutcome:
+class FaultOutcome(Codec):
     """Degraded-mode counters a faulty simulation fills in as it runs."""
 
     queries_attempted: int = 0
@@ -402,27 +343,6 @@ class FaultOutcome:
     def repair_cost(self) -> float:
         """Total repair traffic in bytes (the headline recovery price)."""
         return self.repair_bytes
-
-    def to_dict(self) -> dict:
-        """JSON-ready dict; round-trips through :meth:`from_dict`."""
-        payload = {}
-        for f in fields(self):
-            value = getattr(self, f.name)
-            if isinstance(value, np.ndarray):
-                value = value.tolist()
-            payload[f.name] = value
-        return payload
-
-    @classmethod
-    def from_dict(cls, payload: dict) -> "FaultOutcome":
-        kwargs = dict(payload)
-        for name in ("cluster_downtime", "repair_cluster_bytes_in",
-                     "repair_cluster_bytes_out", "repair_cluster_units",
-                     "gossip_cluster_bytes_in", "gossip_cluster_bytes_out",
-                     "gossip_cluster_units"):
-            if kwargs.get(name) is not None:
-                kwargs[name] = np.asarray(kwargs[name], dtype=float)
-        return cls(**kwargs)
 
 
 @dataclass(frozen=True)

@@ -44,6 +44,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .. import constants
+from ..codec import Codec
 from ..core import costs
 from ..obs.metrics import get_registry
 from ..topology.strong import CompleteGraph
@@ -101,7 +102,7 @@ def merge_views(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 
 
 @dataclass(frozen=True)
-class GossipSpec:
+class GossipSpec(Codec):
     """Protocol parameters of the gossip membership layer.
 
     ``suspect_timeout`` missed-heartbeat seconds raise a suspicion (plus
@@ -156,21 +157,6 @@ class GossipSpec:
             f"gossip(m={self.corroboration_m}/{self.monitors_n}, "
             f"suspect {self.suspect_timeout:g}s, probe {self.probe_interval:g}s)"
         )
-
-    def to_dict(self) -> dict:
-        return {
-            "probe_interval": self.probe_interval,
-            "suspect_timeout": self.suspect_timeout,
-            "fanout": self.fanout,
-            "anti_entropy_interval": self.anti_entropy_interval,
-            "corroboration_m": self.corroboration_m,
-            "monitors_n": self.monitors_n,
-            "corroboration_timeout": self.corroboration_timeout,
-        }
-
-    @classmethod
-    def from_dict(cls, payload: dict) -> "GossipSpec":
-        return cls(**payload)
 
 
 class GossipDetector:

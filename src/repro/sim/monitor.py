@@ -31,13 +31,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from ..codec import Codec
 from .gossip import GossipSpec
 
 __all__ = ["DetectorSpec", "FailureDetector"]
 
 
 @dataclass(frozen=True)
-class DetectorSpec:
+class DetectorSpec(Codec):
     """Failure-detector parameters: the oracle's heartbeat/timeout pair,
     plus the control-plane ``mode`` switch.
 
@@ -98,25 +99,6 @@ class DetectorSpec:
         if self.mode == "gossip":
             return self.gossip.probe_interval
         return self.heartbeat_interval
-
-    def to_dict(self) -> dict:
-        payload = {
-            "heartbeat_interval": self.heartbeat_interval,
-            "timeout_beats": self.timeout_beats,
-            "false_positive_rate": self.false_positive_rate,
-            "mode": self.mode,
-        }
-        if self.gossip is not None:
-            payload["gossip"] = self.gossip.to_dict()
-        return payload
-
-    @classmethod
-    def from_dict(cls, payload: dict) -> "DetectorSpec":
-        payload = dict(payload)
-        gossip = payload.pop("gossip", None)
-        if gossip is not None:
-            payload["gossip"] = GossipSpec.from_dict(gossip)
-        return cls(**payload)
 
 
 class FailureDetector:

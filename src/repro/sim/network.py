@@ -33,11 +33,11 @@ this is :mod:`repro.sim.resilience`.
 
 from __future__ import annotations
 
-import dataclasses
 from dataclasses import dataclass
 
 import numpy as np
 
+from ..codec import Codec
 from ..core import costs
 from ..core.load import LoadReport
 from ..obs.metrics import get_registry
@@ -71,7 +71,7 @@ _FLOOD_MEMO_CELLS = 1 << 21  # node entries of memoised floods per run (~64 MB)
 
 
 @dataclass(frozen=True)
-class SimulationReport:
+class SimulationReport(Codec):
     """Measured long-run loads of one simulated instance."""
 
     duration: float
@@ -100,25 +100,6 @@ class SimulationReport:
         sp = self.superpeer_incoming_bps.sum() + self.superpeer_outgoing_bps.sum()
         cl = self.client_incoming_bps.sum() + self.client_outgoing_bps.sum()
         return float(sp + cl)
-
-    def to_dict(self) -> dict:
-        """JSON-ready dict; round-trips through :meth:`from_dict`."""
-        payload = {}
-        for f in dataclasses.fields(self):
-            value = getattr(self, f.name)
-            if isinstance(value, np.ndarray):
-                value = value.tolist()
-            payload[f.name] = value
-        return payload
-
-    @classmethod
-    def from_dict(cls, payload: dict) -> "SimulationReport":
-        kwargs = dict(payload)
-        for name in ("superpeer_incoming_bps", "superpeer_outgoing_bps",
-                     "superpeer_processing_hz", "client_incoming_bps",
-                     "client_outgoing_bps", "client_processing_hz"):
-            kwargs[name] = np.asarray(kwargs[name], dtype=float)
-        return cls(**kwargs)
 
     def relative_error_vs(self, report: LoadReport) -> dict[str, float]:
         """Relative differences of mean super-peer loads vs an MVA report."""

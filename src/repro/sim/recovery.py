@@ -41,6 +41,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from ..codec import Codec
 from ..core import costs
 from ..querymodel.files import default_file_distribution
 from ..topology.strong import CompleteGraph
@@ -51,7 +52,7 @@ __all__ = ["RecoveryPolicy", "RecoveryRuntime", "repair_attribution"]
 
 
 @dataclass(frozen=True)
-class RecoveryPolicy:
+class RecoveryPolicy(Codec):
     """Which Section 5.3 repairs run, and how fast.
 
     ``promotion_time`` / ``rehome_time`` are the repair latencies after
@@ -86,24 +87,6 @@ class RecoveryPolicy:
         return (
             f"detect(<= {self.detector.max_lag:g}s) -> {rules}"
         )
-
-    def to_dict(self) -> dict:
-        return {
-            "detector": self.detector.to_dict(),
-            "promote": self.promote,
-            "rehome": self.rehome,
-            "heal_partitions": self.heal_partitions,
-            "promotion_time": self.promotion_time,
-            "rehome_time": self.rehome_time,
-        }
-
-    @classmethod
-    def from_dict(cls, payload: dict) -> "RecoveryPolicy":
-        kwargs = dict(payload)
-        kwargs["detector"] = DetectorSpec.from_dict(
-            kwargs.get("detector", {})
-        )
-        return cls(**kwargs)
 
 
 class RecoveryRuntime:

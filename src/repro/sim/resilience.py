@@ -24,6 +24,7 @@ from time import perf_counter
 
 import numpy as np
 
+from ..codec import Codec, encode
 from ..config import Configuration
 from ..exec import EXECUTOR_NAMES, Executor, Task, collect, run_campaign
 from ..obs.manifest import RunManifest
@@ -37,7 +38,7 @@ from .recovery import RecoveryPolicy
 
 
 @dataclass(frozen=True)
-class ResilienceReport:
+class ResilienceReport(Codec):
     """Fault-free baseline vs degraded run of one instance, one plan.
 
     When the degraded run carried a :class:`RecoveryPolicy` it is
@@ -229,55 +230,16 @@ class ResilienceReport:
                 ])
         return rows
 
-    # --- serialization --------------------------------------------------------
-
-    def to_dict(self) -> dict:
-        """JSON-ready dict; round-trips through :meth:`from_dict`.
-
-        Everything a chaos/recovery sweep worker needs to ship a report
-        across a process boundary (like manifests do) — plan, policy,
-        both simulation reports, and the full outcome.
-        """
-        return {
-            "plan": self.plan.to_dict(),
-            "duration": self.duration,
-            "partners": self.partners,
-            "baseline": self.baseline.to_dict(),
-            "degraded": self.degraded.to_dict(),
-            "outcome": self.outcome.to_dict(),
-            "recovery": (
-                None if self.recovery is None else self.recovery.to_dict()
-            ),
-        }
-
-    @classmethod
-    def from_dict(cls, payload: dict) -> "ResilienceReport":
-        recovery = payload.get("recovery")
-        return cls(
-            plan=FaultPlan.from_dict(payload["plan"]),
-            duration=payload["duration"],
-            partners=payload["partners"],
-            baseline=SimulationReport.from_dict(payload["baseline"]),
-            degraded=SimulationReport.from_dict(payload["degraded"]),
-            outcome=FaultOutcome.from_dict(payload["outcome"]),
-            recovery=(
-                None if recovery is None
-                else RecoveryPolicy.from_dict(recovery)
-            ),
-        )
-
 
 @dataclass(frozen=True)
-class ResilienceSpec:
+class ResilienceSpec(Codec):
     """A declarative resilience campaign: one scenario, N replicates.
 
     The resilience twin of :class:`~repro.api.ExperimentSpec` /
     :class:`~repro.api.SweepSpec` / :class:`~repro.sim.chaos.ChaosSpec`:
-    everything :func:`run_resilience_spec` needs travels inside the spec
-    (picklable, JSON round-trippable via :meth:`to_dict` /
-    :meth:`from_dict`), so replicates ship to any executor backend
-    verbatim and the same spec evaluated anywhere yields bit-identical
-    reports.
+    everything :func:`run_resilience_spec` needs travels inside the
+    (picklable) spec, so replicates ship to any executor backend verbatim
+    and the same spec evaluated anywhere yields bit-identical reports.
 
     Replicate 0 runs at exactly ``seed`` — bit-identical to the
     historical single ``run_resilience`` call on the instance built from
@@ -287,8 +249,8 @@ class ResilienceSpec:
     metrics.
     """
 
-    config: Configuration
-    plan: FaultPlan
+    config: Configuration = Configuration()
+    plan: FaultPlan = FaultPlan()
     duration: float = 1800.0
     seed: int | None = 0
     replicates: int = 1
@@ -329,47 +291,6 @@ class ResilienceSpec:
             return self.seed
         return derive_seed(self.seed, "replicate", replicate)
 
-    # --- serialization --------------------------------------------------------
-
-    def to_dict(self) -> dict:
-        """JSON-ready dict; round-trips through :meth:`from_dict`."""
-        return {
-            "config": self.config.to_dict(),
-            "plan": self.plan.to_dict(),
-            "duration": self.duration,
-            "seed": self.seed,
-            "replicates": self.replicates,
-            "recovery": (
-                None if self.recovery is None else self.recovery.to_dict()
-            ),
-            "detector": self.detector,
-            "engine": self.engine,
-            "enable_churn": self.enable_churn,
-            "enable_updates": self.enable_updates,
-            "executor": self.executor,
-        }
-
-    @classmethod
-    def from_dict(cls, payload: dict, **overrides) -> "ResilienceSpec":
-        known = {"config", "plan", "duration", "seed", "replicates",
-                 "recovery", "detector", "engine", "enable_churn",
-                 "enable_updates", "executor"}
-        unknown = sorted(set(payload) - known)
-        if unknown:
-            raise ValueError(
-                f"unknown resilience fields {unknown}; valid fields are "
-                f"{sorted(known)}"
-            )
-        kwargs = dict(payload)
-        kwargs["config"] = Configuration.from_dict(kwargs.get("config", {}))
-        kwargs["plan"] = FaultPlan.from_dict(kwargs.get("plan", {}))
-        recovery = kwargs.get("recovery")
-        kwargs["recovery"] = (
-            None if recovery is None else RecoveryPolicy.from_dict(recovery)
-        )
-        kwargs.update(overrides)
-        return cls(**kwargs)
-
 
 @dataclass
 class ResilienceResult:
@@ -403,7 +324,7 @@ class ResilienceResult:
         return {
             "spec": self.spec.to_dict(),
             "jobs": self.jobs,
-            "reports": [report.to_dict() for report in self.reports],
+            "reports": encode(self.reports),
         }
 
 

@@ -70,7 +70,7 @@ class TestSpecs:
             spec.points()
 
     def test_unknown_grid_field_rejected(self):
-        with pytest.raises(ValueError, match="unknown configuration field"):
+        with pytest.raises(ValueError, match=r"unknown fields \['nope'\] at SweepSpec.grid;"):
             small_spec(grid={"nope": (1,)})
 
     def test_empty_grid_rejected(self):
@@ -103,7 +103,7 @@ class TestSpecs:
             (spec.trials, spec.seed, spec.max_sources)
 
     def test_sweep_spec_from_dict_rejects_unknown(self):
-        with pytest.raises(ValueError, match="unknown sweep fields"):
+        with pytest.raises(ValueError, match=r"unknown fields \['nope'\] at SweepSpec;"):
             SweepSpec.from_dict({"base": {}, "grid": {"ttl": [1]}, "nope": 1})
 
     def test_configuration_round_trip(self):
@@ -114,7 +114,7 @@ class TestSpecs:
         assert Configuration.from_dict(config.to_dict()) == config
 
     def test_configuration_from_dict_rejects_unknown(self):
-        with pytest.raises(ValueError, match="unknown configuration fields"):
+        with pytest.raises(ValueError, match=r"unknown fields \['graph_sizee'\] at Configuration;"):
             Configuration.from_dict({"graph_sizee": 100})
 
 

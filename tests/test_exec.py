@@ -524,7 +524,7 @@ class TestResilienceSpec:
     def test_from_dict_rejects_unknown(self):
         payload = small_resilience().to_dict()
         payload["nope"] = 1
-        with pytest.raises(ValueError, match="unknown resilience fields"):
+        with pytest.raises(ValueError, match=r"unknown fields \['nope'\] at ResilienceSpec;"):
             ResilienceSpec.from_dict(payload)
 
     def test_spec_pickles(self):

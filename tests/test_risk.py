@@ -316,7 +316,7 @@ class TestRiskSpec:
         assert RiskSpec.from_dict(spec.to_dict()) == spec
 
     def test_from_dict_rejects_unknown_keys(self):
-        with pytest.raises(ValueError, match="unknown RiskSpec key"):
+        with pytest.raises(ValueError, match=r"unknown fields \['cutof'\] at RiskSpec;"):
             RiskSpec.from_dict({"cutof": 0.1})
 
 

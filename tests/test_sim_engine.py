@@ -1,4 +1,4 @@
-"""Discrete-event engine and Poisson workload tests."""
+"""Discrete-event engine tests."""
 
 import numpy as np
 import pytest
@@ -7,7 +7,6 @@ from repro.config import Configuration, GraphType
 from repro.core.routing import propagate_query
 from repro.sim import network
 from repro.sim.engine import Simulator
-from repro.sim.workload import PoissonProcess, exponential_interarrivals
 from repro.topology.builder import build_instance
 
 
@@ -182,45 +181,6 @@ class TestHeapCompaction:
             i for i in range(100) if (i // 10) % 2 == 0
         ]
         assert sim.pending == 0
-
-
-class TestPoisson:
-    def test_interarrival_mean(self):
-        rng = np.random.default_rng(0)
-        gen = exponential_interarrivals(rng, rate=2.0)
-        gaps = [next(gen) for _ in range(20_000)]
-        assert np.mean(gaps) == pytest.approx(0.5, rel=0.03)
-
-    def test_rate_rejected_if_nonpositive(self):
-        with pytest.raises(ValueError):
-            exponential_interarrivals(np.random.default_rng(0), 0.0).__next__()
-
-    def test_process_arrival_count(self):
-        sim = Simulator()
-        hits = []
-        process = PoissonProcess(sim, rate=1.0, action=hits.append, rng=1)
-        process.start()
-        sim.run_until(5000.0)
-        # ~5000 arrivals at rate 1/s.
-        assert len(hits) == pytest.approx(5000, rel=0.06)
-        assert process.arrivals == len(hits)
-
-    def test_process_stop(self):
-        sim = Simulator()
-        hits = []
-        process = PoissonProcess(sim, rate=10.0, action=hits.append, rng=2)
-        process.start()
-        sim.run_until(10.0)
-        process.stop()
-        count = len(hits)
-        sim.run_until(100.0)
-        assert len(hits) == count
-
-    def test_double_start_rejected(self):
-        process = PoissonProcess(Simulator(), 1.0, lambda t: None, rng=0)
-        process.start()
-        with pytest.raises(RuntimeError):
-            process.start()
 
 
 class TestFaultFreeFloodMemo:
