@@ -29,7 +29,6 @@ scripts regenerating every table and figure of the paper.
 from .api import ExperimentSpec, SweepPoint, SweepResult, SweepSpec, run_sweep
 from .exec import (
     Executor,
-    JobFileExecutor,
     ProcessExecutor,
     SerialExecutor,
     ThreadExecutor,
@@ -131,7 +130,6 @@ __all__ = [
     "SerialExecutor",
     "ThreadExecutor",
     "ProcessExecutor",
-    "JobFileExecutor",
     "make_executor",
     "Configuration",
     "GraphType",

@@ -302,7 +302,7 @@ def _evaluate_point(spec: ExperimentSpec):
     identical function runs in-process when ``jobs=1``, which is what
     makes serial and parallel sweeps bit-identical.
     """
-    return collect(spec.label or "point", spec.run)
+    return collect(spec.label, spec.run)
 
 
 def _warm_instance_cache(specs: Sequence[ExperimentSpec]) -> None:
@@ -333,7 +333,6 @@ def run_sweep(
     progress: ProgressTracker | bool | None = None,
     *,
     executor: Executor | str | None = None,
-    jobdir: str | Path | None = None,
     retries: int = 0,
     task_timeout: float | None = None,
 ) -> SweepResult:
@@ -342,7 +341,7 @@ def run_sweep(
     The fan-out is :func:`repro.exec.run_campaign`; the backend
     resolves through :func:`repro.exec.make_executor`: ``executor`` (an
     :class:`~repro.exec.Executor` instance or one of
-    ``"serial" | "thread" | "process" | "jobfile"``) wins, then
+    ``"serial" | "thread" | "process"``) wins, then
     ``spec.executor``, then the historical jobs rule — ``jobs > 1``
     implies ``process``, anything else runs serial in-process,
     bit-identical to calling ``evaluate_configuration`` in a loop.
@@ -393,7 +392,7 @@ def run_sweep(
                   "seed_mode": spec.seed_mode},
         prewarm=lambda: _warm_instance_cache(specs),
         executor=executor if executor is not None else spec.executor,
-        jobs=jobs, jobdir=jobdir, retries=retries, task_timeout=task_timeout,
+        jobs=jobs, retries=retries, task_timeout=task_timeout,
         journal=journal, progress=progress,
     )
     result_points = [

@@ -17,20 +17,16 @@ Commands
 ``crawl``     synthesize a Gnutella-style crawl and summarize it
 ``profile``   attribute every unit of load to (node, action, hop) hotspots
 ``watch``     render live or post-hoc campaign state from a run journal
-``worker``    drain tasks from a jobfile campaign's shared job directory
 
 Campaign commands (``sweep``, ``chaos``, ``resilience``,
 ``design-risk``) share one execution surface:
 
-* ``--executor {serial,thread,process,jobfile}`` picks the dispatch
-  backend (:mod:`repro.exec`); every backend is bit-identical, so the
-  choice is purely about where the work runs.
-* ``--jobs N`` sets the worker-lane count.  ``--jobs`` without
+* ``--executor {serial,thread,process}`` picks the dispatch backend
+  (:mod:`repro.exec`); every backend is bit-identical, so the choice is
+  purely about where the work runs.
+* ``--jobs N`` (N >= 1) sets the worker-lane count.  ``--jobs`` without
   ``--executor`` implies ``--executor process`` (the historical
-  behaviour); ``--jobs 0`` is only valid with ``jobfile`` and means
-  "external workers only" — start ``repro worker JOBDIR`` processes
-  (any number, any host sharing the directory) to drain the campaign.
-* ``--jobdir PATH`` names the shared job directory for ``jobfile``.
+  behaviour).
 * ``--journal PATH`` streams an append-only JSONL run journal and
   ``--progress`` adds a live progress line plus end-of-run campaign
   summary (workers, stragglers, runtime distribution) on stderr.
@@ -107,21 +103,14 @@ def _add_campaign_arguments(parser: argparse.ArgumentParser) -> None:
     """
     group = parser.add_argument_group("campaign execution")
     group.add_argument("--executor",
-                       choices=("serial", "thread", "process", "jobfile"),
+                       choices=("serial", "thread", "process"),
                        default=None,
                        help="dispatch backend for the campaign's points "
                             "(default: 'process' when --jobs > 1, else "
                             "'serial'; every backend is bit-identical)")
     group.add_argument("--jobs", type=int, default=None,
-                       help="worker lanes; --jobs N without --executor "
-                            "implies --executor process; --jobs 0 is "
-                            "jobfile-only (external 'repro worker' "
-                            "processes drain the campaign)")
-    group.add_argument("--jobdir", metavar="PATH", default=None,
-                       help="shared job directory for --executor jobfile "
-                            "(default: a private temp dir; point N hosts "
-                            "or 'repro worker' processes at the same path "
-                            "to drain one campaign cooperatively)")
+                       help="worker lanes (>= 1); --jobs N without "
+                            "--executor implies --executor process")
     group.add_argument("--journal", metavar="PATH", default=None,
                        help="append a JSONL run journal (readable while the "
                             "campaign runs via 'repro watch PATH')")
@@ -252,7 +241,7 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     )
     result = run_sweep(spec, jobs=args.jobs,
                        journal=args.journal, progress=args.progress,
-                       executor=args.executor, jobdir=args.jobdir)
+                       executor=args.executor)
     # Fold the sweep's merged metrics into the --metrics collector (a
     # no-op sink when metrics are disabled).
     get_registry().absorb(result.registry)
@@ -419,7 +408,7 @@ def cmd_design_risk(args: argparse.Namespace) -> int:
     outcome = design_topology_risk(
         constraints, risk, trials=args.trials, max_sources=args.max_sources,
         jobs=args.jobs, journal=args.journal, progress=args.progress,
-        executor=args.executor, jobdir=args.jobdir,
+        executor=args.executor,
     )
     print(outcome.describe())
     if args.out:
@@ -537,7 +526,6 @@ def cmd_resilience(args: argparse.Namespace) -> int:
         result = run_resilience_spec(
             spec, jobs=args.jobs, journal=args.journal,
             progress=args.progress, executor=args.executor,
-            jobdir=args.jobdir,
         )
         report = result.report
         if args.replicates > 1:
@@ -588,7 +576,7 @@ def cmd_chaos(args: argparse.Namespace) -> int:
         )
     result = run_chaos(spec, jobs=args.jobs,
                        journal=args.journal, progress=args.progress,
-                       executor=args.executor, jobdir=args.jobdir)
+                       executor=args.executor)
     get_registry().absorb(result.registry)
     print(render_chaos_report(result))
     if args.report:
@@ -674,20 +662,6 @@ def cmd_watch(args: argparse.Namespace) -> int:
             return 0
         print(render_progress_line(state), flush=True)
         time.sleep(args.interval)
-
-
-def cmd_worker(args: argparse.Namespace) -> int:
-    from .exec.base import TaskError
-    from .exec.jobfile import run_worker
-
-    try:
-        done = run_worker(args.jobdir, startup_timeout=args.startup_timeout,
-                          max_tasks=args.max_tasks, max_idle=args.max_idle)
-    except TaskError as exc:
-        raise SystemExit(str(exc))
-    print(f"worker drained {done} task(s) from {args.jobdir}",
-          file=sys.stderr)
-    return 0
 
 
 def cmd_crawl(args: argparse.Namespace) -> int:
@@ -952,24 +926,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_crawl)
 
     p = sub.add_parser(
-        "worker",
-        help="drain tasks from a jobfile campaign's shared job directory "
-             "(start any number, on any host sharing the directory)",
-    )
-    p.add_argument("jobdir", metavar="JOBDIR",
-                   help="the campaign's --jobdir (may not exist yet; the "
-                        "worker waits for the job header to appear)")
-    p.add_argument("--startup-timeout", type=float, default=120.0,
-                   help="seconds to wait for the job header before exiting")
-    p.add_argument("--max-tasks", type=int, default=None,
-                   help="exit after evaluating this many tasks")
-    p.add_argument("--max-idle", type=float, default=None,
-                   help="exit after this many consecutive seconds with "
-                        "no claimable task (lets fleets drain and "
-                        "disband on their own)")
-    p.set_defaults(func=cmd_worker)
-
-    p = sub.add_parser(
         "watch",
         help="render campaign state (progress, workers, stragglers) "
              "from a run journal, live or post-hoc",
@@ -999,6 +955,11 @@ def main(argv: list[str] | None = None) -> int:
     if args.trials < 1:
         print(f"{parser.prog}: error: --trials must be >= 1, "
               f"got {args.trials}", file=sys.stderr)
+        return 2
+    jobs = getattr(args, "jobs", None)
+    if jobs is not None and jobs < 1:
+        print(f"{parser.prog}: error: --jobs must be >= 1, got {jobs}",
+              file=sys.stderr)
         return 2
     duration = getattr(args, "duration", None)
     if duration is not None and not duration > 0:

@@ -1,4 +1,4 @@
-"""Pluggable campaign executors: one runner, four dispatch strategies.
+"""Pluggable campaign executors: one runner, three dispatch strategies.
 
 See :mod:`repro.exec.base` for :func:`run_campaign`, the one fan-out
 that :func:`repro.api.run_sweep`, :func:`repro.sim.chaos.run_chaos`,
@@ -20,7 +20,6 @@ from .base import (
     fragment_describer,
     run_campaign,
 )
-from .jobfile import JobFileExecutor, run_worker
 from .local import ProcessExecutor, SerialExecutor, ThreadExecutor
 
 __all__ = [
@@ -35,24 +34,20 @@ __all__ = [
     "SerialExecutor",
     "ThreadExecutor",
     "ProcessExecutor",
-    "JobFileExecutor",
-    "run_worker",
     "make_executor",
     "EXECUTOR_NAMES",
 ]
 
 #: The names ``--executor`` and the spec ``executor`` fields accept.
-EXECUTOR_NAMES = ("serial", "thread", "process", "jobfile")
+EXECUTOR_NAMES = ("serial", "thread", "process")
 
 
 def make_executor(
     executor: "Executor | str | None" = None,
     *,
     jobs: int | None = None,
-    jobdir=None,
     retries: int = 0,
     task_timeout: float | None = None,
-    lease: float | None = None,
 ):
     """Resolve an executor name (or pass an instance through) to a backend.
 
@@ -62,24 +57,17 @@ def make_executor(
     * ``None`` keeps the historical semantics — ``jobs`` > 1 implies
       ``process`` (the documented "``--jobs`` without ``--executor``"
       rule), anything else runs ``serial``;
-    * ``"serial" | "thread" | "process" | "jobfile"`` select explicitly.
+    * ``"serial" | "thread" | "process"`` select explicitly.
 
-    ``jobs=0`` is only meaningful for ``jobfile`` (the job waits for
-    external ``repro worker`` processes); every other backend needs at
-    least one lane.
+    ``jobs``, when given, must be at least 1 on every backend.
     """
     if isinstance(executor, Executor):
         return executor
-    if jobs is not None and jobs < 0:
-        raise ValueError(f"jobs must be >= 0, got {jobs}")
+    if jobs is not None and jobs < 1:
+        raise ValueError(f"jobs must be >= 1, got {jobs}")
     if executor is None:
         executor = "process" if jobs is not None and jobs > 1 else "serial"
     name = str(executor).lower()
-    if name != "jobfile" and jobs == 0:
-        raise ValueError(
-            "jobs=0 means 'external workers only' and requires "
-            "executor='jobfile'"
-        )
     if name == "serial":
         return SerialExecutor(retries=retries, task_timeout=task_timeout)
     if name == "thread":
@@ -88,11 +76,6 @@ def make_executor(
     if name == "process":
         return ProcessExecutor(jobs=jobs, retries=retries,
                                task_timeout=task_timeout)
-    if name == "jobfile":
-        return JobFileExecutor(
-            jobdir=jobdir, workers=1 if jobs is None else jobs,
-            retries=retries, task_timeout=task_timeout, lease=lease,
-        )
     raise ValueError(
         f"unknown executor {executor!r}; expected one of "
         f"{', '.join(EXECUTOR_NAMES)} or an Executor instance"

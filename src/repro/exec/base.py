@@ -16,13 +16,10 @@ and unpack the results.  The dispatch strategy is a plugin:
 
 * :class:`~repro.exec.local.SerialExecutor` — the in-process reference
   implementation every other backend must match bit-for-bit;
-* :class:`~repro.exec.local.ThreadExecutor` — a thread pool (the
-  evaluation hot paths are numpy-heavy, so threads overlap real work);
+* :class:`~repro.exec.local.ThreadExecutor` — a thread pool, with no
+  fork or pickling;
 * :class:`~repro.exec.local.ProcessExecutor` — one future per task over
-  a fork-prewarmed ``ProcessPoolExecutor``;
-* :class:`~repro.exec.jobfile.JobFileExecutor` — a shared job directory
-  of claimable task files drained cooperatively by N ``repro worker``
-  processes on one or many hosts, with crash-safe re-claim.
+  a fork-prewarmed ``ProcessPoolExecutor``.
 
 The contract of :meth:`Executor.submit_map`:
 
@@ -39,8 +36,7 @@ The contract of :meth:`Executor.submit_map`:
   enforce it while waiting (the campaign aborts with
   :class:`TaskTimeoutError`; in-flight work is abandoned);
   :class:`SerialExecutor` can only detect the overrun after the task
-  returns; the jobfile backend maps it onto the claim lease, where an
-  expired task is *re-claimed* rather than fatal.
+  returns.
 * ``campaign`` (a :class:`repro.obs.progress.Campaign` or ``None``)
   receives ``point_started`` / ``point_finished`` / ``point_error``
   calls and, for process backends, worker heartbeats — feeding the run
@@ -134,8 +130,6 @@ def fragment_describer(task: Task, outcome: Any) -> dict:
     phases = getattr(fragment, "phases", None)
     if phases and task.label in phases:
         fields["seconds"] = phases[task.label]
-    elif getattr(fragment, "total_seconds", None):
-        fields["seconds"] = fragment.total_seconds
     snapshot = getattr(registry, "snapshot", None)
     if snapshot is not None:
         fields["counters"] = snapshot()["counters"]
@@ -151,10 +145,8 @@ class Executor(ABC):
     results bit-for-bit.
     """
 
-    #: Registry name ("serial", "thread", "process", "jobfile").
+    #: Registry name ("serial", "thread", "process").
     name: str = "executor"
-    #: True when tasks run in forked children (prewarm hook applies).
-    forks: bool = False
 
     def __init__(self, retries: int = 0,
                  task_timeout: float | None = None) -> None:
@@ -262,7 +254,6 @@ def run_campaign(
     prewarm: Callable[[], None] | None = None,
     executor: "Executor | str | None" = None,
     jobs: int | None = None,
-    jobdir=None,
     retries: int = 0,
     task_timeout: float | None = None,
     journal=None,
@@ -288,8 +279,8 @@ def run_campaign(
     from ..obs.progress import start_campaign
     from . import make_executor  # the package imports the backends, which import us
 
-    backend = make_executor(executor, jobs=jobs, jobdir=jobdir,
-                            retries=retries, task_timeout=task_timeout)
+    backend = make_executor(executor, jobs=jobs, retries=retries,
+                            task_timeout=task_timeout)
     config_hash = config_fingerprint(config) if config is not None else None
     git_rev = git_revision(Path(__file__).resolve().parent)
     campaign = start_campaign(

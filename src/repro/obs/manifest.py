@@ -24,7 +24,7 @@ from pathlib import Path
 from time import perf_counter
 from typing import Any, Iterator
 
-from ..codec import encode
+from ..codec import encode, reject_unknown
 from .metrics import MetricsRegistry
 
 
@@ -178,9 +178,11 @@ class RunManifest:
 
     @classmethod
     def from_dict(cls, payload: dict) -> "RunManifest":
+        """Inverse of :meth:`to_dict`; the derived ``total_seconds`` is
+        accepted and recomputed, any other unknown key is refused."""
         known = {f.name for f in dataclasses.fields(cls)}
-        kwargs = {k: v for k, v in payload.items() if k in known}
-        return cls(**kwargs)
+        reject_unknown(payload, known | {"total_seconds"}, "RunManifest")
+        return cls(**{k: v for k, v in payload.items() if k in known})
 
     @classmethod
     def from_json(cls, source: str | Path) -> "RunManifest":

@@ -18,7 +18,6 @@ byte-for-byte — the contract the CI ``risk-design-smoke`` job enforces.
 from __future__ import annotations
 
 from dataclasses import asdict, dataclass, field
-from pathlib import Path
 
 from ..config import Configuration
 from ..core.design import DesignConstraints, design_points
@@ -185,7 +184,6 @@ def design_topology_risk(
     journal=None,
     progress=None,
     executor: Executor | str | None = None,
-    jobdir: str | Path | None = None,
     retries: int = 0,
     task_timeout: float | None = None,
 ) -> RiskDesignOutcome:
@@ -226,7 +224,7 @@ def design_topology_risk(
         )
     assessments = evaluate_designs(
         assessable, spec, jobs=jobs, journal=journal, progress=progress,
-        executor=executor, jobdir=jobdir, retries=retries,
+        executor=executor, retries=retries,
         task_timeout=task_timeout,
     )
     ranked = sorted(

@@ -26,7 +26,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from pathlib import Path
 
 import numpy as np
 
@@ -132,13 +131,10 @@ class RiskSpec(Codec):
             raise ValueError("max_candidates must be >= 1")
         if self.max_scenarios < 1:
             raise ValueError("max_scenarios must be >= 1")
-        if self.executor is not None and not isinstance(self.executor, str):
-            raise ValueError("executor must be a backend name or None")
-        if (isinstance(self.executor, str)
-                and self.executor not in EXECUTOR_NAMES):
+        if self.executor is not None and self.executor not in EXECUTOR_NAMES:
             raise ValueError(
-                f"unknown executor {self.executor!r}; "
-                f"expected one of {EXECUTOR_NAMES}"
+                f"executor must be one of {EXECUTOR_NAMES} or None, "
+                f"got {self.executor!r}"
             )
 
     def crash_spec(self) -> CrashSpec:
@@ -269,8 +265,7 @@ def _peak_load(report: SimulationReport, dark) -> float:
 def _evaluate_cell(cell: RiskCell) -> tuple:
     """Executor entry point: run one cell under private collectors.
 
-    Module-level and importable by name — the jobfile backend's external
-    workers resolve it via ``repro.risk.evaluate:_evaluate_cell``.
+    Module-level so the process pool can pickle it by reference.
     """
     return collect(cell.label, cell.run)
 
@@ -409,7 +404,6 @@ def evaluate_designs(
     progress=None,
     *,
     executor: Executor | str | None = None,
-    jobdir: str | Path | None = None,
     retries: int = 0,
     task_timeout: float | None = None,
 ) -> list[RiskAssessment]:
@@ -462,7 +456,7 @@ def evaluate_designs(
         header={"cutoff": spec.cutoff, "alpha": spec.alpha},
         prewarm=_prewarm,
         executor=executor if executor is not None else spec.executor,
-        jobs=jobs, jobdir=jobdir, retries=retries, task_timeout=task_timeout,
+        jobs=jobs, retries=retries, task_timeout=task_timeout,
         journal=journal, progress=progress,
     ).results
     assessments = []

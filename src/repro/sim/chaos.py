@@ -458,7 +458,6 @@ def run_chaos(
     progress: ProgressTracker | bool | None = None,
     *,
     executor: Executor | str | None = None,
-    jobdir: str | Path | None = None,
     retries: int = 0,
     task_timeout: float | None = None,
 ) -> ChaosReport:
@@ -493,7 +492,7 @@ def run_chaos(
                   "recovery": spec.recovery, "replay": spec.replay,
                   "detector": spec.detector, "engine": spec.engine},
         executor=executor if executor is not None else spec.executor,
-        jobs=jobs, jobdir=jobdir, retries=retries, task_timeout=task_timeout,
+        jobs=jobs, retries=retries, task_timeout=task_timeout,
         journal=journal, progress=progress,
     )
     return ChaosReport(spec=spec, cases=campaign.results,

@@ -19,7 +19,6 @@ run *is* the baseline run (bit-identical loads), which
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
-from pathlib import Path
 from time import perf_counter
 
 import numpy as np
@@ -357,7 +356,6 @@ def run_resilience_spec(
     progress=None,
     *,
     executor: Executor | str | None = None,
-    jobdir: str | Path | None = None,
     retries: int = 0,
     task_timeout: float | None = None,
 ) -> ResilienceResult:
@@ -390,7 +388,7 @@ def run_resilience_spec(
             "detector": spec.detector, "engine": spec.engine,
         },
         executor=executor if executor is not None else spec.executor,
-        jobs=jobs, jobdir=jobdir, retries=retries, task_timeout=task_timeout,
+        jobs=jobs, retries=retries, task_timeout=task_timeout,
         journal=journal, progress=progress,
     )
     return ResilienceResult(spec=spec, reports=campaign.results,

@@ -439,7 +439,7 @@ class TestResilienceRecover:
 
 
 class TestCampaignSurface:
-    """The shared --executor/--jobs/--jobdir/--journal/--progress parent."""
+    """The shared --executor/--jobs/--journal/--progress parent."""
 
     SWEEP = [*SMALL, "sweep", "--graph-size", "300",
              "--param", "cluster_size", "--values", "5,10"]
@@ -455,13 +455,29 @@ class TestCampaignSurface:
             args = parser.parse_args(argv)
             assert args.executor == "thread"
             assert args.jobs is None
-            assert hasattr(args, "jobdir")
             assert hasattr(args, "journal")
             assert hasattr(args, "progress")
 
     def test_unknown_executor_rejected(self):
         with pytest.raises(SystemExit):
             build_parser().parse_args(["sweep", "--executor", "mainframe"])
+
+    @pytest.mark.parametrize("argv", [
+        ["sweep", "--executor", "jobfile"],
+        ["sweep", "--jobdir", "job"],
+        ["worker", "job"],
+    ], ids=["executor-jobfile", "jobdir", "worker"])
+    def test_removed_jobfile_surface_is_a_usage_error(self, capsys, argv):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+        assert "error:" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", ["sweep", "chaos", "resilience",
+                                         "design-risk"])
+    def test_jobs_zero_is_a_usage_error(self, capsys, command):
+        assert_usage_error(capsys, [command, "--jobs", "0"],
+                           "--jobs must be >= 1, got 0")
 
     def test_jobs_implies_process(self, capsys):
         """--jobs N without --executor dispatches on the process backend
@@ -526,58 +542,6 @@ class TestCampaignSurface:
             run_cli(capsys, "--trace-out", str(tmp_path / "t.jsonl"),
                     "resilience", "--graph-size", "200", "--duration", "100",
                     "--replicates", "2")
-
-
-class TestWorkerCommand:
-    def test_exits_zero_on_stop_sentinel(self, capsys, tmp_path):
-        (tmp_path / "stop").write_text("")
-        code, _ = run_cli(capsys, "worker", str(tmp_path))
-        assert code == 0
-
-    def test_startup_timeout_is_usage_error(self, capsys, tmp_path):
-        with pytest.raises(SystemExit, match="job.json"):
-            run_cli(capsys, "worker", str(tmp_path),
-                    "--startup-timeout", "0")
-
-    def test_max_idle_exits_a_stranded_worker(self, capsys, tmp_path):
-        """--max-idle lets a worker give up on a job directory that
-        never grows claimable tasks."""
-        import json
-
-        jobdir = tmp_path / "job"
-        for sub in ("tasks", "claims", "results"):
-            (jobdir / sub).mkdir(parents=True)
-        (jobdir / "job.json").write_text(json.dumps(
-            {"fn": "math:sqrt", "total": 1, "lease": 5.0}
-        ))
-        code, _ = run_cli(capsys, "worker", str(jobdir),
-                          "--max-idle", "0.1")
-        assert code == 0
-
-    def test_drains_a_jobfile_campaign(self, capsys, tmp_path):
-        """End-to-end: a --jobs 0 jobfile sweep drained by an in-process
-        worker thread (the CLI equivalent of a second host)."""
-        import threading
-
-        from repro.exec.jobfile import run_worker
-
-        jobdir = tmp_path / "job"
-        drained = {}
-        thread = threading.Thread(
-            target=lambda: drained.update(n=run_worker(jobdir, poll=0.02)))
-        thread.start()
-        try:
-            code, out = run_cli(
-                capsys, *SMALL, "sweep", "--graph-size", "300",
-                "--param", "cluster_size", "--values", "5,10",
-                "--executor", "jobfile", "--jobs", "0",
-                "--jobdir", str(jobdir),
-            )
-        finally:
-            thread.join(timeout=60.0)
-        assert code == 0
-        assert drained["n"] == 2
-        assert "sweep of cluster_size" in out
 
 
 class TestDesignRisk:

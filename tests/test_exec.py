@@ -2,14 +2,13 @@
 
 The load-bearing contracts:
 
-* every backend — serial, thread, process, jobfile — returns
-  bit-identical results in stable task order (the dispatch strategy may
-  move work, never change it);
+* every backend — serial, thread, process — returns bit-identical
+  results in stable task order (the dispatch strategy may move work,
+  never change it);
 * ``make_executor`` resolves names/instances under the documented rules
-  (``jobs`` without an executor implies ``process``; ``jobs=0`` is
-  jobfile-only);
-* retry budgets, per-task timeouts, and the jobfile crash-reclaim
-  protocol behave as specified;
+  (``jobs`` without an executor implies ``process``; ``jobs`` is at
+  least 1 on every backend);
+* retry budgets and per-task timeouts behave as specified;
 * empty campaigns return well-formed empty results and still close the
   run journal.
 """
@@ -17,9 +16,7 @@ The load-bearing contracts:
 from __future__ import annotations
 
 import json
-import os
 import pickle
-import textwrap
 import threading
 import time
 
@@ -30,17 +27,13 @@ from repro.config import Configuration
 from repro.core.design import DesignConstraints
 from repro.exec import (
     EXECUTOR_NAMES,
-    JobFileExecutor,
     ProcessExecutor,
     SerialExecutor,
     Task,
-    TaskError,
     TaskTimeoutError,
     ThreadExecutor,
     make_executor,
-    run_worker,
 )
-from repro.exec.jobfile import _resolve_fn, _task_name, _task_pos
 from repro.obs.metrics import MetricsRegistry, get_registry, use_registry
 from repro.risk import RiskSpec, design_topology_risk
 from repro.sim.chaos import ChaosSpec, run_chaos
@@ -94,7 +87,6 @@ class TestMakeExecutor:
         assert isinstance(make_executor("serial"), SerialExecutor)
         assert isinstance(make_executor("thread", jobs=3), ThreadExecutor)
         assert isinstance(make_executor("process", jobs=3), ProcessExecutor)
-        assert isinstance(make_executor("jobfile"), JobFileExecutor)
 
     def test_instance_passes_through(self):
         backend = SerialExecutor()
@@ -104,23 +96,47 @@ class TestMakeExecutor:
         with pytest.raises(ValueError, match="jobs"):
             make_executor(jobs=-1)
 
-    def test_jobs_zero_requires_jobfile(self):
-        with pytest.raises(ValueError, match="jobfile"):
-            make_executor(jobs=0)
-        with pytest.raises(ValueError, match="jobfile"):
-            make_executor("process", jobs=0)
-        backend = make_executor("jobfile", jobs=0)
-        assert isinstance(backend, JobFileExecutor)
-        assert backend.workers == 0
+    def test_jobs_zero_rejected(self):
+        for name in (None, *EXECUTOR_NAMES):
+            with pytest.raises(ValueError, match="jobs must be >= 1, got 0"):
+                make_executor(name, jobs=0)
 
     def test_unknown_name_rejected(self):
         with pytest.raises(ValueError, match="mainframe"):
             make_executor("mainframe")
 
+    def test_jobfile_is_an_unknown_name(self):
+        with pytest.raises(ValueError,
+                           match="expected one of serial, thread, process"):
+            make_executor("jobfile")
+
     def test_names_registry_is_exhaustive(self):
-        assert EXECUTOR_NAMES == ("serial", "thread", "process", "jobfile")
+        assert EXECUTOR_NAMES == ("serial", "thread", "process")
         for name in EXECUTOR_NAMES:
             assert make_executor(name, jobs=1).name == name
+
+
+SPECS_WITH_EXECUTOR = {
+    "SweepSpec": lambda **kw: small_sweep(**kw),
+    "ChaosSpec": lambda **kw: ChaosSpec(**kw),
+    "ResilienceSpec": lambda **kw: small_resilience(**kw),
+    "RiskSpec": lambda **kw: RiskSpec(**kw),
+}
+
+
+@pytest.mark.parametrize("spec", SPECS_WITH_EXECUTOR)
+def test_spec_executor_field_refuses_jobfile(spec):
+    """Every spec's ``executor`` field takes only the three backends,
+    whether it is set directly or read back from JSON."""
+    build = SPECS_WITH_EXECUTOR[spec]
+    message = (r"executor must be one of \('serial', 'thread', 'process'\) "
+               r"or None, got 'jobfile'")
+    with pytest.raises(ValueError, match=message):
+        build(executor="jobfile")
+    payload = build().to_dict()
+    payload["executor"] = "jobfile"
+    with pytest.raises(ValueError, match=message):
+        type(build()).from_dict(payload)
 
 
 class TestExecutorValidation:
@@ -131,14 +147,6 @@ class TestExecutorValidation:
     def test_nonpositive_timeout_rejected(self):
         with pytest.raises(ValueError, match="task_timeout"):
             SerialExecutor(task_timeout=0.0)
-
-    def test_jobfile_negative_workers_rejected(self):
-        with pytest.raises(ValueError, match="workers"):
-            JobFileExecutor(workers=-1)
-
-    def test_jobfile_nonpositive_lease_rejected(self):
-        with pytest.raises(ValueError, match="lease"):
-            JobFileExecutor(lease=0.0)
 
 
 class TestEmptyBatches:
@@ -251,171 +259,6 @@ class TestThreadLocalRegistry:
         assert outer.snapshot()["counters"]["c"] == 1
 
 
-class TestJobfileProtocol:
-    def test_task_name_round_trip(self):
-        assert _task_name(7) == "task-00007.pkl"
-        assert _task_pos("task-00007.pkl") == 7
-        assert _task_pos("task-00042.pkl.host-123") == 42
-
-    def test_resolve_fn(self):
-        assert _resolve_fn("math:sqrt")(4.0) == 2.0
-        with pytest.raises(TaskError, match="malformed"):
-            _resolve_fn("no-colon")
-
-    def test_lambda_rejected(self):
-        backend = JobFileExecutor(workers=0)
-        with pytest.raises(TaskError, match="importable"):
-            backend.submit_map(lambda p: p, [Task(0, "t", 1)])
-
-    def test_worker_exits_on_stop_sentinel(self, tmp_path):
-        (tmp_path / "stop").write_text("")
-        assert run_worker(tmp_path, startup_timeout=5.0) == 0
-
-    def test_worker_startup_timeout(self, tmp_path):
-        with pytest.raises(TaskError, match="job.json"):
-            run_worker(tmp_path, startup_timeout=0.0)
-
-    def test_worker_max_idle_exits_when_nothing_to_claim(self, tmp_path):
-        """A worker pointed at a job with no claimable tasks gives up
-        after ``max_idle`` seconds instead of polling forever."""
-        jobdir = tmp_path / "job"
-        for sub in ("tasks", "claims", "results"):
-            (jobdir / sub).mkdir(parents=True)
-        (jobdir / "job.json").write_text(json.dumps(
-            {"fn": "math:sqrt", "total": 1, "lease": 5.0}
-        ))
-        start = time.monotonic()
-        assert run_worker(jobdir, poll=0.01, max_idle=0.1) == 0
-        assert time.monotonic() - start < 5.0
-
-    def test_worker_max_idle_must_be_positive(self, tmp_path):
-        with pytest.raises(ValueError, match="max_idle"):
-            run_worker(tmp_path, max_idle=0.0)
-
-    def test_in_process_worker_drains_job(self, tmp_path):
-        """workers=0 + an in-process run_worker thread: the pure
-        protocol, no subprocess spawning."""
-        jobdir = tmp_path / "job"
-        backend = JobFileExecutor(jobdir=jobdir, workers=0, poll=0.02)
-        tasks = [Task(i, f"t{i}", float(i)) for i in range(4)]
-        drained = {}
-
-        def drain():
-            drained["n"] = run_worker(jobdir, poll=0.02)
-
-        thread = threading.Thread(target=drain)
-        thread.start()
-        try:
-            out = backend.submit_map(_double, tasks)
-        finally:
-            thread.join(timeout=30.0)
-        assert out == [0.0, 2.0, 4.0, 6.0]
-        assert drained["n"] == 4
-
-
-@pytest.fixture
-def crash_helper(tmp_path, monkeypatch):
-    """An importable helper module visible to spawned workers too."""
-    (tmp_path / "exec_crash_helper.py").write_text(textwrap.dedent("""
-        import os
-        from pathlib import Path
-
-        def crash_once(payload):
-            sentinel, value = payload
-            sentinel = Path(sentinel)
-            if not sentinel.exists():
-                sentinel.write_text("crashed")
-                os._exit(17)  # simulate a worker host dying mid-task
-            return value * 2
-
-        def raise_once(payload):
-            sentinel, value = payload
-            sentinel = Path(sentinel)
-            if not sentinel.exists():
-                sentinel.write_text("raised")
-                raise RuntimeError("transient task failure")
-            return value + 1
-    """))
-    monkeypatch.syspath_prepend(str(tmp_path))
-    existing = os.environ.get("PYTHONPATH")
-    monkeypatch.setenv(
-        "PYTHONPATH",
-        str(tmp_path) if not existing
-        else str(tmp_path) + os.pathsep + existing,
-    )
-    import exec_crash_helper
-
-    return exec_crash_helper
-
-
-@pytest.mark.slow
-class TestJobfileCrashRecovery:
-    def test_worker_crash_reclaims_after_lease(self, crash_helper, tmp_path):
-        """A dying worker costs a lease, not the campaign: the stale
-        claim is re-queued and a respawned worker completes the task."""
-        backend = JobFileExecutor(workers=1, lease=0.5, poll=0.02)
-        sentinel = tmp_path / "crash-sentinel"
-        out = backend.submit_map(crash_helper.crash_once,
-                                 [Task(0, "t", (str(sentinel), 21))])
-        assert out == [42]
-        assert sentinel.read_text() == "crashed"
-
-    def test_reclaim_counts_and_journals(self, crash_helper, tmp_path):
-        """Every reclaimed lease is visible: the executor counter, the
-        ``jobfile.leases_reclaimed`` metric, and a ``lease-reclaimed``
-        journal record (a custom kind old readers skip)."""
-        from repro.obs.progress import start_campaign
-
-        backend = JobFileExecutor(workers=1, lease=0.5, poll=0.02)
-        journal_path = tmp_path / "journal.jsonl"
-        campaign = start_campaign(
-            journal_path, None, name="reclaim", total=1, jobs=1,
-            plan=[{"index": 0, "label": "t"}],
-        )
-        sentinel = tmp_path / "reclaim-sentinel"
-        registry = MetricsRegistry()
-        try:
-            with use_registry(registry):
-                out = backend.submit_map(
-                    crash_helper.crash_once,
-                    [Task(0, "t", (str(sentinel), 21))],
-                    campaign=campaign,
-                )
-        finally:
-            campaign.finish()
-        assert out == [42]
-        # The crash guarantees at least one reclaim; a loaded machine can
-        # let a live worker's lease go stale too, so pin agreement across
-        # the three surfaces rather than an exact count.
-        reclaimed = backend.leases_reclaimed
-        assert reclaimed >= 1
-        assert registry.snapshot()["counters"][
-            "jobfile.leases_reclaimed"] == reclaimed
-        records = [json.loads(line) for line in
-                   journal_path.read_text().splitlines()]
-        reclaims = [r for r in records
-                    if r.get("record") == "lease-reclaimed"]
-        assert len(reclaims) == reclaimed
-        assert {r["point"] for r in reclaims} == {0}
-        assert {r["label"] for r in reclaims} == {"t"}
-        assert reclaims[-1]["total_reclaimed"] == reclaimed
-
-    def test_task_error_spends_retry_budget(self, crash_helper, tmp_path):
-        backend = JobFileExecutor(workers=1, retries=1, poll=0.02)
-        sentinel = tmp_path / "raise-sentinel"
-        out = backend.submit_map(crash_helper.raise_once,
-                                 [Task(0, "t", (str(sentinel), 41))])
-        assert out == [42]
-
-    def test_task_error_without_budget_propagates(self, crash_helper,
-                                                  tmp_path):
-        backend = JobFileExecutor(workers=1, retries=0, poll=0.02)
-        sentinel = tmp_path / "fatal-sentinel"
-        with pytest.raises(RuntimeError, match="transient task failure"):
-            backend.submit_map(crash_helper.raise_once,
-                               [Task(0, "t", (str(sentinel), 0))])
-
-
 @pytest.mark.slow
 class TestBackendBitIdentity:
     """The hard constraint: every backend byte-equal to SerialExecutor."""
@@ -431,7 +274,7 @@ class TestBackendBitIdentity:
         )
         return spec, run_sweep(spec, executor="serial")
 
-    @pytest.mark.parametrize("name", ("thread", "process", "jobfile"))
+    @pytest.mark.parametrize("name", ("thread", "process"))
     def test_sweep_matrix(self, golden_sweep, name):
         spec, serial = golden_sweep
         other = run_sweep(spec, executor=name, jobs=2)
@@ -453,7 +296,7 @@ class TestBackendBitIdentity:
                          cluster_size=10, duration=120.0, replay=False)
         return spec, run_chaos(spec, executor="serial")
 
-    @pytest.mark.parametrize("name", ("thread", "process", "jobfile"))
+    @pytest.mark.parametrize("name", ("thread", "process"))
     def test_chaos_matrix(self, golden_chaos, name):
         spec, serial = golden_chaos
         other = run_chaos(spec, executor=name, jobs=2)

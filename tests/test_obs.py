@@ -430,6 +430,17 @@ def test_manifest_finish_and_roundtrip(tmp_path):
         assert loaded.metrics["counters"] == {"c": 4.0}
 
 
+def test_manifest_from_dict_rejects_unknown_keys():
+    # A misspelt field must not load as an empty manifest.
+    with pytest.raises(ValueError, match=r"unknown fields \['phasez'\] "
+                                         r"at RunManifest"):
+        RunManifest.from_dict({"name": "x", "phasez": {"a": 1.0}})
+    # The derived total that to_dict writes is accepted and recomputed.
+    loaded = RunManifest.from_dict({"name": "x", "phases": {"a": 1.5},
+                                    "total_seconds": 99.0})
+    assert loaded.total_seconds == 1.5
+
+
 def test_config_fingerprint_distinguishes_configs():
     from repro.config import Configuration
 
