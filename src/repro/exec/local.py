@@ -157,15 +157,13 @@ class ThreadExecutor(Executor):
             return []
         if self.jobs == 1 or len(tasks) == 1:
             return self._run_serial(fn, tasks, campaign=campaign)
-        campaign_ = campaign
 
         def call(task: Task):
-            if campaign_ is not None:
-                campaign_.point_started(
-                    task.index, task.label,
-                    worker=f"thread-{threading.get_ident()}",
-                )
-            return threading.current_thread().name, fn(task.payload)
+            # The dispatcher credits the finish to this same lane name.
+            worker = threading.current_thread().name
+            if campaign is not None:
+                campaign.point_started(task.index, task.label, worker=worker)
+            return worker, fn(task.payload)
 
         with ThreadPoolExecutor(
             max_workers=min(self.jobs, len(tasks)),

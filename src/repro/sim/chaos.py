@@ -3,9 +3,10 @@
 "Handle as many scenarios as you can imagine" (ROADMAP) is not checkable
 one hand-written scenario at a time.  This module generates *random but
 valid* :class:`~repro.sim.faults.FaultPlan`s from a seed, runs each one
-through :func:`~repro.sim.resilience.run_resilience` with a seeded
-:class:`~repro.sim.recovery.RecoveryPolicy`, and checks a suite of
-invariants that must hold for **every** plan:
+through :func:`~repro.sim.resilience.run_degraded` with a seeded
+:class:`~repro.sim.recovery.RecoveryPolicy` (no fault-free baseline:
+no invariant reads one), and checks a suite of invariants that must
+hold for **every** plan:
 
 * **no client orphaned forever** — once recovery is on, every outage
   older than one repair cycle has either promoted a replacement partner
@@ -30,6 +31,7 @@ from __future__ import annotations
 
 import hashlib
 from dataclasses import dataclass, field, replace
+from functools import partial
 from pathlib import Path
 
 import numpy as np
@@ -43,11 +45,12 @@ from ..obs.metrics import MetricsRegistry
 from ..obs.progress import ProgressTracker
 from ..stats.rng import derive_rng
 from ..topology.builder import build_instance
-from .faults import CrashSpec, FaultPlan, PartitionWindow, RetryPolicy, SlowSpec
+from .faults import (CrashSpec, FaultOutcome, FaultPlan, PartitionWindow,
+                     RetryPolicy, SlowSpec)
 from .gossip import GossipSpec
 from .monitor import DetectorSpec
 from .recovery import RecoveryPolicy
-from .resilience import ResilienceReport, run_resilience
+from .resilience import run_degraded
 
 __all__ = [
     "ChaosSpec",
@@ -271,7 +274,6 @@ class ChaosReport:
     def to_dict(self) -> dict:
         return {
             "spec": self.spec.to_dict(),
-            "jobs": self.jobs,
             "passed": self.passed,
             "cases": [case.to_dict() for case in self.cases],
         }
@@ -287,10 +289,9 @@ def _load_digest(report) -> str:
     return h.hexdigest()
 
 
-def check_invariants(report: ResilienceReport, instance,
+def check_invariants(out: FaultOutcome, plan: FaultPlan, instance,
                      policy: RecoveryPolicy | None) -> list[str]:
-    """The invariant suite for one completed chaos case."""
-    out = report.outcome
+    """The invariant suite for one chaos case's degraded run outcome."""
     violations: list[str] = []
 
     # Message conservation: attempted = delivered + lost, and the
@@ -329,7 +330,7 @@ def check_invariants(report: ResilienceReport, instance,
         # Bounded blackouts: with promotion armed and clients available
         # in every cluster, no closed outage may outlive one detection
         # plus one promotion.
-        if (policy.promote and report.plan.crash is not None
+        if (policy.promote and plan.crash is not None
                 and int(instance.clients.min()) > 0 and out.recovery_times):
             bound = policy.detector.max_lag + policy.promotion_time + _TTR_EPS
             worst = max(out.recovery_times)
@@ -351,7 +352,7 @@ def check_invariants(report: ResilienceReport, instance,
                 resum = float(
                     (out.gossip_cluster_bytes_in.sum()
                      + out.gossip_cluster_bytes_out.sum())
-                    * report.partners
+                    * instance.partners
                 )
                 if abs(resum - out.gossip_bytes) > 1e-6 * max(1.0, resum):
                     violations.append(
@@ -380,32 +381,25 @@ def run_chaos_case(spec: ChaosSpec, seed: int) -> ChaosCaseResult:
         generate_recovery_policy(seed, detector=spec.detector)
         if spec.recovery else None
     )
-    report = run_resilience(
-        instance, plan, duration=spec.duration, rng=seed, recovery=policy,
-        engine=spec.engine,
-    )
-    violations = check_invariants(report, instance, policy)
-    digest = _load_digest(report.degraded)
+    run = partial(run_degraded, instance, plan, spec.duration, rng=seed,
+                  recovery=policy, engine=spec.engine)
+    degraded, out = run()
+    violations = check_invariants(out, plan, instance, policy)
+    digest = _load_digest(degraded)
     if spec.replay:
         # Determinism is itself an invariant: the same seed must replay
-        # to the bit.  The baseline is reused — only the degraded
-        # simulation re-runs.
-        replay = run_resilience(
-            instance, plan, duration=spec.duration, rng=seed,
-            baseline=report.baseline, recovery=policy, engine=spec.engine,
-        )
-        if _load_digest(replay.degraded) != digest:
+        # to the bit.
+        replayed, again = run()
+        if _load_digest(replayed) != digest:
             violations.append("replay: degraded loads are not bit-identical")
-        first, second = report.outcome, replay.outcome
         for name in ("queries_attempted", "queries_failed", "partner_crashes",
                      "promotions", "rehomed_clients", "links_healed",
                      "repair_messages", "flood_messages_attempted"):
-            if getattr(first, name) != getattr(second, name):
+            if getattr(out, name) != getattr(again, name):
                 violations.append(
                     f"replay: {name} diverged "
-                    f"({getattr(first, name)} vs {getattr(second, name)})"
+                    f"({getattr(out, name)} vs {getattr(again, name)})"
                 )
-    out = report.outcome
     summary = {
         "queries": out.queries_attempted,
         "success_rate": round(out.query_success_rate, 4),

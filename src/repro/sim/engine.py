@@ -17,20 +17,21 @@ from __future__ import annotations
 
 import heapq
 import itertools
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Any, Callable
 
 from ..obs.metrics import get_registry
 
 
-@dataclass(order=True)
+@dataclass(eq=False, slots=True)
 class _Entry:
+    """One scheduled call; the heap orders it by its ``(time, seq)`` key."""
+
     time: float
-    seq: int
-    callback: Callable[..., Any] = field(compare=False)
-    args: tuple = field(compare=False, default=())
-    cancelled: bool = field(compare=False, default=False)
-    done: bool = field(compare=False, default=False)
+    callback: Callable[..., Any]
+    args: tuple
+    cancelled: bool = False
+    done: bool = False
 
 
 class EventHandle:
@@ -104,7 +105,8 @@ class Simulator:
     COMPACT_MIN = 64
 
     def __init__(self) -> None:
-        self._heap: list[_Entry] = []
+        # (time, seq, entry): unique seqs make the tuples compare in C.
+        self._heap: list[tuple[float, int, _Entry]] = []
         self._seq = itertools.count()
         self._cancelled = 0
         self.now = 0.0
@@ -127,8 +129,8 @@ class Simulator:
         """Schedule ``callback(*args)`` at an absolute virtual time."""
         if time < self.now:
             raise ValueError(f"cannot schedule into the past ({time} < {self.now})")
-        entry = _Entry(time=time, seq=next(self._seq), callback=callback, args=args)
-        heapq.heappush(self._heap, entry)
+        entry = _Entry(time, callback, args)
+        heapq.heappush(self._heap, (time, next(self._seq), entry))
         return EventHandle(entry, self)
 
     def every(self, interval: float, callback: Callable[..., Any], *args,
@@ -157,26 +159,24 @@ class Simulator:
 
     def _compact(self) -> None:
         """Drop all cancelled entries and re-heapify the survivors."""
-        self._heap = [entry for entry in self._heap if not entry.cancelled]
+        self._heap = [item for item in self._heap if not item[2].cancelled]
         heapq.heapify(self._heap)
         self._cancelled = 0
         self.compactions += 1
         self._m_compactions.add()
 
-    def _pop_cancelled(self) -> _Entry:
+    def _pop_cancelled(self) -> None:
         """Pop one known-cancelled entry off the heap head."""
-        entry = heapq.heappop(self._heap)
-        entry.done = True
+        heapq.heappop(self._heap)[2].done = True
         self._cancelled -= 1
-        return entry
 
     def step(self) -> bool:
         """Fire the next pending event; False if the queue is empty."""
         while self._heap:
-            if self._heap[0].cancelled:
+            if self._heap[0][2].cancelled:
                 self._pop_cancelled()
                 continue
-            entry = heapq.heappop(self._heap)
+            entry = heapq.heappop(self._heap)[2]
             entry.done = True
             self.now = entry.time
             entry.callback(*entry.args)
@@ -195,11 +195,11 @@ class Simulator:
         fired_before = self.events_processed
         with self._m_run.time():
             while self._heap:
-                entry = self._heap[0]
+                time, _, entry = self._heap[0]
                 if entry.cancelled:
                     self._pop_cancelled()
                     continue
-                if entry.time > end_time:
+                if time > end_time:
                     break
                 self.step()
             self.now = end_time

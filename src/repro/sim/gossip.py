@@ -658,34 +658,33 @@ class GossipDetector:
         nodes = nodes[nodes != prop.source]
         if nodes.size == 0:
             return
-        preds, depths, view = prop.pred[nodes], prop.depth[nodes], self.view
+        preds, view = prop.pred[nodes], self.view
         # When every reached row equals the source's, every maximum below
         # is a no-op and ``_active`` is already fresh: skip both merges
         # and charge the digests alone.
         agreed = not (view[nodes] != view[prop.source]).any()
         if not agreed:
-            # Down pass, shallow levels first.  A level's receivers are
-            # distinct nodes, so a gather/max/assign merges it.
-            for d in np.unique(depths):
-                at = depths == d
-                view[nodes[at]] = np.maximum(view[nodes[at]], view[preds[at]])
+            # Down pass over the flood's ``levels``, shallow first.  A
+            # level's receivers are distinct, so a gather/max/assign merges it.
+            for level in prop.levels[1:]:
+                view[level] = np.maximum(view[level], view[prop.pred[level]])
             # A node's view changes at most once per pass and before it
             # sends, so one recount per pass sizes every digest of the pass.
             self._recount(nodes)
         down = self._digest_bytes(preds)
         passing = edge_pass[nodes]
-        kids, parents, kid_depths = nodes[passing], preds[passing], depths[passing]
+        kids, parents = nodes[passing], preds[passing]
         if not agreed:
             # Up pass, deep levels first.  Siblings share a parent row, so
             # each level scatters with one flat maximum.at over row-major
             # keys (``view`` is C-contiguous, so ``reshape(-1)`` writes
             # through).
             width = view.shape[1]
-            for d in np.unique(kid_depths)[::-1]:
-                at = kid_depths == d
-                keys = parents[at, np.newaxis] * width + np.arange(width)
+            for level in prop.levels[:0:-1]:
+                at = level[edge_pass[level]]
+                keys = prop.pred[at, np.newaxis] * width + np.arange(width)
                 np.maximum.at(view.reshape(-1), keys.ravel(),
-                              view[kids[at]].ravel())
+                              view[at].ravel())
             self._recount(parents)
         sizes = np.concatenate((down, self._digest_bytes(kids)))
         # Per node, charges keep the per-level order: in down, out down,

@@ -123,9 +123,17 @@ class _State:
         self.n = instance.num_clusters
         self.k = instance.partners
         # Mutable copies: churn replaces peers (and their collections).
-        self.client_files = instance.client_files.astype(np.int64).copy()
-        self.partner_files = instance.partner_files.astype(np.int64).copy()
-        self.cluster_of_client = np.repeat(np.arange(self.n), instance.clients)
+        # One row for every peer, clients then partners; views below.
+        self.peer_files = np.concatenate(
+            [instance.client_files, instance.partner_files.ravel()]
+        ).astype(np.int64)
+        self.cluster_of_peer = np.concatenate(
+            [np.repeat(np.arange(self.n), instance.clients),
+             np.repeat(np.arange(self.n), self.k)])
+        c = instance.total_clients
+        self.client_files = self.peer_files[:c]
+        self.partner_files = self.peer_files[c:].reshape(self.n, self.k)
+        self.cluster_of_client = self.cluster_of_peer[:c]
         # The overlay in effect *right now*.  Identical to the instance
         # graph except while partition healing (sim.recovery) has
         # redundant links patched in — the one mutable-topology case.
@@ -217,22 +225,15 @@ def _exact_matches(state: _State, rt: FaultRuntime | None, s: int,
     workload (common random numbers); retries reuse the draws.
     """
     st = state
-    rng = st.rng
     f_j = float(st.model.f[j])
-    client_matches = rng.binomial(st.client_files, f_j) if f_j > 0 else np.zeros_like(st.client_files)
-    partner_matches = (
-        rng.binomial(st.partner_files, f_j) if f_j > 0 else np.zeros_like(st.partner_files)
-    )
+    matches = (st.rng.binomial(st.peer_files, f_j) if f_j > 0
+               else np.zeros_like(st.peer_files))
     # Summed by current membership: the static roster until recovery
     # re-homes a client.  The sums are integer-valued, hence exact.
-    client_sum = np.bincount(
-        st.cluster_of_client, weights=client_matches, minlength=st.n
-    ).astype(np.int64)
-    client_hit_count = np.bincount(
-        st.cluster_of_client, weights=client_matches > 0, minlength=st.n
-    ).astype(np.int64)
-    n_results = client_sum + partner_matches.sum(axis=1)
-    k_addr = client_hit_count + (partner_matches > 0).sum(axis=1)
+    n_results = np.bincount(st.cluster_of_peer, weights=matches,
+                            minlength=st.n).astype(np.int64)
+    k_addr = np.bincount(st.cluster_of_peer, weights=matches > 0,
+                         minlength=st.n).astype(np.int64)
     return n_results, k_addr
 
 

@@ -396,6 +396,16 @@ def run_resilience_spec(
                             registry=campaign.registry, jobs=campaign.jobs)
 
 
+def run_degraded(instance: NetworkInstance, plan: FaultPlan, duration: float,
+                 **options) -> tuple[SimulationReport, FaultOutcome]:
+    """``instance`` simulated under ``plan`` alone: the run's loads and its
+    fault outcome.  ``options`` go to :func:`simulate_instance`."""
+    outcome = FaultOutcome()
+    report = simulate_instance(instance, duration=duration, faults=plan,
+                               fault_metrics=outcome, **options)
+    return report, outcome
+
+
 def run_resilience(
     instance: NetworkInstance,
     plan: FaultPlan,
@@ -480,15 +490,13 @@ def run_resilience(
         plan=points, seed=rng,
     )
     try:
-        outcome = FaultOutcome()
         if campaign is not None:
             campaign.point_started(0, "degraded")
         started = perf_counter()
-        degraded = simulate_instance(
-            instance, duration=duration, model=model, rng=rng,
+        degraded, outcome = run_degraded(
+            instance, plan, duration, model=model, rng=rng,
             enable_churn=enable_churn, enable_updates=enable_updates,
-            faults=plan, fault_metrics=outcome, recovery=recovery,
-            tracer=tracer, engine=engine,
+            recovery=recovery, tracer=tracer, engine=engine,
         )
         if campaign is not None:
             campaign.point_finished(

@@ -16,7 +16,11 @@ kept here so the tests can pin the kernel bit for bit:
 * :func:`level_gossip_flood` — the gossip piggyback one tree level at a
   time, charging and merging per level with 2-D ``ufunc.at`` scatters,
   against which :meth:`repro.sim.gossip.GossipDetector.on_flood` (two
-  passes per flood) is pinned.
+  passes per flood) is pinned;
+* :func:`two_draw_matches` — the event engine's per-query match draw as
+  one Binomial call for the clients, then one for the partners, against
+  which ``repro.sim.network._exact_matches`` (one call over every peer)
+  is pinned, RNG stream included.
 """
 
 from __future__ import annotations
@@ -193,3 +197,21 @@ def _merge_rows(det, senders, receivers) -> None:
     det._active[uniq] = np.count_nonzero(det.view[uniq] & _STATE_MASK, axis=1)
     det.rumors_sent += int(senders.size)
     det._m_rumors.add(float(senders.size))
+
+
+def two_draw_matches(rng, client_files, partner_files, cluster_of_client,
+                     n: int, f_j: float):
+    """Per-cluster result and responder counts ``(N_T, K_T)`` of one query:
+    each file matches with probability ``f_j``, the clients drawn first
+    and the ``(n, k)`` partners second, clients summed by their current
+    cluster."""
+    client = (rng.binomial(client_files, f_j) if f_j > 0
+              else np.zeros_like(client_files))
+    partner = (rng.binomial(partner_files, f_j) if f_j > 0
+               else np.zeros_like(partner_files))
+    client_sum = np.bincount(cluster_of_client, weights=client,
+                             minlength=n).astype(np.int64)
+    client_hits = np.bincount(cluster_of_client, weights=client > 0,
+                              minlength=n).astype(np.int64)
+    return (client_sum + partner.sum(axis=1),
+            client_hits + (partner > 0).sum(axis=1))

@@ -106,6 +106,14 @@ class TestRunChaos:
         assert len(payload["cases"]) == SPEC.cases
         assert payload["spec"] == SPEC.to_dict()
 
+    def test_report_payload_is_the_same_on_every_backend(self, report):
+        # The lane count is a dispatch setting, not a measurement: it
+        # stays on the report object and out of its payload.
+        process = run_chaos(SPEC, jobs=2, executor="process")
+        assert process.jobs == 2
+        assert process.to_dict() == report.to_dict()
+        assert "jobs" not in report.to_dict()
+
     def test_jobs_validated(self):
         with pytest.raises(ValueError):
             run_chaos(SPEC, jobs=0)
@@ -127,13 +135,15 @@ class TestInvariantChecks:
 
     def test_honest_case_is_clean(self, case):
         instance, policy, report = case
-        assert check_invariants(report, instance, policy) == []
+        assert check_invariants(report.outcome, report.plan, instance,
+                                policy) == []
 
     def test_conservation_violation_detected(self, case):
         instance, policy, report = case
         report.outcome.flood_messages_delivered += 1
         try:
-            violations = check_invariants(report, instance, policy)
+            violations = check_invariants(report.outcome, report.plan,
+                                          instance, policy)
         finally:
             report.outcome.flood_messages_delivered -= 1
         assert any("conservation" in v for v in violations)
@@ -142,7 +152,8 @@ class TestInvariantChecks:
         instance, policy, report = case
         report.outcome.permanently_orphaned_clients = 2
         try:
-            violations = check_invariants(report, instance, policy)
+            violations = check_invariants(report.outcome, report.plan,
+                                          instance, policy)
         finally:
             report.outcome.permanently_orphaned_clients = 0
         assert any("orphaned" in v for v in violations)
@@ -151,7 +162,8 @@ class TestInvariantChecks:
         instance, policy, report = case
         report.outcome.overlay_restored = False
         try:
-            violations = check_invariants(report, instance, policy)
+            violations = check_invariants(report.outcome, report.plan,
+                                          instance, policy)
         finally:
             report.outcome.overlay_restored = True
         assert any("overlay" in v for v in violations)
@@ -160,10 +172,29 @@ class TestInvariantChecks:
         instance, policy, report = case
         report.outcome.overlay_restored = False
         try:
-            violations = check_invariants(report, instance, None)
+            violations = check_invariants(report.outcome, report.plan,
+                                          instance, None)
         finally:
             report.outcome.overlay_restored = True
         assert violations == []
+
+    def test_case_runs_the_degraded_simulation_and_its_replay_only(
+            self, monkeypatch):
+        # No invariant reads a fault-free baseline, so a case simulates
+        # twice, both times under its fault plan.
+        from repro.sim import resilience
+
+        plans = []
+        real = resilience.simulate_instance
+
+        def counted(*args, **kwargs):
+            plans.append(kwargs.get("faults"))
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(resilience, "simulate_instance", counted)
+        run_chaos_case(SPEC, 101)
+        assert len(plans) == 2
+        assert all(plan is not None and not plan.is_null for plan in plans)
 
     def test_replay_is_bit_identical(self):
         a = run_chaos_case(SPEC, 101)

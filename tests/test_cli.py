@@ -645,8 +645,8 @@ class TestChaos:
 
         real = chaos_mod.check_invariants
 
-        def broken(report, instance, policy):
-            return real(report, instance, policy) + ["forced violation"]
+        def broken(out, plan, instance, policy):
+            return real(out, plan, instance, policy) + ["forced violation"]
 
         monkeypatch.setattr(chaos_mod, "check_invariants", broken)
         code, out = run_cli(

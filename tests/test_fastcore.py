@@ -38,10 +38,16 @@ structural invariants on hypothesis-generated graphs:
   flood: nested reached sets, identical depths/preds on the smaller
   set, monotone message totals;
 * **frontier bound** — per-depth frontier sizes partition the reached
-  set, so no frontier can exceed the reachable-set size.
+  set, so no frontier can exceed the reachable-set size;
+* **one-draw matches** — the event engine's per-query match draw over
+  every peer at once (``network._exact_matches``) equals one draw for the
+  clients then one for the partners, counts and RNG stream alike.
 """
 
 from __future__ import annotations
+
+import dataclasses
+from types import SimpleNamespace
 
 import numpy as np
 from hypothesis import given, settings, strategies as st
@@ -57,7 +63,7 @@ from repro.topology.builder import build_instance
 from repro.topology.graph import OverlayGraph
 from repro.topology.strong import CompleteGraph
 
-from _oracle import scalar_flood, scalar_fold
+from _oracle import scalar_flood, scalar_fold, two_draw_matches
 
 
 @st.composite
@@ -469,3 +475,52 @@ def test_complete_block_matches_closed_form():
         for ttl in (1, 2, 3):
             _assert_rows_match_scalar(flood_block(complete, sources, ttl),
                                       complete, sources, ttl)
+
+
+_MATCH_INSTANCES = tuple(
+    build_instance(Configuration(graph_size=60, cluster_size=6,
+                                 redundancy=redundant), seed=3)
+    for redundant in (False, True)
+)
+
+
+@st.composite
+def _match_cases(draw):
+    """An instance with drawn client and partner collections (zeros
+    included), a match probability, some re-homed clients and a seed."""
+    inst = draw(st.sampled_from(_MATCH_INSTANCES))
+    n, k, c = inst.num_clusters, inst.partners, inst.total_clients
+    files = st.integers(0, 40)
+    inst = dataclasses.replace(
+        inst,
+        client_files=np.array(draw(st.lists(files, min_size=c, max_size=c)),
+                              dtype=np.int64),
+        partner_files=np.array(draw(st.lists(files, min_size=n * k,
+                                             max_size=n * k)),
+                               dtype=np.int64).reshape(n, k))
+    moves = draw(st.lists(st.tuples(st.integers(0, c - 1),
+                                    st.integers(0, n - 1)), max_size=8))
+    return (inst, draw(st.sampled_from((0.0, 1e-6, 0.3, 0.9))), moves,
+            draw(st.integers(0, 2**32 - 1)))
+
+
+@settings(max_examples=100, deadline=None)
+@given(case=_match_cases())
+def test_one_draw_matches_equal_the_two_draw_reference(case):
+    """``_exact_matches`` draws every peer in one Binomial call, clients
+    then partners: the same counts, dtypes and RNG stream as one call per
+    peer kind."""
+    inst, f_j, moves, seed = case
+    state = network._State(inst, SimpleNamespace(f=np.array([f_j])),
+                           np.random.default_rng(seed))
+    for client, cluster in moves:  # what recovery's re-homing writes
+        state.cluster_of_client[client] = cluster
+    rng = np.random.default_rng(seed)
+    want = two_draw_matches(rng, state.client_files.copy(),
+                            state.partner_files.copy(),
+                            state.cluster_of_client.copy(), state.n, f_j)
+    got = network._exact_matches(state, None, 0, 0)
+    for g, w in zip(got, want):
+        assert g.dtype == w.dtype
+        assert np.array_equal(g, w)
+    assert state.rng.bit_generator.state == rng.bit_generator.state

@@ -333,6 +333,22 @@ def test_sweep_telemetry_is_neutral(tmp_path, jobs):
     assert tracker.state.done == len(plain.points)
 
 
+def test_thread_sweep_journals_each_point_under_one_worker(tmp_path):
+    """A point's start and finish name the same lane, so a two-lane
+    thread sweep shows two workers, each finishing what it started."""
+    path = tmp_path / "t.jsonl"
+    run_sweep(small_sweep(grid={"ttl": (2, 3, 4, 5)}), jobs=2,
+              executor="thread", journal=path)
+    books = {"point-start": {}, "point-finish": {}}
+    for record in read_journal(path)[0]:
+        if record["record"] in books:
+            books[record["record"]].setdefault(
+                record["worker"], set()).add(record["index"])
+    started, finished = books["point-start"], books["point-finish"]
+    assert len(started) == 2
+    assert started == finished
+
+
 def test_chaos_telemetry_is_neutral_and_journals_seeds(tmp_path):
     spec = ChaosSpec(cases=2, base_seed=3, graph_size=120, duration=120.0,
                      replay=False)
