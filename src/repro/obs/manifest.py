@@ -14,12 +14,14 @@ from __future__ import annotations
 import dataclasses
 import hashlib
 import json
+import os
 import platform
 import subprocess
 import sys
 import time
 from contextlib import contextmanager
 from dataclasses import dataclass, field
+from functools import lru_cache
 from pathlib import Path
 from time import perf_counter
 from typing import Any, Iterator
@@ -43,11 +45,21 @@ def config_fingerprint(config: Any) -> str:
 
 
 def git_revision(cwd: str | Path | None = None) -> str | None:
-    """Current git commit hash, or None outside a repo / without git."""
+    """Current git commit hash, or None outside a repo / without git.
+
+    Looked up once per process and directory (``cwd``, else the working
+    directory): campaigns stamp every run with it, and a fork of ``git``
+    per run costs milliseconds.
+    """
+    return _git_revision(str(cwd) if cwd is not None else os.getcwd())
+
+
+@lru_cache(maxsize=None)
+def _git_revision(cwd: str) -> str | None:
     try:
         out = subprocess.run(
             ["git", "rev-parse", "HEAD"],
-            cwd=str(cwd) if cwd is not None else None,
+            cwd=cwd,
             capture_output=True,
             text=True,
             timeout=5.0,

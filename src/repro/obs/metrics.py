@@ -165,6 +165,23 @@ def _bucket_of(value: float) -> int:
     return index if value > 0 else -index
 
 
+def _buckets_of(values: np.ndarray) -> np.ndarray:
+    """:func:`_bucket_of` of each value, bit for bit.
+
+    ``np.log2`` may round differently from ``math.log2``, which can only
+    move the floor where the scaled log lies within a few ulps of an
+    integer; those values go through :func:`_bucket_of` itself.
+    """
+    magnitude = np.abs(values)
+    finite = (magnitude > 0.0) & np.isfinite(magnitude)
+    scaled = np.log2(np.where(finite, magnitude, 1.0)) * _BUCKETS_PER_OCTAVE
+    index = np.floor(scaled).astype(np.int64) + _INDEX_OFFSET
+    buckets = np.where(finite, np.where(values > 0, index, -index), 0)
+    for i in np.flatnonzero(finite & (np.abs(scaled - np.rint(scaled)) < 1e-9)):
+        buckets[i] = _bucket_of(float(values[i]))
+    return buckets
+
+
 def _bucket_midpoint(index: int) -> float:
     """Geometric midpoint of a bucket (inverse of :func:`_bucket_of`)."""
     if index == 0:
@@ -212,10 +229,21 @@ class Histogram(_Picklable):
     def observe_many(self, values) -> None:
         """Record every value in order; same state as ``observe`` on each."""
         values = np.asarray(values, dtype=float).ravel()
-        # One bucket lookup per distinct value, taken in first-occurrence
-        # order so new buckets enter the dict where the loop would put them.
-        uniq, first, counts = np.unique(values, return_index=True, return_counts=True)
-        order = np.argsort(first)
+        if not values.size:
+            return
+        # One dict update per bucket, in the order of each bucket's first
+        # occurrence, so new buckets enter the dict where the loop would
+        # put them.  Equal values are adjacent once sorted (any sort will
+        # do); a run's first occurrence is its least original index.
+        order = values.argsort()
+        ranked = values[order]
+        starts = np.flatnonzero(np.concatenate(([True], ranked[1:] != ranked[:-1])))
+        buckets, group = np.unique(_buckets_of(ranked[starts]), return_inverse=True)
+        first = np.full(buckets.size, values.size)
+        np.minimum.at(first, group, np.minimum.reduceat(order, starts))
+        counts = np.zeros(buckets.size, dtype=np.int64)
+        np.add.at(counts, group, np.diff(starts, append=values.size))
+        seen = first.argsort()
         # NaN never becomes min or max; argmin/argmax keep the first of
         # equal candidates (signed zeros), as observe's strict < and > do.
         comparable = values[~np.isnan(values)]
@@ -233,8 +261,7 @@ class Histogram(_Picklable):
                     self.min = low
                 if high > self.max:
                     self.max = high
-            for value, n in zip(uniq[order].tolist(), counts[order].tolist()):
-                bucket = _bucket_of(value)
+            for bucket, n in zip(buckets[seen].tolist(), counts[seen].tolist()):
                 self._buckets[bucket] = self._buckets.get(bucket, 0) + n
 
     @property

@@ -34,6 +34,17 @@ the same measured loads with structure-of-arrays kernels:
   (results per query, delivery bytes) is still genuinely sampled, as
   vectorized end-of-run draws, so result-count distributions stay
   realistic.
+* **Bounded memory** — beside the schedule, only the three delivery
+  draws (own results, remote results, responding clusters) are
+  query-length.  Each is drawn whole, in that order, from inputs built
+  just before it and freed after, so the stream does not depend on how
+  the rest is sliced.  Everything else per query — client submits,
+  delivery pricing and charges, the results histogram — runs over
+  consecutive ``_QUERY_CHUNK``-query slices: every submit slice first,
+  then every delivery slice, because both charge ``sp_proc`` and
+  ``cl_proc`` and the order of float additions is part of the result.
+  ``np.add.at`` over consecutive slices adds in the order of one call,
+  so the loads are the same bits at any slice length.
 
 All of the above is the fault-free path.  Under a
 :class:`~repro.sim.faults.FaultPlan`, ``engine="array"`` is the event
@@ -56,9 +67,9 @@ Instrumentation parity: the array engine runs on the event engine's
 ``_State`` — its meters, outcome counters and instrument family — and
 charges joins, updates, client submits and deliveries through the event
 engine's own per-event routines (``network._charge_*``, called once per
-schedule array), so counter parity holds by construction.  On top of
-that, ``sim.engine.events`` counts replayed schedule events, and the
-run is timed under the ``sim.engine.run`` timer plus per-phase
+schedule array or query slice), so counter parity holds by construction.
+On top of that, ``sim.engine.events`` counts replayed schedule events,
+and the run is timed under the ``sim.engine.run`` timer plus per-phase
 ``sim.array.*`` registry timers (churn / updates / flood / delivery).
 All of it is observation-only (``tests/test_journal.py`` neutrality).
 """
@@ -87,6 +98,11 @@ __all__ = ["FloodBlock", "flood_block", "meanfield_matches",
 #: rates), so piecewise-constant snapshots capture the drift the
 #: event engine's per-query index reads see.
 DEFAULT_WINDOWS = 8
+
+#: Queries per slice of the submit and delivery passes.  Bounds their
+#: working set at a few dozen arrays of this length, whatever the number
+#: of queries; the results do not depend on it.
+_QUERY_CHUNK = 1 << 14
 
 
 def _mark_phase(registry, name: str, started: float) -> float:
@@ -222,9 +238,8 @@ def simulate_instance_array(
     log_miss = np.log1p(-model.f)
     J = model.num_classes
     mwj = np.zeros((W, J))
-    w_q = window_of(schedule.q_time) if Q else np.zeros(0, dtype=np.int64)
     if Q:
-        np.add.at(mwj, (w_q, j_q), 1.0)
+        np.add.at(mwj, (window_of(schedule.q_time), j_q), 1.0)
     m_w = mwj.sum(axis=1)
     m_j = mwj.sum(axis=0)
 
@@ -316,44 +331,64 @@ def simulate_instance_array(
     phase_started = _mark_phase(registry, "sim.array.flood", phase_started)
 
     # --- per-query client submit (exact) and sampled deliveries -------------
+    # Only the schedule and the three draws are query-length; everything
+    # else runs over _QUERY_CHUNK-query slices (see the module docstring).
     if Q:
         q_src = schedule.q_cluster
-        is_client_q = schedule.q_pick < clients[q_src]
-        cq_src = q_src[is_client_q]
-        _charge_submit(st, cq_src, ptr[cq_src] + schedule.q_pick[is_client_q],
-                       st.kv)
+        q_pick = schedule.q_pick
+        chunks = [slice(lo, lo + _QUERY_CHUNK)
+                  for lo in range(0, Q, _QUERY_CHUNK)]
+        for c in chunks:
+            s, pick = q_src[c], q_pick[c]
+            is_client = pick < clients[s]
+            cs = s[is_client]
+            _charge_submit(st, cs, ptr[cs] + pick[is_client], st.kv)
 
-        f_q = model.f[j_q]
+        # Whole-length draws in a fixed order, so the stream does not
+        # depend on the slicing; each draw's inputs die with it.
+        w_q = window_of(schedule.q_time)
         Fq_src = F_wins[w_q, q_src]
-        Fq_reach = F_reach[q_src, w_q]
-        own = rng_a.binomial(np.maximum(Fq_src, 0.0).astype(np.int64), f_q)
-        remote = rng_a.binomial(
-            np.maximum(Fq_reach - Fq_src, 0.0).astype(np.int64), f_q
-        )
-        to_r = (own + remote).astype(float)
-        st.total_results = float(to_r.sum())
+        gap = F_reach[q_src, w_q]
+        del w_q
+        gap -= Fq_src  # before Fq_src is clamped in place
+        f_q = model.f[j_q]
+        n = np.maximum(Fq_src, 0.0, out=Fq_src).astype(np.int64)
+        del Fq_src
+        own = rng_a.binomial(n, f_q)
+        del n
+        n = np.maximum(gap, 0.0, out=gap).astype(np.int64)
+        del gap
+        remote = rng_a.binomial(n, f_q)
+        del n, f_q
         reach_q = reach_count[q_src]
-        mm = rng_a.binomial(
-            np.maximum(reach_q - 1, 0).astype(np.int64), pbar[j_q]
-        )
-        mm = np.where(
-            remote > 0,
-            np.clip(mm, 1, np.maximum(np.minimum(remote, reach_q - 1), 1)),
-            0,
-        )
-        to_m = (own > 0).astype(float) + mm
-        to_a = np.where(
-            to_m > 0,
-            np.clip(np.rint(to_r * a_frac[j_q]), to_m, to_r),
-            0.0,
-        )
+        reach_q -= 1
+        n = np.maximum(reach_q, 0, out=reach_q).astype(np.int64)
+        del reach_q
+        mm = rng_a.binomial(n, pbar[j_q])
+        del n
+        # An integer sum: exact, whatever the order.
+        st.total_results = float(own.sum() + remote.sum())
 
-        deliver = is_client_q & (to_m > 0)
-        ds = q_src[deliver]
-        dc = ptr[ds] + schedule.q_pick[deliver]
-        _charge_delivery(st, ds, dc, to_m[deliver], to_a[deliver],
-                         to_r[deliver], st.kv)
-        st.m_results.observe_many(to_r)
+        for c in chunks:
+            s, pick, own_c, remote_c = q_src[c], q_pick[c], own[c], remote[c]
+            to_r = (own_c + remote_c).astype(float)
+            reach_q = reach_count[s]
+            to_m = (own_c > 0).astype(float) + np.where(
+                remote_c > 0,
+                np.clip(mm[c], 1,
+                        np.maximum(np.minimum(remote_c, reach_q - 1), 1)),
+                0,
+            )
+            to_a = np.where(
+                to_m > 0,
+                np.clip(np.rint(to_r * a_frac[j_q[c]]), to_m, to_r),
+                0.0,
+            )
+            deliver = (pick < clients[s]) & (to_m > 0)
+            ds = s[deliver]
+            _charge_delivery(st, ds, ptr[ds] + pick[deliver], to_m[deliver],
+                             to_a[deliver], to_r[deliver], st.kv)
+            st.m_results.observe_many(to_r)
 
     _mark_phase(registry, "sim.array.delivery", phase_started)
 

@@ -320,9 +320,10 @@ class ResilienceResult:
         return [float(getattr(report, name)) for report in self.reports]
 
     def to_dict(self) -> dict:
+        # ``jobs`` is a dispatch setting, not a result: every backend
+        # writes the same payload.
         return {
             "spec": self.spec.to_dict(),
-            "jobs": self.jobs,
             "reports": encode(self.reports),
         }
 

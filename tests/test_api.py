@@ -129,6 +129,23 @@ class TestSerialExecutor:
             )
             assert point.summary.intervals == expected.intervals
 
+    def test_git_revision_is_looked_up_once_per_process(self, monkeypatch):
+        from repro.obs import manifest
+
+        calls = []
+        run = manifest.subprocess.run
+
+        def counted(*args, **kwargs):
+            calls.append(args)
+            return run(*args, **kwargs)
+
+        monkeypatch.setattr(manifest.subprocess, "run", counted)
+        manifest._git_revision.cache_clear()
+        first = run_sweep(small_spec(trials=1), jobs=1)
+        second = run_sweep(small_spec(trials=1), jobs=1)
+        assert len(calls) <= 1
+        assert first.manifest.git_rev == second.manifest.git_rev
+
     def test_point_order_and_series(self):
         result = run_sweep(small_spec(), jobs=1)
         assert [p.value("cluster_size") for p in result.points] == list(SIZES)

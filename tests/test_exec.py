@@ -314,6 +314,7 @@ class TestBackendBitIdentity:
             assert len(other.reports) == len(serial.reports)
             for a, b in zip(serial.reports, other.reports):
                 assert a.to_dict() == b.to_dict()
+            assert other.to_dict() == serial.to_dict()
 
     def test_design_risk_matrix(self):
         constraints = DesignConstraints(

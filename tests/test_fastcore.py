@@ -41,24 +41,32 @@ structural invariants on hypothesis-generated graphs:
   set, so no frontier can exceed the reachable-set size;
 * **one-draw matches** — the event engine's per-query match draw over
   every peer at once (``network._exact_matches``) equals one draw for the
-  clients then one for the partners, counts and RNG stream alike.
+  clients then one for the partners, counts and RNG stream alike;
+* **chunked delivery** — the array engine's submit and delivery passes
+  give the same report and results histogram, bit for bit, whatever
+  their chunk length, and their traced memory peak stays within a fixed
+  number of query-length arrays.
 """
 
 from __future__ import annotations
 
 import dataclasses
+import tracemalloc
 from types import SimpleNamespace
 
 import numpy as np
+import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.config import Configuration, GraphType
 from repro.core import costs
 from repro.core.load import _Accumulator, charge_block
 from repro.core.routing import fold_to_sources, propagate_query
+from repro.obs.metrics import MetricsRegistry, use_registry
 from repro.querymodel.distributions import default_query_model
-from repro.sim import network
+from repro.sim import fastcore, network
 from repro.sim.fastcore import flood_block
+from repro.sim.schedule import generate_workload
 from repro.topology.builder import build_instance
 from repro.topology.graph import OverlayGraph
 from repro.topology.strong import CompleteGraph
@@ -524,3 +532,65 @@ def test_one_draw_matches_equal_the_two_draw_reference(case):
         assert g.dtype == w.dtype
         assert np.array_equal(g, w)
     assert state.rng.bit_generator.state == rng.bit_generator.state
+
+
+# --- chunked submit and delivery passes ----------------------------------------
+
+
+def _array_run(instance, duration):
+    registry = MetricsRegistry()
+    with use_registry(registry):
+        report = network.simulate_instance(instance, duration=duration, rng=5,
+                                           engine="array")
+    hist = registry.histogram("sim.results_per_query")
+    return report, (hist.count, float.hex(hist.total), hist.min, hist.max,
+                    list(hist._buckets.items()))
+
+
+def _report_bits(report):
+    return {
+        f.name: (value.dtype.str, value.tobytes())
+        if isinstance(value := getattr(report, f.name), np.ndarray) else value
+        for f in dataclasses.fields(report)
+    }
+
+
+@pytest.mark.parametrize("redundancy", [False, True])
+def test_delivery_chunk_length_changes_no_bits(monkeypatch, redundancy):
+    instance = build_instance(
+        Configuration(graph_size=300, cluster_size=10, redundancy=redundancy),
+        seed=2,
+    )
+    report, hist = _array_run(instance, 1800.0)
+    assert report.num_queries > 3000  # several slices of 1000
+    # The histogram's exact sum of the results is the run's total.
+    assert report.mean_results_per_query == float.fromhex(hist[1]) / report.num_queries
+    for chunk in (7, 1000):
+        monkeypatch.setattr(fastcore, "_QUERY_CHUNK", chunk)
+        other, other_hist = _array_run(instance, 1800.0)
+        assert _report_bits(other) == _report_bits(report)
+        assert other_hist == hist
+
+
+#: Traced peak of a fault-free array run, in query-length float arrays.
+#: Chunked submit and delivery passes measure about 7.6 here (eight
+#: chunks of queries); one pass over whole query arrays measured 23.
+MAX_QUERY_ARRAYS = 14
+
+
+def test_array_run_memory_is_a_few_query_arrays():
+    duration = 7200.0
+    instance = build_instance(Configuration(graph_size=2000, cluster_size=10),
+                              seed=3)
+    schedule = generate_workload(instance, duration, 3)
+    Q = schedule.num_queries
+    assert Q >= 4 * fastcore._QUERY_CHUNK
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        network.simulate_instance(instance, duration=duration, rng=3,
+                                  engine="array", schedule=schedule)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak - before < MAX_QUERY_ARRAYS * Q * 8

@@ -30,6 +30,7 @@ from repro.obs.metrics import (
     MetricsRegistry,
     _bucket_midpoint,
     _bucket_of,
+    _buckets_of,
     disable_metrics,
     enable_metrics,
     get_registry,
@@ -147,21 +148,64 @@ _observed = st.one_of(
 
 
 @settings(max_examples=200, deadline=None)
-@given(st.lists(_observed, max_size=3), st.lists(_observed, max_size=40))
-@example([], [1e16] + [1.0] * 16)  # a pairwise sum would differ
-@example([], [0.0, -0.0, math.nan])  # the first zero is min and max
-@example([-0.0], [0.0, 2.0, math.nan, -math.inf, math.inf])
-def test_observe_many_equals_observe_loop(before, values):
-    loop, batch = Histogram("loop"), Histogram("batch")
+@given(st.lists(_observed, max_size=3), st.lists(_observed, max_size=40),
+       st.integers(1, 8))
+@example([], [1e16] + [1.0] * 16, 1)  # a pairwise sum would differ
+@example([], [0.0, -0.0, math.nan], 1)  # the first zero is min and max
+@example([-0.0], [0.0, 2.0, math.nan, -math.inf, math.inf], 2)
+@example([], [3.0, math.nan, 1.0, math.nan, 3.0, 0.5, -0.0, 0.0], 3)
+def test_observe_many_equals_observe_loop(before, values, chunk):
+    loop, batch, chunked = Histogram("loop"), Histogram("batch"), Histogram("chunked")
     for v in before:
         loop.observe(v)
         batch.observe(v)
+        chunked.observe(v)
     for v in values:
         loop.observe(v)
     batch.observe_many(np.asarray(values, dtype=float))
+    for lo in range(0, len(values), chunk):
+        chunked.observe_many(np.asarray(values[lo:lo + chunk], dtype=float))
     assert _histogram_state(batch) == _histogram_state(loop)
     assert _same_float(batch.min, loop.min)
     assert _same_float(batch.max, loop.max)
+    # Consecutive calls leave the state of one call, bucket order included.
+    assert _histogram_state(chunked) == _histogram_state(batch)
+    assert list(chunked._buckets.items()) == list(batch._buckets.items())
+    assert _same_float(chunked.min, batch.min)
+    assert _same_float(chunked.max, batch.max)
+
+
+def _bucket_edges() -> list[float]:
+    """Magnitudes on and one ulp either side of every bucket edge
+    2**(i/8) within six octaves of 1, where a rounding of the log could
+    move the floor."""
+    edges = []
+    for i in range(-6 * _BUCKETS_PER_OCTAVE, 6 * _BUCKETS_PER_OCTAVE + 1):
+        edge = 2.0 ** (i / _BUCKETS_PER_OCTAVE)
+        edges += [math.nextafter(edge, 0.0), edge, math.nextafter(edge, math.inf)]
+    return edges
+
+
+_edges = _bucket_edges()
+
+
+@pytest.mark.parametrize("ulp", [0.0, -math.inf, math.inf])
+def test_vector_buckets_equal_scalar_buckets_at_edges(monkeypatch, ulp):
+    # A vector log2 one ulp off math.log2 (either way) changes nothing.
+    if ulp:
+        log2 = np.log2
+        monkeypatch.setattr(np, "log2", lambda x: np.nextafter(log2(x), ulp))
+    values = np.array(_edges + [-v for v in _edges])
+    assert _buckets_of(values).tolist() == [_bucket_of(v) for v in values]
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.one_of(_observed, st.sampled_from(_edges),
+                          st.sampled_from(_edges).map(lambda v: -v)),
+                max_size=40))
+def test_vector_buckets_equal_scalar_buckets(values):
+    assert _buckets_of(np.asarray(values, dtype=float)).tolist() == \
+        [_bucket_of(v) for v in values]
 
 
 def test_observe_many_empty_and_null_are_noops():
