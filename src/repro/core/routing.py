@@ -58,10 +58,15 @@ class QueryPropagation:
     #: Reached node ids by BFS depth, ascending, one array per depth
     #: (read off ``depth`` when not given).
     levels: tuple = field(default=None, repr=False, compare=False)
+    #: Reached node ids other than the source, ascending: one reverse-path
+    #: hop each (read once here for the response edges and gossip).
+    others: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if self.levels is None:
             object.__setattr__(self, "levels", _depth_levels(self.depth))
+        nodes = np.nonzero(self.depth >= 0)[0]
+        object.__setattr__(self, "others", nodes[nodes != self.source])
 
     @classmethod
     def empty(cls, n: int, source: int, ttl: int) -> "QueryPropagation":

@@ -36,9 +36,12 @@ the same measured loads with structure-of-arrays kernels:
   realistic.
 * **Bounded memory** — beside the schedule, only the three delivery
   draws (own results, remote results, responding clusters) are
-  query-length.  Each is drawn whole, in that order, from inputs built
-  just before it and freed after, so the stream does not depend on how
-  the rest is sliced.  Everything else per query — client submits,
+  query-length, each a preallocated int64 array.  Their inputs are
+  built one ``_QUERY_CHUNK``-query slice at a time and drawn into it:
+  every own slice, then every remote slice, then every responder slice.
+  ``Generator.binomial`` over an array draws element by element, so the
+  values and the stream are those of three whole draws at any slice
+  length.  Everything else per query — client submits,
   delivery pricing and charges, the results histogram — runs over
   consecutive ``_QUERY_CHUNK``-query slices: every submit slice first,
   then every delivery slice, because both charge ``sp_proc`` and
@@ -344,28 +347,25 @@ def simulate_instance_array(
             cs = s[is_client]
             _charge_submit(st, cs, ptr[cs] + pick[is_client], st.kv)
 
-        # Whole-length draws in a fixed order, so the stream does not
-        # depend on the slicing; each draw's inputs die with it.
-        w_q = window_of(schedule.q_time)
-        Fq_src = F_wins[w_q, q_src]
-        gap = F_reach[q_src, w_q]
-        del w_q
-        gap -= Fq_src  # before Fq_src is clamped in place
-        f_q = model.f[j_q]
-        n = np.maximum(Fq_src, 0.0, out=Fq_src).astype(np.int64)
-        del Fq_src
-        own = rng_a.binomial(n, f_q)
-        del n
-        n = np.maximum(gap, 0.0, out=gap).astype(np.int64)
-        del gap
-        remote = rng_a.binomial(n, f_q)
-        del n, f_q
-        reach_q = reach_count[q_src]
-        reach_q -= 1
-        n = np.maximum(reach_q, 0, out=reach_q).astype(np.int64)
-        del reach_q
-        mm = rng_a.binomial(n, pbar[j_q])
-        del n
+        # Each draw's inputs are built a slice at a time: every own
+        # slice, then every remote slice, then every mm slice.  An array
+        # binomial draws element by element, so this is the stream of
+        # three whole draws in that order.
+        def own_n(c):  # files at the source, in the query's window
+            return F_wins[window_of(schedule.q_time[c]), q_src[c]]
+
+        def remote_n(c):  # files at the other reached clusters
+            return F_reach[q_src[c], window_of(schedule.q_time[c])] - own_n(c)
+
+        def mm_n(c):  # the other reached clusters
+            return reach_count[q_src[c]] - 1
+
+        own, remote, mm = (np.empty(Q, dtype=np.int64) for _ in range(3))
+        for out, n_of, p in ((own, own_n, model.f), (remote, remote_n, model.f),
+                             (mm, mm_n, pbar)):
+            for c in chunks:
+                n = np.maximum(n_of(c), 0.0).astype(np.int64)
+                out[c] = rng_a.binomial(n, p[j_q[c]])
         # An integer sum: exact, whatever the order.
         st.total_results = float(own.sum() + remote.sum())
 

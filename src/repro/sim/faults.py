@@ -614,7 +614,7 @@ def sampled_propagation(
 
 
 def sample_response_edges(prop: QueryPropagation, runtime: FaultRuntime,
-                          now: float) -> np.ndarray:
+                          now: float, read: bool = True) -> np.ndarray | None:
     """Sample, per reached node, whether its upward response hop delivers.
 
     The response burst from node ``v``'s subtree crosses the tree edge
@@ -622,18 +622,23 @@ def sample_response_edges(prop: QueryPropagation, runtime: FaultRuntime,
     edge is sampled once and shared by everything ``v`` forwards.
     Returns a boolean ``edge_pass`` array; False severs the subtree's
     responses at that hop (they are still *sent* by ``v`` — the sender
-    pays — but nothing above ``v`` receives them).
+    pays — but nothing above ``v`` receives them).  When nothing will
+    read the mask (``read`` False), only its uniforms are drawn, so the
+    fault stream is the same, and None is returned.
     """
-    n = prop.depth.size
-    edge_pass = np.zeros(n, dtype=bool)
-    nodes = np.nonzero(prop.reached)[0]
-    nodes = nodes[nodes != prop.source]
+    nodes = prop.others
+    loss = runtime.plan.message_loss
+    sampled = loss > 0.0 or runtime._has_slow
+    if not read:
+        if sampled:
+            runtime.rng.random(nodes.size)
+        return None
+    edge_pass = np.zeros(prop.depth.size, dtype=bool)
     if nodes.size == 0:
         return edge_pass
     preds = prop.pred[nodes]
     ok = np.ones(nodes.size, dtype=bool)
-    loss = runtime.plan.message_loss
-    if loss > 0.0 or runtime._has_slow:
+    if sampled:
         p_deliver = (1.0 - loss) * (1.0 - runtime.slow_drop[nodes])
         ok &= runtime.rng.random(nodes.size) < p_deliver
     cut = runtime.edge_cut(nodes, preds, now)

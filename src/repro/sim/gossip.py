@@ -654,8 +654,7 @@ class GossipDetector:
         """
         if self._quiet:
             return
-        nodes = np.nonzero(prop.reached)[0]
-        nodes = nodes[nodes != prop.source]
+        nodes = prop.others
         if nodes.size == 0:
             return
         preds, view = prop.pred[nodes], self.view

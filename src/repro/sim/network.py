@@ -354,6 +354,15 @@ def _flood_attempt(state: _State, rt: FaultRuntime | None, s: int,
 
     Senders pay for every attempted transmission; dead or partitioned
     targets receive (and process) nothing.  Fault-free nothing is lost.
+
+    A silent attempt, where no reached cluster but the source has
+    results, sends no Response (Section 4.1): it skips the fold, the
+    Response pricing, the meter charges and the loss bookkeeping.  Each
+    of those would add an exact ``+0.0`` (all-zero channels, non-negative
+    prices), so every meter and counter keeps its bits.  The response
+    edges are still sampled, as their uniforms are part of the fault
+    stream; when neither the fold nor awake gossip reads the mask, only
+    the uniforms are drawn.
     """
     st = state
     ttl = st.instance.config.ttl
@@ -376,7 +385,8 @@ def _flood_attempt(state: _State, rt: FaultRuntime | None, s: int,
             st.m_flood_drops.add(float(lost))
             if st.tracer.enabled:
                 st.tracer.emit("drop", now, source=s, phase="flood", lost=lost)
-    st.m_query_messages.add(prop.total_query_messages())
+    st.m_query_messages.add(prop.total_query_messages() if rt is None
+                            else stats.attempted)
     reached = prop.reached
 
     # Query flood messages (each handled by one partner; average the meter).
@@ -395,34 +405,41 @@ def _flood_attempt(state: _State, rt: FaultRuntime | None, s: int,
     # Responses travel the reverse path, each hop subject to the plan.
     responds = reached & (n_results > 0)
     responds[s] = False
-    edge_pass = None if rt is None else sample_response_edges(prop, rt, now)
-    sent, received = lossy_accumulate(
-        prop, edge_pass, [responds, responds * k_addr, responds * n_results])
-    sent[:, s] = 0.0  # the source answers its client, not a predecessor
-    sent_m, sent_a, sent_r = sent
-    recv_m, recv_a, recv_r = received
-
-    out_bytes, out_units = costs.send_response(sent_m, sent_a, sent_r, st.m_sp)
-    in_bytes, in_units = costs.recv_response(recv_m, recv_a, recv_r, st.m_sp)
-    st.sp_out += out_bytes / kv
-    st.sp_proc += out_units / kv
-    st.sp_in += in_bytes / kv
-    st.sp_proc += in_units / kv
-    st.m_response_messages.add(float(sent_m.sum()))
+    answered = responds.any()
+    edge_pass = None
     if rt is not None:
-        lost_responses = float(sent_m.sum() - recv_m.sum())
-        rt.metrics.response_messages_lost += lost_responses
-        if lost_responses > 0:
-            st.m_response_drops.add(lost_responses)
-            if st.tracer.enabled:
-                st.tracer.emit("drop", now, source=s, phase="response",
-                               lost=lost_responses)
+        read = answered or (rt.gossip is not None and not rt.gossip._quiet)
+        edge_pass = sample_response_edges(prop, rt, now, read)
+    got_m = got_a = got_r = 0.0  # what reaches the source from others
+    if answered:
+        sent, received = lossy_accumulate(
+            prop, edge_pass, [responds, responds * k_addr, responds * n_results])
+        sent[:, s] = 0.0  # the source answers its client, not a predecessor
+        sent_m, sent_a, sent_r = sent
+        recv_m, recv_a, recv_r = received
+        got_m, got_a, got_r = received[:, s]
+
+        out_bytes, out_units = costs.send_response(sent_m, sent_a, sent_r, st.m_sp)
+        in_bytes, in_units = costs.recv_response(recv_m, recv_a, recv_r, st.m_sp)
+        st.sp_out += out_bytes / kv
+        st.sp_proc += out_units / kv
+        st.sp_in += in_bytes / kv
+        st.sp_proc += in_units / kv
+        st.m_response_messages.add(float(sent_m.sum()))
+        if rt is not None:
+            lost_responses = float(sent_m.sum() - recv_m.sum())
+            rt.metrics.response_messages_lost += lost_responses
+            if lost_responses > 0:
+                st.m_response_drops.add(lost_responses)
+                if st.tracer.enabled:
+                    st.tracer.emit("drop", now, source=s, phase="response",
+                                   lost=lost_responses)
 
     # Deliver what arrived (plus own-index results) to the querying client.
     own_msg = 1.0 if n_results[s] > 0 else 0.0
-    to_m = recv_m[s] + own_msg
-    to_a = recv_a[s] + (k_addr[s] if own_msg else 0)
-    to_r = recv_r[s] + (n_results[s] if own_msg else 0)
+    to_m = got_m + own_msg
+    to_a = got_a + (k_addr[s] if own_msg else 0)
+    to_r = got_r + (n_results[s] if own_msg else 0)
     if client_index is not None and to_m > 0:
         _charge_delivery(st, s, client_index, to_m, to_a, to_r, kv)
     # Membership digests ride the flood tree and the surviving response
@@ -430,7 +447,7 @@ def _flood_attempt(state: _State, rt: FaultRuntime | None, s: int,
     # rumored, charged per digest once a suspicion episode opens).
     if rt is not None and rt.gossip is not None:
         rt.gossip.on_flood(prop, edge_pass)
-    return float(recv_r[s] + n_results[s]), prop, lost
+    return float(got_r + n_results[s]), prop, lost
 
 
 # --- per-event charges (Table 2, Section 3.2) ------------------------------

@@ -44,8 +44,11 @@ structural invariants on hypothesis-generated graphs:
   clients then one for the partners, counts and RNG stream alike;
 * **chunked delivery** — the array engine's submit and delivery passes
   give the same report and results histogram, bit for bit, whatever
-  their chunk length, and their traced memory peak stays within a fixed
-  number of query-length arrays.
+  their chunk length (one slice included), and their traced memory peak
+  stays within a fixed number of query-length arrays;
+* **sliced binomial draws** — ``Generator.binomial`` over arrays gives
+  the same values and leaves the same stream drawn whole or in
+  consecutive slices, the property the sliced delivery draws rely on.
 """
 
 from __future__ import annotations
@@ -565,11 +568,40 @@ def test_delivery_chunk_length_changes_no_bits(monkeypatch, redundancy):
     assert report.num_queries > 3000  # several slices of 1000
     # The histogram's exact sum of the results is the run's total.
     assert report.mean_results_per_query == float.fromhex(hist[1]) / report.num_queries
-    for chunk in (7, 1000):
+    for chunk in (7, 1000, 1 << 20):  # 1 << 20: one whole-run slice
         monkeypatch.setattr(fastcore, "_QUERY_CHUNK", chunk)
         other, other_hist = _array_run(instance, 1800.0)
         assert _report_bits(other) == _report_bits(report)
         assert other_hist == hist
+
+
+@st.composite
+def _binomial_inputs(draw):
+    size = draw(st.integers(0, 300))
+    # Small and large counts take different samplers; zeros draw nothing.
+    n = draw(st.lists(st.one_of(st.just(0), st.integers(0, 40),
+                                st.integers(0, 10**6)),
+                      min_size=size, max_size=size))
+    p = draw(st.lists(st.floats(0.0, 1.0), min_size=size, max_size=size))
+    return (np.array(n, dtype=np.int64), np.array(p),
+            draw(st.integers(1, size + 1)), draw(st.integers(0, 2**32 - 1)))
+
+
+@settings(max_examples=100, deadline=None)
+@given(case=_binomial_inputs())
+def test_sliced_binomial_draws_equal_one_draw(case):
+    """The array engine draws its deliveries a slice at a time into one
+    array; that is one whole draw, values and stream alike."""
+    n, p, length, seed = case
+    whole_rng, sliced_rng = (np.random.default_rng(seed) for _ in range(2))
+    whole = whole_rng.binomial(n, p)
+    sliced = np.empty(n.size, dtype=np.int64)
+    for lo in range(0, n.size, length):
+        sliced[lo:lo + length] = sliced_rng.binomial(n[lo:lo + length],
+                                                     p[lo:lo + length])
+    assert whole.dtype == sliced.dtype
+    assert np.array_equal(whole, sliced)
+    assert whole_rng.bit_generator.state == sliced_rng.bit_generator.state
 
 
 #: Traced peak of a fault-free array run, in query-length float arrays.

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from repro.config import Configuration
+from repro.core import costs
 from repro.core.routing import propagate_query
 from repro.sim.engine import Simulator
 from repro.sim.faults import (
@@ -545,3 +546,79 @@ class TestSampledPropagationProperties:
         assert np.array_equal(prop.transmissions, exact.transmissions)
         assert np.array_equal(prop.receipts, exact.receipts)
         assert stats.lost == 0
+
+
+class TestSilentAttemptProperties:
+    """Why a flood nobody answers may skip its Response pass.
+
+    ``network._flood_attempt`` skips the fold, the Response pricing and
+    the meter charges when no reached cluster but the source has
+    results.  That is bit-identical only because each of them would add
+    an exact ``+0.0``: all-zero channels fold to ``+0.0`` over any
+    surviving-edge mask, and zero Responses cost ``+0.0`` at any
+    non-negative connection count.  An unread edge mask still draws the
+    fault stream's uniforms.
+    """
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        source=st.integers(min_value=0, max_value=14),
+        ttl=st.integers(min_value=1, max_value=7),
+        loss=st.sampled_from([0.0, 0.3]),
+        mask=st.sampled_from(["sampled", "random", "none"]),
+        seed=st.integers(min_value=0, max_value=2**31 - 1),
+    )
+    def test_zero_channels_fold_to_positive_zero(
+        self, small_instance, source, ttl, loss, mask, seed
+    ):
+        rt = make_runtime(small_instance, FaultPlan(message_loss=loss),
+                          seed=seed)
+        prop, _ = sampled_propagation(small_instance.graph, source, ttl, rt, 0.0)
+        n = prop.depth.size
+        edge_pass = None
+        if mask == "sampled":
+            edge_pass = sample_response_edges(prop, rt, 0.0)
+        elif mask == "random":
+            edge_pass = np.random.default_rng(seed).random(n) < 0.5
+        zeros = np.zeros(n)
+        sent, received = lossy_accumulate(prop, edge_pass, [zeros] * 3)
+        for rows in (sent, received):
+            assert not rows.any()
+            assert not np.signbit(rows).any()
+
+    @settings(max_examples=60, deadline=None)
+    @given(m=st.floats(min_value=0.0, max_value=1e9, allow_nan=False))
+    def test_zero_responses_cost_positive_zero(self, m):
+        for price in (costs.send_response, costs.recv_response):
+            for value in price(0, 0, 0, m):
+                assert value == 0.0 and not np.signbit(value)
+            zeros = np.zeros(4)
+            for value in price(zeros, zeros, zeros, np.full(4, m)):
+                assert not value.any() and not np.signbit(value).any()
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        loss=st.sampled_from([0.0, 0.05, 0.8]),
+        slow=st.sampled_from([0.0, 0.4]),
+        cut=st.booleans(),
+        source=st.integers(min_value=0, max_value=14),
+        ttl=st.integers(min_value=1, max_value=7),
+        seed=st.integers(min_value=0, max_value=2**31 - 1),
+    )
+    def test_unread_edges_draw_the_same_uniforms(
+        self, small_instance, loss, slow, cut, source, ttl, seed
+    ):
+        plan = FaultPlan(
+            message_loss=loss,
+            slow=SlowSpec(fraction=slow, factor=3.0) if slow else None,
+            partitions=(PartitionWindow(0.0, 10.0, (0, 1, 2, 3, 4)),) if cut else (),
+        )
+        states = []
+        for read in (True, False):
+            rt = make_runtime(small_instance, plan, seed=seed)
+            prop, _ = sampled_propagation(small_instance.graph, source, ttl,
+                                          rt, 1.0)
+            edge_pass = sample_response_edges(prop, rt, 1.0, read)
+            assert (edge_pass is None) == (not read)
+            states.append(rt.rng.bit_generator.state)
+        assert states[0] == states[1]

@@ -50,6 +50,7 @@ from repro.obs.attribution import profile_instance
 from repro.obs.metrics import MetricsRegistry, use_registry
 from repro.sim.faults import CrashSpec, FaultOutcome, FaultPlan, RetryPolicy
 from repro.sim.monitor import DetectorSpec
+from repro.sim import network
 from repro.sim.network import simulate_instance
 from repro.sim.recovery import RecoveryPolicy
 from repro.topology.builder import build_instance
@@ -259,6 +260,36 @@ def test_faulty_golden_loads(name, engine):
     key = f"{name}/{engine}"
     _assert_matches(key, _load(FAULTY_GOLDEN_PATH)[key],
                     _simulate(CASES[name], engine, faulty=True))
+
+
+@pytest.mark.parametrize(
+    "name, engine, faulty",
+    [(name, engine, True) for name in FAULTY_CASES for engine in ("array", "event")]
+    + [(name, "event", False) for name in sorted(CASES)])
+def test_silent_attempts_skip_the_response_pass(name, engine, faulty,
+                                                monkeypatch):
+    """Some attempts of every faulty golden run, and of the fault-free
+    event runs, are answered by no cluster but their source and skip the
+    Response fold; the golden numbers then pin the shortcut."""
+    calls = {"_flood_attempt": 0, "lossy_accumulate": 0}
+
+    def count(attr):
+        original = getattr(network, attr)
+
+        def spy(*args, **kwargs):
+            calls[attr] += 1
+            return original(*args, **kwargs)
+        monkeypatch.setattr(network, attr, spy)
+
+    count("_flood_attempt")
+    count("lossy_accumulate")
+    if faulty:
+        key, golden = f"{name}/{engine}", _load(FAULTY_GOLDEN_PATH)
+    else:
+        key, golden = name, _load(EVENT_GOLDEN_PATH)
+    _assert_matches(key, golden[key], _simulate(CASES[name], engine, faulty))
+    silent = calls["_flood_attempt"] - calls["lossy_accumulate"]
+    assert 0 < silent < calls["_flood_attempt"]
 
 
 def test_attribution_golden_fixture_covers_all_cases():
