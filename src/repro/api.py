@@ -61,7 +61,6 @@ from .exec import (  # noqa: F401 - Executor re-exported as part of the facade
     make_executor,
     run_campaign,
 )
-from .obs.journal import RunJournal
 from .obs.manifest import RunManifest
 from .obs.metrics import MetricsRegistry
 from .obs.progress import ProgressTracker
@@ -329,12 +328,10 @@ def _warm_instance_cache(specs: Sequence[ExperimentSpec]) -> None:
 def run_sweep(
     spec: SweepSpec,
     jobs: int | None = None,
-    journal: RunJournal | str | Path | None = None,
+    journal: str | Path | None = None,
     progress: ProgressTracker | bool | None = None,
     *,
     executor: Executor | str | None = None,
-    retries: int = 0,
-    task_timeout: float | None = None,
 ) -> SweepResult:
     """Evaluate every point of ``spec`` on a pluggable executor backend.
 
@@ -361,8 +358,7 @@ def run_sweep(
     before the pool forks, so workers inherit every distinct topology
     through copy-on-write memory instead of regenerating it per point.
 
-    ``journal`` (a path or a :class:`~repro.obs.journal.RunJournal`)
-    streams an append-only JSONL campaign record — header with the point
+    ``journal`` (a path) streams an append-only JSONL campaign record — header with the point
     plan, per-point start/finish/error lines, periodic snapshots — that
     ``repro watch`` renders live or post-hoc.  ``progress`` (``True`` or
     a :class:`~repro.obs.progress.ProgressTracker`) adds a live progress
@@ -371,10 +367,7 @@ def run_sweep(
     :func:`_evaluate_point`, so results stay bit-identical with
     telemetry on or off.
 
-    ``retries`` re-runs a failed point up to N more times before the
-    campaign aborts; ``task_timeout`` bounds one point's runtime (see
-    :mod:`repro.exec.base` for per-backend enforcement).  A sweep with
-    zero valid points returns a well-formed empty result (and a
+    A failing point aborts the campaign.  A sweep with zero valid points returns a well-formed empty result (and a
     campaign-end journal record) instead of dying in pool construction.
     """
     points = spec.points()
@@ -392,8 +385,7 @@ def run_sweep(
                   "seed_mode": spec.seed_mode},
         prewarm=lambda: _warm_instance_cache(specs),
         executor=executor if executor is not None else spec.executor,
-        jobs=jobs, retries=retries, task_timeout=task_timeout,
-        journal=journal, progress=progress,
+        jobs=jobs, journal=journal, progress=progress,
     )
     result_points = [
         SweepPoint(index=index, label=point_spec.label, overrides=overrides,

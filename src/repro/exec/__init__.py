@@ -14,8 +14,6 @@ from .base import (
     CampaignResult,
     Executor,
     Task,
-    TaskError,
-    TaskTimeoutError,
     collect,
     fragment_describer,
     run_campaign,
@@ -25,8 +23,6 @@ from .local import ProcessExecutor, SerialExecutor, ThreadExecutor
 __all__ = [
     "Executor",
     "Task",
-    "TaskError",
-    "TaskTimeoutError",
     "CampaignResult",
     "collect",
     "fragment_describer",
@@ -46,8 +42,6 @@ def make_executor(
     executor: "Executor | str | None" = None,
     *,
     jobs: int | None = None,
-    retries: int = 0,
-    task_timeout: float | None = None,
 ):
     """Resolve an executor name (or pass an instance through) to a backend.
 
@@ -69,13 +63,11 @@ def make_executor(
         executor = "process" if jobs is not None and jobs > 1 else "serial"
     name = str(executor).lower()
     if name == "serial":
-        return SerialExecutor(retries=retries, task_timeout=task_timeout)
+        return SerialExecutor()
     if name == "thread":
-        return ThreadExecutor(jobs=jobs, retries=retries,
-                              task_timeout=task_timeout)
+        return ThreadExecutor(jobs=jobs)
     if name == "process":
-        return ProcessExecutor(jobs=jobs, retries=retries,
-                               task_timeout=task_timeout)
+        return ProcessExecutor(jobs=jobs)
     raise ValueError(
         f"unknown executor {executor!r}; expected one of "
         f"{', '.join(EXECUTOR_NAMES)} or an Executor instance"

@@ -28,21 +28,18 @@ The contract of :meth:`Executor.submit_map`:
   every backend returns byte-equal results.
 * results return as a list aligned with ``tasks`` (stable order), no
   matter the completion order.
-* a task that raises is retried up to ``retries`` times; when the
-  budget is exhausted the exception propagates (after the campaign is
-  told via ``point_error``), aborting the campaign like the historical
-  loops did.
-* ``task_timeout`` bounds a single task's runtime.  Pool backends
-  enforce it while waiting (the campaign aborts with
-  :class:`TaskTimeoutError`; in-flight work is abandoned);
-  :class:`SerialExecutor` can only detect the overrun after the task
-  returns.
+* a task that raises is retried up to the executor's ``retries`` times;
+  when the budget is exhausted the exception propagates (after the
+  campaign is told via ``point_error``), aborting the campaign.
 * ``campaign`` (a :class:`repro.obs.progress.Campaign` or ``None``)
   receives ``point_started`` / ``point_finished`` / ``point_error``
-  calls and, for process backends, worker heartbeats — feeding the run
-  journal and the live progress view.  Finish records carry the fields
-  :func:`fragment_describer` reads off the task's outcome.  Telemetry is
-  observation-only: results are bit-identical with or without it.
+  calls and, for process backends, the workers' start heartbeats —
+  feeding the run journal and the live progress view.  The parent's
+  finish record is the only one; it carries the fields
+  :func:`fragment_describer` reads off the task's outcome, so the
+  task's runtime is the one :func:`collect` measured: executors time
+  nothing themselves.  Telemetry is observation-only: results are
+  bit-identical with or without it.
 * ``prewarm`` is an optional zero-arg callable that backends running
   tasks in **forked** children invoke once, pre-fork, so expensive
   caches (the fingerprint-keyed instance cache) are inherited through
@@ -52,7 +49,6 @@ The contract of :meth:`Executor.submit_map`:
 
 from __future__ import annotations
 
-import time
 from abc import ABC, abstractmethod
 from dataclasses import dataclass
 from pathlib import Path
@@ -63,22 +59,12 @@ from ..obs.metrics import MetricsRegistry, use_registry
 
 __all__ = [
     "Task",
-    "TaskError",
-    "TaskTimeoutError",
     "Executor",
     "CampaignResult",
     "collect",
     "fragment_describer",
     "run_campaign",
 ]
-
-
-class TaskError(RuntimeError):
-    """A task failed permanently (retry budget exhausted or unrecoverable)."""
-
-
-class TaskTimeoutError(TaskError):
-    """A task exceeded the executor's per-task timeout."""
 
 
 @dataclass(frozen=True)
@@ -148,16 +134,10 @@ class Executor(ABC):
     #: Registry name ("serial", "thread", "process").
     name: str = "executor"
 
-    def __init__(self, retries: int = 0,
-                 task_timeout: float | None = None) -> None:
+    def __init__(self, retries: int = 0) -> None:
         if retries < 0:
             raise ValueError(f"retries must be >= 0, got {retries}")
-        if task_timeout is not None and task_timeout <= 0:
-            raise ValueError(
-                f"task_timeout must be positive, got {task_timeout}"
-            )
         self.retries = retries
-        self.task_timeout = task_timeout
 
     @abstractmethod
     def submit_map(
@@ -190,44 +170,27 @@ class Executor(ABC):
             if campaign is not None:
                 campaign.point_started(task.index, task.label)
             try:
-                result, elapsed = self._call_with_retries(fn, task)
+                result = self._call_with_retries(fn, task)
             except BaseException as exc:
                 if campaign is not None:
                     campaign.point_error(task.index, task.label, exc)
                 raise
             results.append(result)
             if campaign is not None:
-                fields = fragment_describer(task, result)
-                fields.setdefault("seconds", elapsed)
-                campaign.point_finished(task.index, task.label, **fields)
+                campaign.point_finished(task.index, task.label,
+                                        **fragment_describer(task, result))
         return results
 
-    def _call_with_retries(self, fn: Callable[[Any], Any],
-                           task: Task) -> tuple[Any, float]:
-        """``(result, seconds)`` of one task under the retry budget.
-
-        The per-task timeout is checked after the call returns — an
-        in-process executor cannot preempt running Python — so a serial
-        overrun aborts the campaign *at* the slow task rather than
-        silently blowing the bound.
-        """
+    def _call_with_retries(self, fn: Callable[[Any], Any], task: Task) -> Any:
+        """``fn(task.payload)`` under the retry budget."""
         attempt = 0
         while True:
-            started = time.perf_counter()
             try:
-                result = fn(task.payload)
+                return fn(task.payload)
             except Exception:
                 if attempt >= self.retries:
                     raise
                 attempt += 1
-                continue
-            elapsed = time.perf_counter() - started
-            if self.task_timeout is not None and elapsed > self.task_timeout:
-                raise TaskTimeoutError(
-                    f"task {task.index} ({task.label}) took {elapsed:.2f}s, "
-                    f"exceeding the {self.task_timeout:.2f}s task timeout"
-                )
-            return result, elapsed
 
 
 @dataclass
@@ -254,8 +217,6 @@ def run_campaign(
     prewarm: Callable[[], None] | None = None,
     executor: "Executor | str | None" = None,
     jobs: int | None = None,
-    retries: int = 0,
-    task_timeout: float | None = None,
     journal=None,
     progress=None,
 ) -> CampaignResult:
@@ -266,8 +227,8 @@ def run_campaign(
     :func:`collect`.  ``plan`` holds one journal detail dict per task.
     ``config`` and ``seed`` are the campaign's provenance, recorded in
     the journal header and the merged manifest; ``manifest`` adds extra
-    manifest fields and ``header`` extra journal-header fields.  The
-    backend knobs (``executor`` … ``task_timeout``) resolve through
+    manifest fields and ``header`` extra journal-header fields.
+    ``executor`` and ``jobs`` resolve through
     :func:`repro.exec.make_executor`; ``journal`` and ``progress``
     attach campaign telemetry (:func:`repro.obs.progress.start_campaign`).
 
@@ -279,8 +240,7 @@ def run_campaign(
     from ..obs.progress import start_campaign
     from . import make_executor  # the package imports the backends, which import us
 
-    backend = make_executor(executor, jobs=jobs, retries=retries,
-                            task_timeout=task_timeout)
+    backend = make_executor(executor, jobs=jobs)
     config_hash = config_fingerprint(config) if config is not None else None
     git_rev = git_revision(Path(__file__).resolve().parent)
     campaign = start_campaign(

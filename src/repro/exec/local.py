@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import os
 import threading
-import time
 from concurrent.futures import (
     FIRST_COMPLETED,
     ProcessPoolExecutor,
@@ -19,9 +18,9 @@ from concurrent.futures import (
     wait,
 )
 from contextlib import nullcontext
-from typing import Any, Callable, Sequence
+from typing import Callable, Sequence
 
-from .base import Executor, Task, TaskTimeoutError, fragment_describer
+from .base import Executor, Task, fragment_describer
 
 __all__ = ["SerialExecutor", "ThreadExecutor", "ProcessExecutor"]
 
@@ -38,20 +37,18 @@ class SerialExecutor(Executor):
 
 
 def _tracked_process_task(args: tuple) -> tuple:
-    """Pool entry point wrapping a task with worker heartbeats.
+    """Pool entry point wrapping a task with a start heartbeat.
 
-    Module-level so it pickles.  The beats carry wall-clock and labels
-    only — never results — so losing every heartbeat degrades the view,
-    not the run; the parent writes the authoritative finish record when
-    the future resolves, crediting this worker's pid.
+    Module-level so it pickles.  The beat carries labels only — never
+    results — so losing it degrades the view, not the run; the parent
+    writes the one finish record when the future resolves, crediting
+    this worker's pid.
     """
     from ..obs.progress import heartbeat
 
     fn, index, label, payload = args
     heartbeat("point-start", index=index, label=label)
-    result = fn(payload)
-    heartbeat("point-finish", index=index, label=label)
-    return os.getpid(), result
+    return os.getpid(), fn(payload)
 
 
 class _FutureDispatcher:
@@ -59,54 +56,31 @@ class _FutureDispatcher:
 
     Streams finish records in *completion* order (so the journal shows
     live progress) while reassembling results in stable task order, and
-    resubmits failed tasks while retry budget remains.  A per-task
-    deadline — measured from dispatch, since a pool cannot observe when
-    a queued task actually starts — enforces ``task_timeout``.
+    resubmits failed tasks while retry budget remains.
     """
 
-    def __init__(self, executor: Executor, fn: Callable[[Any], Any],
-                 tasks: Sequence[Task], campaign,
+    def __init__(self, executor: Executor, tasks: Sequence[Task], campaign,
                  submit: Callable, worker_of: Callable) -> None:
         self.executor = executor
-        self.fn = fn
         self.tasks = tasks
         self.campaign = campaign
         self._submit = submit
         self._worker_of = worker_of
 
     def run(self) -> list:
-        timeout = self.executor.task_timeout
         results: list = [None] * len(self.tasks)
         attempts = [0] * len(self.tasks)
         pending: dict = {}
-        deadlines: dict = {}
 
         def dispatch(pos: int) -> None:
-            future = self._submit(self.tasks[pos])
-            pending[future] = pos
-            if timeout is not None:
-                deadlines[future] = time.monotonic() + timeout
+            pending[self._submit(self.tasks[pos])] = pos
 
         for pos in range(len(self.tasks)):
             dispatch(pos)
         while pending:
-            done, _ = wait(list(pending), timeout=0.1,
-                           return_when=FIRST_COMPLETED)
-            now = time.monotonic()
-            for future, deadline in deadlines.items():
-                if future not in done and now > deadline:
-                    pos = pending[future]
-                    task = self.tasks[pos]
-                    exc = TaskTimeoutError(
-                        f"task {task.index} ({task.label}) exceeded the "
-                        f"{timeout:.2f}s task timeout"
-                    )
-                    if self.campaign is not None:
-                        self.campaign.point_error(task.index, task.label, exc)
-                    raise exc
+            done, _ = wait(list(pending), return_when=FIRST_COMPLETED)
             for future in done:
                 pos = pending.pop(future)
-                deadlines.pop(future, None)
                 task = self.tasks[pos]
                 try:
                     outcome = future.result()
@@ -122,11 +96,9 @@ class _FutureDispatcher:
                 worker, result = self._worker_of(outcome)
                 results[pos] = result
                 if self.campaign is not None:
-                    fields = fragment_describer(task, result)
-                    if worker is not None:
-                        fields.setdefault("worker", worker)
-                    self.campaign.point_finished(task.index, task.label,
-                                                 **fields)
+                    self.campaign.point_finished(
+                        task.index, task.label, worker=worker,
+                        **fragment_describer(task, result))
         return results
 
 
@@ -143,9 +115,8 @@ class ThreadExecutor(Executor):
 
     name = "thread"
 
-    def __init__(self, jobs: int | None = None, retries: int = 0,
-                 task_timeout: float | None = None) -> None:
-        super().__init__(retries=retries, task_timeout=task_timeout)
+    def __init__(self, jobs: int | None = None, retries: int = 0) -> None:
+        super().__init__(retries=retries)
         if jobs is None:
             jobs = os.cpu_count() or 1
         if jobs < 1:
@@ -170,7 +141,7 @@ class ThreadExecutor(Executor):
             thread_name_prefix="exec",
         ) as pool:
             return _FutureDispatcher(
-                self, fn, tasks, campaign,
+                self, tasks, campaign,
                 submit=lambda task: pool.submit(call, task),
                 worker_of=lambda outcome: outcome,
             ).run()
@@ -181,18 +152,16 @@ class ProcessExecutor(Executor):
 
     The ``prewarm`` hook runs in the parent before the pool forks, so
     the workers inherit warmed caches copy-on-write.  Each task is its
-    own future: journal records stream in completion order, failed
-    tasks resubmit under the retry budget, and ``task_timeout`` is
-    enforced while waiting.  ``jobs=1`` short-circuits in-process: a
-    pool of one is pure overhead, and the results are bit-identical
-    either way.
+    own future: journal records stream in completion order and failed
+    tasks resubmit under the retry budget.  ``jobs=1`` short-circuits
+    in-process: a pool of one is pure overhead, and the results are
+    bit-identical either way.
     """
 
     name = "process"
 
-    def __init__(self, jobs: int | None = None, retries: int = 0,
-                 task_timeout: float | None = None) -> None:
-        super().__init__(retries=retries, task_timeout=task_timeout)
+    def __init__(self, jobs: int | None = None, retries: int = 0) -> None:
+        super().__init__(retries=retries)
         if jobs is None:
             jobs = os.cpu_count() or 1
         if jobs < 1:
@@ -213,7 +182,7 @@ class ProcessExecutor(Executor):
             max_workers=min(self.jobs, len(tasks))
         ) as pool:
             return _FutureDispatcher(
-                self, fn, tasks, campaign,
+                self, tasks, campaign,
                 submit=lambda task: pool.submit(
                     _tracked_process_task,
                     (fn, task.index, task.label, task.payload),

@@ -14,16 +14,20 @@ The format is one JSON object per line, discriminated by ``"record"``:
   later record can be resolved to its configuration without re-deriving
   the sweep grid.
 * ``point-start`` / ``point-finish`` / ``point-error`` — per-point
-  lifecycle with wall-clock and (on finish) the point's counter
-  snapshot.  Start records may come from worker heartbeats; finish and
-  error records are written by the parent as results arrive.
+  lifecycle with wall-clock and (on finish) the point's runtime and
+  counter snapshot.  Start records may come from worker heartbeats;
+  finish and error records are written by the parent as results arrive.
 * ``snapshot`` — periodic campaign roll-up (done/total, errors,
-  elapsed, throughput, ETA), one every :attr:`RunJournal.snapshot_every`
-  finishes, so a glance at the tail shows campaign health without
-  replaying the whole file.
+  elapsed, throughput, ETA), one every
+  :data:`repro.obs.progress.SNAPSHOT_EVERY` finishes and one at the
+  end, so a glance at the tail shows campaign health without replaying
+  the whole file.
 * ``campaign-end`` — terminal status.
 
-Every record is a single ``write()`` of one newline-terminated line
+:class:`RunJournal` only writes lines: every record, header included,
+is built and stamped once by :class:`repro.obs.progress.Campaign`,
+which hands the same dict to the journal and to the live progress view.
+Each record is a single ``write()`` of one newline-terminated line
 followed by a flush, guarded by a lock: only the parent process writes,
 so the file never interleaves partial lines and a reader can tail it
 while the campaign runs.  A campaign killed mid-write leaves at most one
@@ -38,156 +42,37 @@ journaled run is bit-identical to an unjournaled one
 
 from __future__ import annotations
 
-import io
 import json
 import threading
-import time
 from pathlib import Path
-from typing import Callable
 
 #: Journal format version, bumped on incompatible record changes.
 JOURNAL_SCHEMA = 1
 
 
 class RunJournal:
-    """Streaming JSONL writer for one campaign.
+    """Locked JSONL line writer for one campaign.
 
     The header is written immediately on construction, so even a
     campaign killed before its first point leaves a parseable journal.
-    ``clock`` is injectable for deterministic fixtures.
     """
 
-    def __init__(
-        self,
-        sink: str | Path | io.TextIOBase,
-        campaign: str = "campaign",
-        *,
-        total_points: int | None = None,
-        jobs: int = 1,
-        config_hash: str | None = None,
-        git_rev: str | None = None,
-        seed: object = None,
-        plan: list[dict] | None = None,
-        snapshot_every: int = 10,
-        extra: dict | None = None,
-        clock: Callable[[], float] = time.time,
-    ) -> None:
+    def __init__(self, path: str | Path, header: dict) -> None:
+        self.path = Path(path)
         self._lock = threading.Lock()
-        self._clock = clock
-        self.snapshot_every = max(1, snapshot_every)
-        self.campaign = campaign
-        self.total_points = total_points
-        self.done = 0
-        self.errors = 0
-        self.closed = False
-        self._owns_sink = False
-        if isinstance(sink, (str, Path)):
-            self.path: Path | None = Path(sink)
-            self._sink: io.TextIOBase = self.path.open("w", encoding="utf-8")
-            self._owns_sink = True
-        else:
-            self.path = None
-            self._sink = sink
-        self._started = clock()
-        header = {
-            "record": "campaign",
-            "schema": JOURNAL_SCHEMA,
-            "campaign": campaign,
-            "total_points": total_points,
-            "jobs": jobs,
-            "config_hash": config_hash,
-            "git_rev": git_rev,
-            "seed": seed,
-        }
-        if plan is not None:
-            header["plan"] = plan
-        if extra:
-            header["extra"] = extra
+        self._sink = self.path.open("w", encoding="utf-8")
         self.write(header)
-
-    # --- low-level record writer ----------------------------------------------
 
     def write(self, record: dict) -> None:
         """Append one record: a single locked write of one full line."""
-        if self.closed:
-            return
-        payload = dict(record)
-        payload.setdefault("t", self._clock())
-        line = json.dumps(payload, sort_keys=True, default=str) + "\n"
+        line = json.dumps(record, sort_keys=True, default=str) + "\n"
         with self._lock:
-            self._sink.write(line)
-            self._sink.flush()
+            if not self._sink.closed:
+                self._sink.write(line)
+                self._sink.flush()
 
-    # --- point lifecycle --------------------------------------------------------
-
-    def point_start(self, index: int, label: str, worker: str = "main") -> None:
-        self.write({"record": "point-start", "index": index, "label": label,
-                    "worker": worker})
-
-    def point_finish(
-        self,
-        index: int,
-        label: str,
-        seconds: float | None = None,
-        worker: str = "main",
-        counters: dict | None = None,
-    ) -> None:
-        """Record a completed point; auto-snapshots every ``snapshot_every``."""
-        record = {"record": "point-finish", "index": index, "label": label,
-                  "worker": worker}
-        if seconds is not None:
-            record["seconds"] = seconds
-        if counters:
-            record["counters"] = counters
-        self.done += 1
-        self.write(record)
-        if self.done % self.snapshot_every == 0:
-            self.snapshot()
-
-    def point_error(
-        self,
-        index: int,
-        label: str,
-        error: BaseException | str,
-        worker: str = "main",
-    ) -> None:
-        self.errors += 1
-        self.write({
-            "record": "point-error", "index": index, "label": label,
-            "worker": worker,
-            "error": str(error),
-            "error_type": type(error).__name__
-            if isinstance(error, BaseException) else "error",
-        })
-
-    def snapshot(self, **fields) -> None:
-        """One campaign roll-up line: progress, throughput, ETA."""
-        elapsed = max(self._clock() - self._started, 0.0)
-        throughput = self.done / elapsed if elapsed > 0 else 0.0
-        record = {
-            "record": "snapshot",
-            "done": self.done,
-            "errors": self.errors,
-            "total": self.total_points,
-            "elapsed_seconds": elapsed,
-            "throughput": throughput,
-        }
-        if self.total_points is not None and throughput > 0:
-            record["eta_seconds"] = (
-                max(self.total_points - self.done, 0) / throughput
-            )
-        record.update(fields)
-        self.write(record)
-
-    def close(self, status: str = "complete") -> None:
-        """Final snapshot + ``campaign-end`` record; closes an owned sink."""
-        if self.closed:
-            return
-        self.snapshot()
-        self.write({"record": "campaign-end", "status": status,
-                    "done": self.done, "errors": self.errors})
-        self.closed = True
-        if self._owns_sink:
+    def close(self) -> None:
+        with self._lock:
             self._sink.close()
 
 

@@ -8,19 +8,23 @@ journal stores (:mod:`repro.obs.journal`):
   throughput, ETA, per-worker last-seen, runtimes).  Because the live
   tracker and ``repro watch`` share this one reducer, what the file
   replays is exactly what the live view showed.
-* worker heartbeats — workers call :func:`heartbeat`, which writes to a
-  ``multiprocessing.SimpleQueue`` inherited over ``fork`` via a
-  module-level global set by the parent *before* the pool spawns.  When
-  no queue is attached (telemetry off, in-process execution, or a
-  ``spawn`` start method that does not inherit globals) the call is a
-  no-op, so workers never block and jobs=N output stays bit-identical
-  to jobs=1.  Heartbeats carry wall-clock and labels only — never
-  results — so losing every heartbeat degrades the *view*, not the run.
+* worker heartbeats — pool workers call :func:`heartbeat` when a point
+  starts, which writes to a ``multiprocessing.SimpleQueue`` inherited
+  over ``fork`` via a module-level global set by the parent *before*
+  the pool spawns.  When no queue is attached (telemetry off,
+  in-process execution, or a ``spawn`` start method that does not
+  inherit globals) the call is a no-op, so workers never block and
+  jobs=N output stays bit-identical to jobs=1.  Heartbeats carry labels
+  only — never results — so losing every heartbeat degrades the *view*,
+  not the run.
 * :class:`Campaign` — the parent-side bundle of journal + tracker: one
-  object ``run_sweep``/``run_chaos`` drive (``point_started`` /
-  ``point_finished`` / ``point_error`` / ``finish``) that fans each
-  event out to the journal file and the live progress view, and drains
-  the worker heartbeat queue on a background thread.
+  object the executors drive (``point_started`` / ``point_finished`` /
+  ``point_error`` / ``finish``).  It builds and stamps each record once,
+  from one clock, and hands the same dict to the journal file and the
+  live view; worker heartbeats are drained on a background thread and
+  stamped on arrival.  A point's ``seconds`` is the runtime the worker
+  measured (:func:`repro.exec.collect`); the parent's finish record is
+  the only finish record.
 
 Straggler detection follows the usual robust rule: a point is flagged
 when its runtime exceeds ``straggler_factor`` x the median finished
@@ -42,10 +46,16 @@ from contextlib import contextmanager
 from pathlib import Path
 from typing import Callable, Iterator
 
-from .journal import RunJournal
+from .journal import JOURNAL_SCHEMA, RunJournal
 
 #: Default straggler threshold: runtime > factor x median flags a point.
 STRAGGLER_FACTOR = 3.0
+
+#: A campaign writes a ``snapshot`` record every this many finishes.
+SNAPSHOT_EVERY = 10
+
+#: Seconds between two live progress lines.
+RENDER_EVERY = 5.0
 
 # The heartbeat queue workers inherit over fork.  Module-level on
 # purpose: ProcessPoolExecutor pickles work items but not closures over
@@ -62,25 +72,19 @@ def heartbeat(kind: str, **fields) -> None:
     queue = _worker_queue
     if queue is None:
         return
-    record = {"record": kind, "t": time.time(), "worker": _worker_id()}
-    record.update(fields)
+    record = {"record": kind, "worker": f"pid{os.getpid()}", **fields}
     try:
         queue.put(record)
     except Exception:
         pass
 
 
-def _worker_id() -> str:
-    return f"pid{os.getpid()}"
-
-
 class CampaignState:
     """Campaign progress folded from journal/heartbeat records.
 
-    ``apply`` is idempotent per point: a worker's finish heartbeat and
-    the parent's (counter-carrying) finish record both land on the same
-    point entry, and ``done``/``errors`` are derived from point status,
-    so record duplication or loss never corrupts the totals.
+    ``apply`` is idempotent per point: a repeated finish record lands on
+    the same point entry, and ``done``/``errors`` are derived from point
+    status, so record duplication or loss never corrupts the totals.
     """
 
     def __init__(self) -> None:
@@ -140,7 +144,9 @@ class CampaignState:
                 point["status"] = "running"
             if point["start"] is None:
                 point["start"] = t
-            if worker:
+            # A start beat can reach the parent after the point's finish
+            # record: it must not leave its worker marked as running.
+            if worker and point["status"] == "running":
                 point["worker"] = worker
                 self.workers[worker]["running"] = record.get("index")
         elif kind in ("point-finish", "point-error"):
@@ -162,7 +168,7 @@ class CampaignState:
                 point["error_type"] = record.get("error_type", "error")
             # Credit the worker that ran the point, not the parent that
             # journaled the result.
-            ran_on = point.get("worker") or worker
+            ran_on = point["worker"] = point.get("worker") or worker
             if ran_on and not already_settled:
                 entry = self.workers.setdefault(
                     ran_on, {"last_seen": t, "done": 0, "running": None})
@@ -338,32 +344,21 @@ class ProgressTracker:
     """A :class:`CampaignState` plus throttled live rendering.
 
     ``stream=None`` keeps the tracker silent (state only) — the mode
-    tests and library callers use; the CLI passes ``sys.stderr``.
+    tests and library callers use; the CLI passes ``sys.stderr``.  The
+    campaign name and size come from the header record, like every
+    other field of the state.
     """
 
-    def __init__(
-        self,
-        total: int | None = None,
-        campaign: str = "campaign",
-        stream: io.TextIOBase | None = None,
-        straggler_factor: float = STRAGGLER_FACTOR,
-        render_every: float = 5.0,
-        clock: Callable[[], float] = time.time,
-    ) -> None:
+    def __init__(self, stream: io.TextIOBase | None = None) -> None:
         self.state = CampaignState()
-        self.state.campaign = campaign
-        self.state.total = total
         self.stream = stream
-        self.straggler_factor = straggler_factor
-        self.render_every = render_every
-        self._clock = clock
         self._last_render = 0.0
 
     def apply(self, record: dict) -> None:
         self.state.apply(record)
         if self.stream is not None and record.get("record") != "campaign":
-            now = self._clock()
-            if now - self._last_render >= self.render_every:
+            now = time.time()
+            if now - self._last_render >= RENDER_EVERY:
                 self._last_render = now
                 print(self.progress_line(now), file=self.stream, flush=True)
 
@@ -377,45 +372,77 @@ class ProgressTracker:
             return
         from ..reporting import render_campaign
 
-        print(render_campaign(self.state,
-                              straggler_factor=self.straggler_factor),
-              file=self.stream, flush=True)
+        print(render_campaign(self.state), file=self.stream, flush=True)
 
 
 class Campaign:
     """Parent-side telemetry for one campaign: journal + live progress.
 
-    Thread-safe: the heartbeat drain thread and the parent's result loop
-    both fan records through :meth:`_dispatch` under one lock.
+    Every record — the header, each point's start, finish or error, the
+    snapshots and the end — is built and stamped here once, from one
+    clock, and the same dict goes to the journal file and to the one
+    :class:`CampaignState` reducer (the tracker's, or a private one when
+    only the journal is on, which the snapshots are computed from).  So
+    :func:`~repro.obs.journal.replay_journal` of the file rebuilds the
+    live state.  Thread-safe: the heartbeat drain thread and the
+    parent's result loop both emit under one lock, so the file order is
+    the order the reducer saw.
     """
 
     def __init__(
         self,
-        journal: RunJournal | None,
-        tracker: ProgressTracker | None,
-        owns_journal: bool = False,
+        header: dict,
+        journal: str | Path | None = None,
+        tracker: ProgressTracker | None = None,
+        clock: Callable[[], float] = time.time,
     ) -> None:
-        self.journal = journal
         self.tracker = tracker
-        self._owns_journal = owns_journal
+        self.state = tracker.state if tracker is not None else CampaignState()
+        self._clock = clock
         self._lock = threading.Lock()
         self._queue = None
         self._drain: threading.Thread | None = None
         self._finished = False
+        header = {"record": "campaign", "t": clock(),
+                  "schema": JOURNAL_SCHEMA, **header}
+        self.journal = None if journal is None else RunJournal(journal, header)
+        self._reduce(header)
 
     # --- record fan-out -------------------------------------------------------
 
-    def _dispatch(self, record: dict, journal: bool = True) -> None:
+    def _reduce(self, record: dict) -> None:
+        if self.tracker is not None:
+            self.tracker.apply(record)
+        else:
+            self.state.apply(record)
+
+    def _write(self, record: dict) -> None:
+        """Stamp, journal and reduce one record; the caller holds the lock."""
+        record.setdefault("t", self._clock())
+        if self.journal is not None:
+            self.journal.write(record)
+        self._reduce(record)
+
+    def _emit(self, record: dict) -> None:
         with self._lock:
-            if self.journal is not None and journal:
-                self.journal.write(record)
-            if self.tracker is not None:
-                self.tracker.apply(record)
+            self._write(record)
+
+    def _snapshot(self) -> dict:
+        """The campaign roll-up, read off the reducer."""
+        state, now = self.state, self._clock()
+        record = {"record": "snapshot", "t": now, "done": state.done,
+                  "errors": state.errors, "total": state.total,
+                  "elapsed_seconds": state.elapsed(now),
+                  "throughput": state.throughput(now)}
+        eta = state.eta_seconds(now)
+        if eta is not None:
+            record["eta_seconds"] = eta
+        return record
 
     def point_started(self, index: int, label: str,
                       worker: str = "main") -> None:
-        self._dispatch({"record": "point-start", "t": time.time(),
-                        "index": index, "label": label, "worker": worker})
+        self._emit({"record": "point-start", "index": index, "label": label,
+                    "worker": worker})
 
     def point_finished(
         self,
@@ -425,29 +452,25 @@ class Campaign:
         counters: dict | None = None,
         worker: str = "main",
     ) -> None:
-        # RunJournal.point_finish also maintains the periodic snapshot
-        # cadence, so route through it rather than the raw writer.
-        with self._lock:
-            if self.journal is not None:
-                self.journal.point_finish(index, label, seconds=seconds,
-                                          worker=worker, counters=counters)
-        record = {"record": "point-finish", "t": time.time(), "index": index,
-                  "label": label, "worker": worker}
+        record = {"record": "point-finish", "index": index, "label": label,
+                  "worker": worker}
         if seconds is not None:
             record["seconds"] = seconds
-        self._dispatch(record, journal=False)
+        if counters:
+            record["counters"] = counters
+        with self._lock:
+            self._write(record)
+            if self.state.done % SNAPSHOT_EVERY == 0:
+                self._write(self._snapshot())
 
     def point_error(self, index: int, label: str, error: BaseException | str,
                     worker: str = "main") -> None:
-        with self._lock:
-            if self.journal is not None:
-                self.journal.point_error(index, label, error, worker=worker)
-        self._dispatch({
-            "record": "point-error", "t": time.time(), "index": index,
-            "label": label, "worker": worker, "error": str(error),
+        self._emit({
+            "record": "point-error", "index": index, "label": label,
+            "worker": worker, "error": str(error),
             "error_type": type(error).__name__
             if isinstance(error, BaseException) else "error",
-        }, journal=False)
+        })
 
     # --- worker heartbeat plumbing --------------------------------------------
 
@@ -456,8 +479,8 @@ class Campaign:
         """Attach the heartbeat queue for the duration of a worker pool.
 
         Must wrap pool *creation*: the queue global is inherited at
-        ``fork`` time.  The drain thread forwards worker ``point-start``
-        beats into the journal and every beat into the live view.
+        ``fork`` time.  The drain thread stamps each worker beat and
+        emits it like any other record.
         """
         global _worker_queue
         self._queue = multiprocessing.SimpleQueue()
@@ -486,31 +509,28 @@ class Campaign:
                 return
             if record is None:
                 return
-            # Worker finish beats update the live view only; the parent
-            # writes the single authoritative finish record (with
-            # runtime and counters) when the result arrives.
-            self._dispatch(record,
-                           journal=record.get("record") == "point-start")
+            self._emit(record)
 
     # --- teardown -------------------------------------------------------------
 
     def finish(self, status: str = "complete") -> None:
-        """Close out the campaign; safe to call more than once."""
+        """Final snapshot and ``campaign-end``; safe to call more than once."""
         with self._lock:
             if self._finished:
                 return
             self._finished = True
-            if self.journal is not None and self._owns_journal:
-                self.journal.close(status=status)
+            self._write(self._snapshot())
+            self._write({"record": "campaign-end", "status": status,
+                         "done": self.state.done,
+                         "errors": self.state.errors})
+            if self.journal is not None:
+                self.journal.close()
         if self.tracker is not None:
-            self.tracker.state.apply(
-                {"record": "campaign-end", "status": status}
-            )
             self.tracker.render_summary()
 
 
 def start_campaign(
-    journal: RunJournal | str | Path | None,
+    journal: str | Path | None,
     progress: ProgressTracker | bool | None,
     *,
     name: str,
@@ -525,33 +545,20 @@ def start_campaign(
     """Build the :class:`Campaign` for a run, or ``None`` when telemetry
     is off (the executors then skip every journal and progress call).
 
-    ``journal`` accepts a path (a :class:`RunJournal` is created and
-    closed by the campaign) or a ready journal (caller keeps ownership);
+    ``journal`` is the path the JSONL journal is written to;
     ``progress`` accepts ``True`` (live view on stderr) or a configured
     :class:`ProgressTracker`.
     """
     if journal is None and not progress:
         return None
-    owns_journal = False
-    if journal is not None and not isinstance(journal, RunJournal):
-        journal = RunJournal(
-            journal, campaign=name, total_points=total, jobs=jobs,
-            config_hash=config_hash, git_rev=git_rev, seed=seed, plan=plan,
-            extra=extra,
-        )
-        owns_journal = True
-    tracker: ProgressTracker | None = None
-    if progress:
-        if isinstance(progress, ProgressTracker):
-            tracker = progress
-        else:
-            tracker = ProgressTracker(total=total, campaign=name,
-                                      stream=sys.stderr)
-        header = {"record": "campaign", "t": time.time(), "campaign": name,
-                  "total_points": total, "jobs": jobs,
-                  "config_hash": config_hash, "git_rev": git_rev,
-                  "seed": seed}
-        if plan is not None:
-            header["plan"] = plan
-        tracker.apply(header)
-    return Campaign(journal, tracker, owns_journal=owns_journal)
+    if isinstance(progress, ProgressTracker):
+        tracker = progress
+    else:
+        tracker = ProgressTracker(stream=sys.stderr) if progress else None
+    header = {"campaign": name, "total_points": total, "jobs": jobs,
+              "config_hash": config_hash, "git_rev": git_rev, "seed": seed}
+    if plan is not None:
+        header["plan"] = plan
+    if extra:
+        header["extra"] = extra
+    return Campaign(header, journal=journal, tracker=tracker)

@@ -184,8 +184,6 @@ def design_topology_risk(
     journal=None,
     progress=None,
     executor: Executor | str | None = None,
-    retries: int = 0,
-    task_timeout: float | None = None,
 ) -> RiskDesignOutcome:
     """The risk-aware design procedure, end to end.
 
@@ -224,8 +222,7 @@ def design_topology_risk(
         )
     assessments = evaluate_designs(
         assessable, spec, jobs=jobs, journal=journal, progress=progress,
-        executor=executor, retries=retries,
-        task_timeout=task_timeout,
+        executor=executor,
     )
     ranked = sorted(
         assessments,

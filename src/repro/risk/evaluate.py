@@ -404,8 +404,6 @@ def evaluate_designs(
     progress=None,
     *,
     executor: Executor | str | None = None,
-    retries: int = 0,
-    task_timeout: float | None = None,
 ) -> list[RiskAssessment]:
     """Score every candidate against its weighted scenario set.
 
@@ -456,8 +454,7 @@ def evaluate_designs(
         header={"cutoff": spec.cutoff, "alpha": spec.alpha},
         prewarm=_prewarm,
         executor=executor if executor is not None else spec.executor,
-        jobs=jobs, retries=retries, task_timeout=task_timeout,
-        journal=journal, progress=progress,
+        jobs=jobs, journal=journal, progress=progress,
     ).results
     assessments = []
     cursor = 0

@@ -39,7 +39,6 @@ import numpy as np
 from ..codec import Codec, encode
 from ..config import Configuration
 from ..exec import EXECUTOR_NAMES, Executor, Task, collect, run_campaign
-from ..obs.journal import RunJournal
 from ..obs.manifest import RunManifest
 from ..obs.metrics import MetricsRegistry
 from ..obs.progress import ProgressTracker
@@ -268,9 +267,6 @@ class ChaosReport:
     def failures(self) -> list[ChaosCaseResult]:
         return [case for case in self.cases if not case.passed]
 
-    def total_violations(self) -> int:
-        return sum(len(case.violations) for case in self.cases)
-
     def to_dict(self) -> dict:
         return {
             "spec": self.spec.to_dict(),
@@ -448,12 +444,10 @@ def _case_worker(args: tuple) -> tuple:
 def run_chaos(
     spec: ChaosSpec,
     jobs: int | None = None,
-    journal: RunJournal | str | Path | None = None,
+    journal: str | Path | None = None,
     progress: ProgressTracker | bool | None = None,
     *,
     executor: Executor | str | None = None,
-    retries: int = 0,
-    task_timeout: float | None = None,
 ) -> ChaosReport:
     """Run every case of ``spec`` on a pluggable executor backend.
 
@@ -486,8 +480,7 @@ def run_chaos(
                   "recovery": spec.recovery, "replay": spec.replay,
                   "detector": spec.detector, "engine": spec.engine},
         executor=executor if executor is not None else spec.executor,
-        jobs=jobs, retries=retries, task_timeout=task_timeout,
-        journal=journal, progress=progress,
+        jobs=jobs, journal=journal, progress=progress,
     )
     return ChaosReport(spec=spec, cases=campaign.results,
                        manifest=campaign.manifest, registry=campaign.registry,

@@ -18,7 +18,7 @@ run *is* the baseline run (bit-identical loads), which
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from time import perf_counter
 
 import numpy as np
@@ -254,7 +254,6 @@ class ResilienceSpec(Codec):
     seed: int | None = 0
     replicates: int = 1
     recovery: RecoveryPolicy | None = None
-    detector: str | None = None
     engine: str = "event"
     enable_churn: bool = True
     enable_updates: bool = True
@@ -269,11 +268,6 @@ class ResilienceSpec(Codec):
         # result), mirroring cases == 0 on ChaosSpec.
         if self.replicates < 0:
             raise ValueError("replicates must be >= 0")
-        if self.detector not in (None, "oracle", "gossip"):
-            raise ValueError(
-                f"detector must be None, 'oracle' or 'gossip', "
-                f"got {self.detector!r}"
-            )
         if self.engine not in ("event", "array"):
             raise ValueError(
                 f"engine must be 'event' or 'array', got {self.engine!r}"
@@ -315,10 +309,6 @@ class ResilienceResult:
             raise ValueError("empty resilience campaign has no reports")
         return self.reports[0]
 
-    def metric_values(self, name: str) -> list[float]:
-        """One named degradation metric across replicates, in order."""
-        return [float(getattr(report, name)) for report in self.reports]
-
     def to_dict(self) -> dict:
         # ``jobs`` is a dispatch setting, not a result: every backend
         # writes the same payload.
@@ -346,7 +336,7 @@ def _run_replicate(spec: ResilienceSpec, seed: int) -> ResilienceReport:
     return run_resilience(
         instance, spec.plan, duration=spec.duration, rng=seed,
         enable_churn=spec.enable_churn, enable_updates=spec.enable_updates,
-        recovery=spec.recovery, detector=spec.detector, engine=spec.engine,
+        recovery=spec.recovery, engine=spec.engine,
     )
 
 
@@ -357,8 +347,6 @@ def run_resilience_spec(
     progress=None,
     *,
     executor: Executor | str | None = None,
-    retries: int = 0,
-    task_timeout: float | None = None,
 ) -> ResilienceResult:
     """Run every replicate of ``spec`` on a pluggable executor backend.
 
@@ -386,11 +374,11 @@ def run_resilience_spec(
             "plan": spec.plan.describe(),
             "recovery": (None if spec.recovery is None
                          else spec.recovery.describe()),
-            "detector": spec.detector, "engine": spec.engine,
+            "detector": spec.recovery and spec.recovery.detector.mode,
+            "engine": spec.engine,
         },
         executor=executor if executor is not None else spec.executor,
-        jobs=jobs, retries=retries, task_timeout=task_timeout,
-        journal=journal, progress=progress,
+        jobs=jobs, journal=journal, progress=progress,
     )
     return ResilienceResult(spec=spec, reports=campaign.results,
                             manifest=campaign.manifest,
@@ -418,7 +406,6 @@ def run_resilience(
     enable_updates: bool = True,
     recovery: RecoveryPolicy | None = None,
     tracer=None,
-    detector: str | None = None,
     engine: str = "event",
     journal=None,
     progress=None,
@@ -438,11 +425,8 @@ def run_resilience(
     layer for the degraded run only — the baseline never needs it and
     the comparison then reads as "what the repairs bought".
 
-    ``detector`` ("oracle" or "gossip") overrides the policy's failure
-    detector mode in place — the convenient switch for comparing control
-    planes under one policy.  Without a ``recovery`` policy it is inert:
-    detection exists only as part of the self-healing layer, so the run
-    stays bit-identical to the no-detector baseline.
+    The failure detector is the policy's: ``recovery.detector.mode``
+    ("oracle" or "gossip") picks the control plane.
 
     ``engine`` selects the simulation backend for *both* runs
     (``"event"`` or ``"array"``, see :func:`simulate_instance`): the
@@ -468,21 +452,11 @@ def run_resilience(
             "Configuration declare a ResilienceSpec and call "
             "run_resilience_spec"
         )
-    if detector is not None:
-        if detector not in ("oracle", "gossip"):
-            raise ValueError(
-                f"detector must be 'oracle' or 'gossip', got {detector!r}"
-            )
-        if recovery is not None and recovery.detector.mode != detector:
-            recovery = replace(
-                recovery,
-                detector=replace(recovery.detector, mode=detector,
-                                 gossip=None),
-            )
     from ..obs.progress import start_campaign
 
     detail = {"plan": plan.describe(), "engine": engine,
-              "detector": detector, "duration": duration}
+              "detector": recovery and recovery.detector.mode,
+              "duration": duration}
     points = [{"index": 0, "label": "degraded", "detail": detail}]
     if baseline is None:
         points.append({"index": 1, "label": "baseline", "detail": detail})

@@ -73,8 +73,7 @@ FIXTURES = {
     GossipSpec: lambda r: GossipSpec(fanout=3),
     RecoveryPolicy: lambda r: POLICY,
     ResilienceSpec: lambda r: ResilienceSpec(
-        config=CONFIG, plan=PLAN, recovery=POLICY, detector="gossip",
-        executor="process"),
+        config=CONFIG, plan=PLAN, recovery=POLICY, executor="process"),
     ResilienceReport: lambda r: r,
     ChaosSpec: lambda r: ChaosSpec(cases=3, detector="gossip",
                                    executor="serial"),

@@ -111,21 +111,22 @@ def test_panel_journal_replays(panel_results):
     the differential-smoke job uploads and smoke-checks with
     ``repro watch --once``.
     """
-    from repro.obs.journal import RunJournal, replay_journal
+    from repro.obs.journal import replay_journal
+    from repro.obs.progress import start_campaign
 
     ARTIFACT_DIR.mkdir(exist_ok=True)
     path = ARTIFACT_DIR / "differential_journal.jsonl"
     plan = [{"index": i, "label": name, "detail": case.to_dict()}
             for i, (name, (case, _, _)) in enumerate(panel_results.items())]
-    journal = RunJournal(path, campaign="differential-panel",
-                         total_points=len(panel_results), plan=plan)
+    campaign = start_campaign(path, None, name="differential-panel",
+                              total=len(panel_results), plan=plan)
     for i, (name, (case, ev, ar)) in enumerate(panel_results.items()):
-        journal.point_start(i, name)
-        journal.point_finish(i, name, counters={
+        campaign.point_started(i, name)
+        campaign.point_finished(i, name, counters={
             "event.num_queries": ev["num_queries"],
             "array.num_queries": ar["num_queries"],
         })
-    journal.close()
+    campaign.finish()
 
     state = replay_journal(path)
     assert state.campaign == "differential-panel"

@@ -259,7 +259,7 @@ class TestGossipDetection:
 
 
 class TestGossipResilience:
-    """End-to-end runs through ``run_resilience(detector="gossip")``."""
+    """End-to-end runs through ``run_resilience`` under a gossip policy."""
 
     @pytest.fixture(scope="class")
     def crashy(self, instance):
@@ -328,17 +328,16 @@ class TestGossipResilience:
         assert out.promotions == 0
 
     def test_detector_switch_on_run_resilience(self, instance):
+        """The policy's ``detector.mode`` is the one detector switch."""
         plan = FaultPlan(crash=CrashSpec(mean_recovery=90.0))
         report = run_resilience(
             instance, plan, duration=DURATION, rng=SEED,
-            recovery=RecoveryPolicy(detector=DetectorSpec()),
-            detector="gossip",
+            recovery=RecoveryPolicy(detector=DetectorSpec(mode="gossip")),
         )
         assert report.recovery.detector.mode == "gossip"
         assert report.outcome.gossip_rumors_sent > 0
         with pytest.raises(ValueError):
-            run_resilience(instance, plan, duration=50.0, rng=SEED,
-                           detector="clairvoyant")
+            DetectorSpec(mode="clairvoyant")
 
     def test_determinism(self, instance):
         plan = FaultPlan(message_loss=0.05,

@@ -1,5 +1,5 @@
-"""Property-based tests for the gossip view lattice and the neutrality
-of the ``detector`` switch.
+"""Property-based tests for the gossip view lattice and the flood
+piggyback.
 
 The membership view merge must be a join-semilattice operation — that is
 the whole correctness argument for "rumors may arrive in any order, any
@@ -12,16 +12,13 @@ the level-by-level reference in ``tests/_oracle.py``.
 from types import SimpleNamespace
 
 import numpy as np
-import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from _oracle import level_gossip_flood
-from repro.config import Configuration
 from repro.core.routing import propagate_query
 from repro.obs.metrics import MetricsRegistry, use_registry
 from repro.obs.trace import NULL_TRACER
-from repro.sim.faults import CrashSpec, FaultPlan
 from repro.sim.gossip import (
     _STATE_MASK,
     ALIVE,
@@ -34,8 +31,6 @@ from repro.sim.gossip import (
     pack_entry,
 )
 from repro.sim.monitor import DetectorSpec
-from repro.sim.resilience import run_resilience
-from repro.topology.builder import build_instance
 from repro.topology.graph import OverlayGraph
 
 entries = st.builds(
@@ -108,33 +103,6 @@ class TestMergeSemilattice:
         shuffled = list(rumor_sets) + [rnd.choice(rumor_sets)]
         rnd.shuffle(shuffled)
         np.testing.assert_array_equal(once, fold(shuffled))
-
-
-class TestDetectorNeutrality:
-    """``detector=`` without a recovery policy must change nothing."""
-
-    @pytest.mark.slow
-    def test_gossip_switch_is_bit_identical_without_recovery(self):
-        instance = build_instance(
-            Configuration(graph_size=150, cluster_size=10, redundancy=True),
-            seed=5,
-        )
-        plan = FaultPlan(message_loss=0.04,
-                         crash=CrashSpec(mean_recovery=90.0))
-        base = run_resilience(instance, plan, duration=300.0, rng=7)
-        switched = run_resilience(instance, plan, duration=300.0, rng=7,
-                                  baseline=base.baseline, detector="gossip")
-        for name in ("superpeer_incoming_bps", "superpeer_outgoing_bps",
-                     "superpeer_processing_hz", "client_incoming_bps",
-                     "client_outgoing_bps", "client_processing_hz"):
-            np.testing.assert_array_equal(getattr(base.degraded, name),
-                                          getattr(switched.degraded, name))
-        for name in ("queries_attempted", "queries_failed",
-                     "flood_messages_attempted", "partner_crashes",
-                     "gossip_rumors_sent", "gossip_bytes"):
-            assert (getattr(base.outcome, name)
-                    == getattr(switched.outcome, name))
-        assert switched.outcome.gossip_rumors_sent == 0
 
 
 @st.composite

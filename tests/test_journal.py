@@ -32,12 +32,8 @@ import pytest
 from repro.api import SweepSpec, run_sweep
 from repro.cli import main
 from repro.config import Configuration
-from repro.obs.journal import (
-    JOURNAL_SCHEMA,
-    RunJournal,
-    read_journal,
-    replay_journal,
-)
+from repro.obs import progress as progress_mod
+from repro.obs.journal import JOURNAL_SCHEMA, read_journal, replay_journal
 from repro.obs.metrics import MetricsRegistry, use_registry
 from repro.obs.progress import (
     Campaign,
@@ -81,28 +77,52 @@ class FakeClock:
 # --- journal stream ------------------------------------------------------------
 
 
-def test_journal_records_campaign_lifecycle(tmp_path):
+def fake_campaign(path, clock, total, name="demo", **header) -> Campaign:
+    """A journaled campaign with a live tracker, stamped by ``clock``."""
+    return Campaign({"campaign": name, "total_points": total, **header},
+                    journal=path, tracker=ProgressTracker(), clock=clock)
+
+
+def assert_same_state(live: CampaignState, replayed: CampaignState) -> None:
+    """Field-by-field equality of a live and a replayed campaign state."""
+    fields = ("status", "start", "finish", "seconds", "worker", "counters",
+              "detail")
+
+    def points(state):
+        return {i: {f: p[f] for f in fields} for i, p in state.points.items()}
+
+    assert points(replayed) == points(live)
+    assert replayed.workers == live.workers
+    assert replayed.last_snapshot == live.last_snapshot
+    assert replayed.last_snapshot is not None
+    assert replayed.schema == live.schema == JOURNAL_SCHEMA
+    assert replayed.total == live.total
+    assert replayed.end_status == live.end_status
+
+
+def test_journal_records_campaign_lifecycle(tmp_path, monkeypatch):
+    monkeypatch.setattr(progress_mod, "SNAPSHOT_EVERY", 1)
     path = tmp_path / "j.jsonl"
     clock = FakeClock()
-    journal = RunJournal(
-        path, campaign="demo", total_points=2, jobs=1, config_hash="abcd",
-        git_rev="f00d", seed=7, plan=[{"index": 0, "label": "a"}],
-        snapshot_every=1, clock=clock,
+    campaign = fake_campaign(
+        path, clock, 2, jobs=1, config_hash="abcd", git_rev="f00d", seed=7,
+        plan=[{"index": 0, "label": "a"}],
     )
-    journal.point_start(0, "a")
+    campaign.point_started(0, "a")
     clock.advance(2.0)
-    journal.point_finish(0, "a", seconds=2.0, counters={"sim.queries": 10.0})
-    journal.point_start(1, "b")
+    campaign.point_finished(0, "a", seconds=2.0,
+                            counters={"sim.queries": 10.0})
+    campaign.point_started(1, "b")
     clock.advance(4.0)
-    journal.point_error(1, "b", ValueError("boom"))
-    journal.close(status="error")
+    campaign.point_error(1, "b", ValueError("boom"))
+    campaign.finish(status="error")
 
     records, skipped = read_journal(path)
     assert skipped == 0
     kinds = [r["record"] for r in records]
-    assert kinds[0] == "campaign"
-    assert kinds[-1] == "campaign-end"
-    assert "snapshot" in kinds
+    assert kinds == ["campaign", "point-start", "point-finish", "snapshot",
+                     "point-start", "point-error", "snapshot",
+                     "campaign-end"]
     header = records[0]
     assert header["schema"] == JOURNAL_SCHEMA
     assert header["campaign"] == "demo"
@@ -115,15 +135,35 @@ def test_journal_records_campaign_lifecycle(tmp_path):
     error = next(r for r in records if r["record"] == "point-error")
     assert error["error_type"] == "ValueError"
     assert "boom" in error["error"]
-    # Every record is timestamped by the injected clock.
-    assert all("t" in r for r in records)
+    snapshot = records[-2]
+    assert snapshot["done"] == 2 and snapshot["errors"] == 1
+    assert snapshot["elapsed_seconds"] == pytest.approx(6.0)
+    assert records[-1]["status"] == "error"
+
+
+def test_journal_stamps_come_from_the_campaign_clock(tmp_path):
+    """Every record, start records included, carries the one clock."""
+    path = tmp_path / "j.jsonl"
+    clock = FakeClock()
+    campaign = fake_campaign(path, clock, 1)
+    clock.advance(1.0)
+    campaign.point_started(0, "a")
+    clock.advance(2.0)
+    campaign.point_finished(0, "a", seconds=2.0)
+    campaign.finish()
+
+    records, _ = read_journal(path)
+    assert {r["record"]: r["t"] for r in records} == {
+        "campaign": 1000.0, "point-start": 1001.0, "point-finish": 1003.0,
+        "snapshot": 1003.0, "campaign-end": 1003.0,
+    }
 
 
 def test_journal_close_is_idempotent(tmp_path):
     path = tmp_path / "j.jsonl"
-    journal = RunJournal(path, total_points=0)
-    journal.close()
-    journal.close()
+    campaign = fake_campaign(path, FakeClock(), 0)
+    campaign.finish()
+    campaign.finish()
     records, _ = read_journal(path)
     assert [r["record"] for r in records].count("campaign-end") == 1
 
@@ -132,11 +172,11 @@ def test_truncated_journal_replays_cleanly(tmp_path):
     """A mid-campaign kill leaves a half-written final line; the reader
     skips it and the replayed state reflects everything before it."""
     path = tmp_path / "j.jsonl"
-    journal = RunJournal(path, campaign="killed", total_points=3)
-    journal.point_start(0, "a")
-    journal.point_finish(0, "a", seconds=1.0)
-    journal.point_start(1, "b")
-    # Simulate the kill: no close(), and the last record is torn.
+    campaign = fake_campaign(path, FakeClock(), 3, name="killed")
+    campaign.point_started(0, "a")
+    campaign.point_finished(0, "a", seconds=1.0)
+    campaign.point_started(1, "b")
+    # Simulate the kill: no finish(), and the last record is torn.
     raw = path.read_bytes()
     path.write_bytes(raw[:-17])
 
@@ -155,24 +195,36 @@ def test_replay_matches_live_state(tmp_path):
     """The watcher's replayed state equals the live tracker's state."""
     path = tmp_path / "j.jsonl"
     clock = FakeClock()
-    journal = RunJournal(path, campaign="live", total_points=2, clock=clock)
-    tracker = ProgressTracker(total=2, campaign="live")
-    campaign = Campaign(journal, tracker, owns_journal=True)
+    campaign = fake_campaign(path, clock, 2, name="live",
+                             plan=[{"index": 0, "label": "x",
+                                    "detail": {"ttl": 2}}])
     campaign.point_started(0, "x")
     clock.advance(1.0)
-    campaign.point_finished(0, "x", seconds=1.0)
+    campaign.point_finished(0, "x", seconds=1.0, counters={"hits": 3.0})
     campaign.point_started(1, "y")
     clock.advance(3.0)
     campaign.point_finished(1, "y", seconds=3.0)
     campaign.finish()
 
-    live = tracker.state
+    live = campaign.tracker.state
     replayed = replay_journal(path)
     assert replayed.done == live.done == 2
     assert replayed.finished and live.finished
-    assert ({i: p["status"] for i, p in replayed.points.items()}
-            == {i: p["status"] for i, p in live.points.items()})
     assert replayed.end_status == live.end_status == "complete"
+    assert_same_state(live, replayed)
+
+
+@pytest.mark.parametrize("executor", ["serial", "process"])
+def test_sweep_replay_matches_live_state(tmp_path, executor):
+    """A sweep's journal replays to exactly what its live tracker holds."""
+    path = tmp_path / f"{executor}.jsonl"
+    tracker = ProgressTracker(stream=None)
+    run_sweep(small_sweep(), executor=executor, jobs=2, journal=path,
+              progress=tracker)
+    live, replayed = tracker.state, replay_journal(path)
+    assert live.done == replayed.done == 2
+    assert all(p["counters"] for p in live.points.values())
+    assert_same_state(live, replayed)
 
 
 # --- derived campaign health ----------------------------------------------------
@@ -284,6 +336,23 @@ def test_worker_rows_credit_the_running_and_finishing_worker():
     assert rows["pid11"]["done"] == 1
     assert rows["pid11"]["running"] is None
     assert "main" not in rows
+
+
+def test_late_start_beat_leaves_the_worker_idle():
+    """A pool worker's start beat can reach the parent after the parent's
+    finish record; the point stays done and its worker stays idle."""
+    clock = FakeClock()
+    state = CampaignState()
+    state.apply({"record": "campaign", "total_points": 1, "t": clock()})
+    state.apply({"record": "point-finish", "index": 0, "label": "a",
+                 "worker": "pid11", "t": clock(), "seconds": 1.0})
+    state.apply({"record": "point-start", "index": 0, "label": "a",
+                 "worker": "pid11", "t": clock()})
+    assert state.points[0]["status"] == "done"
+    assert state.points[0]["worker"] == "pid11"
+    rows = {r["worker"]: r for r in state.worker_rows()}
+    assert rows["pid11"]["done"] == 1
+    assert rows["pid11"]["running"] is None
 
 
 def test_progress_line_shape():
