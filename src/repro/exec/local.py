@@ -56,7 +56,9 @@ class _FutureDispatcher:
 
     Streams finish records in *completion* order (so the journal shows
     live progress) while reassembling results in stable task order, and
-    resubmits failed tasks while retry budget remains.
+    resubmits failed tasks while retry budget remains.  A task that fails
+    for good cancels every task not yet started before its error
+    propagates.
     """
 
     def __init__(self, executor: Executor, tasks: Sequence[Task], campaign,
@@ -92,6 +94,10 @@ class _FutureDispatcher:
                         continue
                     if self.campaign is not None:
                         self.campaign.point_error(task.index, task.label, exc)
+                    # The pool's exit waits for every future it still
+                    # holds; only the running ones need to finish.
+                    for queued in pending:
+                        queued.cancel()
                     raise
                 worker, result = self._worker_of(outcome)
                 results[pos] = result

@@ -34,20 +34,23 @@ the same measured loads with structure-of-arrays kernels:
   (results per query, delivery bytes) is still genuinely sampled, as
   vectorized end-of-run draws, so result-count distributions stay
   realistic.
-* **Bounded memory** — beside the schedule, only the three delivery
-  draws (own results, remote results, responding clusters) are
-  query-length, each a preallocated int64 array.  Their inputs are
-  built one ``_QUERY_CHUNK``-query slice at a time and drawn into it:
-  every own slice, then every remote slice, then every responder slice.
-  ``Generator.binomial`` over an array draws element by element, so the
-  values and the stream are those of three whole draws at any slice
-  length.  Everything else per query — client submits,
-  delivery pricing and charges, the results histogram — runs over
-  consecutive ``_QUERY_CHUNK``-query slices: every submit slice first,
-  then every delivery slice, because both charge ``sp_proc`` and
-  ``cl_proc`` and the order of float additions is part of the result.
-  ``np.add.at`` over consecutive slices adds in the order of one call,
-  so the loads are the same bits at any slice length.
+* **Bounded memory** — two query-length draws; each phase's
+  temporaries die with its helper.  Each phase (churn, updates,
+  response weights, flood, delivery) is one function that returns only
+  what later phases read.  Beside the schedule, only two delivery draws
+  (own results, remote results) are query-length, each a preallocated
+  int64 array.  Their inputs are built one ``_QUERY_CHUNK``-query slice
+  at a time and drawn into it: every own slice, then every remote
+  slice.  The third draw (responding clusters) follows them slice by
+  slice inside the delivery loop.  ``Generator.binomial`` over an array
+  draws element by element, so the values and the stream are those of
+  three whole draws at any slice length.  Everything else per query —
+  client submits, delivery pricing and charges, the results histogram —
+  runs over consecutive ``_QUERY_CHUNK``-query slices: every submit
+  slice first, then every delivery slice, because both charge
+  ``sp_proc`` and ``cl_proc`` and the order of float additions is part
+  of the result.  ``np.add.at`` over consecutive slices adds in the
+  order of one call, so the loads are the same bits at any slice length.
 
 All of the above is the fault-free path.  Under a
 :class:`~repro.sim.faults.FaultPlan`, ``engine="array"`` is the event
@@ -116,6 +119,12 @@ def _mark_phase(registry, name: str, started: float) -> float:
     return now
 
 
+def _window_of(times: np.ndarray, duration: float) -> np.ndarray:
+    """The index-size window (``0 .. DEFAULT_WINDOWS - 1``) of each time."""
+    W = DEFAULT_WINDOWS
+    return np.minimum((times / duration * W).astype(np.int64), W - 1)
+
+
 def simulate_instance_array(
     instance: NetworkInstance,
     duration: float = 3600.0,
@@ -134,6 +143,9 @@ def simulate_instance_array(
     joins, updates, flood transmissions, reach — equal the event
     engine's bit for bit; sampled quantities agree statistically
     (``tests/test_differential.py``).
+
+    Each phase is one helper that returns only what later phases read,
+    so its temporaries are freed when it returns.
     """
     if duration <= 0:
         raise ValueError("duration must be positive")
@@ -149,40 +161,50 @@ def simulate_instance_array(
             f"schedule covers {schedule.duration}s, run wants {duration}s"
         )
 
-    # deferred: network lazily imports this module
-    from .network import (
-        _charge_client_join, _charge_client_update, _charge_delivery,
-        _charge_partner_join, _charge_partner_update, _charge_submit, _State,
-    )
+    from .network import _State  # deferred: network lazily imports this module
 
-    n = instance.num_clusters
-    k = instance.partners
-    ttl = instance.config.ttl
-    graph = instance.graph
-    clients = instance.clients
-    ptr = instance.client_ptr
-    rng_a = derive_rng(rng, "sim", "array")
-    st = _State(instance, model, rng_a)
-
+    st = _State(instance, model, derive_rng(rng, "sim", "array"))
     registry = get_registry()
     m_events = registry.counter("sim.engine.events")
     registry.counter("sim.engine.compactions")
     run_started = phase_started = perf_counter()
 
-    Q = schedule.num_queries
-    U = schedule.num_updates
-    W = DEFAULT_WINDOWS
-    deltas = np.zeros((W, n))
+    deltas = _replay_churn(st, instance, schedule, duration)
+    phase_started = _mark_phase(registry, "sim.array.churn", phase_started)
+    _replay_updates(st, instance, schedule)
+    phase_started = _mark_phase(registry, "sim.array.updates", phase_started)
+    F_wins, origin, pbar, a_frac = _response_weights(
+        instance, schedule, model, deltas, duration)
+    reach_count, F_reach = _flood(st, instance, schedule, origin, F_wins,
+                                  tracer, duration)
+    phase_started = _mark_phase(registry, "sim.array.flood", phase_started)
+    _deliver(st, instance, schedule, model, duration,
+             F_wins, F_reach, reach_count, pbar, a_frac)
+    _mark_phase(registry, "sim.array.delivery", phase_started)
 
-    def window_of(times: np.ndarray) -> np.ndarray:
-        return np.minimum((times / duration * W).astype(np.int64), W - 1)
+    Q, U = schedule.num_queries, schedule.num_updates
+    num_joins = schedule.num_client_churn + schedule.num_partner_churn
+    st.num_queries, st.num_joins, st.num_updates = Q, num_joins, U
+    st.m_queries.add(float(Q))
+    st.m_joins.add(float(num_joins))
+    st.m_updates.add(float(U))
+    m_events.add(float(Q + num_joins + U))
+    registry.timer("sim.engine.run").record(perf_counter() - run_started)
+    return st.report(duration)
 
-    # Query classes and replacement collections come pre-drawn from the
-    # shared schedule — identical to what the event engine consumes, so
-    # the heavy-tailed workload attributes never diverge across engines.
-    j_q = schedule.q_class
 
-    # --- client churn: exact per-event accounting, vectorized ---------------
+def _replay_churn(st, instance: NetworkInstance, schedule: WorkloadSchedule,
+                  duration: float) -> np.ndarray:
+    """Charge every client and partner churn event, exactly, vectorized.
+
+    Returns the ``(DEFAULT_WINDOWS, clusters)`` index-size change that
+    each window's churn makes at each cluster.
+    """
+    from .network import _charge_client_join, _charge_partner_join
+
+    k = instance.partners
+    deltas = np.zeros((DEFAULT_WINDOWS, instance.num_clusters))
+
     C = schedule.num_client_churn
     if C:
         order = np.lexsort((schedule.c_time, schedule.c_client))
@@ -197,10 +219,9 @@ def simulate_instance_array(
         prev[idx_nf] = new_files[idx_nf - 1]
         cl_cluster = st.cluster_of_client[cc]
         _charge_client_join(st, cl_cluster, cc, prev, new_files, k)
-        np.add.at(deltas, (window_of(ct), cl_cluster),
+        np.add.at(deltas, (_window_of(ct, duration), cl_cluster),
                   (new_files - prev).astype(float))
 
-    # --- partner churn ------------------------------------------------------
     P = schedule.num_partner_churn
     if P:
         flat = schedule.p_cluster * k + schedule.p_slot
@@ -216,33 +237,50 @@ def simulate_instance_array(
         idx_nf = np.nonzero(~first)[0]
         prev_p[idx_nf] = new_p[idx_nf - 1]
         _charge_partner_join(st, pcl, prev_p, new_p)
-        np.add.at(deltas, (window_of(pt), pcl),
+        np.add.at(deltas, (_window_of(pt, duration), pcl),
                   (new_p - prev_p).astype(float))
-    num_joins = C + P
-    phase_started = _mark_phase(registry, "sim.array.churn", phase_started)
+    return deltas
 
-    # --- updates: exact per-event accounting --------------------------------
-    if U:
-        u_cluster = schedule.u_cluster
-        is_client_u = schedule.u_pick < clients[u_cluster]
-        uc = u_cluster[is_client_u]
-        _charge_client_update(st, uc, ptr[uc] + schedule.u_pick[is_client_u], k)
-        _charge_partner_update(st, u_cluster[~is_client_u], k)
-    phase_started = _mark_phase(registry, "sim.array.updates", phase_started)
 
-    # --- per-window index sizes and response-weight channels ----------------
+def _replay_updates(st, instance: NetworkInstance,
+                    schedule: WorkloadSchedule) -> None:
+    """Charge every update, exactly, vectorized."""
+    from .network import _charge_client_update, _charge_partner_update
+
+    if not schedule.num_updates:
+        return
+    k = instance.partners
+    u_cluster = schedule.u_cluster
+    is_client_u = schedule.u_pick < instance.clients[u_cluster]
+    uc = u_cluster[is_client_u]
+    _charge_client_update(
+        st, uc, instance.client_ptr[uc] + schedule.u_pick[is_client_u], k)
+    _charge_partner_update(st, u_cluster[~is_client_u], k)
+
+
+def _response_weights(instance: NetworkInstance, schedule: WorkloadSchedule,
+                      model: QueryModel, deltas: np.ndarray, duration: float):
+    """Per-window index sizes and the mean-field response constants.
+
+    Returns ``(F_wins, origin, pbar, a_frac)``: the ``(windows,
+    clusters)`` index sizes, the channel-major ``(3, clusters)``
+    per-query Response origins for ``charge_block``, and per class the
+    cluster-level hit probability and addresses-per-result ratio of the
+    delivery draws.
+    """
+    n = instance.num_clusters
+    W = DEFAULT_WINDOWS
     F0 = instance.index_sizes.astype(float)
     F_wins = F0[np.newaxis, :] + np.vstack(
         [np.zeros((1, n)), np.cumsum(deltas, axis=0)[:-1]]
     )
     F_wins = np.maximum(F_wins, 0.0)
 
-    M = max(1, Q)
     log_miss = np.log1p(-model.f)
-    J = model.num_classes
-    mwj = np.zeros((W, J))
-    if Q:
-        np.add.at(mwj, (window_of(schedule.q_time), j_q), 1.0)
+    mwj = np.zeros((W, model.num_classes))
+    if schedule.num_queries:
+        np.add.at(mwj, (_window_of(schedule.q_time, duration),
+                        schedule.q_class), 1.0)
     m_w = mwj.sum(axis=1)
     m_j = mwj.sum(axis=0)
 
@@ -262,17 +300,16 @@ def simulate_instance_array(
         active = np.nonzero(mwj[w])[0]
         if active.size == 0:
             continue
-        pw = np.exp(np.multiply.outer(F_wins[w], log_miss[active]))
-        W_msg += m_w[w] - pw @ mwj[w, active]
+        pw = np.multiply.outer(F_wins[w], log_miss[active])
+        W_msg += m_w[w] - np.exp(pw, out=pw) @ mwj[w, active]
         W_res += sum_mf[w] * F_wins[w]
-    np_c = (clients + k).astype(float)
+    np_c = (instance.clients + instance.partners).astype(float)
     W_addr = np_c * float(m_j @ (1.0 - phi))
-    # Per-query Response origins for charge_block, channel-major (3, n).
-    origin = np.stack([W_msg, W_addr, W_res]) / M
+    origin = np.stack([W_msg, W_addr, W_res]) / max(1, schedule.num_queries)
 
-    # Cluster-level hit probability and addresses-per-result ratio used by
-    # the per-query delivery draws (global mean-field constants).
-    pbar = 1.0 - np.exp(np.multiply.outer(F0, log_miss)).mean(axis=0)
+    # Global mean-field constants of the per-query delivery draws.
+    miss = np.multiply.outer(F0, log_miss)
+    pbar = 1.0 - np.exp(miss, out=miss).mean(axis=0)
     with np.errstate(divide="ignore", invalid="ignore"):
         a_frac = np.where(
             model.f > 0,
@@ -283,11 +320,26 @@ def simulate_instance_array(
             ),
             0.0,
         )
+    return F_wins, origin, pbar, a_frac
 
-    # --- per-source flood + reverse-path response pass ----------------------
-    # The fault-free flood depends only on its source, so each source is
-    # flooded once and charged at its realized query count: the MVA's
-    # charge_block with counts for rates and mean-field Response origins.
+
+def _flood(st, instance: NetworkInstance, schedule: WorkloadSchedule,
+           origin: np.ndarray, F_wins: np.ndarray, tracer, duration: float):
+    """Flood each querying source once and charge it at its realized
+    query count: the MVA's ``charge_block`` with counts for rates and
+    mean-field Response origins (the fault-free flood depends only on
+    its source).
+
+    Books the flood's loads, message counters and reach on ``st``, emits
+    the tracer's ``flood-summary`` event, and returns ``(reach_count,
+    F_reach)``: each source's reached clusters and the ``(clusters,
+    windows)`` index sizes summed over them.
+    """
+    n = instance.num_clusters
+    k = instance.partners
+    ttl = instance.config.ttl
+    graph = instance.graph
+    Q = schedule.num_queries
     m_s = np.bincount(schedule.q_cluster, minlength=n).astype(float) if Q \
         else np.zeros(n)
     q_sources = np.nonzero(m_s)[0]
@@ -296,7 +348,7 @@ def simulate_instance_array(
     total_reach = 0.0
     resp_msgs = 0.0
     reach_count = np.zeros(n)
-    F_reach = np.zeros((n, W))
+    F_reach = np.zeros((n, DEFAULT_WINDOWS))
     # Query-weighted per-hop flood profile (frontier clusters reached at
     # each depth, query messages sent from each depth) for the tracer's
     # flood-summary event, the stand-in for the event engine's per-query
@@ -331,77 +383,9 @@ def simulate_instance_array(
     st.sp_out += flood.q_out / k
     st.sp_in += flood.q_in / k
     st.sp_proc += flood.q_proc / k
-    phase_started = _mark_phase(registry, "sim.array.flood", phase_started)
-
-    # --- per-query client submit (exact) and sampled deliveries -------------
-    # Only the schedule and the three draws are query-length; everything
-    # else runs over _QUERY_CHUNK-query slices (see the module docstring).
-    if Q:
-        q_src = schedule.q_cluster
-        q_pick = schedule.q_pick
-        chunks = [slice(lo, lo + _QUERY_CHUNK)
-                  for lo in range(0, Q, _QUERY_CHUNK)]
-        for c in chunks:
-            s, pick = q_src[c], q_pick[c]
-            is_client = pick < clients[s]
-            cs = s[is_client]
-            _charge_submit(st, cs, ptr[cs] + pick[is_client], st.kv)
-
-        # Each draw's inputs are built a slice at a time: every own
-        # slice, then every remote slice, then every mm slice.  An array
-        # binomial draws element by element, so this is the stream of
-        # three whole draws in that order.
-        def own_n(c):  # files at the source, in the query's window
-            return F_wins[window_of(schedule.q_time[c]), q_src[c]]
-
-        def remote_n(c):  # files at the other reached clusters
-            return F_reach[q_src[c], window_of(schedule.q_time[c])] - own_n(c)
-
-        def mm_n(c):  # the other reached clusters
-            return reach_count[q_src[c]] - 1
-
-        own, remote, mm = (np.empty(Q, dtype=np.int64) for _ in range(3))
-        for out, n_of, p in ((own, own_n, model.f), (remote, remote_n, model.f),
-                             (mm, mm_n, pbar)):
-            for c in chunks:
-                n = np.maximum(n_of(c), 0.0).astype(np.int64)
-                out[c] = rng_a.binomial(n, p[j_q[c]])
-        # An integer sum: exact, whatever the order.
-        st.total_results = float(own.sum() + remote.sum())
-
-        for c in chunks:
-            s, pick, own_c, remote_c = q_src[c], q_pick[c], own[c], remote[c]
-            to_r = (own_c + remote_c).astype(float)
-            reach_q = reach_count[s]
-            to_m = (own_c > 0).astype(float) + np.where(
-                remote_c > 0,
-                np.clip(mm[c], 1,
-                        np.maximum(np.minimum(remote_c, reach_q - 1), 1)),
-                0,
-            )
-            to_a = np.where(
-                to_m > 0,
-                np.clip(np.rint(to_r * a_frac[j_q[c]]), to_m, to_r),
-                0.0,
-            )
-            deliver = (pick < clients[s]) & (to_m > 0)
-            ds = s[deliver]
-            _charge_delivery(st, ds, ptr[ds] + pick[deliver], to_m[deliver],
-                             to_a[deliver], to_r[deliver], st.kv)
-            st.m_results.observe_many(to_r)
-
-    _mark_phase(registry, "sim.array.delivery", phase_started)
-
-    st.num_queries, st.num_joins, st.num_updates = Q, num_joins, U
     st.total_reach = total_reach
-    st.m_queries.add(float(Q))
-    st.m_joins.add(float(num_joins))
-    st.m_updates.add(float(U))
     st.m_query_messages.add(total_flood)
     st.m_response_messages.add(resp_msgs)
-    m_events.add(float(Q + num_joins + U))
-    registry.timer("sim.engine.run").record(perf_counter() - run_started)
-
     if traced:
         tracer.emit(
             "flood-summary",
@@ -410,10 +394,85 @@ def simulate_instance_array(
             ttl=int(ttl),
             frontier_per_hop=[float(x) for x in hop_frontier],
             messages_per_hop=[float(x) for x in hop_messages],
-            mean_reach=total_reach / M,
+            mean_reach=total_reach / max(1, Q),
         )
+    return reach_count, F_reach
 
-    return st.report(duration)
+
+def _deliver(st, instance: NetworkInstance, schedule: WorkloadSchedule,
+             model: QueryModel, duration: float, F_wins: np.ndarray,
+             F_reach: np.ndarray, reach_count: np.ndarray, pbar: np.ndarray,
+             a_frac: np.ndarray) -> None:
+    """Charge every client submit (exact), then sample, price and charge
+    each query's deliveries.
+
+    Only the schedule and two draws (``own``, ``remote``) are
+    query-length; everything else runs over ``_QUERY_CHUNK``-query
+    slices (see the module docstring).
+    """
+    from .network import _charge_delivery, _charge_submit
+
+    Q = schedule.num_queries
+    if not Q:
+        return
+    clients = instance.clients
+    ptr = instance.client_ptr
+    q_src = schedule.q_cluster
+    q_pick = schedule.q_pick
+    # Query classes come pre-drawn from the shared schedule — identical
+    # to what the event engine consumes, so the heavy-tailed workload
+    # attributes never diverge across engines.
+    j_q = schedule.q_class
+    rng = st.rng
+    chunks = [slice(lo, lo + _QUERY_CHUNK) for lo in range(0, Q, _QUERY_CHUNK)]
+    for c in chunks:
+        s, pick = q_src[c], q_pick[c]
+        is_client = pick < clients[s]
+        cs = s[is_client]
+        _charge_submit(st, cs, ptr[cs] + pick[is_client], st.kv)
+
+    # Each draw's inputs are built a slice at a time: every own slice,
+    # then every remote slice, then, inside the delivery loop, every
+    # slice of mm, the responding clusters.  An array binomial draws
+    # element by element, so this is the stream of three whole draws
+    # in that order.
+    def own_n(c):  # files at the source, in the query's window
+        return F_wins[_window_of(schedule.q_time[c], duration), q_src[c]]
+
+    def remote_n(c):  # files at the other reached clusters
+        return F_reach[q_src[c], _window_of(schedule.q_time[c], duration)] \
+            - own_n(c)
+
+    own, remote = np.empty(Q, dtype=np.int64), np.empty(Q, dtype=np.int64)
+    for out, n_of in ((own, own_n), (remote, remote_n)):
+        for c in chunks:
+            trials = np.maximum(n_of(c), 0.0).astype(np.int64)
+            out[c] = rng.binomial(trials, model.f[j_q[c]])
+    # An integer sum: exact, whatever the order.
+    st.total_results = float(own.sum() + remote.sum())
+
+    for c in chunks:
+        s, pick, own_c, remote_c = q_src[c], q_pick[c], own[c], remote[c]
+        reach_q = reach_count[s]
+        # the other reached clusters
+        trials = np.maximum(reach_q - 1, 0.0).astype(np.int64)
+        mm = rng.binomial(trials, pbar[j_q[c]])
+        to_r = (own_c + remote_c).astype(float)
+        to_m = (own_c > 0).astype(float) + np.where(
+            remote_c > 0,
+            np.clip(mm, 1, np.maximum(np.minimum(remote_c, reach_q - 1), 1)),
+            0,
+        )
+        to_a = np.where(
+            to_m > 0,
+            np.clip(np.rint(to_r * a_frac[j_q[c]]), to_m, to_r),
+            0.0,
+        )
+        deliver = (pick < clients[s]) & (to_m > 0)
+        ds = s[deliver]
+        _charge_delivery(st, ds, ptr[ds] + pick[deliver], to_m[deliver],
+                         to_a[deliver], to_r[deliver], st.kv)
+        st.m_results.observe_many(to_r)
 
 
 # --- faulty runs: the event loop's mean-field match sampler ------------------

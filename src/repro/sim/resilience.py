@@ -19,6 +19,7 @@ run *is* the baseline run (bit-identical loads), which
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from pathlib import Path
 from time import perf_counter
 
 import numpy as np
@@ -26,7 +27,7 @@ import numpy as np
 from ..codec import Codec, encode
 from ..config import Configuration
 from ..exec import EXECUTOR_NAMES, Executor, Task, collect, run_campaign
-from ..obs.manifest import RunManifest
+from ..obs.manifest import RunManifest, config_fingerprint, git_revision
 from ..obs.metrics import MetricsRegistry
 from ..querymodel.distributions import QueryModel
 from ..stats.rng import derive_seed
@@ -463,6 +464,8 @@ def run_resilience(
     campaign = start_campaign(
         journal, progress, name="resilience", total=len(points),
         plan=points, seed=rng,
+        config_hash=config_fingerprint(instance.config),
+        git_rev=git_revision(Path(__file__).resolve().parent),
     )
     try:
         if campaign is not None:

@@ -234,9 +234,11 @@ def generate_workload(
 
     return WorkloadSchedule(
         duration=duration,
-        q_time=q_time, q_cluster=q_cluster, q_pick=q_pick.astype(np.int64),
-        q_class=q_class.astype(np.int64),
-        u_time=u_time, u_cluster=u_cluster, u_pick=u_pick.astype(np.int64),
+        q_time=q_time, q_cluster=q_cluster,
+        q_pick=q_pick.astype(np.int64, copy=False),
+        q_class=q_class.astype(np.int64, copy=False),
+        u_time=u_time, u_cluster=u_cluster,
+        u_pick=u_pick.astype(np.int64, copy=False),
         c_time=c_time, c_client=c_client, c_files=c_files,
         p_time=p_time, p_cluster=p_cluster, p_slot=p_slot, p_files=p_files,
     )

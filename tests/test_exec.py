@@ -202,6 +202,24 @@ class TestThreadSemantics:
         assert out == [1, 2]
 
 
+def _fail_first_or_mark(payload):
+    """Task 0 fails at once; every other task sleeps, then leaves a
+    marker file."""
+    index, directory = payload
+    if index == 0:
+        raise RuntimeError("first task fails")
+    time.sleep(0.2)
+    (directory / f"task{index}").touch()
+    return index
+
+
+def test_process_failure_cancels_queued_tasks(tmp_path):
+    tasks = [Task(i, f"t{i}", (i, tmp_path)) for i in range(10)]
+    with pytest.raises(RuntimeError, match="first task fails"):
+        ProcessExecutor(jobs=2).submit_map(_fail_first_or_mark, tasks)
+    assert len(list(tmp_path.iterdir())) < 9
+
+
 class TestThreadLocalRegistry:
     """use_registry isolates per-thread, which is what lets the thread
     backend run each task under a private collector without the workers

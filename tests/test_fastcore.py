@@ -605,22 +605,35 @@ def test_sliced_binomial_draws_equal_one_draw(case):
 
 
 #: Traced peak of a fault-free array run, in query-length float arrays.
-#: Chunked submit and delivery passes measure about 7.6 here (eight
-#: chunks of queries); one pass over whole query arrays measured 23.
-MAX_QUERY_ARRAYS = 14
+#: With each phase's temporaries freed when its helper returns and two
+#: query-length draws, the two configurations below measure about 4.1
+#: and 3.3; keeping every phase's temporaries to the end of the run
+#: measured 7.3 and 7.6, and one pass over whole query arrays 23.
+MAX_QUERY_ARRAYS = 6
+
+#: (configuration, instance seed, duration, run seed): a 2,000-peer
+#: default overlay and the 10,000-peer power law of the benchmark's
+#: ``sim_array`` workload.
+MEMORY_CASES = {
+    "default_2k": (Configuration(graph_size=2000, cluster_size=10), 3,
+                   7200.0, 3),
+    "power_law_10k": (Configuration(graph_type=GraphType.POWER_LAW,
+                                    graph_size=10000, cluster_size=10,
+                                    avg_outdegree=3.1, ttl=7), 0, 3600.0, 0),
+}
 
 
-def test_array_run_memory_is_a_few_query_arrays():
-    duration = 7200.0
-    instance = build_instance(Configuration(graph_size=2000, cluster_size=10),
-                              seed=3)
-    schedule = generate_workload(instance, duration, 3)
+@pytest.mark.parametrize("case", sorted(MEMORY_CASES))
+def test_array_run_memory_is_a_few_query_arrays(case):
+    config, instance_seed, duration, seed = MEMORY_CASES[case]
+    instance = build_instance(config, seed=instance_seed)
+    schedule = generate_workload(instance, duration, seed)
     Q = schedule.num_queries
     assert Q >= 4 * fastcore._QUERY_CHUNK
     tracemalloc.start()
     try:
         before = tracemalloc.get_traced_memory()[0]
-        network.simulate_instance(instance, duration=duration, rng=3,
+        network.simulate_instance(instance, duration=duration, rng=seed,
                                   engine="array", schedule=schedule)
         peak = tracemalloc.get_traced_memory()[1]
     finally:

@@ -34,6 +34,7 @@ from repro.cli import main
 from repro.config import Configuration
 from repro.obs import progress as progress_mod
 from repro.obs.journal import JOURNAL_SCHEMA, read_journal, replay_journal
+from repro.obs.manifest import config_fingerprint
 from repro.obs.metrics import MetricsRegistry, use_registry
 from repro.obs.progress import (
     Campaign,
@@ -47,7 +48,11 @@ from repro.risk import RiskSpec, evaluate_designs
 from repro.sim.chaos import ChaosSpec, run_chaos
 from repro.sim.faults import FaultPlan
 from repro.sim.network import simulate_instance
-from repro.sim.resilience import ResilienceSpec, run_resilience_spec
+from repro.sim.resilience import (
+    ResilienceSpec,
+    run_resilience,
+    run_resilience_spec,
+)
 from repro.topology.builder import build_instance
 
 BASE = Configuration(graph_size=200, cluster_size=10, ttl=3,
@@ -495,6 +500,20 @@ def _run_resilience(journal):
                                        plan=FaultPlan(message_loss=0.1),
                                        duration=60.0, seed=3, replicates=2),
                         journal=journal)
+
+
+def test_run_resilience_header_names_config_and_revision(tmp_path):
+    """A single run_resilience journal stamps its header as the
+    run_campaign path does: the config fingerprint and git revision."""
+    run_resilience(build_instance(BASE, seed=3), FaultPlan(message_loss=0.1),
+                   duration=60.0, rng=3, journal=tmp_path / "single.jsonl")
+    _run_resilience(tmp_path / "spec.jsonl")
+    header = read_journal(tmp_path / "single.jsonl")[0][0]
+    spec_header = read_journal(tmp_path / "spec.jsonl")[0][0]
+    assert header["record"] == spec_header["record"] == "campaign"
+    assert header["config_hash"] == config_fingerprint(BASE)
+    assert header["config_hash"] == spec_header["config_hash"]
+    assert header["git_rev"] == spec_header["git_rev"]
 
 
 def _run_design_risk(journal):
