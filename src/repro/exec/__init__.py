@@ -2,8 +2,8 @@
 
 See :mod:`repro.exec.base` for :func:`run_campaign`, the one fan-out
 that :func:`repro.api.run_sweep`, :func:`repro.sim.chaos.run_chaos`,
-:func:`repro.sim.resilience.run_resilience_spec` and
-:func:`repro.risk.evaluate.evaluate_designs` share, the
+:func:`repro.sim.resilience.run_resilience_spec`, ``run_resilience``
+and :func:`repro.risk.evaluate.evaluate_designs` share, the
 :class:`Executor` protocol under it, and :func:`make_executor` for the
 name → backend resolution the specs and the CLI share.
 """

@@ -2,7 +2,8 @@
 
 Every campaign in this repo — a :func:`repro.api.run_sweep` grid, a
 :func:`repro.sim.chaos.run_chaos` seed batch, a
-:func:`repro.sim.resilience.run_resilience_spec` replicate fan-out, a
+:func:`repro.sim.resilience.run_resilience_spec` fan-out of degraded and
+baseline halves (``run_resilience`` runs one replicate's pair), a
 :func:`repro.risk.evaluate.evaluate_designs` (design × scenario) grid —
 is the same shape: a list of independent, picklable tasks evaluated by
 one module-level function, whose results must come back **in stable

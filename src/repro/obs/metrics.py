@@ -387,27 +387,7 @@ class MetricsRegistry:
         all associative, so folding any number of per-trial registries
         gives the same totals in any grouping.
         """
-        merged = MetricsRegistry()
-        for source in (self, other):
-            for name, c in source._counters.items():
-                merged.counter(name).add(c.value)
-            for name, t in source._timers.items():
-                target = merged.timer(name)
-                target.count += t.count
-                target.total_seconds += t.total_seconds
-                target.max_seconds = max(target.max_seconds, t.max_seconds)
-            for name, h in source._histograms.items():
-                target = merged.histogram(name)
-                target.count += h.count
-                target.total += h.total
-                target.min = min(target.min, h.min)
-                target.max = max(target.max, h.max)
-                for index, n in h._buckets.items():
-                    target._buckets[index] = target._buckets.get(index, 0) + n
-            for name, g in source._gauges.items():
-                if g.was_set:
-                    merged.gauge(name).set(g.value)
-        return merged
+        return MetricsRegistry().absorb(self).absorb(other)
 
     def absorb(self, other: "MetricsRegistry") -> "MetricsRegistry":
         """Fold ``other``'s instruments into this registry in place.
@@ -522,9 +502,9 @@ class NullRegistry(MetricsRegistry):
     def histogram(self, name: str) -> Histogram:
         return self._histogram
 
-    def merge(self, other: MetricsRegistry) -> MetricsRegistry:
-        # Null is the merge identity: the result carries other's data.
-        return MetricsRegistry().merge(other)
+    def absorb(self, other: MetricsRegistry) -> MetricsRegistry:
+        # Nothing to fold into: the inert instruments must stay inert.
+        return self
 
 
 #: The process-wide inert registry (also the default).

@@ -19,19 +19,17 @@ run *is* the baseline run (bit-identical loads), which
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from pathlib import Path
-from time import perf_counter
 
 import numpy as np
 
 from ..codec import Codec, encode
 from ..config import Configuration
 from ..exec import EXECUTOR_NAMES, Executor, Task, collect, run_campaign
-from ..obs.manifest import RunManifest, config_fingerprint, git_revision
-from ..obs.metrics import MetricsRegistry
+from ..obs.manifest import RunManifest
+from ..obs.metrics import MetricsRegistry, get_registry
 from ..querymodel.distributions import QueryModel
 from ..stats.rng import derive_seed
-from ..topology.builder import NetworkInstance, build_instance
+from ..topology.builder import NetworkInstance, build_instance_cached
 from .faults import FaultOutcome, FaultPlan
 from .network import SimulationReport, simulate_instance
 from .recovery import RecoveryPolicy
@@ -319,25 +317,64 @@ class ResilienceResult:
         }
 
 
-def _replicate_worker(args: tuple) -> tuple:
-    """One replicate under private collectors (mirrors ``api._evaluate_point``).
+def _half_worker(payload: tuple) -> tuple:
+    """One half of a resilience comparison under private collectors.
 
-    Module-level and picklable; builds the replicate's instance from its
-    derived seed and runs the plain (telemetry-free) resilience
-    comparison — which is what makes replicate 0 bit-identical to the
-    historical single-call path.
+    Module-level and picklable (mirrors ``api._evaluate_point``): the one
+    worker behind :func:`run_resilience` and :func:`run_resilience_spec`.
+    ``payload`` is ``(label, source, plan, options)``: ``source`` is a
+    built instance or the ``(config, seed)`` pair the instance cache
+    builds it from, ``plan`` is the degraded half's fault plan or
+    ``None`` for the fault-free baseline, and ``options`` go to
+    :func:`simulate_instance`.
     """
-    spec, replicate = args
-    return collect(f"replicate[{replicate}]", _run_replicate, spec,
-                   spec.replicate_seed(replicate))
+    label, source, plan, options = payload
+    return collect(label, _run_half, source, plan, options)
 
 
-def _run_replicate(spec: ResilienceSpec, seed: int) -> ResilienceReport:
-    instance = build_instance(spec.config, seed=seed)
-    return run_resilience(
-        instance, spec.plan, duration=spec.duration, rng=seed,
-        enable_churn=spec.enable_churn, enable_updates=spec.enable_updates,
-        recovery=spec.recovery, engine=spec.engine,
+def _run_half(source, plan: FaultPlan | None, options: dict):
+    instance = (source if isinstance(source, NetworkInstance)
+                else build_instance_cached(*source))
+    if plan is None:
+        return simulate_instance(instance, **options)
+    half = run_degraded(instance, plan, **options)
+    tracer = options["tracer"]
+    if tracer is not None and getattr(tracer, "_sink", None) is not None:
+        # Streaming tracer: drain the ring so the sink holds the full run
+        # before the (untraced) baseline replays the stream.
+        tracer.flush()
+    return half
+
+
+def _halves(source, plan: FaultPlan, replicate: int,
+            recovery: RecoveryPolicy | None, tracer=None,
+            baseline: bool = True, **options) -> list[tuple[Task, dict]]:
+    """One replicate's degraded task and, when ``baseline``, its baseline
+    task, each with its journal detail.  ``options`` are the
+    :func:`simulate_instance` arguments both halves share; only the
+    degraded half carries the recovery policy and the tracer."""
+    halves = [("degraded", plan,
+               {**options, "recovery": recovery, "tracer": tracer})]
+    if baseline:
+        halves.append(("baseline", None, options))
+    detail = {"replicate": replicate, "seed": options["rng"],
+              "plan": plan.describe(), "engine": options["engine"],
+              "detector": recovery and recovery.detector.mode,
+              "duration": options["duration"]}
+    return [(Task(2 * replicate + i, f"{half}[{replicate}]",
+                  (f"{half}[{replicate}]", source, half_plan, half_options)),
+             detail)
+            for i, (half, half_plan, half_options) in enumerate(halves)]
+
+
+def _report(plan: FaultPlan, duration: float, partners: int,
+            recovery: RecoveryPolicy | None, degraded: tuple,
+            baseline: SimulationReport) -> ResilienceReport:
+    report, outcome = degraded
+    return ResilienceReport(
+        plan=plan, duration=duration, partners=partners, baseline=baseline,
+        degraded=report, outcome=outcome,
+        recovery=None if plan.is_null else recovery,
     )
 
 
@@ -354,20 +391,30 @@ def run_resilience_spec(
     The resilience campaign runner, on the same
     :func:`repro.exec.run_campaign` fan-out as
     :func:`repro.api.run_sweep` and :func:`repro.sim.chaos.run_chaos`:
-    replicates fan out as self-contained tasks (each carries its derived
-    seed), results return in stable replicate order, and every backend
-    is bit-identical.  ``journal``/``progress`` attach the usual
-    campaign telemetry; a spec with ``replicates=0`` returns a
-    well-formed empty result.
+    each replicate fans out as two self-contained tasks, its degraded
+    half and its fault-free baseline (each carries the replicate's
+    derived seed), journalled as ``degraded[r]`` and ``baseline[r]`` —
+    the same two points a journalled :func:`run_resilience` writes.
+    Forking backends build every replicate's instance in the parent
+    before the pool forks (the instance cache, as
+    :func:`repro.api.run_sweep` does), so neither half rebuilds it.
+    Results return in stable replicate order and every backend is
+    bit-identical.  ``journal``/``progress`` attach the usual campaign
+    telemetry; a spec with ``replicates=0`` returns a well-formed empty
+    result.
     """
     replicates = range(spec.replicates)
+    halves = [half for r in replicates for half in _halves(
+        (spec.config, spec.replicate_seed(r)), spec.plan, r, spec.recovery,
+        duration=spec.duration, rng=spec.replicate_seed(r),
+        enable_churn=spec.enable_churn, enable_updates=spec.enable_updates,
+        engine=spec.engine,
+    )]
     campaign = run_campaign(
-        _replicate_worker,
-        [Task(r, f"replicate[{r}]", (spec, r)) for r in replicates],
+        _half_worker,
+        [task for task, _ in halves],
         name="resilience",
-        plan=[{"replicate": r, "seed": spec.replicate_seed(r),
-               "plan": spec.plan.describe(), "engine": spec.engine}
-              for r in replicates],
+        plan=[detail for _, detail in halves],
         config=spec.config,
         seed=spec.seed,
         manifest={
@@ -378,10 +425,19 @@ def run_resilience_spec(
             "detector": spec.recovery and spec.recovery.detector.mode,
             "engine": spec.engine,
         },
+        prewarm=lambda: [build_instance_cached(spec.config,
+                                               spec.replicate_seed(r))
+                         for r in replicates],
         executor=executor if executor is not None else spec.executor,
         jobs=jobs, journal=journal, progress=progress,
     )
-    return ResilienceResult(spec=spec, reports=campaign.results,
+    results = campaign.results
+    reports = [
+        _report(spec.plan, spec.duration, spec.config.partners_per_cluster,
+                spec.recovery, degraded, baseline)
+        for degraded, baseline in zip(results[::2], results[1::2])
+    ]
+    return ResilienceResult(spec=spec, reports=reports,
                             manifest=campaign.manifest,
                             registry=campaign.registry, jobs=campaign.jobs)
 
@@ -433,11 +489,19 @@ def run_resilience(
     (``"event"`` or ``"array"``, see :func:`simulate_instance`): the
     baseline/degraded comparison only makes sense within one engine.
 
-    ``journal``/``progress`` attach campaign telemetry
-    (:func:`repro.obs.progress.start_campaign`): the degraded and
-    baseline runs journal as a two-point campaign, so even a single
-    resilience run is watchable with ``repro watch`` and a killed run
-    leaves a readable record.  Observation-only, as everywhere else.
+    The two runs are the degraded and baseline tasks of
+    :func:`run_resilience_spec`'s replicate 0, run in order through
+    :func:`repro.exec.run_campaign` on the serial executor (a pure-CPU
+    pair gains little from two processes).  Each half collects into its
+    own registry, and the folded registry lands in the caller's
+    (:func:`repro.obs.metrics.get_registry`), so a ``use_registry``
+    block sees the same counters as two direct
+    :func:`simulate_instance` calls.  ``journal``/``progress`` attach
+    the usual campaign telemetry: the halves journal as the points
+    ``degraded[0]`` and ``baseline[0]``, with the seconds and registry
+    counters each one measured, so even a single resilience run is
+    watchable with ``repro watch`` and a killed run leaves a readable
+    record.  Observation-only, as everywhere else.
 
     To start from a :class:`~repro.config.Configuration`, declare a
     :class:`ResilienceSpec` and call :func:`run_resilience_spec`.
@@ -453,64 +517,18 @@ def run_resilience(
             "Configuration declare a ResilienceSpec and call "
             "run_resilience_spec"
         )
-    from ..obs.progress import start_campaign
-
-    detail = {"plan": plan.describe(), "engine": engine,
-              "detector": recovery and recovery.detector.mode,
-              "duration": duration}
-    points = [{"index": 0, "label": "degraded", "detail": detail}]
-    if baseline is None:
-        points.append({"index": 1, "label": "baseline", "detail": detail})
-    campaign = start_campaign(
-        journal, progress, name="resilience", total=len(points),
-        plan=points, seed=rng,
-        config_hash=config_fingerprint(instance.config),
-        git_rev=git_revision(Path(__file__).resolve().parent),
+    halves = _halves(
+        instance, plan, 0, recovery, tracer, baseline=baseline is None,
+        duration=duration, model=model, rng=rng, enable_churn=enable_churn,
+        enable_updates=enable_updates, engine=engine,
     )
-    try:
-        if campaign is not None:
-            campaign.point_started(0, "degraded")
-        started = perf_counter()
-        degraded, outcome = run_degraded(
-            instance, plan, duration, model=model, rng=rng,
-            enable_churn=enable_churn, enable_updates=enable_updates,
-            recovery=recovery, tracer=tracer, engine=engine,
-        )
-        if campaign is not None:
-            campaign.point_finished(
-                0, "degraded", seconds=perf_counter() - started,
-                counters={"num_queries": degraded.num_queries},
-            )
-        if tracer is not None and getattr(tracer, "_sink", None) is not None:
-            # Streaming tracer: drain the ring so the sink holds the full
-            # run before the (untraced) baseline replays the stream.
-            tracer.flush()
-        if baseline is None:
-            if campaign is not None:
-                campaign.point_started(1, "baseline")
-            started = perf_counter()
-            baseline = simulate_instance(
-                instance, duration=duration, model=model, rng=rng,
-                enable_churn=enable_churn, enable_updates=enable_updates,
-                engine=engine,
-            )
-            if campaign is not None:
-                campaign.point_finished(
-                    1, "baseline", seconds=perf_counter() - started,
-                    counters={"num_queries": baseline.num_queries},
-                )
-    except BaseException:
-        if campaign is not None:
-            campaign.finish(status="error")
-        raise
-    if campaign is not None:
-        campaign.finish()
-    return ResilienceReport(
-        plan=plan,
-        duration=duration,
-        partners=instance.partners,
-        baseline=baseline,
-        degraded=degraded,
-        outcome=outcome,
-        recovery=None if plan.is_null else recovery,
+    campaign = run_campaign(
+        _half_worker, [task for task, _ in halves], name="resilience",
+        plan=[detail for _, detail in halves],
+        config=instance.config, seed=rng, executor="serial",
+        journal=journal, progress=progress,
     )
+    get_registry().absorb(campaign.registry)
+    degraded, *rest = campaign.results
+    return _report(plan, duration, instance.partners, recovery, degraded,
+                   rest[0] if rest else baseline)

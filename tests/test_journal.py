@@ -516,6 +516,44 @@ def test_run_resilience_header_names_config_and_revision(tmp_path):
     assert header["git_rev"] == spec_header["git_rev"]
 
 
+def _finishes(path) -> list[dict]:
+    return [r for r in read_journal(path)[0] if r["record"] == "point-finish"]
+
+
+def test_run_resilience_journals_each_half_with_registry_counters(tmp_path):
+    """A single run journals its degraded and baseline halves with the
+    registry counters and the seconds each half measured."""
+    path = tmp_path / "single.jsonl"
+    run_resilience(build_instance(BASE, seed=3), FaultPlan(message_loss=0.1),
+                   duration=60.0, rng=3, journal=path)
+    finishes = _finishes(path)
+    assert [r["label"] for r in finishes] == ["degraded[0]", "baseline[0]"]
+    for record in finishes:
+        assert record["counters"]["sim.query_messages"] > 0
+        assert record["counters"]["sim.queries"] > 0
+        assert record["seconds"] > 0
+    degraded, baseline = (r["counters"] for r in finishes)
+    assert degraded["sim.flood_messages_dropped"] > 0
+    assert baseline["sim.flood_messages_dropped"] == 0
+
+
+def test_run_resilience_journals_the_same_halves_as_a_spec(tmp_path):
+    """``run_resilience`` on the instance a one-replicate spec builds
+    journals the same two points: labels, plan details and counters."""
+    plan = FaultPlan(message_loss=0.1)
+    run_resilience(build_instance(BASE, seed=3), plan, duration=60.0, rng=3,
+                   journal=tmp_path / "single.jsonl")
+    run_resilience_spec(ResilienceSpec(config=BASE, plan=plan, duration=60.0,
+                                       seed=3, replicates=1),
+                        journal=tmp_path / "spec.jsonl")
+    single = read_journal(tmp_path / "single.jsonl")[0][0]["plan"]
+    spec = read_journal(tmp_path / "spec.jsonl")[0][0]["plan"]
+    assert single == spec
+    assert len(single) == 2
+    assert ([(r["label"], r["counters"]) for r in _finishes(tmp_path / "single.jsonl")]
+            == [(r["label"], r["counters"]) for r in _finishes(tmp_path / "spec.jsonl")])
+
+
 def _run_design_risk(journal):
     candidates = [
         (f"r{int(redundancy)}",
@@ -533,7 +571,7 @@ def _run_design_risk(journal):
 RUNNERS = {
     "sweep": ("repro.api", "_evaluate_point", _run_sweep),
     "chaos": ("repro.sim.chaos", "_case_worker", _run_chaos),
-    "resilience": ("repro.sim.resilience", "_replicate_worker",
+    "resilience": ("repro.sim.resilience", "_half_worker",
                    _run_resilience),
     "design-risk": ("repro.risk.evaluate", "_evaluate_cell",
                     _run_design_risk),

@@ -28,6 +28,7 @@ from repro.obs.metrics import (
     NULL_REGISTRY,
     Histogram,
     MetricsRegistry,
+    NullRegistry,
     _bucket_midpoint,
     _bucket_of,
     _buckets_of,
@@ -39,7 +40,7 @@ from repro.obs.metrics import (
 )
 from repro.obs.trace import NULL_TRACER, TraceEvent, Tracer, read_jsonl
 from repro.reporting import render_metrics
-from repro.sim.faults import FaultPlan, RetryPolicy
+from repro.sim.faults import FaultOutcome, FaultPlan, RetryPolicy
 from repro.sim.network import simulate_instance
 from repro.sim.resilience import run_resilience
 
@@ -584,6 +585,34 @@ def test_resilience_is_metrics_and_trace_neutral():
     # The degraded run actually dropped messages — and tracing saw it.
     assert counters["sim.flood_messages_dropped"] > 0
     assert tracer.counts_by_kind().get("drop", 0) > 0
+
+
+def test_resilience_registry_matches_two_direct_runs():
+    """The caller's registry ends up with exactly the counters and
+    histograms of the degraded and baseline runs made directly."""
+    instance = make_instance(graph_size=150, cluster_size=8, seed=4)
+    plan = FaultPlan(message_loss=0.05, retry=RetryPolicy(max_retries=1))
+    with use_registry(MetricsRegistry()) as direct:
+        simulate_instance(instance, duration=240.0, rng=13, faults=plan,
+                          fault_metrics=FaultOutcome())
+        simulate_instance(instance, duration=240.0, rng=13)
+    with use_registry(MetricsRegistry()) as campaign:
+        run_resilience(instance, plan, duration=240.0, rng=13)
+    want, got = direct.snapshot(), campaign.snapshot()
+    assert got["counters"] == want["counters"]
+    assert got["histograms"] == want["histograms"]
+    assert got["counters"]["sim.flood_messages_dropped"] > 0
+
+
+def test_absorbing_into_the_null_registry_leaves_it_inert():
+    source = MetricsRegistry()
+    source.timer("t").record(1.0)
+    source.histogram("h").observe(2.0)
+    null = NullRegistry()
+    assert null.absorb(source) is null
+    assert null.timer("t").count == 0
+    assert null.histogram("h").count == 0
+    assert null.snapshot()["timers"] == {}
 
 
 # --- ring saturation surfaced as a counter (sink-less tracers only) ------------
