@@ -83,6 +83,10 @@ class LoadVector:
 
     __rmul__ = __mul__
 
+    def __iter__(self):
+        """Unpacks as ``incoming, outgoing, processing``."""
+        return iter((self.incoming_bps, self.outgoing_bps, self.processing_hz))
+
     @property
     def total_bandwidth_bps(self) -> float:
         """In + out bandwidth — what Figure 4 plots."""
@@ -93,6 +97,68 @@ class LoadVector:
             "incoming_bps": self.incoming_bps,
             "outgoing_bps": self.outgoing_bps,
             "processing_hz": self.processing_hz,
+        }
+
+
+class NodeLoads:
+    """Eq. 3-4 summaries of the six per-node load arrays.
+
+    Mixed into every report that has them, expected or measured: the
+    ``superpeer_*`` arrays (per partner, one entry per cluster), the
+    ``client_*`` arrays (one entry per client) and ``partners`` (k).
+    """
+
+    def aggregate_load(self) -> LoadVector:
+        """E[M | I]: sum of the loads of all nodes in the system (Eq. 4)."""
+        k = self.partners
+        return LoadVector(
+            incoming_bps=float(k * self.superpeer_incoming_bps.sum() + self.client_incoming_bps.sum()),
+            outgoing_bps=float(k * self.superpeer_outgoing_bps.sum() + self.client_outgoing_bps.sum()),
+            processing_hz=float(k * self.superpeer_processing_hz.sum() + self.client_processing_hz.sum()),
+        )
+
+    def mean_superpeer_load(self) -> LoadVector:
+        """E[M_Q | I] with Q = the super-peer partners (Eq. 3)."""
+        return LoadVector(
+            incoming_bps=float(self.superpeer_incoming_bps.mean()),
+            outgoing_bps=float(self.superpeer_outgoing_bps.mean()),
+            processing_hz=float(self.superpeer_processing_hz.mean()),
+        )
+
+    def mean_client_load(self) -> LoadVector:
+        """E[M_Q | I] with Q = the clients (zero vector if there are none)."""
+        if self.client_incoming_bps.size == 0:
+            return LoadVector()
+        return LoadVector(
+            incoming_bps=float(self.client_incoming_bps.mean()),
+            outgoing_bps=float(self.client_outgoing_bps.mean()),
+            processing_hz=float(self.client_processing_hz.mean()),
+        )
+
+    def all_node_loads(self, resource: str) -> np.ndarray:
+        """Every node's load for one resource — the Figure 12 rank plot.
+
+        ``resource`` is one of ``"incoming"``, ``"outgoing"``,
+        ``"processing"``.  Super-peer partners are repeated k times.
+        """
+        arrays = {
+            "incoming": (self.superpeer_incoming_bps, self.client_incoming_bps),
+            "outgoing": (self.superpeer_outgoing_bps, self.client_outgoing_bps),
+            "processing": (self.superpeer_processing_hz, self.client_processing_hz),
+        }
+        if resource not in arrays:
+            raise ValueError(f"unknown resource {resource!r}")
+        sp, cl = arrays[resource]
+        return np.concatenate([np.repeat(sp, self.partners), cl])
+
+    def relative_error_vs(self, other: "NodeLoads") -> dict[str, float]:
+        """Relative differences of the mean super-peer loads vs ``other``'s
+        (0 on a resource where ``other``'s mean is 0)."""
+        return {
+            name: mine / theirs - 1.0 if theirs else 0.0
+            for name, mine, theirs in zip(
+                ("incoming", "outgoing", "processing"),
+                self.mean_superpeer_load(), other.mean_superpeer_load())
         }
 
 
@@ -194,7 +260,7 @@ class _Accumulator:
 
 
 @dataclass(frozen=True)
-class LoadReport:
+class LoadReport(NodeLoads):
     """Expected loads and query outcomes for one network instance (Eq. 1-4)."""
 
     instance: NetworkInstance
@@ -221,38 +287,9 @@ class LoadReport:
     evaluated_sources: np.ndarray
     source_scale: float
 
-    # --- aggregates (Eq. 4) ----------------------------------------------------
-
     @property
     def partners(self) -> int:
         return self.instance.partners
-
-    def aggregate_load(self) -> LoadVector:
-        """E[M | I]: sum of the loads of all nodes in the system (Eq. 4)."""
-        k = self.partners
-        return LoadVector(
-            incoming_bps=float(k * self.superpeer_incoming_bps.sum() + self.client_incoming_bps.sum()),
-            outgoing_bps=float(k * self.superpeer_outgoing_bps.sum() + self.client_outgoing_bps.sum()),
-            processing_hz=float(k * self.superpeer_processing_hz.sum() + self.client_processing_hz.sum()),
-        )
-
-    def mean_superpeer_load(self) -> LoadVector:
-        """E[M_Q | I] with Q = the super-peer partners (Eq. 3)."""
-        return LoadVector(
-            incoming_bps=float(self.superpeer_incoming_bps.mean()),
-            outgoing_bps=float(self.superpeer_outgoing_bps.mean()),
-            processing_hz=float(self.superpeer_processing_hz.mean()),
-        )
-
-    def mean_client_load(self) -> LoadVector:
-        """E[M_Q | I] with Q = the clients (zero vector if there are none)."""
-        if self.client_incoming_bps.size == 0:
-            return LoadVector()
-        return LoadVector(
-            incoming_bps=float(self.client_incoming_bps.mean()),
-            outgoing_bps=float(self.client_outgoing_bps.mean()),
-            processing_hz=float(self.client_processing_hz.mean()),
-        )
 
     def mean_results_per_query(self) -> float:
         """E[R_S] (Eq. 2) averaged over evaluated source clusters."""
@@ -272,22 +309,6 @@ class LoadReport:
     def mean_reach_peers(self) -> float:
         values = self.reach_peers[self.evaluated_sources]
         return float(values.mean()) if values.size else 0.0
-
-    def all_node_loads(self, resource: str) -> np.ndarray:
-        """Every node's load for one resource — the Figure 12 rank plot.
-
-        ``resource`` is one of ``"incoming"``, ``"outgoing"``,
-        ``"processing"``.  Super-peer partners are repeated k times.
-        """
-        arrays = {
-            "incoming": (self.superpeer_incoming_bps, self.client_incoming_bps),
-            "outgoing": (self.superpeer_outgoing_bps, self.client_outgoing_bps),
-            "processing": (self.superpeer_processing_hz, self.client_processing_hz),
-        }
-        if resource not in arrays:
-            raise ValueError(f"unknown resource {resource!r}")
-        sp, cl = arrays[resource]
-        return np.concatenate([np.repeat(sp, self.partners), cl])
 
 
 #: The three action workloads of the analysis (Section 4.1, step 3).

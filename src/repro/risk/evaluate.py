@@ -224,7 +224,7 @@ class RiskCell:
             return {
                 "total_results": _total_results(report),
                 "superpeer_load_bps": _peak_load(report, dark=()),
-                "aggregate_bandwidth_bps": float(report.aggregate_bandwidth_bps()),
+                "aggregate_bandwidth_bps": report.aggregate_load().total_bandwidth_bps,
             }
         plan = self.scenario.fault_plan(self.duration)
         outcome = FaultOutcome()
@@ -313,14 +313,7 @@ class RiskAssessment:
         wall-clock or host fields, so two runs diff byte-for-byte."""
         return {
             "label": self.label,
-            "config": {
-                "graph_type": self.config.graph_type.value,
-                "graph_size": self.config.graph_size,
-                "cluster_size": self.config.cluster_size,
-                "redundancy": self.config.redundancy,
-                "avg_outdegree": self.config.avg_outdegree,
-                "ttl": self.config.ttl,
-            },
+            "config": encode(self.config),
             "cost_bps": self.cost_bps,
             "covered_probability": self.covered_probability,
             "residual_probability": self.residual_probability,

@@ -39,7 +39,7 @@ import numpy as np
 
 from ..codec import Codec
 from ..core import costs
-from ..core.load import LoadReport
+from ..core.load import NodeLoads
 from ..obs.metrics import get_registry
 from ..obs.trace import NULL_TRACER, Tracer
 from ..core.routing import QueryPropagation, propagate_query
@@ -71,13 +71,15 @@ _FLOOD_MEMO_CELLS = 1 << 21  # node entries of memoised floods per run (~64 MB)
 
 
 @dataclass(frozen=True)
-class SimulationReport(Codec):
-    """Measured long-run loads of one simulated instance."""
+class SimulationReport(NodeLoads, Codec):
+    """Measured long-run loads of one simulated instance (Eq. 3-4
+    summaries from :class:`~repro.core.load.NodeLoads`)."""
 
     duration: float
     num_queries: int
     num_joins: int
     num_updates: int
+    partners: int                        # k, partners per cluster
 
     superpeer_incoming_bps: np.ndarray   # (n,) mean per partner
     superpeer_outgoing_bps: np.ndarray
@@ -88,28 +90,6 @@ class SimulationReport(Codec):
 
     mean_results_per_query: float
     mean_reach_clusters: float
-
-    def mean_superpeer_load(self) -> tuple[float, float, float]:
-        return (
-            float(self.superpeer_incoming_bps.mean()),
-            float(self.superpeer_outgoing_bps.mean()),
-            float(self.superpeer_processing_hz.mean()),
-        )
-
-    def aggregate_bandwidth_bps(self) -> float:
-        sp = self.superpeer_incoming_bps.sum() + self.superpeer_outgoing_bps.sum()
-        cl = self.client_incoming_bps.sum() + self.client_outgoing_bps.sum()
-        return float(sp + cl)
-
-    def relative_error_vs(self, report: LoadReport) -> dict[str, float]:
-        """Relative differences of mean super-peer loads vs an MVA report."""
-        mva = report.mean_superpeer_load()
-        sim_in, sim_out, sim_proc = self.mean_superpeer_load()
-        return {
-            "incoming": sim_in / mva.incoming_bps - 1.0 if mva.incoming_bps else 0.0,
-            "outgoing": sim_out / mva.outgoing_bps - 1.0 if mva.outgoing_bps else 0.0,
-            "processing": sim_proc / mva.processing_hz - 1.0 if mva.processing_hz else 0.0,
-        }
 
 
 class _State:
@@ -195,6 +175,7 @@ class _State:
             num_queries=self.num_queries,
             num_joins=self.num_joins,
             num_updates=self.num_updates,
+            partners=self.k,
             superpeer_incoming_bps=bytes_per_second_to_bps(self.sp_in / duration),
             superpeer_outgoing_bps=bytes_per_second_to_bps(self.sp_out / duration),
             superpeer_processing_hz=units_per_second_to_hz(self.sp_proc / duration),

@@ -48,11 +48,15 @@ class ResilienceReport(Codec):
 
     plan: FaultPlan
     duration: float
-    partners: int
     baseline: SimulationReport
     degraded: SimulationReport
     outcome: FaultOutcome
     recovery: RecoveryPolicy | None = None
+
+    @property
+    def partners(self) -> int:
+        """Partners per cluster (k) of the measured instance."""
+        return self.degraded.partners
 
     # --- headline degradation metrics ----------------------------------------
 
@@ -164,13 +168,7 @@ class ResilienceReport(Codec):
         fault-free per-partner mean (retries, rebuilds, failover);
         negative values mean lost traffic outweighed the overhead.
         """
-        base_in, base_out, base_proc = self.baseline.mean_superpeer_load()
-        deg_in, deg_out, deg_proc = self.degraded.mean_superpeer_load()
-        return {
-            "incoming": deg_in / base_in - 1.0 if base_in else 0.0,
-            "outgoing": deg_out / base_out - 1.0 if base_out else 0.0,
-            "processing": deg_proc / base_proc - 1.0 if base_proc else 0.0,
-        }
+        return self.degraded.relative_error_vs(self.baseline)
 
     def summary_rows(self) -> list[list[object]]:
         """(metric, value) rows for the reporting renderer."""
@@ -367,12 +365,11 @@ def _halves(source, plan: FaultPlan, replicate: int,
             for i, (half, half_plan, half_options) in enumerate(halves)]
 
 
-def _report(plan: FaultPlan, duration: float, partners: int,
-            recovery: RecoveryPolicy | None, degraded: tuple,
-            baseline: SimulationReport) -> ResilienceReport:
+def _report(plan: FaultPlan, duration: float, recovery: RecoveryPolicy | None,
+            degraded: tuple, baseline: SimulationReport) -> ResilienceReport:
     report, outcome = degraded
     return ResilienceReport(
-        plan=plan, duration=duration, partners=partners, baseline=baseline,
+        plan=plan, duration=duration, baseline=baseline,
         degraded=report, outcome=outcome,
         recovery=None if plan.is_null else recovery,
     )
@@ -433,8 +430,7 @@ def run_resilience_spec(
     )
     results = campaign.results
     reports = [
-        _report(spec.plan, spec.duration, spec.config.partners_per_cluster,
-                spec.recovery, degraded, baseline)
+        _report(spec.plan, spec.duration, spec.recovery, degraded, baseline)
         for degraded, baseline in zip(results[::2], results[1::2])
     ]
     return ResilienceResult(spec=spec, reports=reports,
@@ -530,5 +526,5 @@ def run_resilience(
     )
     get_registry().absorb(campaign.registry)
     degraded, *rest = campaign.results
-    return _report(plan, duration, instance.partners, recovery, degraded,
+    return _report(plan, duration, recovery, degraded,
                    rest[0] if rest else baseline)

@@ -39,19 +39,11 @@ ROLES = {"superpeer": slice(0, 3), "client": slice(3, 6)}
 METRICS = ("in", "out", "proc")
 
 
-def _mva_means(report) -> np.ndarray:
+def _node_means(report) -> np.ndarray:
+    """Eq. 3 super-peer then client means of an MVA or simulator report."""
     sp, cl = report.mean_superpeer_load(), report.mean_client_load()
     return np.array([sp.incoming_bps, sp.outgoing_bps, sp.processing_hz,
                      cl.incoming_bps, cl.outgoing_bps, cl.processing_hz])
-
-
-def _sim_means(report) -> np.ndarray:
-    return np.array([report.superpeer_incoming_bps.mean(),
-                     report.superpeer_outgoing_bps.mean(),
-                     report.superpeer_processing_hz.mean(),
-                     report.client_incoming_bps.mean(),
-                     report.client_outgoing_bps.mean(),
-                     report.client_processing_hz.mean()])
 
 
 @functools.cache
@@ -61,8 +53,8 @@ def _means(action: str, k: int) -> tuple[np.ndarray, np.ndarray]:
     config = Configuration(graph_size=400, cluster_size=10,
                            redundancy=k == 2, **rates)
     instance = build_instance(config, seed=3)
-    mva = _mva_means(evaluate_instance(instance, components=(action,)))
-    sim = np.mean([_sim_means(simulate_instance(
+    mva = _node_means(evaluate_instance(instance, components=(action,)))
+    sim = np.mean([_node_means(simulate_instance(
         instance, duration=DURATION, rng=seed, enable_churn=churn,
         engine="array")) for seed in SEEDS], axis=0)
     return sim, mva

@@ -23,6 +23,7 @@ import json
 
 import pytest
 
+from repro.config import Configuration
 from repro.core.design import DesignConstraints, design_topology
 from repro.risk import (
     RISK_METRICS,
@@ -383,6 +384,14 @@ class TestDesignRisk:
         assert payload["feasible"] is True
         assert payload["chosen"] == risk_outcome.chosen.label
         json.dumps(payload, sort_keys=True)  # must be serializable
+
+    def test_payload_names_each_full_configuration(self, risk_outcome):
+        designs = json.loads(json.dumps(risk_outcome.to_payload()))["designs"]
+        assert len(designs) == len(risk_outcome.assessments)
+        for design, assessment in zip(designs, risk_outcome.assessments):
+            config = Configuration.from_dict(design["config"])
+            assert config == assessment.config
+            assert config.to_dict() == design["config"]
 
     def test_config_property_raises_when_infeasible(self):
         outcome = RiskDesignOutcome(

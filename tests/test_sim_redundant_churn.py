@@ -40,10 +40,9 @@ def test_partner_churn_counted(redundant_instance):
 
 def test_byte_conservation_with_redundant_churn(redundant_instance):
     report = simulate_instance(redundant_instance, duration=5_000.0, rng=3)
-    k = redundant_instance.partners
-    total_in = k * report.superpeer_incoming_bps.sum() + report.client_incoming_bps.sum()
-    total_out = k * report.superpeer_outgoing_bps.sum() + report.client_outgoing_bps.sum()
-    assert total_in == pytest.approx(total_out, rel=1e-6)
+    assert report.partners == redundant_instance.partners
+    total = report.aggregate_load()
+    assert total.incoming_bps == pytest.approx(total.outgoing_bps, rel=1e-6)
 
 
 def test_results_track_mva_under_redundancy(redundant_instance):

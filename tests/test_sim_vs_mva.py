@@ -122,7 +122,5 @@ class TestSimulatorBehaviour:
         # Aggregated over the whole network, sent bytes equal received
         # bytes (partner handshakes are attributed symmetrically).
         sim = simulate_instance(power_instance, duration=10_000.0, rng=4)
-        k = power_instance.partners
-        total_in = k * sim.superpeer_incoming_bps.sum() + sim.client_incoming_bps.sum()
-        total_out = k * sim.superpeer_outgoing_bps.sum() + sim.client_outgoing_bps.sum()
-        assert total_in == pytest.approx(total_out, rel=1e-6)
+        total = sim.aggregate_load()
+        assert total.incoming_bps == pytest.approx(total.outgoing_bps, rel=1e-6)
