@@ -50,7 +50,7 @@ from dataclasses import dataclass, field, fields
 from pathlib import Path
 from typing import Any, Iterator, Mapping, Sequence
 
-from .codec import Codec, reject_unknown
+from .codec import Codec, encode, reject_unknown
 from .config import Configuration
 from .core.analysis import ConfigurationSummary, evaluate_configuration
 from .exec import (  # noqa: F401 - Executor re-exported as part of the facade
@@ -72,6 +72,7 @@ from .risk import (  # noqa: F401 - facade
 )
 from .sim.chaos import ChaosReport, ChaosSpec, run_chaos  # noqa: F401 - facade
 from .sim.gossip import GossipSpec  # noqa: F401 - facade
+from .sim.network import ENGINES
 from .stats.rng import derive_seed
 
 __all__ = [
@@ -115,9 +116,9 @@ class ExperimentSpec:
     engine: str = "event"
 
     def __post_init__(self) -> None:
-        if self.engine not in ("event", "array"):
+        if self.engine not in ENGINES:
             raise ValueError(
-                f"engine must be 'event' or 'array', got {self.engine!r}"
+                f"engine must be one of {ENGINES}, got {self.engine!r}"
             )
 
     def run(self) -> ConfigurationSummary:
@@ -272,6 +273,19 @@ class SweepResult:
     def summaries(self) -> list[ConfigurationSummary]:
         """The per-point summaries in stable point order."""
         return [p.summary for p in self.points]
+
+    def to_dict(self) -> dict:
+        """Deterministic JSON view of the sweep: each point's label,
+        overrides and metric intervals, with no wall-clock, jobs or host
+        fields, so two runs on any backends compare with a plain diff."""
+        return {
+            "name": self.spec.name,
+            "points": [{
+                "label": point.label,
+                "overrides": encode(point.overrides),
+                "metrics": encode(dict(sorted(point.summary.intervals.items()))),
+            } for point in self.points],
+        }
 
     def series(self, metric: str, field_name: str | None = None):
         """``(xs, ys)`` of a metric over the sweep, ready to plot.

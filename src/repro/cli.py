@@ -18,6 +18,19 @@ Commands
 ``profile``   attribute every unit of load to (node, action, hop) hotspots
 ``watch``     render live or post-hoc campaign state from a run journal
 
+Defaults live in the spec classes and in the keyword parameters of the
+library functions a command calls, not here.  Each command's flags are a
+:class:`_Flags` table mapping each flag to a dotted field of its spec
+class; the field gives the flag's type and shown default, and
+``choices=`` is the constant the spec validates against.  One override
+path: the flags the user set (unset ones are ``None``) are written over an
+optional file payload that :func:`repro.codec.decode` turns into the spec;
+a spec that fails validation is one ``repro: error:`` line naming the
+field, exit 2.  Explicit command-line rules: ``--strong`` makes TTL default
+to 1; ``--recovery 0``, ``--slow-fraction 0`` and ``--max-retries 0``
+switch their fault sub-spec off; ``--recover`` arms the recovery policy;
+``--seed`` feeds each spec's seed.
+
 Campaign commands (``sweep``, ``chaos``, ``resilience``,
 ``design-risk``) share one execution surface:
 
@@ -38,20 +51,34 @@ tables the library's reporting helpers produce.
 from __future__ import annotations
 
 import argparse
+import dataclasses
+import inspect
 import sys
-from contextlib import contextmanager
-from typing import Iterator
+import types
+import typing
+from typing import Any, NamedTuple
 
 from .codec import decode
 from .config import STRONG_BEST_CASE, Configuration, GraphType
+from .core.capacity import LoadBudget, max_supported_cluster_size
+from .core.design import DesignConstraints
+from .exec import EXECUTOR_NAMES
+from .obs.trace import Tracer
 from .reporting import (
     render_attribution,
+    render_campaign,
     render_load_row,
     render_metrics,
     render_resilience_report,
     render_table,
     render_timeline,
 )
+from .risk.evaluate import TARGET_METRICS, RiskSpec
+from .sim.chaos import ChaosSpec
+from .sim.monitor import DETECTOR_MODES
+from .sim.network import ENGINES, simulate_instance
+from .sim.resilience import ResilienceSpec
+from .topology.crawl import synthesize_crawl
 from .units import format_bps, format_hz
 
 
@@ -60,14 +87,232 @@ class UsageError(Exception):
     ``repro: error:`` line and exits 2, like an argparse usage error."""
 
 
-@contextmanager
-def _validated(what: str) -> Iterator[None]:
-    """Report a spec validator's ``ValueError``/``TypeError`` from the
-    block as the :class:`UsageError` ``invalid <what>: <message>``."""
+def _bare(kind):
+    """A type hint without its ``| None``."""
+    if typing.get_origin(kind) in (typing.Union, types.UnionType):
+        return next(a for a in typing.get_args(kind) if a is not type(None))
+    return kind
+
+
+def _field(target, dotted: str) -> tuple[Any, type]:
+    """Default (``None`` if it has none) and type of ``target``'s dotted
+    field: a spec dataclass's field or a function's keyword parameter.
+    Each leading part names a field whose (optional) dataclass type holds
+    the next."""
+    *outer, name = dotted.split(".")
+    for part in outer:
+        target = _bare(typing.get_type_hints(target)[part])
+    if dataclasses.is_dataclass(target):
+        default = {f.name: f.default for f in dataclasses.fields(target)}[name]
+    else:
+        default = inspect.signature(target).parameters[name].default
+    if default in (dataclasses.MISSING, inspect.Parameter.empty):
+        default = None
+    return default, _bare(typing.get_type_hints(target)[name])
+
+
+def _reader(kind: type):
+    """The function that reads a command-line string as type ``kind``."""
+    if kind is bool:
+        return lambda raw: raw.lower() in ("1", "true", "yes")
+    return kind
+
+
+class _Flags(NamedTuple):
+    """A command's flags over ``target``: a spec dataclass, or a function
+    whose keyword parameters serve as its fields.  Each row is ``(flag,
+    dotted field, help[, add_argument keywords])``: ``choices=``, or
+    ``const=`` for a switch that stores that value when given."""
+
+    target: Any
+    rows: tuple
+
+    def add_to(self, parser, required: tuple[str, ...] = ()) -> None:
+        """Add every row's flag, typed and documented from its field."""
+        for flag, field, help, *extra in self.rows:
+            default, kind = _field(self.target, field)
+            kwargs = dict(*extra, required=flag in required)
+            if "const" in kwargs:
+                kwargs["action"] = "store_const"
+            else:
+                kwargs["type"] = _reader(kind)
+                if default is not None:
+                    help += f" (default: {default})".replace("%", "%%")
+            parser.add_argument(flag, default=None, help=help, **kwargs)
+
+    def payload(self, args: argparse.Namespace, payload: dict | None = None) -> dict:
+        """``payload`` (default ``{}``) with every flag the user set
+        written into its dotted field.  A section that ``payload`` holds
+        as ``None`` is switched off and ignores its flags."""
+        payload = {} if payload is None else payload
+        for flag, field, *_ in self.rows:
+            value = getattr(args, flag[2:].replace("-", "_"))
+            if value is None:
+                continue
+            *outer, name = field.split(".")
+            node = payload
+            for part in outer:
+                node = node.setdefault(part, {})
+                if node is None:
+                    break
+            else:
+                node[name] = value
+        return payload
+
+    def spec(self, args, what: str, payload: dict | None = None,
+             path: str | None = None, **overrides):
+        """The target spec decoded from :meth:`payload`; ``overrides``
+        win over it."""
+        return _decode(self.target, self.payload(args, payload), what, path,
+                       **overrides)
+
+
+def _decode(cls, payload: dict, what: str, path: str | None = None, **overrides):
+    """``cls`` decoded from ``payload``; a validator's error is the usage
+    error ``invalid <what>: <message>``."""
     try:
-        yield
+        return decode(cls, payload, path=path, overrides=overrides)
     except (TypeError, ValueError) as exc:
         raise UsageError(f"invalid {what}: {exc}") from None
+
+
+_CONFIG = _Flags(Configuration, (
+    ("--graph-size", "graph_size", "number of peers"),
+    ("--cluster-size", "cluster_size", "peers per cluster, super-peer included"),
+    ("--outdegree", "avg_outdegree", "suggested average super-peer outdegree"),
+    ("--ttl", "ttl", "query TTL; a --strong overlay defaults to 1"),
+    ("--strong", "graph_type", "strongly connected overlay instead of "
+     "power-law", {"const": GraphType.STRONG}),
+    ("--redundancy", "redundancy", "2-redundant virtual super-peers",
+     {"const": True}),
+    ("--query-rate", "query_rate", "queries per user per second"),
+))
+
+_BUDGET = _Flags(LoadBudget, (
+    ("--max-in", "max_incoming_bps", "per-super-peer incoming bps limit"),
+    ("--max-out", "max_outgoing_bps", "per-super-peer outgoing bps limit"),
+    ("--max-proc", "max_processing_hz", "per-super-peer processing Hz limit"),
+))
+
+_CONSTRAINTS = _Flags(DesignConstraints, (
+    ("--users", "num_users", "number of users"),
+    ("--reach", "desired_reach_peers", "desired reach in peers"),
+    *_BUDGET.rows,
+    ("--max-connections", "max_connections", "connection budget per node"),
+    ("--no-redundancy", "allow_redundancy", "never use redundant super-peers",
+     {"const": False}),
+))
+
+_RISK = _Flags(RiskSpec, (
+    ("--cutoff", "cutoff", "residual scenario probability mass allowed to "
+     "stay un-enumerated; covered mass is guaranteed >= 1 - cutoff"),
+    ("--alpha", "alpha", "CVaR tail level: the tail is the worst 1 - alpha "
+     "of scenario mass"),
+    ("--availability-target", "availability_target",
+     "availability the chosen design must reach"),
+    ("--target-metric", "target_metric", "which availability reading must "
+     "meet the target: scenario-weighted mean or the conservative CVaR "
+     "tail", {"choices": TARGET_METRICS}),
+    ("--mean-recovery", "mean_recovery", "mean partner-recovery time in "
+     "seconds feeding the crash-unit weights"),
+    ("--duration", "duration", "virtual seconds per scenario cell"),
+    ("--partition-units", "partition_units", "number of disjoint partition "
+     "islands to add as failure units"),
+    ("--partition-probability", "partition_probability",
+     "cut probability of each partition unit"),
+    ("--max-candidates", "max_candidates", "feasible candidates to assess"),
+    ("--max-scenarios", "max_scenarios", "enumeration budget per candidate"),
+    ("--engine", "engine", "simulation backend for the scenario cells",
+     {"choices": ENGINES}),
+))
+
+_CONNECTIONS = _Flags(max_supported_cluster_size, (
+    ("--max-connections", "max_connections",
+     "connection budget per node (no limit unless given)"),
+))
+
+_SIMULATE = _Flags(simulate_instance, (
+    ("--duration", "duration", "virtual seconds to simulate"),
+    ("--engine", "engine", "simulation backend: 'event' (message-level "
+     "oracle) or 'array' (vectorized fastcore)", {"choices": ENGINES}),
+))
+
+_RESILIENCE = _Flags(ResilienceSpec, (
+    ("--duration", "duration", "virtual seconds to simulate"),
+    ("--replicates", "replicates", "independent replicates of the degraded "
+     "run (replicate 0 reuses --seed exactly; r>0 derive fresh seeds; "
+     "incompatible with --trace-out)"),
+    ("--loss", "plan.message_loss", "per-hop message-loss probability"),
+    ("--recovery", "plan.crash.mean_recovery", "mean partner-recovery time "
+     "in seconds; 0 disables the crash model"),
+    ("--slow-fraction", "plan.slow.fraction", "fraction of clusters with "
+     "inflated latency (none unless given)"),
+    ("--slow-factor", "plan.slow.factor",
+     "latency inflation factor for slow clusters"),
+    ("--timeout", "plan.retry.timeout",
+     "query timeout before the source retries"),
+    ("--max-retries", "plan.retry.max_retries",
+     "retry budget per query; 0 disables retries"),
+    ("--detector", "recovery.detector.mode", "failure-detection mode: "
+     "'oracle' observes crashes directly; 'gossip' learns them from in-band "
+     "membership rumors with m-of-n corroboration",
+     {"choices": DETECTOR_MODES}),
+    ("--heartbeat", "recovery.detector.heartbeat_interval",
+     "failure-detector heartbeat interval in seconds (oracle mode)"),
+    ("--timeout-beats", "recovery.detector.timeout_beats",
+     "missed heartbeats before a partner is declared dead"),
+    ("--false-positive-rate", "recovery.detector.false_positive_rate",
+     "per-heartbeat probability of falsely suspecting a live partner"),
+    ("--promotion-time", "recovery.promotion_time",
+     "seconds to promote a client into a dead partner slot"),
+    ("--rehome-time", "recovery.rehome_time",
+     "seconds to move an orphaned client to a new cluster"),
+    ("--no-promote", "recovery.promote", "disable partner promotion",
+     {"const": False}),
+    ("--no-rehome", "recovery.rehome", "disable client re-homing",
+     {"const": False}),
+    ("--no-heal", "recovery.heal_partitions", "disable partition healing "
+     "links", {"const": False}),
+    ("--engine", "engine", "simulation backend for both runs",
+     {"choices": ENGINES}),
+))
+
+#: ``resilience``'s fault sub-specs and their switch fields: a sub-spec
+#: runs while its switch, as set or by class default, is positive.
+_FAULT_SWITCHES = (("crash", "mean_recovery"), ("slow", "fraction"),
+                   ("retry", "max_retries"))
+
+_CHAOS = _Flags(ChaosSpec, (
+    ("--cases", "cases", "number of seeded chaos cases (seeds "
+     "--seed..+cases)"),
+    ("--duration", "duration", "virtual seconds per case"),
+    ("--graph-size", "graph_size", "peers per case instance"),
+    ("--cluster-size", "cluster_size", "peers per cluster"),
+    ("--no-redundancy", "redundancy", "single super-peers instead of "
+     "2-redundant partners", {"const": False}),
+    ("--no-recovery", "recovery", "run the plans without a recovery policy "
+     "(skips the recovery invariants)", {"const": False}),
+    ("--detector", "detector", "failure-detection mode for the generated "
+     "recovery policies", {"choices": DETECTOR_MODES}),
+    ("--no-replay", "replay", "skip the bit-identical replay check (faster)",
+     {"const": False}),
+    ("--engine", "engine", "simulation backend for every case",
+     {"choices": ENGINES}),
+))
+
+_CRAWL = _Flags(synthesize_crawl, (
+    ("--graph-size", "num_peers", "peers in the crawl"),
+    ("--outdegree", "avg_outdegree", "average peer outdegree"),
+))
+
+_WATCH = _Flags(render_campaign, (
+    ("--straggler-factor", "straggler_factor",
+     "flag points slower than this multiple of the median runtime"),
+))
+
+_TRACE = _Flags(Tracer.__init__, (
+    ("--trace-capacity", "capacity", "ring-buffer size of the event trace"),
+))
 
 
 def _add_config_arguments(parser: argparse.ArgumentParser) -> None:
@@ -75,23 +320,7 @@ def _add_config_arguments(parser: argparse.ArgumentParser) -> None:
                         help="JSON file of Configuration fields "
                              "(Configuration.to_dict form); explicit flags "
                              "override file values")
-    parser.add_argument("--graph-size", type=int, default=None,
-                        help="number of peers (Table 1 default: 10000)")
-    parser.add_argument("--cluster-size", type=int, default=None,
-                        help="peers per cluster, super-peer included "
-                             "(default: 10)")
-    parser.add_argument("--outdegree", type=float, default=None,
-                        help="suggested average super-peer outdegree "
-                             "(default: 3.1)")
-    parser.add_argument("--ttl", type=int, default=None,
-                        help="query TTL (default: 7, or 1 on a --strong "
-                             "overlay)")
-    parser.add_argument("--strong", action="store_true",
-                        help="strongly connected overlay instead of power-law")
-    parser.add_argument("--redundancy", action="store_true",
-                        help="2-redundant virtual super-peers")
-    parser.add_argument("--query-rate", type=float, default=None,
-                        help="queries per user per second (default 9.26e-3)")
+    _CONFIG.add_to(parser)
 
 
 def _add_campaign_arguments(parser: argparse.ArgumentParser) -> None:
@@ -102,9 +331,7 @@ def _add_campaign_arguments(parser: argparse.ArgumentParser) -> None:
     jobs rule, same journal/progress switches everywhere.
     """
     group = parser.add_argument_group("campaign execution")
-    group.add_argument("--executor",
-                       choices=("serial", "thread", "process"),
-                       default=None,
+    group.add_argument("--executor", choices=EXECUTOR_NAMES, default=None,
                        help="dispatch backend for the campaign's points "
                             "(default: 'process' when --jobs > 1, else "
                             "'serial'; every backend is bit-identical)")
@@ -134,13 +361,10 @@ def _load_config_payload(path: str) -> dict:
 
 
 def _config_from_args(args: argparse.Namespace) -> Configuration:
-    """Build the base configuration from ``--config`` file + flags.
-
-    A thin wrapper over :func:`repro.codec.decode`: the file (or a sweep
-    file's ``base`` section) supplies the base fields and explicitly
-    passed flags override them.  ``--strong``/``--redundancy`` are
-    store-true flags, so they only override when asserted.
-    """
+    """Build the base configuration from ``--config`` file + flags: the
+    file (or a sweep file's ``base`` section) supplies the base fields,
+    the flags the user set override them, and ``Configuration``'s
+    defaults (Table 1) fill the rest."""
     payload: dict = {}
     where = "Configuration"
     if getattr(args, "config", None):
@@ -154,31 +378,13 @@ def _config_from_args(args: argparse.Namespace) -> Configuration:
                     f"'grid' (flags set the rest)")
             payload = dict(payload.get("base", {}))
             where = "base"
-    flag_fields = {
-        "graph_size": args.graph_size,
-        "cluster_size": args.cluster_size,
-        "avg_outdegree": args.outdegree,
-        "ttl": args.ttl,
-        "query_rate": args.query_rate,
-    }
-    for field_name, value in flag_fields.items():
-        if value is not None:
-            payload[field_name] = value
-    if args.strong:
-        payload["graph_type"] = GraphType.STRONG
-    if args.redundancy:
-        payload["redundancy"] = True
-    # Table 1 defaults for whatever neither the file nor a flag set.
-    payload.setdefault("graph_type", GraphType.POWER_LAW)
-    payload.setdefault("graph_size", 10_000)
-    payload.setdefault("cluster_size", 10)
-    payload.setdefault("avg_outdegree", 3.1)
     # One hop reaches every super-peer of a strong overlay; the paper
-    # queries it at TTL 1 (``STRONG_BEST_CASE``, Figs. 4-6).
-    strong = payload["graph_type"] in (GraphType.STRONG, GraphType.STRONG.value)
-    payload.setdefault("ttl", STRONG_BEST_CASE.ttl if strong else 7)
-    with _validated("configuration"):
-        return decode(Configuration, payload, path=where)
+    # queries it at TTL 1 (``STRONG_BEST_CASE``, Figs. 4-6).  A --ttl
+    # flag still wins.
+    graph_type = args.strong or payload.get("graph_type")
+    if graph_type in (GraphType.STRONG, GraphType.STRONG.value):
+        payload.setdefault("ttl", STRONG_BEST_CASE.ttl)
+    return _CONFIG.spec(args, "configuration", payload, path=where)
 
 
 def _print_summary(summary) -> None:
@@ -272,67 +478,27 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     if args.results_out:
         from .obs.export import write_json
 
-        print(f"sweep results -> "
-              f"{write_json(_sweep_results_payload(result), args.results_out)}")
+        print(f"sweep results -> {write_json(result.to_dict(), args.results_out)}")
     if args.manifest_out:
         result.manifest.to_json(args.manifest_out)
         print(f"sweep manifest -> {args.manifest_out}")
     return 0
 
 
-def _sweep_results_payload(result) -> dict:
-    """Deterministic JSON view of a sweep: diffable across executors.
-
-    Holds only content that is bit-identical across backends (labels,
-    overrides, metric intervals) — no wall-clock, jobs, or host fields —
-    so CI can assert two runs merged to the same science with a plain
-    file diff.
-    """
-    points = []
-    for point in result.points:
-        summary = point.summary
-        points.append({
-            "label": point.label,
-            "overrides": dict(point.overrides),
-            "metrics": {
-                name: {
-                    "mean": interval.mean,
-                    "half_width": interval.half_width,
-                    "level": interval.level,
-                    "num_trials": interval.num_trials,
-                }
-                for name, interval in sorted(summary.intervals.items())
-            },
-        })
-    return {"name": result.spec.name, "points": points}
-
-
 def _parse_value(param: str, raw: str):
-    field_types = {
-        "cluster_size": int, "graph_size": int, "ttl": int,
-        "avg_outdegree": float, "query_rate": float, "update_rate": float,
-        "redundancy": lambda v: v.lower() in ("1", "true", "yes"),
-    }
+    """``raw`` read as the type of ``Configuration`` field ``param``."""
+    field_types = typing.get_type_hints(Configuration)
     if param not in field_types:
         raise SystemExit(
             f"unsupported sweep parameter {param!r}; one of {sorted(field_types)}"
         )
-    return field_types[param](raw)
+    return _reader(field_types[param])(raw)
 
 
 def cmd_design(args: argparse.Namespace) -> int:
-    from .core.design import DesignConstraints, design_topology
+    from .core.design import design_topology
 
-    with _validated("constraints"):
-        constraints = DesignConstraints(
-            num_users=args.users,
-            desired_reach_peers=args.reach,
-            max_incoming_bps=args.max_in,
-            max_outgoing_bps=args.max_out,
-            max_processing_hz=args.max_proc,
-            max_connections=args.max_connections,
-            allow_redundancy=not args.no_redundancy,
-        )
+    constraints = _CONSTRAINTS.spec(args, "constraints")
     outcome = design_topology(
         constraints, trials=args.trials, seed=args.seed, max_sources=args.max_sources
     )
@@ -343,8 +509,7 @@ def cmd_design(args: argparse.Namespace) -> int:
 
 
 def cmd_design_risk(args: argparse.Namespace) -> int:
-    from .core.design import DesignConstraints
-    from .risk import RiskSpec, design_topology_risk
+    from .risk import design_topology_risk
 
     spec_payload: dict = {}
     if args.spec:
@@ -356,54 +521,20 @@ def cmd_design_risk(args: argparse.Namespace) -> int:
                 'expected "constraints" and/or "risk"'
             )
 
-    constraints_payload = dict(spec_payload.get("constraints", {}))
-    constraint_flags = {
-        "num_users": args.users,
-        "desired_reach_peers": args.reach,
-        "max_incoming_bps": args.max_in,
-        "max_outgoing_bps": args.max_out,
-        "max_processing_hz": args.max_proc,
-        "max_connections": args.max_connections,
-    }
-    for field_name, value in constraint_flags.items():
-        if value is not None:
-            constraints_payload[field_name] = value
-    if args.no_redundancy:
-        constraints_payload["allow_redundancy"] = False
-    constraints_payload.setdefault("max_incoming_bps", 100_000.0)
-    constraints_payload.setdefault("max_outgoing_bps", 100_000.0)
-    constraints_payload.setdefault("max_processing_hz", 10_000_000.0)
-    constraints_payload.setdefault("max_connections", 100)
+    constraints_payload = _CONSTRAINTS.payload(
+        args, dict(spec_payload.get("constraints", {})))
     if ("num_users" not in constraints_payload
             or "desired_reach_peers" not in constraints_payload):
         raise UsageError(
             "design-risk needs --users and --reach (or a --spec file "
             'with a "constraints" section providing them)'
         )
-    with _validated("constraints"):
-        constraints = decode(DesignConstraints, constraints_payload,
-                             path="constraints")
-
+    constraints = _decode(DesignConstraints, constraints_payload,
+                          "constraints", path="constraints")
+    # The file's risk seed wins over --seed, as any file value does.
     risk_payload = dict(spec_payload.get("risk", {}))
-    risk_flags = {
-        "cutoff": args.cutoff,
-        "alpha": args.alpha,
-        "availability_target": args.availability_target,
-        "target_metric": args.target_metric,
-        "mean_recovery": args.mean_recovery,
-        "duration": args.duration,
-        "partition_units": args.partition_units,
-        "partition_probability": args.partition_probability,
-        "max_candidates": args.max_candidates,
-        "max_scenarios": args.max_scenarios,
-        "engine": args.engine,
-    }
-    for field_name, value in risk_flags.items():
-        if value is not None:
-            risk_payload[field_name] = value
     risk_payload.setdefault("seed", args.seed)
-    with _validated("risk spec"):
-        risk = decode(RiskSpec, risk_payload, path="risk")
+    risk = _RISK.spec(args, "risk spec", risk_payload, path="risk")
 
     outcome = design_topology_risk(
         constraints, risk, trials=args.trials, max_sources=args.max_sources,
@@ -420,13 +551,13 @@ def cmd_design_risk(args: argparse.Namespace) -> int:
 
 
 def cmd_capacity(args: argparse.Namespace) -> int:
-    from .core.capacity import LoadBudget, max_supported_cluster_size, saturating_resource
+    from .core.capacity import saturating_resource
 
     base = _config_from_args(args)
-    budget = LoadBudget(args.max_in, args.max_out, args.max_proc)
+    budget = _BUDGET.spec(args, "budget")
     best = max_supported_cluster_size(
         base, budget, trials=args.trials, seed=args.seed,
-        max_sources=args.max_sources, max_connections=args.max_connections,
+        max_sources=args.max_sources, **_CONNECTIONS.payload(args),
     )
     if best == 0:
         print("even a plain peer (cluster size 1) exceeds the budget")
@@ -441,16 +572,15 @@ def cmd_capacity(args: argparse.Namespace) -> int:
 
 
 def cmd_simulate(args: argparse.Namespace) -> int:
-    from .sim.network import simulate_instance
     from .topology.builder import build_instance
 
     config = _config_from_args(args)
     instance = build_instance(config, seed=args.seed)
     print(instance.describe())
-    report = simulate_instance(instance, duration=args.duration, rng=args.seed,
-                               tracer=args.tracer, engine=args.engine)
+    report = simulate_instance(instance, rng=args.seed, tracer=args.tracer,
+                               **_SIMULATE.payload(args))
     sp_in, sp_out, sp_proc = report.mean_superpeer_load()
-    print(f"simulated {args.duration:.0f}s: {report.num_queries} queries, "
+    print(f"simulated {report.duration:.0f}s: {report.num_queries} queries, "
           f"{report.num_joins} joins, {report.num_updates} updates")
     print(render_load_row("super-peer (measured)", sp_in, sp_out, sp_proc))
     print(f"results per query: {report.mean_results_per_query:.1f}   "
@@ -459,80 +589,49 @@ def cmd_simulate(args: argparse.Namespace) -> int:
 
 
 def cmd_resilience(args: argparse.Namespace) -> int:
-    from .sim.faults import CrashSpec, FaultPlan, RetryPolicy, SlowSpec
-    from .sim.resilience import ResilienceSpec, run_resilience_spec
+    from .sim.resilience import run_resilience_spec
     from .topology.builder import build_instance
 
     config = _config_from_args(args)
-    with _validated("fault or recovery flags"):
-        plan = FaultPlan(
-            message_loss=args.loss,
-            crash=CrashSpec(mean_recovery=args.recovery) if args.recovery > 0 else None,
-            slow=(
-                SlowSpec(fraction=args.slow_fraction, factor=args.slow_factor)
-                if args.slow_fraction > 0 else None
-            ),
-            retry=(
-                RetryPolicy(timeout=args.timeout, max_retries=args.max_retries)
-                if args.max_retries > 0 else None
-            ),
-        )
-        policy = None
-        if args.recover:
-            from .sim.monitor import DetectorSpec
-            from .sim.recovery import RecoveryPolicy
-
-            policy = RecoveryPolicy(
-                detector=DetectorSpec(
-                    heartbeat_interval=args.heartbeat,
-                    timeout_beats=args.timeout_beats,
-                    false_positive_rate=args.false_positive_rate,
-                    mode=args.detector,
-                ),
-                promote=not args.no_promote,
-                rehome=not args.no_rehome,
-                heal_partitions=not args.no_heal,
-                promotion_time=args.promotion_time,
-                rehome_time=args.rehome_time,
-            )
+    payload = _RESILIENCE.payload(
+        args, {"plan": {}, "recovery": {} if args.recover else None})
+    plan = payload["plan"]
+    for section, switch in _FAULT_SWITCHES:
+        fields = plan.get(section, {})
+        default, _ = _field(ResilienceSpec, f"plan.{section}.{switch}")
+        value = fields.get(switch, default)
+        plan[section] = fields if value is not None and value > 0 else None
+    spec = _decode(ResilienceSpec, payload, "resilience spec",
+                   config=config, seed=args.seed)
     instance = build_instance(config, seed=args.seed)
     print(instance.describe())
-    print(f"fault plan: {plan.describe()}")
-    if policy is not None:
-        print(f"recovery: {policy.describe()}")
+    print(f"fault plan: {spec.plan.describe()}")
+    if spec.recovery is not None:
+        print(f"recovery: {spec.recovery.describe()}")
     if args.tracer is not None:
         # Tracing is a single-run instrument: the ring buffer belongs to
         # one simulation, so fan-out would interleave streams.
-        if args.replicates != 1:
+        if spec.replicates != 1:
             raise SystemExit("--trace-out needs a single run; "
                              "drop --replicates to trace")
         from .sim.resilience import run_resilience
 
         report = run_resilience(
-            instance, plan, duration=args.duration, rng=args.seed,
-            recovery=policy, tracer=args.tracer, engine=args.engine,
+            instance, spec.plan, duration=spec.duration, rng=args.seed,
+            recovery=spec.recovery, tracer=args.tracer, engine=spec.engine,
             journal=args.journal, progress=args.progress,
         )
     else:
-        spec = ResilienceSpec(
-            config=config,
-            plan=plan,
-            duration=args.duration,
-            seed=args.seed,
-            replicates=args.replicates,
-            recovery=policy,
-            engine=args.engine,
-        )
         result = run_resilience_spec(
             spec, jobs=args.jobs, journal=args.journal,
             progress=args.progress, executor=args.executor,
         )
         report = result.report
-        if args.replicates > 1:
+        if spec.replicates > 1:
             print(f"replicates: {len(result.reports)} "
                   f"(showing replicate 0, seed {spec.replicate_seed(0)})")
     print(render_resilience_report(
-        report, title=f"resilience over {args.duration:.0f}s"
+        report, title=f"resilience over {spec.duration:.0f}s"
     ))
     if args.repair_top > 0:
         from .sim.recovery import repair_attribution
@@ -542,13 +641,13 @@ def cmd_resilience(args: argparse.Namespace) -> int:
                   "(pass --recover with a non-null fault plan)")
         else:
             attribution = repair_attribution(
-                instance, report.outcome, args.duration
+                instance, report.outcome, spec.duration
             )
             if report.outcome.gossip_cluster_units is not None:
                 from .sim.gossip import gossip_attribution
 
                 attribution = gossip_attribution(
-                    instance, report.outcome, args.duration,
+                    instance, report.outcome, spec.duration,
                     attribution=attribution,
                 )
             print()
@@ -559,21 +658,9 @@ def cmd_resilience(args: argparse.Namespace) -> int:
 def cmd_chaos(args: argparse.Namespace) -> int:
     from .obs.metrics import get_registry
     from .reporting import render_chaos_report
-    from .sim.chaos import ChaosSpec, run_chaos
+    from .sim.chaos import run_chaos
 
-    with _validated("chaos spec"):
-        spec = ChaosSpec(
-            cases=args.cases,
-            base_seed=args.seed,
-            graph_size=args.graph_size,
-            cluster_size=args.cluster_size,
-            redundancy=not args.no_redundancy,
-            duration=args.duration,
-            recovery=not args.no_recovery,
-            replay=not args.no_replay,
-            detector=args.detector,
-            engine=args.engine,
-        )
+    spec = _CHAOS.spec(args, "chaos spec", base_seed=args.seed)
     result = run_chaos(spec, jobs=args.jobs,
                        journal=args.journal, progress=args.progress,
                        executor=args.executor)
@@ -610,11 +697,9 @@ def cmd_profile(args: argparse.Namespace) -> int:
     timeline = None
     if args.simulate > 0:
         from .obs.timeline import build_timeline
-        from .obs.trace import Tracer
-        from .sim.network import simulate_instance
 
         if args.tracer is None:
-            args.tracer = Tracer(capacity=args.trace_capacity)
+            args.tracer = Tracer(**_TRACE.payload(args))
         simulate_instance(instance, duration=args.simulate, rng=args.seed,
                           tracer=args.tracer)
         timeline = build_timeline(args.tracer)
@@ -648,7 +733,7 @@ def cmd_watch(args: argparse.Namespace) -> int:
     import time
 
     from .obs.journal import replay_journal
-    from .reporting import render_campaign, render_progress_line
+    from .reporting import render_progress_line
 
     while True:
         try:
@@ -656,20 +741,14 @@ def cmd_watch(args: argparse.Namespace) -> int:
         except OSError as exc:
             raise SystemExit(f"cannot read journal {args.journal}: {exc}")
         if args.once or state.finished:
-            print(render_campaign(
-                state, straggler_factor=args.straggler_factor
-            ))
+            print(render_campaign(state, **_WATCH.payload(args)))
             return 0
         print(render_progress_line(state), flush=True)
         time.sleep(args.interval)
 
 
 def cmd_crawl(args: argparse.Namespace) -> int:
-    from .topology.crawl import synthesize_crawl
-
-    crawl = synthesize_crawl(
-        num_peers=args.graph_size, avg_outdegree=args.outdegree, seed=args.seed
-    )
+    crawl = synthesize_crawl(seed=args.seed, **_CRAWL.payload(args))
     summary = crawl.summary()
     rows = [[key, value] for key, value in summary.items()]
     tau, r2 = crawl.powerlaw_fit()
@@ -695,8 +774,7 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--trace-out", metavar="PATH", default=None,
                         help="write the simulator's event trace as JSONL "
                              "(simulate / resilience commands)")
-    parser.add_argument("--trace-capacity", type=int, default=65_536,
-                        help="ring-buffer size of the event trace")
+    _TRACE.add_to(parser)
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("analyze", help="expected loads of one configuration")
@@ -723,15 +801,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_sweep)
 
     p = sub.add_parser("design", help="run the Figure 10 design procedure")
-    p.add_argument("--users", type=int, required=True)
-    p.add_argument("--reach", type=int, required=True,
-                   help="desired reach in peers")
-    p.add_argument("--max-in", type=float, default=100_000.0,
-                   help="per-super-peer incoming bps limit")
-    p.add_argument("--max-out", type=float, default=100_000.0)
-    p.add_argument("--max-proc", type=float, default=10_000_000.0)
-    p.add_argument("--max-connections", type=int, default=100)
-    p.add_argument("--no-redundancy", action="store_true")
+    _CONSTRAINTS.add_to(p, required=("--users", "--reach"))
     p.set_defaults(func=cmd_design)
 
     p = sub.add_parser(
@@ -742,57 +812,11 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p.add_argument("--spec", metavar="PATH", default=None,
                    help='JSON file with "constraints" and "risk" '
-                        "sections; explicit flags override file values")
-    p.add_argument("--users", type=int, default=None,
-                   help="number of users (required unless --spec sets it)")
-    p.add_argument("--reach", type=int, default=None,
-                   help="desired reach in peers (required unless --spec "
-                        "sets it)")
-    p.add_argument("--max-in", type=float, default=None,
-                   help="per-super-peer incoming bps limit "
-                        "(default 100000)")
-    p.add_argument("--max-out", type=float, default=None,
-                   help="per-super-peer outgoing bps limit "
-                        "(default 100000)")
-    p.add_argument("--max-proc", type=float, default=None,
-                   help="per-super-peer processing Hz limit "
-                        "(default 10000000)")
-    p.add_argument("--max-connections", type=int, default=None,
-                   help="connection budget per node (default 100)")
-    p.add_argument("--no-redundancy", action="store_true")
-    p.add_argument("--cutoff", type=float, default=None,
-                   help="residual scenario probability mass allowed to "
-                        "stay un-enumerated (default 0.05; covered mass "
-                        "is guaranteed >= 1 - cutoff)")
-    p.add_argument("--alpha", type=float, default=None,
-                   help="CVaR tail level (default 0.9 = worst 10%% of "
-                        "scenario mass)")
-    p.add_argument("--availability-target", type=float, default=None,
-                   help="availability the chosen design must reach "
-                        "(default 0.98)")
-    p.add_argument("--target-metric", choices=("expected", "cvar"),
-                   default=None,
-                   help="which availability reading must meet the "
-                        "target: scenario-weighted mean or the "
-                        "conservative CVaR tail (default expected)")
-    p.add_argument("--mean-recovery", type=float, default=None,
-                   help="mean partner-recovery time in seconds feeding "
-                        "the crash-unit weights (default 120)")
-    p.add_argument("--duration", type=float, default=None,
-                   help="virtual seconds per scenario cell (default 600)")
-    p.add_argument("--partition-units", type=int, default=None,
-                   help="number of disjoint partition islands to add as "
-                        "failure units (default 0)")
-    p.add_argument("--partition-probability", type=float, default=None,
-                   help="cut probability of each partition unit "
-                        "(default 0.01)")
-    p.add_argument("--max-candidates", type=int, default=None,
-                   help="feasible candidates to assess (default 6)")
-    p.add_argument("--max-scenarios", type=int, default=None,
-                   help="enumeration budget per candidate (default 4096)")
-    p.add_argument("--engine", choices=("event", "array"), default=None,
-                   help="simulation backend for the scenario cells "
-                        "(default array)")
+                        "sections; explicit flags override file values, "
+                        "and --users and --reach are required unless it "
+                        "sets them")
+    _CONSTRAINTS.add_to(p)
+    _RISK.add_to(p)
     p.add_argument("--out", metavar="PATH", default=None,
                    help="write the ranked-designs document as "
                         "deterministic JSON (bit-identical across "
@@ -802,19 +826,13 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("capacity", help="largest cluster size under a budget")
     _add_config_arguments(p)
-    p.add_argument("--max-in", type=float, default=100_000.0)
-    p.add_argument("--max-out", type=float, default=100_000.0)
-    p.add_argument("--max-proc", type=float, default=10_000_000.0)
-    p.add_argument("--max-connections", type=int, default=None)
+    _BUDGET.add_to(p)
+    _CONNECTIONS.add_to(p)
     p.set_defaults(func=cmd_capacity)
 
     p = sub.add_parser("simulate", help="run the message-level simulator")
     _add_config_arguments(p)
-    p.add_argument("--duration", type=float, default=3600.0,
-                   help="virtual seconds to simulate")
-    p.add_argument("--engine", choices=("event", "array"), default="event",
-                   help="simulation backend: 'event' (message-level "
-                        "oracle) or 'array' (vectorized fastcore)")
+    _SIMULATE.add_to(p)
     p.set_defaults(func=cmd_simulate)
 
     p = sub.add_parser(
@@ -823,84 +841,25 @@ def build_parser() -> argparse.ArgumentParser:
     )
     _add_config_arguments(p)
     _add_campaign_arguments(p)
-    p.add_argument("--duration", type=float, default=1800.0,
-                   help="virtual seconds to simulate")
-    p.add_argument("--replicates", type=int, default=1,
-                   help="independent replicates of the degraded run "
-                        "(replicate 0 reuses --seed exactly; r>0 derive "
-                        "fresh seeds; incompatible with --trace-out)")
-    p.add_argument("--loss", type=float, default=0.0,
-                   help="per-hop message-loss probability")
-    p.add_argument("--recovery", type=float, default=120.0,
-                   help="mean partner-recovery time in seconds "
-                        "(0 disables the crash model)")
-    p.add_argument("--slow-fraction", type=float, default=0.0,
-                   help="fraction of clusters with inflated latency")
-    p.add_argument("--slow-factor", type=float, default=4.0,
-                   help="latency inflation factor for slow clusters")
-    p.add_argument("--timeout", type=float, default=5.0,
-                   help="query timeout before the source retries")
-    p.add_argument("--max-retries", type=int, default=2,
-                   help="retry budget per query (0 disables retries)")
+    _RESILIENCE.add_to(p)
     p.add_argument("--recover", action="store_true",
                    help="arm the self-healing layer (failure detection, "
                         "partner promotion, client re-homing, partition "
-                        "healing) for the degraded run")
-    p.add_argument("--detector", choices=("oracle", "gossip"), default="oracle",
-                   help="failure-detection mode: 'oracle' observes crashes "
-                        "directly; 'gossip' learns them from in-band "
-                        "membership rumors with m-of-n corroboration")
-    p.add_argument("--heartbeat", type=float, default=5.0,
-                   help="failure-detector heartbeat interval in seconds "
-                        "(oracle mode)")
-    p.add_argument("--timeout-beats", type=int, default=3,
-                   help="missed heartbeats before a partner is declared dead")
-    p.add_argument("--false-positive-rate", type=float, default=0.0,
-                   help="per-heartbeat probability of falsely suspecting a "
-                        "live partner")
-    p.add_argument("--promotion-time", type=float, default=10.0,
-                   help="seconds to promote a client into a dead partner slot")
-    p.add_argument("--rehome-time", type=float, default=2.0,
-                   help="seconds to move an orphaned client to a new cluster")
-    p.add_argument("--no-promote", action="store_true",
-                   help="disable partner promotion")
-    p.add_argument("--no-rehome", action="store_true",
-                   help="disable client re-homing")
-    p.add_argument("--no-heal", action="store_true",
-                   help="disable partition healing links")
+                        "healing) for the degraded run; the detector and "
+                        "recovery flags apply only with it")
     p.add_argument("--repair-top", type=int, default=0,
                    help="also print the top-N repair-cost hotspot clusters")
-    p.add_argument("--engine", choices=("event", "array"), default="event",
-                   help="simulation backend for both runs")
     p.set_defaults(func=cmd_resilience)
 
     p = sub.add_parser(
         "chaos",
         help="seeded random fault plans vs the self-healing invariant suite",
     )
-    p.add_argument("--cases", type=int, default=20,
-                   help="number of seeded chaos cases (seeds --seed..+cases)")
-    p.add_argument("--duration", type=float, default=400.0,
-                   help="virtual seconds per case")
-    p.add_argument("--graph-size", type=int, default=250,
-                   help="peers per case instance")
-    p.add_argument("--cluster-size", type=int, default=10)
-    p.add_argument("--no-redundancy", action="store_true",
-                   help="single super-peers instead of 2-redundant partners")
-    p.add_argument("--no-recovery", action="store_true",
-                   help="run the plans without a recovery policy (skips the "
-                        "recovery invariants)")
-    p.add_argument("--detector", choices=("oracle", "gossip"), default="oracle",
-                   help="failure-detection mode for the generated recovery "
-                        "policies")
-    p.add_argument("--no-replay", action="store_true",
-                   help="skip the bit-identical replay check (faster)")
+    _CHAOS.add_to(p)
     p.add_argument("--report", metavar="PATH", default=None,
                    help="write per-case results as JSON")
     p.add_argument("--manifest-out", metavar="PATH", default=None,
                    help="write the merged chaos RunManifest as JSON")
-    p.add_argument("--engine", choices=("event", "array"), default="event",
-                   help="simulation backend for every case")
     _add_campaign_arguments(p)
     p.set_defaults(func=cmd_chaos)
 
@@ -921,8 +880,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_profile)
 
     p = sub.add_parser("crawl", help="synthesize a Gnutella-style crawl")
-    p.add_argument("--graph-size", type=int, default=20_000)
-    p.add_argument("--outdegree", type=float, default=3.1)
+    _CRAWL.add_to(p)
     p.set_defaults(func=cmd_crawl)
 
     p = sub.add_parser(
@@ -937,9 +895,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="render the current state once and exit")
     p.add_argument("--interval", type=float, default=2.0,
                    help="seconds between re-reads while the campaign runs")
-    p.add_argument("--straggler-factor", type=float, default=3.0,
-                   help="flag points slower than this multiple of the "
-                        "median runtime")
+    _WATCH.add_to(p)
     p.set_defaults(func=cmd_watch)
 
     return parser
@@ -979,7 +935,7 @@ def main(argv: list[str] | None = None) -> int:
 
         # Streaming sink: evicted events append to the file as the run
         # goes, so the JSONL holds the *full* stream, not just the tail.
-        args.tracer = Tracer(capacity=args.trace_capacity, sink=args.trace_out)
+        args.tracer = Tracer(sink=args.trace_out, **_TRACE.payload(args))
     try:
         code = args.func(args)
     except UsageError as exc:

@@ -21,16 +21,18 @@ from dataclasses import dataclass
 
 from ..config import Configuration
 from .analysis import evaluate_configuration
+from .design import DesignConstraints
 from .load import LoadVector
 
 
 @dataclass(frozen=True)
 class LoadBudget:
-    """Per-super-peer resource limits (the designer's constraint set)."""
+    """Per-super-peer resource limits (the designer's constraint set),
+    by default the Figure 10 limits of :class:`DesignConstraints`."""
 
-    max_incoming_bps: float
-    max_outgoing_bps: float
-    max_processing_hz: float
+    max_incoming_bps: float = DesignConstraints.max_incoming_bps
+    max_outgoing_bps: float = DesignConstraints.max_outgoing_bps
+    max_processing_hz: float = DesignConstraints.max_processing_hz
 
     def __post_init__(self) -> None:
         if min(self.max_incoming_bps, self.max_outgoing_bps, self.max_processing_hz) <= 0:

@@ -35,14 +35,18 @@ from .analysis import ConfigurationSummary, evaluate_configuration
 
 @dataclass(frozen=True)
 class DesignConstraints:
-    """Designer inputs: per-node limits and network properties."""
+    """Designer inputs: per-node limits and network properties.
+
+    The per-node limits default to the Figure 10 walkthrough's, which
+    :class:`~repro.core.capacity.LoadBudget` reads too.
+    """
 
     num_users: int
     desired_reach_peers: int
-    max_incoming_bps: float
-    max_outgoing_bps: float
-    max_processing_hz: float
-    max_connections: int
+    max_incoming_bps: float = 100_000.0
+    max_outgoing_bps: float = 100_000.0
+    max_processing_hz: float = 10_000_000.0
+    max_connections: int = 100
     max_aggregate_bandwidth_bps: float | None = None
     allow_redundancy: bool = True
 
@@ -104,11 +108,6 @@ class DesignOutcome:
     constraints: DesignConstraints
     trail: list[DesignStep] = field(default_factory=list)
     feasible: bool = True
-
-    @property
-    def superpeer_neighbors(self) -> float:
-        """Average overlay neighbours per super-peer in the design."""
-        return self.config.avg_outdegree
 
     def describe(self) -> str:
         lines = [f"design {'FEASIBLE' if self.feasible else 'INFEASIBLE'}: "

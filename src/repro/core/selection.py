@@ -69,12 +69,10 @@ def assign_roles(
     mix = mix or default_capacity_mix()
     rng = derive_rng(rng, "selection", strategy)
 
-    k = report.partners
-    sp_in = np.repeat(report.superpeer_incoming_bps, k)
-    sp_out = np.repeat(report.superpeer_outgoing_bps, k)
-    cl_in = report.client_incoming_bps
-    cl_out = report.client_outgoing_bps
-    num_sp = sp_in.size
+    # The Figure 12 node set: k partner slots per cluster, then clients.
+    num_sp = report.superpeer_incoming_bps.size * report.partners
+    sp_in, cl_in = np.split(report.all_node_loads("incoming"), [num_sp])
+    sp_out, cl_out = np.split(report.all_node_loads("outgoing"), [num_sp])
     num_peers = num_sp + cl_in.size
 
     down, up = mix.sample(rng, num_peers)

@@ -10,12 +10,12 @@ from __future__ import annotations
 
 from typing import TYPE_CHECKING, Iterable, Sequence
 
+from .obs.progress import STRAGGLER_FACTOR, CampaignState
 from .units import format_bps, format_hz
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from .obs.attribution import LoadAttribution
     from .obs.metrics import MetricsRegistry
-    from .obs.progress import CampaignState
     from .obs.timeline import TimelineReport
     from .sim.chaos import ChaosReport
     from .sim.resilience import ResilienceReport
@@ -162,7 +162,7 @@ def _format_duration(seconds: float | None) -> str:
     return f"{hours}h{minutes:02d}m"
 
 
-def render_progress_line(state: "CampaignState",
+def render_progress_line(state: CampaignState,
                          now: float | None = None) -> str:
     """One-line live campaign status: done/total, rate, ETA, workers."""
     total = "?" if state.total is None else str(state.total)
@@ -187,8 +187,8 @@ def render_progress_line(state: "CampaignState",
 
 
 def render_campaign(
-    state: "CampaignState",
-    straggler_factor: float = 3.0,
+    state: CampaignState,
+    straggler_factor: float = STRAGGLER_FACTOR,
     now: float | None = None,
     title: str | None = None,
 ) -> str:

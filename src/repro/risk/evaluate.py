@@ -33,7 +33,7 @@ from ..codec import Codec, encode
 from ..config import Configuration
 from ..exec import EXECUTOR_NAMES, Executor, Task, collect, run_campaign
 from ..sim.faults import CrashSpec, FaultOutcome
-from ..sim.network import SimulationReport, simulate_instance
+from ..sim.network import ENGINES, SimulationReport, simulate_instance
 from ..topology.builder import NetworkInstance, build_instance_cached
 from .scenarios import (
     FailureScenario,
@@ -56,8 +56,8 @@ __all__ = [
 #: The loss metrics every assessment reports mean and CVaR for.
 RISK_METRICS = ("superpeer_load_bps", "results_lost", "unavailability")
 
-_ENGINES = ("event", "array")
-_TARGET_METRICS = ("expected", "cvar")
+#: The availability readings a design may be held to.
+TARGET_METRICS = ("expected", "cvar")
 
 
 @dataclass(frozen=True)
@@ -102,9 +102,9 @@ class RiskSpec(Codec):
             raise ValueError(
                 f"availability_target must be in (0, 1], got {target}"
             )
-        if self.target_metric not in _TARGET_METRICS:
+        if self.target_metric not in TARGET_METRICS:
             raise ValueError(
-                f"target_metric must be one of {_TARGET_METRICS}, "
+                f"target_metric must be one of {TARGET_METRICS}, "
                 f"got {self.target_metric!r}"
             )
         if not self.mean_recovery > 0:
@@ -123,9 +123,9 @@ class RiskSpec(Codec):
         duration = float(self.duration)
         if math.isnan(duration) or duration <= 0:
             raise ValueError(f"duration must be positive, got {duration}")
-        if self.engine not in _ENGINES:
+        if self.engine not in ENGINES:
             raise ValueError(
-                f"engine must be one of {_ENGINES}, got {self.engine!r}"
+                f"engine must be one of {ENGINES}, got {self.engine!r}"
             )
         if self.max_candidates < 1:
             raise ValueError("max_candidates must be >= 1")

@@ -47,7 +47,8 @@ from ..topology.builder import build_instance
 from .faults import (CrashSpec, FaultOutcome, FaultPlan, PartitionWindow,
                      RetryPolicy, SlowSpec)
 from .gossip import GossipSpec
-from .monitor import DetectorSpec
+from .monitor import DETECTOR_MODES, DetectorSpec
+from .network import ENGINES
 from .recovery import RecoveryPolicy
 from .resilience import run_degraded
 
@@ -139,6 +140,10 @@ def generate_recovery_policy(seed: int,
     fields, so the oracle policy for a seed is unchanged by the switch)
     and flips the detector into gossip mode.
     """
+    if detector not in DETECTOR_MODES:
+        raise ValueError(
+            f"detector must be one of {DETECTOR_MODES}, got {detector!r}"
+        )
     rng = derive_rng(seed, "chaos", "policy")
     spec = DetectorSpec(
         heartbeat_interval=float(rng.uniform(2.0, 8.0)),
@@ -167,10 +172,6 @@ def generate_recovery_policy(seed: int,
         )
         policy = replace(
             policy, detector=replace(spec, mode="gossip", gossip=gossip)
-        )
-    elif detector != "oracle":
-        raise ValueError(
-            f"detector must be 'oracle' or 'gossip', got {detector!r}"
         )
     return policy
 
@@ -202,13 +203,14 @@ class ChaosSpec(Codec):
             raise ValueError("cases must be >= 0")
         if self.duration <= 0:
             raise ValueError("duration must be positive")
-        if self.detector not in ("oracle", "gossip"):
+        if self.detector not in DETECTOR_MODES:
             raise ValueError(
-                f"detector must be 'oracle' or 'gossip', got {self.detector!r}"
+                f"detector must be one of {DETECTOR_MODES}, "
+                f"got {self.detector!r}"
             )
-        if self.engine not in ("event", "array"):
+        if self.engine not in ENGINES:
             raise ValueError(
-                f"engine must be 'event' or 'array', got {self.engine!r}"
+                f"engine must be one of {ENGINES}, got {self.engine!r}"
             )
         if self.executor is not None and self.executor not in EXECUTOR_NAMES:
             raise ValueError(

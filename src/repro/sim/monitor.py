@@ -34,7 +34,10 @@ import numpy as np
 from ..codec import Codec
 from .gossip import GossipSpec
 
-__all__ = ["DetectorSpec", "FailureDetector"]
+__all__ = ["DETECTOR_MODES", "DetectorSpec", "FailureDetector"]
+
+#: The failure-detection modes of :class:`DetectorSpec`.
+DETECTOR_MODES = ("oracle", "gossip")
 
 
 @dataclass(frozen=True)
@@ -66,9 +69,9 @@ class DetectorSpec(Codec):
             raise ValueError("false_positive_rate must not be NaN")
         if not 0.0 <= self.false_positive_rate < 1.0:
             raise ValueError("false_positive_rate must be in [0, 1)")
-        if self.mode not in ("oracle", "gossip"):
+        if self.mode not in DETECTOR_MODES:
             raise ValueError(
-                f"mode must be 'oracle' or 'gossip', got {self.mode!r}"
+                f"mode must be one of {DETECTOR_MODES}, got {self.mode!r}"
             )
         if self.mode == "gossip" and self.gossip is None:
             object.__setattr__(self, "gossip", GossipSpec())

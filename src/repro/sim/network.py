@@ -562,6 +562,11 @@ def _run_update(state: _State, cluster: int, client_index: int | None,
         _charge_partner_update(st, cluster, partners)
 
 
+#: The simulation backends :func:`simulate_instance` runs: the
+#: message-level event loop and the vectorized array engine.
+ENGINES = ("event", "array")
+
+
 def simulate_instance(
     instance: NetworkInstance,
     duration: float = 3600.0,
@@ -620,8 +625,8 @@ def simulate_instance(
     ``schedule`` to reuse an already-generated schedule; by default one
     is derived from the same seed either engine would derive it from.
     """
-    if engine not in ("event", "array"):
-        raise ValueError(f"engine must be 'event' or 'array', got {engine!r}")
+    if engine not in ENGINES:
+        raise ValueError(f"engine must be one of {ENGINES}, got {engine!r}")
     if faults is not None and faults.is_null:
         faults = None
     if engine == "array" and faults is None:

@@ -31,7 +31,7 @@ from ..querymodel.distributions import QueryModel
 from ..stats.rng import derive_seed
 from ..topology.builder import NetworkInstance, build_instance_cached
 from .faults import FaultOutcome, FaultPlan
-from .network import SimulationReport, simulate_instance
+from .network import ENGINES, SimulationReport, simulate_instance
 from .recovery import RecoveryPolicy
 
 
@@ -265,9 +265,9 @@ class ResilienceSpec(Codec):
         # result), mirroring cases == 0 on ChaosSpec.
         if self.replicates < 0:
             raise ValueError("replicates must be >= 0")
-        if self.engine not in ("event", "array"):
+        if self.engine not in ENGINES:
             raise ValueError(
-                f"engine must be 'event' or 'array', got {self.engine!r}"
+                f"engine must be one of {ENGINES}, got {self.engine!r}"
             )
         if self.executor is not None and self.executor not in EXECUTOR_NAMES:
             raise ValueError(

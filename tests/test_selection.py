@@ -4,7 +4,7 @@ import pytest
 
 from repro.config import Configuration
 from repro.core.load import evaluate_instance
-from repro.core.selection import assign_roles, selection_gain
+from repro.core.selection import RoleAssignmentResult, assign_roles, selection_gain
 from repro.topology.builder import build_instance
 
 
@@ -58,3 +58,17 @@ class TestAssignRoles:
         loose = assign_roles(report, "capacity", rng=2, utilization_limit=1.0)
         tight = assign_roles(report, "capacity", rng=2, utilization_limit=0.2)
         assert tight.overloaded_total >= loose.overloaded_total
+
+
+def test_redundant_report_assigns_every_partner_slot():
+    """At k = 2 each cluster offers two super-peer slots: 60 clusters give
+    120 partner slots and 496 client slots, and the overload counts over
+    them are pinned exactly (6 of 120, 2 of 496, 8 of 616 at rng 1)."""
+    config = Configuration(graph_size=600, cluster_size=10, redundancy=True,
+                           avg_outdegree=6.0, ttl=2)
+    report = evaluate_instance(build_instance(config, seed=0), max_sources=None)
+    assert report.partners == 2
+    assert assign_roles(report, "random", rng=1, utilization_limit=0.2) == (
+        RoleAssignmentResult("random", 6 / 120, 2 / 496, 8 / 616))
+    assert assign_roles(report, "capacity", rng=1, utilization_limit=0.2) == (
+        RoleAssignmentResult("capacity", 0.0, 1 / 496, 1 / 616))
