@@ -53,25 +53,11 @@ from typing import Any, Iterator, Mapping, Sequence
 from .codec import Codec, encode, reject_unknown
 from .config import Configuration
 from .core.analysis import ConfigurationSummary, evaluate_configuration
-from .exec import (  # noqa: F401 - Executor re-exported as part of the facade
-    EXECUTOR_NAMES,
-    Executor,
-    Task,
-    collect,
-    make_executor,
-    run_campaign,
-)
+from .exec import EXECUTOR_NAMES
+from .exec.base import Executor, Task, collect, run_campaign
 from .obs.manifest import RunManifest
 from .obs.metrics import MetricsRegistry
 from .obs.progress import ProgressTracker
-from .risk import (  # noqa: F401 - facade
-    RiskAssessment,
-    RiskDesignOutcome,
-    RiskSpec,
-    design_topology_risk,
-)
-from .sim.chaos import ChaosReport, ChaosSpec, run_chaos  # noqa: F401 - facade
-from .sim.gossip import GossipSpec  # noqa: F401 - facade
 from .sim.network import ENGINES
 from .stats.rng import derive_seed
 
@@ -81,16 +67,6 @@ __all__ = [
     "SweepPoint",
     "SweepResult",
     "run_sweep",
-    "ChaosSpec",
-    "ChaosReport",
-    "GossipSpec",
-    "run_chaos",
-    "RiskSpec",
-    "RiskAssessment",
-    "RiskDesignOutcome",
-    "design_topology_risk",
-    "Executor",
-    "make_executor",
 ]
 
 
@@ -349,7 +325,7 @@ def run_sweep(
 ) -> SweepResult:
     """Evaluate every point of ``spec`` on a pluggable executor backend.
 
-    The fan-out is :func:`repro.exec.run_campaign`; the backend
+    The fan-out is :func:`repro.exec.base.run_campaign`; the backend
     resolves through :func:`repro.exec.make_executor`: ``executor`` (an
     :class:`~repro.exec.Executor` instance or one of
     ``"serial" | "thread" | "process"``) wins, then

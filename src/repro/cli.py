@@ -492,7 +492,10 @@ def _parse_value(param: str, raw: str):
         raise SystemExit(
             f"unsupported sweep parameter {param!r}; one of {sorted(field_types)}"
         )
-    return _reader(field_types[param])(raw)
+    try:
+        return _reader(field_types[param])(raw)
+    except ValueError:
+        raise UsageError(f"invalid value {raw!r} for sweep parameter {param}") from None
 
 
 def cmd_design(args: argparse.Namespace) -> int:

@@ -7,8 +7,8 @@ because aggregate load falls with cluster size while individual load
 rises.  This module turns that into a planner:
 
 * :func:`max_supported_cluster_size` — the largest cluster size whose
-  expected individual super-peer load stays within a budget (bisection
-  over the monotone region, with a verification pass);
+  expected individual super-peer load stays within a budget (the
+  largest fitting size of a ladder, refined by bisection);
 * :func:`saturating_resource` — which of the three resources binds first;
 * :func:`headroom` — per-resource utilization of a configuration against
   a budget, the quantity local rule I watches ("load frequently exceeds
@@ -21,7 +21,7 @@ from dataclasses import dataclass
 
 from ..config import Configuration
 from .analysis import evaluate_configuration
-from .design import DesignConstraints
+from .design import DesignConstraints, candidate_cluster_sizes
 from .load import LoadVector
 
 
@@ -87,13 +87,21 @@ def max_supported_cluster_size(
 ) -> int:
     """Largest cluster size of ``base`` whose super-peer load fits ``budget``.
 
-    Individual super-peer load is monotone increasing in cluster size
-    through the operating region rule #1 describes (it only bends at the
-    f(1-f) extremes near whole-network clusters), so a bisection over
-    [1, graph_size] with a final verification is sound; the verification
-    walks down if the boundary probe disagrees with monotonicity.
+    Super-peer load is not monotone in cluster size.  On a strongly
+    connected overlay it first falls, because a plain peer pays the
+    multiplex cost of one open connection per other cluster (Fig. 6),
+    then rises with the clients' queries, and near the whole-network
+    cluster it can fall again as the flood collapses into one index
+    (Fig. 5).  So the search first probes the ladder of sizes the
+    Figure 10 procedure tries (halvings of the graph size plus a dense
+    small end), takes the largest ladder size that fits, and bisects
+    between it and the next larger ladder size, which misses.
 
-    Returns 0 if even a cluster of 1 (a plain peer) violates the budget.
+    The result fits the budget; unless it is the graph size, the next
+    size up misses, and no ladder size above it fits.  A budget that
+    the whole-network cluster meets returns the graph size even when
+    mid-range sizes miss: that second feasible region wins.  Returns 0
+    only when no ladder size fits.
     """
 
     def fits(size: int) -> bool:
@@ -106,11 +114,13 @@ def max_supported_cluster_size(
         )
         return budget.fits(summary.superpeer_load())
 
-    if not fits(1):
+    high = base.graph_size + 1  # the smallest size known to miss
+    for low in candidate_cluster_sizes(base.graph_size):
+        if fits(low):
+            break
+        high = low
+    else:
         return 0
-    low, high = 1, base.graph_size
-    if fits(high):
-        return high
     while high - low > 1:
         mid = (low + high) // 2
         if fits(mid):

@@ -159,7 +159,7 @@ def _within_limits(summary: ConfigurationSummary, constraints: DesignConstraints
     return True
 
 
-def _candidate_cluster_sizes(num_users: int) -> list[int]:
+def candidate_cluster_sizes(num_users: int) -> list[int]:
     """Descending ladder of cluster sizes to try (largest feasible wins
     the aggregate-load race, rule #1)."""
     ladder: list[int] = []
@@ -308,7 +308,7 @@ def design_points(constraints: DesignConstraints, ttl: int, *, trials: int,
     more.
     """
     reach_peers = constraints.desired_reach_peers
-    for cluster_size in _candidate_cluster_sizes(constraints.num_users):
+    for cluster_size in candidate_cluster_sizes(constraints.num_users):
         reach_sp = max(1, math.ceil(reach_peers / cluster_size))
         num_clusters = max(1, round(constraints.num_users / cluster_size))
         if reach_sp > num_clusters:

@@ -107,10 +107,6 @@ class TTLChoice:
     measured_reach: float
     target_reach: int
 
-    @property
-    def attains_target(self) -> bool:
-        return self.measured_reach >= self.target_reach
-
 
 def choose_ttl(
     graph,

@@ -125,10 +125,6 @@ class QueryPropagation:
             weights[np.newaxis, np.newaxis].copy(),
         )[0, 0]
 
-    def response_path_lengths(self) -> np.ndarray:
-        """Hop count of each reached node's response path (its BFS depth)."""
-        return self.depth[self.reached]
-
 
 @dataclass(frozen=True)
 class FloodBlock:

@@ -98,12 +98,6 @@ class OutdegreeTradeoff:
         """(EPL at low outdegree, EPL at high outdegree)."""
         return self.low_summary.mean("epl"), self.high_summary.mean("epl")
 
-    def results_gain(self) -> tuple[float, float]:
-        return (
-            self.low_summary.mean("results_per_query"),
-            self.high_summary.mean("results_per_query"),
-        )
-
 
 def uniform_outdegree_gain(
     base: Configuration,

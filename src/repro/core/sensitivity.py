@@ -61,11 +61,6 @@ class Elasticity:
     high_metric: float
 
     @property
-    def is_insensitive(self) -> bool:
-        """Near-zero response (the update-rate regime)."""
-        return abs(self.value) < 0.1
-
-    @property
     def is_linear(self) -> bool:
         """Proportional response (the query-rate regime)."""
         return 0.8 <= self.value <= 1.2

@@ -10,23 +10,12 @@ name → backend resolution the specs and the CLI share.
 
 from __future__ import annotations
 
-from .base import (
-    CampaignResult,
-    Executor,
-    Task,
-    collect,
-    fragment_describer,
-    run_campaign,
-)
+from .base import Executor, Task  # Task: for the benchmarks/perf probes
 from .local import ProcessExecutor, SerialExecutor, ThreadExecutor
 
 __all__ = [
     "Executor",
     "Task",
-    "CampaignResult",
-    "collect",
-    "fragment_describer",
-    "run_campaign",
     "SerialExecutor",
     "ThreadExecutor",
     "ProcessExecutor",

@@ -419,13 +419,6 @@ class MetricsRegistry:
                 self.gauge(name).set(g.value)
         return self
 
-    def reset(self) -> None:
-        with self._lock:
-            self._counters.clear()
-            self._gauges.clear()
-            self._timers.clear()
-            self._histograms.clear()
-
 
 @contextmanager
 def _null_context() -> Iterator[None]:

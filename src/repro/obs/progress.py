@@ -23,7 +23,7 @@ journal stores (:mod:`repro.obs.journal`):
   from one clock, and hands the same dict to the journal file and the
   live view; worker heartbeats are drained on a background thread and
   stamped on arrival.  A point's ``seconds`` is the runtime the worker
-  measured (:func:`repro.exec.collect`); the parent's finish record is
+  measured (:func:`repro.exec.base.collect`); the parent's finish record is
   the only finish record.
 
 Straggler detection follows the usual robust rule: a point is flagged

@@ -57,10 +57,6 @@ class QueryLifecycle:
         """Did any results reach the source?"""
         return self.results > 0
 
-    @property
-    def lost_messages(self) -> float:
-        return float(sum(lost for _, lost in self.drops))
-
 
 @dataclass(frozen=True)
 class OutageWindow:

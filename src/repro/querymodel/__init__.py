@@ -6,29 +6,3 @@ for g(i)/f(i), and the Saroiu et al. Gnutella measurements for per-peer
 file counts and session lifespans.  See DESIGN.md section 3 for the
 substitution rationale.
 """
-
-from .distributions import QueryModel, default_query_model
-from .files import FileCountDistribution, default_file_distribution
-from .lifespan import LifespanDistribution, default_lifespan_distribution
-from .expectation import ClusterExpectations, cluster_expectations
-from .capacities import (
-    CapacityClass,
-    CapacityMix,
-    default_capacity_mix,
-    overload_fraction,
-)
-
-__all__ = [
-    "QueryModel",
-    "default_query_model",
-    "FileCountDistribution",
-    "default_file_distribution",
-    "LifespanDistribution",
-    "default_lifespan_distribution",
-    "ClusterExpectations",
-    "cluster_expectations",
-    "CapacityClass",
-    "CapacityMix",
-    "default_capacity_mix",
-    "overload_fraction",
-]

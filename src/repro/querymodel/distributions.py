@@ -88,10 +88,6 @@ class QueryModel:
         """P(N >= 1) for a collection of ``x`` files."""
         return 1.0 - self.prob_no_result(collection_size)
 
-    def sample_query_class(self, rng: np.random.Generator, size: int | None = None):
-        """Draw query classes from g (used by the event-driven simulator)."""
-        return rng.choice(self.num_classes, size=size, p=self.g)
-
     def with_mean_selection_power(self, target: float) -> "QueryModel":
         """Rescale f so that sum g f equals ``target`` (calibration)."""
         current = self.mean_selection_power

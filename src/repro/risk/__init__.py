@@ -9,22 +9,18 @@ the cheapest design meeting an availability target, reporting expected
 value and CVaR-at-α of the loss metrics (:mod:`repro.risk.design`).
 """
 
-from .design import RiskDesignOutcome, design_topology_risk, enumerate_candidates
+from .design import RiskDesignOutcome, design_topology_risk
 from .evaluate import (
     RISK_METRICS,
-    RiskAssessment,
     RiskSpec,
-    ScenarioOutcome,
     build_scenario_set,
     cvar,
     evaluate_designs,
     weighted_mean,
 )
 from .scenarios import (
-    FailureScenario,
     FailureUnit,
     ScenarioBudgetError,
-    ScenarioSet,
     crash_failure_units,
     enumerate_scenarios,
     partition_failure_units,
@@ -32,19 +28,14 @@ from .scenarios import (
 
 __all__ = [
     "RISK_METRICS",
-    "FailureScenario",
     "FailureUnit",
-    "RiskAssessment",
     "RiskDesignOutcome",
     "RiskSpec",
     "ScenarioBudgetError",
-    "ScenarioOutcome",
-    "ScenarioSet",
     "build_scenario_set",
     "crash_failure_units",
     "cvar",
     "design_topology_risk",
-    "enumerate_candidates",
     "enumerate_scenarios",
     "evaluate_designs",
     "partition_failure_units",

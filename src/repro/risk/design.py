@@ -21,7 +21,7 @@ from dataclasses import asdict, dataclass, field
 
 from ..config import Configuration
 from ..core.design import DesignConstraints, design_points
-from ..exec import Executor
+from ..exec.base import Executor
 from ..topology.builder import build_instance_cached
 from .evaluate import (
     RiskAssessment,

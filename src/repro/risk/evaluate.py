@@ -31,7 +31,8 @@ import numpy as np
 
 from ..codec import Codec, encode
 from ..config import Configuration
-from ..exec import EXECUTOR_NAMES, Executor, Task, collect, run_campaign
+from ..exec import EXECUTOR_NAMES
+from ..exec.base import Executor, Task, collect, run_campaign
 from ..sim.faults import CrashSpec, FaultOutcome
 from ..sim.network import ENGINES, SimulationReport, simulate_instance
 from ..topology.builder import NetworkInstance, build_instance_cached
@@ -402,7 +403,7 @@ def evaluate_designs(
 
     One campaign: a fault-free baseline cell per candidate plus one cell
     per non-nominal scenario, all dispatched together through
-    :func:`repro.exec.run_campaign` with the usual journal/progress
+    :func:`repro.exec.base.run_campaign` with the usual journal/progress
     telemetry.  Results are folded per candidate in input order —
     bit-identical across backends.
     """

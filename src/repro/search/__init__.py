@@ -15,7 +15,7 @@ hops), so the "overall performance gain, similar tradeoffs" claim can be
 checked experimentally (``benchmarks/bench_ablation_search.py``).
 """
 
-from .base import QueryCost, SearchProtocol
+from .base import QueryCost
 from .flooding import FloodingSearch
 from .expanding_ring import ExpandingRingSearch
 from .random_walk import RandomWalkSearch
@@ -23,7 +23,6 @@ from .routing_indices import RoutingIndicesSearch
 
 __all__ = [
     "QueryCost",
-    "SearchProtocol",
     "FloodingSearch",
     "ExpandingRingSearch",
     "RandomWalkSearch",

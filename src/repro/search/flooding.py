@@ -42,19 +42,6 @@ class FloodingSearch(SearchProtocol):
         return propagate_query(self.instance.graph, source, self.ttl,
                                blocked=self.dead_clusters)
 
-    def hop_profile(self, source: int) -> list[float]:
-        """Messages transmitted at each hop of the flood from ``source``.
-
-        Index ``h`` is the number of Query transmissions made by nodes at
-        BFS depth ``h`` — the protocol-level analogue of the simulator's
-        per-query ``fanout`` trace field, and the shape the attribution
-        profiler's by-hop tables aggregate over all sources.
-        """
-        prop = self._propagate(source)
-        mask = prop.depth >= 0
-        counts = np.bincount(prop.depth[mask], weights=prop.transmissions[mask])
-        return [float(x) for x in counts]
-
     def query_cost(self, source: int) -> QueryCost:
         metrics = get_registry()
         prop = self._propagate(source)

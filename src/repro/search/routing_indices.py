@@ -160,10 +160,3 @@ class RoutingIndicesSearch(SearchProtocol):
             reach=float(len(visited)),
             mean_response_hops=epl,
         )
-
-    # --- maintenance cost -------------------------------------------------------
-
-    def index_entries(self) -> int:
-        """Total routing-index entries maintained across the network
-        (one per directed edge — the protocol's state overhead)."""
-        return sum(len(entries) for entries in self._index.values())

@@ -11,70 +11,3 @@ expectations.
 ``simpy`` is not available in this environment, so ``engine`` implements
 the event scheduler from scratch (binary heap, cancellable events).
 """
-
-from .engine import Simulator, EventHandle, RepeatingEvent
-from .network import SimulationReport, simulate_instance
-from .churn import ChurnResult, simulate_cluster_churn
-from .local import AdaptiveNetwork, AdaptiveLimits, AdaptiveHistory
-from .faults import (
-    CrashSpec,
-    FaultOutcome,
-    FaultPlan,
-    PartitionWindow,
-    RetryPolicy,
-    SlowSpec,
-)
-from .resilience import (
-    ResilienceReport,
-    ResilienceResult,
-    ResilienceSpec,
-    run_resilience,
-    run_resilience_spec,
-)
-from .monitor import DetectorSpec, FailureDetector
-from .gossip import GossipDetector, GossipSpec, gossip_attribution
-from .recovery import RecoveryPolicy, RecoveryRuntime, repair_attribution
-from .chaos import (
-    ChaosCaseError,
-    ChaosReport,
-    ChaosSpec,
-    generate_fault_plan,
-    run_chaos,
-)
-
-__all__ = [
-    "Simulator",
-    "EventHandle",
-    "RepeatingEvent",
-    "SimulationReport",
-    "simulate_instance",
-    "ChurnResult",
-    "simulate_cluster_churn",
-    "AdaptiveNetwork",
-    "AdaptiveLimits",
-    "AdaptiveHistory",
-    "CrashSpec",
-    "FaultOutcome",
-    "FaultPlan",
-    "PartitionWindow",
-    "RetryPolicy",
-    "SlowSpec",
-    "ResilienceReport",
-    "ResilienceResult",
-    "ResilienceSpec",
-    "run_resilience",
-    "run_resilience_spec",
-    "DetectorSpec",
-    "FailureDetector",
-    "GossipDetector",
-    "GossipSpec",
-    "gossip_attribution",
-    "RecoveryPolicy",
-    "RecoveryRuntime",
-    "repair_attribution",
-    "ChaosSpec",
-    "ChaosCaseError",
-    "ChaosReport",
-    "generate_fault_plan",
-    "run_chaos",
-]

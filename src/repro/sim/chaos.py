@@ -38,7 +38,8 @@ import numpy as np
 
 from ..codec import Codec, encode
 from ..config import Configuration
-from ..exec import EXECUTOR_NAMES, Executor, Task, collect, run_campaign
+from ..exec import EXECUTOR_NAMES
+from ..exec.base import Executor, Task, collect, run_campaign
 from ..obs.manifest import RunManifest
 from ..obs.metrics import MetricsRegistry
 from ..obs.progress import ProgressTracker
@@ -454,7 +455,7 @@ def run_chaos(
     """Run every case of ``spec`` on a pluggable executor backend.
 
     The same campaign runner as :func:`repro.api.run_sweep`
-    (:func:`repro.exec.run_campaign`): the backend resolves through
+    (:func:`repro.exec.base.run_campaign`): the backend resolves through
     :func:`repro.exec.make_executor` (``executor`` argument, then
     ``spec.executor``, then the jobs rule), and every backend returns
     identical case results in stable seed order with one merged

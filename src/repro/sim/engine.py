@@ -217,8 +217,3 @@ class Simulator:
     def pending(self) -> int:
         """Number of scheduled, not-yet-cancelled events."""
         return len(self._heap) - self._cancelled
-
-    @property
-    def heap_size(self) -> int:
-        """Physical heap length, cancelled entries included (for tests)."""
-        return len(self._heap)

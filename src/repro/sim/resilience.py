@@ -24,7 +24,8 @@ import numpy as np
 
 from ..codec import Codec, encode
 from ..config import Configuration
-from ..exec import EXECUTOR_NAMES, Executor, Task, collect, run_campaign
+from ..exec import EXECUTOR_NAMES
+from ..exec.base import Executor, Task, collect, run_campaign
 from ..obs.manifest import RunManifest
 from ..obs.metrics import MetricsRegistry, get_registry
 from ..querymodel.distributions import QueryModel
@@ -386,7 +387,7 @@ def run_resilience_spec(
     """Run every replicate of ``spec`` on a pluggable executor backend.
 
     The resilience campaign runner, on the same
-    :func:`repro.exec.run_campaign` fan-out as
+    :func:`repro.exec.base.run_campaign` fan-out as
     :func:`repro.api.run_sweep` and :func:`repro.sim.chaos.run_chaos`:
     each replicate fans out as two self-contained tasks, its degraded
     half and its fault-free baseline (each carries the replicate's
@@ -487,7 +488,7 @@ def run_resilience(
 
     The two runs are the degraded and baseline tasks of
     :func:`run_resilience_spec`'s replicate 0, run in order through
-    :func:`repro.exec.run_campaign` on the serial executor (a pure-CPU
+    :func:`repro.exec.base.run_campaign` on the serial executor (a pure-CPU
     pair gains little from two processes).  Each half collects into its
     own registry, and the folded registry lands in the caller's
     (:func:`repro.obs.metrics.get_registry`), so a ``use_registry``

@@ -1,14 +1,1 @@
 """Statistical helpers: seeded RNG plumbing, confidence intervals, histograms."""
-
-from .rng import derive_rng, spawn_rngs
-from .confidence import ConfidenceInterval, mean_confidence_interval
-from .histogram import GroupedStats, group_by
-
-__all__ = [
-    "derive_rng",
-    "spawn_rngs",
-    "ConfidenceInterval",
-    "mean_confidence_interval",
-    "GroupedStats",
-    "group_by",
-]

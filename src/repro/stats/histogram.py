@@ -31,10 +31,6 @@ class GroupedStats:
             for key, mean, std, count in zip(self.keys, self.means, self.stds, self.counts)
         }
 
-    def mean_for(self, key) -> float:
-        """Mean of the quantity within one group (KeyError if absent)."""
-        return self.as_dict()[key][0]
-
     def total_count(self) -> int:
         return int(sum(self.counts))
 

@@ -1,20 +1,1 @@
 """Overlay-topology substrate: graphs, generators, clusters, instances."""
-
-from .graph import OverlayGraph
-from .strong import strongly_connected_graph
-from .plod import plod_graph, calibrate_beta
-from .clusters import sample_cluster_clients
-from .builder import NetworkInstance, build_instance
-from .crawl import CrawlSnapshot, synthesize_crawl
-
-__all__ = [
-    "OverlayGraph",
-    "strongly_connected_graph",
-    "plod_graph",
-    "calibrate_beta",
-    "sample_cluster_clients",
-    "NetworkInstance",
-    "build_instance",
-    "CrawlSnapshot",
-    "synthesize_crawl",
-]

@@ -67,10 +67,6 @@ class NetworkInstance:
         """Cluster size per cluster, super-peer partners included."""
         return self.clients + self.partners
 
-    def cluster_client_files(self, cluster: int) -> np.ndarray:
-        """File counts of the clients of one cluster."""
-        return self.client_files[self.client_ptr[cluster]: self.client_ptr[cluster + 1]]
-
     # --- index and connection bookkeeping ------------------------------------
 
     @cached_property

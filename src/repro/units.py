@@ -35,10 +35,6 @@ def bytes_to_bits(num_bytes: float) -> float:
     """Convert a byte count to bits."""
     return num_bytes * BITS_PER_BYTE
 
-def bits_to_bytes(num_bits: float) -> float:
-    """Convert a bit count to bytes."""
-    return num_bits / BITS_PER_BYTE
-
 
 def units_to_cycles(units: float) -> float:
     """Convert coarse processing units to CPU cycles.

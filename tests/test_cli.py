@@ -75,6 +75,12 @@ class TestSweep:
             run_cli(capsys, *SMALL, "sweep", "--graph-size", "200",
                     "--param", "bogus", "--values", "1")
 
+    def test_unparsable_value_is_a_usage_error(self, capsys):
+        assert_usage_error(
+            capsys, [*SMALL, "sweep", "--graph-size", "300",
+                     "--param", "cluster_size", "--values", "10,x"],
+            "invalid value 'x' for sweep parameter cluster_size")
+
     def test_parallel_jobs_match_serial(self, capsys):
         argv = [*SMALL, "sweep", "--graph-size", "300",
                 "--param", "cluster_size", "--values", "5,10,20"]

@@ -84,7 +84,8 @@ class TestBuildInstance:
         config = Configuration(graph_size=300, cluster_size=10)
         inst = build_instance(config, seed=2)
         for c in range(0, inst.num_clusters, 7):
-            expected = inst.cluster_client_files(c).sum() + inst.partner_files[c].sum()
+            clients = inst.client_files[inst.client_ptr[c]:inst.client_ptr[c + 1]]
+            expected = clients.sum() + inst.partner_files[c].sum()
             assert inst.index_sizes[c] == expected
 
     def test_index_total_is_all_files(self):

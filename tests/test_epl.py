@@ -106,7 +106,6 @@ class TestChooseTtl:
     def test_attains_target_reach(self):
         g = plod_graph(600, 5.0, rng=4)
         choice = choose_ttl(g, target_reach=300, num_sources=24, rng=0)
-        assert choice.attains_target
         assert choice.measured_reach >= 300
 
     def test_ttl_at_least_ceiling_of_epl(self):

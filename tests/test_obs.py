@@ -246,13 +246,6 @@ def test_snapshot_shape_and_unset_gauge_omitted():
     assert snap["histograms"]["h"]["min"] == 3.0
 
 
-def test_registry_reset():
-    registry = MetricsRegistry()
-    registry.counter("c").add()
-    registry.reset()
-    assert registry.snapshot()["counters"] == {}
-
-
 _NAMES = st.sampled_from(["a", "b", "c"])
 _AMOUNTS = st.integers(min_value=-1000, max_value=1000).map(float)
 _OPS = st.lists(st.tuples(_NAMES, _AMOUNTS), max_size=20)

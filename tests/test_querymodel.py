@@ -16,6 +16,7 @@ from repro.querymodel.lifespan import (
     default_lifespan_distribution,
     make_lifespan_distribution,
 )
+from repro.sim.schedule import generate_workload
 from repro.topology.builder import build_instance
 
 
@@ -70,10 +71,12 @@ class TestQueryModel:
         assert model.g[0] == model.g.max()
 
     def test_sample_query_class_respects_g(self):
+        # The simulator's schedule draws each query's class from g.
         model = make_query_model(num_classes=10, popularity_exponent=2.0)
-        rng = np.random.default_rng(0)
-        draws = model.sample_query_class(rng, size=20_000)
-        freq0 = np.mean(draws == 0)
+        instance = build_instance(Configuration(graph_size=300), seed=0)
+        schedule = generate_workload(instance, 7200.0, seed=0, enable_churn=False,
+                                     enable_updates=False, model=model)
+        freq0 = np.mean(schedule.q_class == 0)
         assert freq0 == pytest.approx(model.g[0], rel=0.05)
 
 

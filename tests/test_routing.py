@@ -138,7 +138,7 @@ class TestAccumulateToSource:
     def test_response_path_lengths_are_depths(self):
         g = path_graph(5)
         prop = propagate_query(g, 0, ttl=4)
-        assert sorted(prop.response_path_lengths().tolist()) == [0, 1, 2, 3, 4]
+        assert sorted(prop.depth[prop.reached].tolist()) == [0, 1, 2, 3, 4]
 
 
 class TestCompleteGraphClosedForm:

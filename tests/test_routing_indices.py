@@ -14,10 +14,6 @@ def instance():
 
 
 class TestIndexConstruction:
-    def test_one_entry_per_directed_edge(self, instance):
-        ri = RoutingIndicesSearch(instance, result_target=10)
-        assert ri.index_entries() == 2 * instance.graph.num_edges
-
     def test_goodness_counts_documents_through_edge(self):
         """On a path A-B-C with known files, the index is hand-checkable."""
         import numpy as np

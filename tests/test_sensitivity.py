@@ -60,7 +60,6 @@ class TestApi:
         assert per_param == 4  # the four headline metrics
 
     def test_classification_helpers(self):
-        assert Elasticity("p", "m", 0.05, 1, 1).is_insensitive
         assert Elasticity("p", "m", 1.0, 1, 2).is_linear
         assert not Elasticity("p", "m", 0.5, 1, 2).is_linear
 

@@ -110,7 +110,7 @@ class TestHeapCompaction:
         # More than half the heap was dead weight: a compaction pass
         # dropped the cancellations seen so far (later ones stay lazy).
         assert sim.compactions >= 1
-        assert sim.heap_size < 100
+        assert len(sim._heap) < 100
         assert sim.pending == 50
         sim.run()
         assert sim.events_processed == 50

@@ -165,8 +165,3 @@ class TestGroupBy:
     def test_mismatched_lengths_rejected(self):
         with pytest.raises(ValueError):
             group_by([1, 2], [1.0])
-
-    def test_mean_for_missing_key_raises(self):
-        stats = group_by([1], [2.0])
-        with pytest.raises(KeyError):
-            stats.mean_for(9)

@@ -109,7 +109,7 @@ def test_build_timeline_reconstructs_lifecycles():
     assert a.completed and a.fanout == [3.0, 6.0] and a.client
     assert b.degraded and b.retries == 1 and b.attempts == 2
     assert b.drops == [("flood", 2.0)] and b.waited == 1.5
-    assert not c.completed and c.lost_messages == 1.0
+    assert not c.completed and c.drops == [("response", 1.0)]
     assert report.orphans == [(35.0, 7)]
     # 3 queries, 2 completed, 1 orphan -> 2/4.
     assert report.completion_rate == pytest.approx(0.5)
